@@ -1,9 +1,13 @@
 """Full-index baseline (paper: "FI").
 
 The first query pays for sorting the column and bulk loading it into a
-B+-tree; every subsequent query is answered from the tree.  This baseline has
-by far the most expensive first query (the paper reports 50x the scan cost)
-but the lowest cumulative time on long workloads.
+B+-tree; every subsequent query is answered from the index.  This baseline
+has by far the most expensive first query (the paper reports 50x the scan
+cost) but the lowest cumulative time on long workloads.
+
+The tree is built because its bulk load *is* the first-query cost the paper
+reports; reads go to the sorted array under it through the same
+:class:`~repro.core.query.SortedLeaf` the converged progressive indexes use.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from repro.core.cost_model import CostBreakdown
 from repro.core.index import BaseIndex
 from repro.core.phase import IndexPhase
 from repro.core.policy import BudgetPolicy
-from repro.core.query import Predicate, QueryResult, search_sorted_many
+from repro.core.query import Predicate, QueryResult, SortedLeaf
 from repro.storage.column import Column
 from repro.storage.delta import merge_sorted_with_delta
 
@@ -35,9 +39,9 @@ class FullIndex(BaseIndex):
     name = "FI"
     description = "A-priori full index (sort + B+-tree bulk load on first query)"
     eager_batch = True
-    #: Once built, batched answering is searchsorted over the frozen sorted
-    #: array (plus an idempotent prefix-sum cache) — safe for concurrent
-    #: reader threads.  The serving scheduler additionally requires the
+    #: Once built, answering is searchsorted over the frozen sorted array
+    #: (plus an idempotent prefix-sum cache) — safe for concurrent reader
+    #: threads.  The serving scheduler additionally requires the
     #: converged phase, so the first-touch bulk build stays serialized.
     concurrent_reads = True
     #: The sorted backbone makes delta folding a single merge + bulk reload,
@@ -54,8 +58,6 @@ class FullIndex(BaseIndex):
         super().__init__(column, budget=budget, constants=constants)
         self.fanout = int(fanout)
         self._tree: BPlusTree | None = None
-        self._sorted_values: np.ndarray | None = None
-        self._batch_prefix: np.ndarray | None = None
 
     @property
     def tree(self) -> BPlusTree | None:
@@ -63,22 +65,27 @@ class FullIndex(BaseIndex):
         return self._tree
 
     def memory_footprint(self) -> int:
-        return self._tree.memory_footprint() if self._tree is not None else 0
+        if self._tree is None:
+            return 0
+        return self._tree.memory_footprint() + self._leaf.prefix_bytes()
 
     def _execute(self, predicate: Predicate) -> QueryResult:
-        n = len(self._column)
         if self._tree is None:
             self._build()
-            self.last_stats.elements_indexed = n
-        result = self._tree.query(predicate)
-        breakdown = CostBreakdown(
-            scan=self._cost_model.scan_time(result.count),
-            lookup=self._cost_model.binary_search_time(n),
+            self.last_stats.elements_indexed = len(self._column)
+        return self._execute_converged(predicate)
+
+    def _converged_count_cost(self, match_count: int) -> CostBreakdown:
+        return CostBreakdown(
+            scan=self._cost_model.scan_time(match_count),
+            lookup=self._cost_model.binary_search_time(len(self._column)),
             indexing=0.0,
         )
-        self.last_stats.predicted_breakdown = breakdown
-        self.last_stats.predicted_cost = breakdown.total
-        return result
+
+    def _set_sorted(self, sorted_values: np.ndarray) -> None:
+        """Adopt ``sorted_values``: bulk load the tree, point the reads at it."""
+        self._tree = BPlusTree.bulk_load(sorted_values, fanout=self.fanout)
+        self._leaf = SortedLeaf(sorted_values)
 
     def _build(self) -> None:
         """Sort the column and bulk load the B+-tree (the first-query work).
@@ -86,9 +93,9 @@ class FullIndex(BaseIndex):
         The lifecycle jumps straight from ``INACTIVE`` to ``CONVERGED`` —
         the baseline pays for the complete index up front.
         """
-        self._sorted_values = self._column.copy_data()
-        self._sorted_values.sort()
-        self._tree = BPlusTree.bulk_load(self._sorted_values, fanout=self.fanout)
+        sorted_values = self._column.copy_data()
+        sorted_values.sort()
+        self._set_sorted(sorted_values)
         self._advance_phase(IndexPhase.CONVERGED)
 
     def _search_many(self, lows, highs):
@@ -99,40 +106,33 @@ class FullIndex(BaseIndex):
         """
         if self._tree is None:
             self._build()
-        sums, counts, self._batch_prefix = search_sorted_many(
-            self._sorted_values, lows, highs, self._batch_prefix
-        )
-        return sums, counts
+        return self._leaf.range_many(lows, highs)
 
     # ------------------------------------------------------------------
     # Persistence (checkpointing)
     # ------------------------------------------------------------------
     def _family_state(self) -> dict:
         state = {"built": self._tree is not None, "fanout": self.fanout}
-        if self._sorted_values is not None:
-            state["sorted_values"] = np.array(self._sorted_values)
+        if self._leaf is not None:
+            state["sorted_values"] = np.array(self._leaf.values)
         return state
 
     def _load_family_state(self, state: dict) -> None:
         self.fanout = int(state.get("fanout", self.fanout))
         if not state.get("built"):
             return
-        self._sorted_values = np.asarray(state["sorted_values"])
-        self._tree = BPlusTree.bulk_load(self._sorted_values, fanout=self.fanout)
-        self._batch_prefix = None
+        self._set_sorted(np.asarray(state["sorted_values"]))
 
     def _fold_delta(self, inserts_sorted, tombstones_sorted) -> bool:
         """Merge the buffered delta into the sorted array, bulk reload the tree."""
         if self._tree is None:
             return False
-        self._sorted_values = merge_sorted_with_delta(
-            self._sorted_values, inserts_sorted, tombstones_sorted
-        )
-        self._tree = BPlusTree.bulk_load(self._sorted_values, fanout=self.fanout)
-        self._batch_prefix = None
+        self._set_sorted(merge_sorted_with_delta(
+            self._leaf.values, inserts_sorted, tombstones_sorted
+        ))
         return True
 
     def _fold_base_size(self) -> int:
-        if self._sorted_values is None:
+        if self._leaf is None:
             return len(self._column)
-        return int(self._sorted_values.size)
+        return int(self._leaf.values.size)

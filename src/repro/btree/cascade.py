@@ -7,6 +7,12 @@ B+-tree: a stack of ever-smaller sorted arrays where a lookup descends from
 the top level, narrowing the candidate window in the level below to about one
 fanout of elements per step, and finishes with a binary search inside a small
 window of the leaf array.  :class:`CascadeTree` is that structure.
+
+Under NumPy the descent never wins: one C binary search over the whole leaf
+costs less than a single Python-level step between two levels.  The levels
+are therefore built — consolidation is the paper's phase and the cost model
+prices :attr:`CascadeTree.height` — but reads go to the sorted leaf through
+the shared :class:`~repro.core.query.SortedLeaf` primitive.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import List
 
 import numpy as np
 
-from repro.core.query import Predicate, QueryResult, search_sorted_many
+from repro.core.query import Predicate, QueryResult, SortedLeaf
 
 #: Default fanout β of the cascade.
 DEFAULT_FANOUT = 64
@@ -27,7 +33,9 @@ class CascadeTree:
     Parameters
     ----------
     leaf_values:
-        The fully sorted array of indexed values (level 0).
+        The fully sorted array of indexed values (level 0), or the
+        :class:`~repro.core.query.SortedLeaf` already reading it (its prefix
+        sums are then shared, not rebuilt).
     fanout:
         β — each upper level samples every β-th element of the level below.
     levels:
@@ -46,12 +54,12 @@ class CascadeTree:
         if fanout < 2:
             raise ValueError(f"fanout must be at least 2, got {fanout}")
         self.fanout = int(fanout)
-        self.leaf_values = np.asarray(leaf_values)
+        self.leaf = SortedLeaf.of(leaf_values)
+        self.leaf_values = self.leaf.values
         if levels is None:
             self.levels = self.build_levels(self.leaf_values, self.fanout)
         else:
             self.levels = list(levels)
-        self._prefix_sums: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -84,68 +92,31 @@ class CascadeTree:
         return int(self.leaf_values.size)
 
     def memory_footprint(self) -> int:
-        """Bytes used by the upper levels (the leaf array is shared)."""
-        return sum(level.nbytes for level in self.levels)
-
-    # ------------------------------------------------------------------
-    def _leaf_position(self, value, side: str) -> int:
-        """Position of ``value`` in the leaf array via cascade descent.
-
-        Each level narrows the candidate window in the level below to roughly
-        one fanout of elements, so the total number of elements inspected is
-        ``O(fanout * height)`` regardless of the column size.
-        """
-        # Arrays ordered top-down, each followed by its child array.
-        chain = list(reversed(self.levels)) + [self.leaf_values]
-        lo = 0
-        hi = chain[0].size
-        for depth, level in enumerate(chain):
-            window = level[lo:hi]
-            position = lo + int(np.searchsorted(window, value, side=side))
-            if depth == len(chain) - 1:
-                return position
-            child = chain[depth + 1]
-            lo = max(0, (position - 1) * self.fanout)
-            hi = min(child.size, position * self.fanout + 1)
-        return 0  # pragma: no cover - chain is never empty
+        """Bytes used by the upper levels and, once built, the prefix sums
+        (the leaf array is shared)."""
+        return sum(level.nbytes for level in self.levels) + self.leaf.prefix_bytes()
 
     # ------------------------------------------------------------------
     def range_query(self, low, high) -> QueryResult:
         """Aggregate (sum, count) of leaf values in ``[low, high]``."""
-        if self.leaf_values.size == 0 or low > high:
-            return QueryResult.empty()
-        lo = self._leaf_position(low, side="left")
-        hi = self._leaf_position(high, side="right")
-        if hi <= lo:
-            return QueryResult.empty()
-        segment = self.leaf_values[lo:hi]
-        return QueryResult(segment.sum(), int(segment.size))
+        return QueryResult(*self.leaf.range_one(low, high))
 
     def point_query(self, value) -> QueryResult:
         """Aggregate of all occurrences of ``value``."""
         return self.range_query(value, value)
 
-    # ------------------------------------------------------------------
     def search_many(self, lows, highs):
         """Vectorized batch of range queries over the sorted leaf array.
 
-        Every query of the batch is answered with two ``np.searchsorted``
-        calls plus prefix-sum differences — no Python-level per-query work.
-        The prefix sums are cached on first use (the leaf array is immutable
-        once the cascade exists, so the cache never needs invalidation).
-
-        The leaves are sorted by construction for every index family: the
-        order-preserving key codecs (:mod:`repro.core.keys`) guarantee that
-        even the radix-built arrays are totally ordered on float columns, so
-        no runtime sortedness verification (and no per-query fallback) is
-        needed any more.
+        The batch form of :meth:`range_query`, over the same leaf and the
+        same prefix sums.  The leaves are sorted by construction for every
+        index family: the order-preserving key codecs
+        (:mod:`repro.core.keys`) guarantee that even the radix-built arrays
+        are totally ordered on float columns.
 
         Returns ``(sums, counts)`` arrays aligned with the inputs.
         """
-        sums, counts, self._prefix_sums = search_sorted_many(
-            self.leaf_values, lows, highs, self._prefix_sums
-        )
-        return sums, counts
+        return self.leaf.range_many(lows, highs)
 
     def query(self, predicate: Predicate) -> QueryResult:
         """Answer a :class:`~repro.core.query.Predicate`."""

@@ -11,6 +11,9 @@ full-scan / full-index baselines are interchangeable:
   or ``INACTIVE`` as appropriate).
 * :attr:`BaseIndex.last_stats` exposes per-query bookkeeping (predicted cost,
   delta used, phase) consumed by the cost-model-validation experiments.
+* Once an index is ``CONVERGED`` with nothing pending, :meth:`BaseIndex.query`
+  is one read of the sorted leaf (:class:`~repro.core.query.SortedLeaf`) plus
+  its counters; the bookkeeping above is materialised only when asked for.
 
 Every budget decision flows through the index's
 :class:`~repro.core.policy.BudgetController`: the per-phase execute methods
@@ -43,7 +46,7 @@ from repro.core.policy import (
     policy_from_state,
     policy_state_dict,
 )
-from repro.core.query import Predicate, QueryResult
+from repro.core.query import Predicate, QueryResult, SortedLeaf
 from repro.errors import IndexStateError
 from repro.storage.column import Column, ColumnSnapshot
 from repro.storage.lazy import ChainArray, is_lazy
@@ -189,6 +192,12 @@ class BaseIndex(DeltaOverlay, abc.ABC):
         self._lifecycle = IndexLifecycle()
         self._queries_executed = 0
         self.last_stats = QueryStats()
+        #: The sorted structural base once the family owns one (progressive
+        #: indexes from consolidation onwards, the built full index): what
+        #: :meth:`_search_one` and :meth:`_search_many` read.
+        self._leaf: SortedLeaf | None = None
+        #: Match count of the last steady-state read (see :attr:`last_stats`).
+        self._steady_count = 0
         # Paged compressed bases add a per-element decode cost on every
         # scan; expressed as a fraction of the scan-time constant so one
         # wrap point (_decide / predict_cost) prices it into every family's
@@ -287,6 +296,29 @@ class BaseIndex(DeltaOverlay, abc.ABC):
         """Whether the index is fully built (no further indexing work)."""
         return self.phase is IndexPhase.CONVERGED
 
+    @property
+    def last_stats(self) -> QueryStats:
+        """Bookkeeping of the most recent query.
+
+        A steady-state converged read records only its match count; its
+        stats (``phase=CONVERGED``, ``delta=0``, the cost model's prediction
+        for that count) are built here, on first access.
+        """
+        stats = self._last_stats
+        if stats is None:
+            breakdown = self._converged_count_cost(self._steady_count)
+            stats = self._last_stats = QueryStats(
+                query_number=self._queries_executed,
+                phase=IndexPhase.CONVERGED,
+                predicted_cost=None if breakdown is None else breakdown.total,
+                predicted_breakdown=breakdown,
+            )
+        return stats
+
+    @last_stats.setter
+    def last_stats(self, stats: QueryStats) -> None:
+        self._last_stats = stats
+
     def query(self, predicate: Predicate) -> QueryResult:
         """Answer ``predicate``, spending at most the budgeted indexing time.
 
@@ -301,6 +333,14 @@ class BaseIndex(DeltaOverlay, abc.ABC):
             raise IndexStateError(
                 f"query() expects a Predicate, got {type(predicate).__name__}"
             )
+        leaf = self._leaf
+        if (
+            leaf is not None
+            and self._lifecycle.phase is IndexPhase.CONVERGED
+            and not _TR.enabled
+            and not self._overlay_active()
+        ):
+            return self._steady_query(leaf, predicate)
         hist = self._obs_query_seconds
         tracing = _TR.enabled
         t0 = 0.0
@@ -373,6 +413,32 @@ class BaseIndex(DeltaOverlay, abc.ABC):
                 self._obs_tau_ratio.observe(elapsed / stats.predicted_cost)
         return result
 
+    def _steady_query(self, leaf: SortedLeaf, predicate: Predicate) -> QueryResult:
+        """A converged read with nothing pending and tracing off.
+
+        The same leaf read :meth:`_execute` performs once converged, minus
+        everything nobody reads in the steady state: no :class:`QueryStats`,
+        no cost prediction, no budget-controller clock.  The counters stay
+        exact and the duration histogram keeps its 1:N sampling.
+        """
+        hist = self._obs_query_seconds
+        t0 = 0.0
+        if hist:
+            tick = self._obs_sample_tick - 1
+            if tick <= 0:
+                self._obs_sample_tick = _OBS_SAMPLE_EVERY
+                t0 = perf_counter()
+            else:
+                self._obs_sample_tick = tick
+        self._queries_executed += 1
+        value_sum, count = leaf.range_one(predicate.low, predicate.high)
+        self._lifecycle.note_query(IndexPhase.CONVERGED)
+        self._last_stats = None
+        self._steady_count = count
+        if t0:
+            hist.observe(perf_counter() - t0)
+        return QueryResult(value_sum, count)
+
     def search_many(self, lows, highs):
         """Answer a batch of range predicates with vectorized lookups.
 
@@ -405,10 +471,33 @@ class BaseIndex(DeltaOverlay, abc.ABC):
     def _search_many(self, lows, highs):
         """Family-specific vectorized batch answering over the snapshot.
 
-        The default cannot answer batches; subclasses override this (never
+        The default answers from the sorted leaf once the family owns one
+        and cannot answer batches before; subclasses override this (never
         the public :meth:`search_many`, which owns the delta correction).
         """
+        leaf = self._leaf
+        return None if leaf is None else leaf.range_many(lows, highs)
+
+    def _search_one(self, low, high):
+        """Scalar twin of :meth:`_search_many`: ``(value_sum, count)`` over
+        the structural base, or ``None`` while there is no sorted leaf."""
+        leaf = self._leaf
+        return None if leaf is None else leaf.range_one(low, high)
+
+    def _converged_count_cost(self, match_count: int) -> CostBreakdown | None:
+        """Predicted cost of a converged read matching ``match_count`` rows
+        (``None`` for families without a cost model)."""
         return None
+
+    def _execute_converged(self, predicate: Predicate) -> QueryResult:
+        """The leaf read with its stats recorded: what :meth:`_execute` runs
+        once the family is converged (or merging) over a sorted leaf."""
+        value_sum, count = self._leaf.range_one(predicate.low, predicate.high)
+        # The answer is in hand, so the recorded stats use the exact count.
+        breakdown = self._converged_count_cost(count)
+        self.last_stats.predicted_breakdown = breakdown
+        self.last_stats.predicted_cost = breakdown.total
+        return QueryResult(value_sum, count)
 
     def predicted_cost(self, predicate: Predicate, delta: float = 0.0) -> CostBreakdown | None:
         """Cost-model prediction for ``predicate`` at indexing fraction ``delta``.

@@ -62,13 +62,17 @@ def _merge_into_sorted(sorted_buffer: np.ndarray, chunk: np.ndarray) -> np.ndarr
 
 
 def _predicated_delta(values: np.ndarray, low, high) -> Tuple[float, int]:
-    """Sum and count of ``values`` in ``[low, high]`` (predicated scan)."""
+    """Sum and count of ``values`` in ``[low, high]`` (predicated scan).
+
+    An empty selection sums to the integer ``0``: a float zero would drag an
+    int64 correction into float64 and round sums beyond 2**53.
+    """
     if values.size == 0:
-        return 0.0, 0
+        return 0, 0
     mask = (values >= low) & (values <= high)
     count = int(np.count_nonzero(mask))
     if count == 0:
-        return 0.0, 0
+        return 0, 0
     return values[mask].sum(), count
 
 

@@ -12,6 +12,7 @@ implementations can be cross-checked for exactness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence
 
@@ -211,11 +212,25 @@ class PredicateVector:
         return cls.from_predicates(list(queries))
 
 
+def exclusive_prefix(segment: np.ndarray, allocate=None) -> np.ndarray:
+    """``prefix[i] == segment[:i].sum()`` for ``i`` in ``0..N``, in the sum's dtype.
+
+    ``allocate(n_rows, dtype)`` supplies the array when given (a memory
+    budget's scratch allocator), ``np.empty`` otherwise.
+    """
+    dtype = segment[:0].sum().dtype
+    rows = segment.size + 1
+    prefix = np.empty(rows, dtype=dtype) if allocate is None else allocate(rows, dtype)
+    prefix[0] = 0
+    np.cumsum(segment, out=prefix[1:])
+    return prefix
+
+
 def search_sorted_many(segment: np.ndarray, lows, highs, prefix: np.ndarray | None = None):
     """Batched range aggregation over a sorted array.
 
     The shared vectorized primitive behind every ``search_many`` entry point:
-    two ``np.searchsorted`` calls locate all query bounds at once and the
+    two ``searchsorted`` calls locate all query bounds at once and the
     per-query sums fall out of exclusive prefix-sum differences.
 
     Parameters
@@ -226,8 +241,7 @@ def search_sorted_many(segment: np.ndarray, lows, highs, prefix: np.ndarray | No
         Parallel arrays of inclusive query bounds.
     prefix:
         Optional exclusive prefix-sum array from a previous call over the
-        same ``segment`` (``prefix[i] == segment[:i].sum()``); computed when
-        omitted.
+        same ``segment`` (:func:`exclusive_prefix`); computed when omitted.
 
     Returns
     -------
@@ -236,13 +250,157 @@ def search_sorted_many(segment: np.ndarray, lows, highs, prefix: np.ndarray | No
         array, which callers cache to amortize across batches.
     """
     if prefix is None:
-        prefix = np.empty(segment.size + 1, dtype=segment.dtype)
-        prefix[0] = 0
-        np.cumsum(segment, out=prefix[1:])
-    lo = np.searchsorted(segment, np.asarray(lows), side="left")
-    hi = np.searchsorted(segment, np.asarray(highs), side="right")
+        prefix = exclusive_prefix(segment)
+    lo = segment.searchsorted(np.asarray(lows), "left")
+    hi = segment.searchsorted(np.asarray(highs), "right")
     hi = np.maximum(lo, hi)
     return prefix[hi] - prefix[lo], (hi - lo).astype(np.int64), prefix
+
+
+def _integer_bounds(low, high, floor: int, ceiling: int):
+    """``[low, high]`` as Python ints within ``[floor, ceiling]``.
+
+    The bounds of a read over an integer leaf that did not arrive as plain
+    ints: NumPy integers convert exactly, fractional bounds round inwards
+    (no integer lies between ``x`` and ``ceil(x)``), infinities clamp.
+    Returns ``None`` when no integer of the dtype can match (NaN included).
+    """
+    if isinstance(low, np.generic):
+        low = low.item()
+    if isinstance(high, np.generic):
+        high = high.item()
+    if not low <= high or low > ceiling or high < floor:
+        return None
+    low = floor if low <= floor else low if type(low) is int else math.ceil(low)
+    high = ceiling if high >= ceiling else high if type(high) is int else math.floor(high)
+    return low, high
+
+
+#: Entries per block sum of a budgeted leaf (the cascade's default fanout β).
+SUM_BLOCK = 64
+
+
+class SortedLeaf:
+    """A sorted array and its exclusive prefix sums: the one read primitive.
+
+    Every structure that ends in a sorted array — the progressive cascades
+    from consolidation onwards, the full index — answers scalar reads
+    (:meth:`range_one`) and batches (:meth:`range_many`) from here, over
+    the same two arrays.  The prefix array is built on first use and is
+    counted by :meth:`prefix_bytes`.
+
+    Integer leaves answer both forms from prefix differences, exactly
+    (modulo 2**64, like ``ndarray.sum``).  Float leaves keep the slice sum
+    on the scalar path: a difference of two long running sums cancels
+    catastrophically on a narrow range, and only the batch path's callers
+    accept its tolerance.
+
+    ``allocate(n_rows, dtype)`` is the scratch allocator of the owner's
+    memory budget, when it has one.  A full prefix array is as large as the
+    leaf, so a budgeted leaf keeps one sum per :data:`SUM_BLOCK` entries
+    instead and a scalar read adds the two partial blocks at its edges
+    (about twice the cost, 1/64 of the memory); only a batch read builds
+    the full array there, through ``allocate``, and scalar reads use it
+    from then on.
+    """
+
+    __slots__ = ("values", "_allocate", "_prefix", "_blocks", "_domain")
+
+    def __init__(self, values, allocate=None) -> None:
+        self.values = values = np.asarray(values)
+        self._allocate = allocate
+        self._prefix: np.ndarray | None = None
+        self._blocks: np.ndarray | None = None
+        if values.dtype.kind in "iu":
+            info = np.iinfo(values.dtype)
+            sums = np.iinfo(np.uint64 if values.dtype.kind == "u" else np.int64)
+            # Bounds are searched as scalars of the leaf's own dtype: any
+            # other type makes searchsorted cast the whole leaf per call (a
+            # Python int already is an int64 to NumPy).
+            cast = None if values.dtype == np.int64 else values.dtype.type
+            self._domain = (int(info.min), int(info.max), cast,
+                            int(sums.min), int(sums.max))
+        else:
+            self._domain = None
+
+    @classmethod
+    def of(cls, values) -> "SortedLeaf":
+        """``values`` itself when it already is a leaf, else a leaf over it."""
+        return values if isinstance(values, cls) else cls(values)
+
+    def prefix(self) -> np.ndarray:
+        """The exclusive prefix sums (built on first use)."""
+        prefix = self._prefix
+        if prefix is None:
+            prefix = self._prefix = exclusive_prefix(self.values, self._allocate)
+        return prefix
+
+    def prefix_bytes(self) -> int:
+        """Bytes held by the prefix and block sums (``0`` until built)."""
+        return sum(int(a.nbytes) for a in (self._prefix, self._blocks) if a is not None)
+
+    def _block_sum(self, lo: int, hi: int) -> int:
+        """``values[lo:hi].sum()`` from the block sums plus its two edges."""
+        values = self.values
+        blocks = self._blocks
+        if blocks is None:
+            starts = np.arange(0, values.size, SUM_BLOCK)
+            per_block = np.add.reduceat(values, starts, dtype=values[:0].sum().dtype)
+            blocks = self._blocks = exclusive_prefix(per_block, self._allocate)
+        first, last = -(-lo // SUM_BLOCK), hi // SUM_BLOCK
+        if first >= last:
+            return int(values[lo:hi].sum())
+        return (
+            int(blocks[last]) - int(blocks[first])
+            + int(values[lo:first * SUM_BLOCK].sum())
+            + int(values[last * SUM_BLOCK:hi].sum())
+        )
+
+    def range_one(self, low, high) -> tuple:
+        """``(value_sum, count)`` of the values in ``[low, high]``."""
+        values = self.values
+        domain = self._domain
+        if domain is None:
+            lo = values.searchsorted(low, "left")
+            hi = values.searchsorted(high, "right")
+            if hi <= lo:
+                return 0, 0
+            return values[lo:hi].sum(), int(hi - lo)
+        floor, ceiling, cast, sum_floor, sum_ceiling = domain
+        if type(low) is not int or type(high) is not int:
+            bounds = _integer_bounds(low, high, floor, ceiling)
+            if bounds is None:
+                return 0, 0
+            low, high = bounds
+        if low < floor:
+            low = floor
+        if high > ceiling:
+            high = ceiling
+        if low > high:
+            return 0, 0
+        if cast is not None:
+            low, high = cast(low), cast(high)
+        lo = values.searchsorted(low, "left")
+        hi = values.searchsorted(high, "right")
+        if hi <= lo:
+            return 0, 0
+        prefix = self._prefix
+        if prefix is None and self._allocate is None:
+            prefix = self.prefix()
+        # Python ints: NumPy scalar subtraction warns where array
+        # arithmetic silently wraps; wrap by hand to stay equal to it.
+        if prefix is not None:
+            value_sum = int(prefix[hi]) - int(prefix[lo])
+        else:
+            value_sum = self._block_sum(int(lo), int(hi))
+        if not sum_floor <= value_sum <= sum_ceiling:
+            value_sum = (value_sum - sum_floor) % (1 << 64) + sum_floor
+        return value_sum, int(hi - lo)
+
+    def range_many(self, lows, highs) -> tuple:
+        """``(sums, counts)`` arrays for a batch of ranges."""
+        sums, counts, _ = search_sorted_many(self.values, lows, highs, self.prefix())
+        return sums, counts
 
 
 @dataclass

@@ -42,7 +42,7 @@ import numpy as np
 from repro.core.overlay import _predicated_delta
 from repro.core.query import ConjunctionResult, Predicate, QueryResult, search_sorted_many
 from repro.engine.session import IndexingSession
-from repro.errors import ConcurrencyError
+from repro.errors import ConcurrencyError, InvalidColumnError
 from repro.serve.sync import RWLock
 
 
@@ -201,6 +201,14 @@ class ReaderView:
     """A per-client read-only view pinned to committed snapshot versions."""
 
     def __init__(self, engine: SharedEngine, connection_class: str = "interactive") -> None:
+        table = engine.session.table
+        for name in table.column_names:
+            if not hasattr(table.column(name), "snapshot"):
+                raise InvalidColumnError(
+                    f"column {name!r} is a {type(table.column(name)).__name__}: a "
+                    "reader view pins per-column snapshots, which it does not "
+                    "provide — serve an unsharded table, or read through the session"
+                )
         self._engine = engine
         self._class = engine.scheduler.class_named(connection_class)
         self._pinned: Dict[str, int] = {}
@@ -241,11 +249,12 @@ class ReaderView:
                 value_sum, count = column.snapshot(pinned).scan_range(low, high)
                 return QueryResult(value_sum, count)
             scheduler = engine.scheduler
-            bound = np.asarray([low]), np.asarray([high])
-            structural = scheduler.read_structural(index, bound[0], bound[1])
+            structural = scheduler.read_structural(index, low, high)
             if structural is not None:
-                (sums, counts), watermark = structural
-                result = QueryResult(sums[0], int(counts[0]))
+                answered, watermark = structural
+                result = QueryResult(*answered)
+                if watermark == pinned:
+                    return result
                 correction = version_correction(
                     column.delta, low, high, watermark, pinned
                 )

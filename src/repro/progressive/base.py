@@ -42,7 +42,7 @@ from repro.core.cost_model import CostBreakdown
 from repro.core.index import BaseIndex
 from repro.core.phase import IndexPhase
 from repro.core.policy import BudgetPolicy
-from repro.core.query import Predicate, QueryResult
+from repro.core.query import Predicate, QueryResult, SortedLeaf
 from repro.progressive.consolidation import ProgressiveConsolidator
 from repro.storage.column import Column
 from repro.storage.delta import merge_sorted_with_delta
@@ -65,9 +65,9 @@ class ProgressiveIndexBase(BaseIndex):
         β of the consolidation-phase B+-tree cascade.
     """
 
-    #: Once converged, the sorted array / cascade lookups of this family are
-    #: pure reads over frozen structures (plus idempotent prefix-sum caches),
-    #: so the serving scheduler may run them from concurrent reader threads.
+    #: Once converged, the sorted-leaf lookups of this family are pure reads
+    #: over frozen structures (plus the idempotent prefix-sum cache), so the
+    #: serving scheduler may run them from concurrent reader threads.
     concurrent_reads = True
 
     def __init__(
@@ -180,9 +180,18 @@ class ProgressiveIndexBase(BaseIndex):
     # ------------------------------------------------------------------
     # Consolidation phase (shared by all four algorithms)
     # ------------------------------------------------------------------
+    def _sorted_leaf(self, sorted_array: np.ndarray) -> SortedLeaf:
+        """The read primitive over ``sorted_array``; its prefix sums go
+        through the column's memory budget when one is attached."""
+        pool = self._scratch_pool()
+        self._leaf = SortedLeaf(sorted_array, None if pool is None else pool.allocate)
+        return self._leaf
+
     def _enter_consolidation(self, sorted_array: np.ndarray) -> None:
         """Start consolidating ``sorted_array`` into the cascade."""
-        self._consolidator = ProgressiveConsolidator(sorted_array, fanout=self.fanout)
+        self._consolidator = ProgressiveConsolidator(
+            self._sorted_leaf(sorted_array), fanout=self.fanout
+        )
         self._advance_phase(IndexPhase.CONSOLIDATION)
         if self._consolidator.done:
             self._enter_converged()
@@ -237,14 +246,6 @@ class ProgressiveIndexBase(BaseIndex):
             indexing=0.0,
         )
 
-    def _execute_converged(self, predicate: Predicate) -> QueryResult:
-        result = self._cascade.query(predicate)
-        # The answer is in hand, so the recorded stats use the exact count.
-        breakdown = self._converged_count_cost(result.count)
-        self.last_stats.predicted_breakdown = breakdown
-        self.last_stats.predicted_cost = breakdown.total
-        return result
-
     # ------------------------------------------------------------------
     # Merge phase (mutable substrate; shared by all four algorithms)
     # ------------------------------------------------------------------
@@ -270,7 +271,7 @@ class ProgressiveIndexBase(BaseIndex):
         merged = merge_sorted_with_delta(
             self._cascade.leaf_values, inserts_sorted, tombstones_sorted
         )
-        self._cascade = CascadeTree(merged, fanout=self.fanout)
+        self._cascade = CascadeTree(self._sorted_leaf(merged), fanout=self.fanout)
         return True
 
     def _fold_base_size(self) -> int:
@@ -300,11 +301,13 @@ class ProgressiveIndexBase(BaseIndex):
         self.fanout = int(state.get("fanout", self.fanout))
         if stage == "converged":
             leaf = np.asarray(state["leaf_values"])
-            self._cascade = CascadeTree(leaf, fanout=self.fanout)
+            self._cascade = CascadeTree(self._sorted_leaf(leaf), fanout=self.fanout)
             self._restore_final_array(leaf, sorted_ready=True)
         elif stage == "consolidation":
             leaf = np.asarray(state["leaf_values"])
-            self._consolidator = ProgressiveConsolidator(leaf, fanout=self.fanout)
+            self._consolidator = ProgressiveConsolidator(
+                self._sorted_leaf(leaf), fanout=self.fanout
+            )
             # Replaying the copy counter is deterministic and costs exactly
             # the elements already paid for before the checkpoint.
             copied = int(state["copied"])

@@ -46,7 +46,6 @@ from repro.core.phase import IndexPhase
 from repro.core.policy import BudgetPolicy
 from repro.core.query import Predicate, QueryResult
 from repro.progressive.base import ProgressiveIndexBase
-from repro.progressive.batch_search import ConsolidatedBatchSearch
 from repro.progressive.blocks import BucketSet
 from repro.progressive.sorter import DEFAULT_SORT_THRESHOLD, ProgressiveSorter
 from repro.storage.column import Column
@@ -131,7 +130,7 @@ class _MergeBucket:
         self.sorter: Optional[ProgressiveSorter] = None
 
 
-class ProgressiveBucketsort(ConsolidatedBatchSearch, ProgressiveIndexBase):
+class ProgressiveBucketsort(ProgressiveIndexBase):
     """Progressive Bucketsort (Equi-Height) index over a single column.
 
     Parameters

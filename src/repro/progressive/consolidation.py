@@ -5,7 +5,8 @@ Once a progressive index owns a fully sorted array, the consolidation phase
 of a level into the level above, a bounded number of elements per query.
 Until the cascade is complete, queries are answered with a binary search on
 the sorted array (the paper: ``t_lookup = log2(n) * phi``); afterwards the
-finished :class:`~repro.btree.cascade.CascadeTree` answers them.
+finished :class:`~repro.btree.cascade.CascadeTree` answers them through the
+:class:`~repro.core.query.SortedLeaf` both share.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import List
 import numpy as np
 
 from repro.btree.cascade import DEFAULT_FANOUT, CascadeTree
-from repro.core.query import Predicate, QueryResult
+from repro.core.query import Predicate, QueryResult, SortedLeaf
 
 
 class ProgressiveConsolidator:
@@ -24,7 +25,8 @@ class ProgressiveConsolidator:
     Parameters
     ----------
     sorted_array:
-        The fully sorted index array produced by the refinement phase.
+        The fully sorted index array produced by the refinement phase, or a
+        :class:`~repro.core.query.SortedLeaf` over it.
     fanout:
         β — sampling factor between consecutive levels.
     """
@@ -32,7 +34,8 @@ class ProgressiveConsolidator:
     def __init__(self, sorted_array: np.ndarray, fanout: int = DEFAULT_FANOUT) -> None:
         if fanout < 2:
             raise ValueError(f"fanout must be at least 2, got {fanout}")
-        self.leaf_values = np.asarray(sorted_array)
+        self.leaf = SortedLeaf.of(sorted_array)
+        self.leaf_values = self.leaf.values
         self.fanout = int(fanout)
         self._level_sizes: List[int] = []
         size = self.leaf_values.size
@@ -109,7 +112,7 @@ class ProgressiveConsolidator:
         return copied
 
     def _finish(self) -> None:
-        self._tree = CascadeTree(self.leaf_values, fanout=self.fanout, levels=self.levels)
+        self._tree = CascadeTree(self.leaf, fanout=self.fanout, levels=self.levels)
 
     def result(self) -> CascadeTree:
         """Return the finished cascade tree (builds it eagerly if needed)."""
@@ -121,11 +124,10 @@ class ProgressiveConsolidator:
     def query(self, predicate: Predicate) -> QueryResult:
         """Answer ``predicate`` against the (partially consolidated) index.
 
-        Uses the finished cascade when available, otherwise a binary search
-        on the sorted leaf array.
+        A binary search on the sorted leaf array with a slice sum, also on
+        the query that completes the cascade: the prefix sums the converged
+        read uses are not built inside a construction-phase query.
         """
-        if self.done:
-            return self._tree.query(predicate)
         values = self.leaf_values
         lo = int(np.searchsorted(values, predicate.low, side="left"))
         hi = int(np.searchsorted(values, predicate.high, side="right"))

@@ -98,19 +98,6 @@ class ProgressiveQuicksort(ProgressiveIndexBase):
             total += sum(level.nbytes for level in self._consolidator.levels)
         return total
 
-    def _search_many(self, lows, highs):
-        """Vectorized batch answering once the index array is fully sorted.
-
-        Available from the consolidation phase onwards (the sorter's range —
-        the whole column — is sorted by then); returns ``None`` during
-        creation and mid-refinement, where per-query dispatch is required.
-        """
-        if self._cascade is not None:
-            return self._cascade.search_many(lows, highs)
-        if self._sorter is not None:
-            return self._sorter.search_many(lows, highs)
-        return None
-
     # ------------------------------------------------------------------
     # Persistence (checkpointing)
     # ------------------------------------------------------------------
@@ -147,15 +134,6 @@ class ProgressiveQuicksort(ProgressiveIndexBase):
 
     def _restore_final_array(self, leaf: np.ndarray, sorted_ready: bool) -> None:
         self._index_array = leaf
-        if sorted_ready and self._sorter is None:
-            # Mid-consolidation batch lookups go through the sorter; rebuild
-            # a trivially sorted one over the restored array.
-            sorter = ProgressiveSorter(
-                leaf, sort_threshold=self.sort_threshold
-            )
-            sorter.tree.mark_sorted(sorter.tree.root)
-            sorter._worklist.clear()
-            self._sorter = sorter
 
     # ------------------------------------------------------------------
     # Creation phase

@@ -39,7 +39,6 @@ from repro.core.phase import IndexPhase
 from repro.core.policy import BudgetPolicy
 from repro.core.query import Predicate, QueryResult
 from repro.progressive.base import ProgressiveIndexBase
-from repro.progressive.batch_search import ConsolidatedBatchSearch
 from repro.progressive.blocks import BucketSet
 from repro.storage.column import Column
 
@@ -54,7 +53,7 @@ class _RefinementStage(enum.Enum):
     MERGE = "merge"     # draining the final bucket generation into the array
 
 
-class ProgressiveRadixsortLSD(ConsolidatedBatchSearch, ProgressiveIndexBase):
+class ProgressiveRadixsortLSD(ProgressiveIndexBase):
     """Progressive Radixsort (LSD) index over a single column.
 
     Parameters
@@ -424,12 +423,9 @@ class ProgressiveRadixsortLSD(ConsolidatedBatchSearch, ProgressiveIndexBase):
                 moved = self._advance_merge(element_budget)
 
         # Answer the query.  The phase may have advanced to consolidation
-        # while performing the work; re-dispatch in that case.
+        # (or beyond) while performing the work; re-dispatch in that case.
         if self.phase is not IndexPhase.REFINEMENT:
-            if self.phase is IndexPhase.CONSOLIDATION:
-                result = self._consolidator.query(predicate)
-            else:
-                result = self._cascade.query(predicate)
+            result = self._consolidator.query(predicate)
         elif predicate.is_point:
             result = self._point_query_during_refinement(predicate)
         else:

@@ -41,7 +41,6 @@ from repro.core.phase import IndexPhase
 from repro.core.policy import BudgetPolicy
 from repro.core.query import Predicate, QueryResult
 from repro.progressive.base import ProgressiveIndexBase
-from repro.progressive.batch_search import ConsolidatedBatchSearch
 from repro.progressive.blocks import BlockList, BucketSet
 from repro.progressive.sorter import DEFAULT_SORT_THRESHOLD
 from repro.storage.column import Column
@@ -97,7 +96,7 @@ class _RadixNode:
         self.child_set: Optional[BucketSet] = None
 
 
-class ProgressiveRadixsortMSD(ConsolidatedBatchSearch, ProgressiveIndexBase):
+class ProgressiveRadixsortMSD(ProgressiveIndexBase):
     """Progressive Radixsort (MSD) index over a single column.
 
     Parameters

@@ -36,7 +36,7 @@ from typing import Deque, Optional
 
 import numpy as np
 
-from repro.core.query import Predicate, QueryResult, search_sorted_many
+from repro.core.query import Predicate, QueryResult
 from repro.cracking.kernels import choose_kernel
 from repro.progressive.pivot_tree import NodeState, PivotNode, PivotTree
 
@@ -98,7 +98,6 @@ class ProgressiveSorter:
         root = PivotNode(self.start, self.end, value_low, value_high, depth=0)
         self.tree = PivotTree(root)
         self._worklist: Deque[PivotNode] = deque()
-        self._prefix_sums: np.ndarray | None = None
         if not root.is_sorted:
             self._worklist.append(root)
 
@@ -265,22 +264,6 @@ class ProgressiveSorter:
                 result += QueryResult.from_masked(segment, mask)
         return result
 
-    def search_many(self, lows, highs):
-        """Vectorized batch of range queries over the covered range.
-
-        Only available once the range is fully sorted (binary searches plus
-        prefix-sum differences answer the whole batch without touching the
-        data); returns ``None`` while refinement is still in progress, in
-        which case callers fall back to per-query :meth:`query` dispatch.
-        """
-        if not self.is_sorted:
-            return None
-        segment = self.array[self.start : self.end]
-        sums, counts, self._prefix_sums = search_sorted_many(
-            segment, lows, highs, self._prefix_sums
-        )
-        return sums, counts
-
     def scanned_fraction(self, predicate: Predicate) -> float:
         """Fraction of the covered range a query would scan (the paper's α)."""
         if self.size == 0:
@@ -363,7 +346,6 @@ class ProgressiveSorter:
         sorter.end = int(state["end"])
         sorter.sort_threshold = int(state["sort_threshold"])
         sorter.max_depth = int(state["max_depth"])
-        sorter._prefix_sums = None
         specs = state["nodes"]
         built: list = []
         for spec in specs:

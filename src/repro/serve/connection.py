@@ -24,6 +24,8 @@ from typing import Optional
 from repro.errors import ConcurrencyError, ProgressiveIndexError
 from repro.serve.protocol import (
     ProtocolError,
+    encode_message,
+    encode_read_reply,
     error_payload,
     read_message,
     send_message,
@@ -143,7 +145,10 @@ class ClientConnection:
             response = error_payload(type(exc).__name__, str(exc))
         except (KeyError, TypeError, ValueError) as exc:
             response = error_payload("bad-request", f"{type(exc).__name__}: {exc}")
-        send_message(self._sock, response)
+        # Read replies arrive already encoded (see ``_reader_op``).
+        self._sock.sendall(
+            response if isinstance(response, bytes) else encode_message(response)
+        )
         return True
 
     # ------------------------------------------------------------------
@@ -204,7 +209,7 @@ class ClientConnection:
         return {"ok": True, "enabled": tracer.enabled, "spans": spans}
 
     # ------------------------------------------------------------------
-    def _reader_op(self, op: str, request: dict) -> dict:
+    def _reader_op(self, op: str, request: dict):
         reader = self._reader
         if op == "between" or op == "equals":
             column = request["column"]
@@ -213,12 +218,11 @@ class ClientConnection:
             else:
                 low, high = request["low"], request["high"]
             result = reader.between(column, low, high)
-            return {
-                "ok": True,
-                "sum": _native(result.value_sum),
-                "count": int(result.count),
-                "version": reader.snapshot_version(column),
-            }
+            return encode_read_reply(
+                _native(result.value_sum),
+                int(result.count),
+                reader.snapshot_version(column),
+            )
         if op == "batch":
             column = request["column"]
             bounds = request["bounds"]

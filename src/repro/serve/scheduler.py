@@ -43,6 +43,8 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
+import numpy as np
+
 from repro import obs
 from repro.core.phase import IndexPhase
 from repro.core.policy import CappedBudget
@@ -67,7 +69,7 @@ class WorkLane:
         self._owner: Optional[int] = None
         #: Number of operations that ran through the exclusive side.
         self.serialized_ops = 0
-        #: Number of batch lookups that ran through the shared side.
+        #: Number of structural reads that ran through the shared side.
         self.lockfree_reads = 0
 
     @contextmanager
@@ -242,14 +244,17 @@ class ProgressiveScheduler:
         )
 
     def read_structural(self, index, lows, highs):
-        """Answer a batch via the shared (lock-free) lane, if possible.
+        """Answer via the shared (lock-free) lane, if possible.
 
-        Returns ``((sums, counts), folded_seq)`` — the structural answer and
-        the delta-sequence watermark it is exact at — or ``None`` when the
-        index is not eligible (caller falls back to the serialized path).
-        Eligibility is re-checked *under* the shared lane: a phase change
-        between the optimistic check and the acquisition routes the query
-        back to the work queue.
+        Array bounds take the index's batch read, scalar bounds its scalar
+        twin — the same sorted leaf either way.  Returns
+        ``((sums, counts), folded_seq)`` (``((value_sum, count), folded_seq)``
+        for scalars) — the structural answer and the delta-sequence
+        watermark it is exact at — or ``None`` when the index is not
+        eligible (caller falls back to the serialized path).  Eligibility is
+        re-checked *under* the shared lane: a phase change between the
+        optimistic check and the acquisition routes the query back to the
+        work queue.
         """
         if not self.lockfree_eligible(index):
             return None
@@ -257,7 +262,8 @@ class ProgressiveScheduler:
         with lane.shared():
             if not self.lockfree_eligible(index):
                 return None
-            answered = index._search_many(lows, highs)
+            search = index._search_many if isinstance(lows, np.ndarray) else index._search_one
+            answered = search(lows, highs)
             if answered is None:
                 return None
             watermark = index._folded_seq

@@ -170,6 +170,12 @@ class QueryServer:
             return
         self._running = False
         try:
+            # close() alone leaves the accept thread parked in accept();
+            # shutting the listener down first wakes it with an OSError.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._listener.close()
         except OSError:
             pass

@@ -63,8 +63,13 @@ def execute_shard_query(
     :class:`~repro.core.policy.CappedBudget` allowance of indexing seconds
     — the shard's own policy keeps choosing (and learning) freely, it just
     cannot overdraw the pool.  Returns ``(result, granted_seconds)``.
+
+    A converged shard with no merge due makes no budget decision at all, so
+    it takes the index's steady read as is: nothing to cap, nothing granted.
     """
     predicate = Predicate(low, high)
+    if index.converged and not index.has_pending_merge():
+        return index.query(predicate), 0.0
     if shard_budget is None or shard_budget == float("inf"):
         result = index.query(predicate)
         return result, float(index.last_stats.indexing_seconds)

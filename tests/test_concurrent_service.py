@@ -307,6 +307,23 @@ def test_socket_service_end_to_end(tmp_path):
         server.stop()
 
 
+@pytest.mark.parametrize("address", ["unix", ("127.0.0.1", 0)], ids=["unix", "tcp"])
+def test_stop_returns_promptly_after_serving_a_client(tmp_path, address):
+    """Closing the listener does not wake a thread parked in accept(): once
+    a connection had been accepted, stop() used to sit out its 5 s join."""
+    session = IndexingSession(Column(_base_data(), name="ra"))
+    session.create_index("ra", method="PQ", budget=FixedDelta(0.25))
+    if address == "unix":
+        address = str(tmp_path / "svc.sock")
+    server = QueryServer(session=session, address=address).start()
+    with ServiceClient(server.endpoint) as client:
+        assert client.between("ra", 0, DOMAIN)["count"] == ROWS
+    started = time.perf_counter()
+    server.stop()
+    assert time.perf_counter() - started < 0.5
+    assert not server.running and not server._accept_thread.is_alive()
+
+
 def test_snapshot_cache_is_thread_safe_under_hammer():
     """Regression: the per-column snapshot LRU races under concurrent readers.
 

@@ -382,3 +382,14 @@ class TestSessionSharding:
         index = build_sharded_index(np.arange(1_000), "PQ", shards=2)
         with pytest.raises(ExperimentError):
             index.swap_budget(None)
+
+    def test_reader_view_over_sharded_column_is_a_typed_error(self, rng):
+        """A reader view pins per-column snapshots; a ShardedColumn has none.
+        That is refused when the view is created, naming the column — not an
+        AttributeError out of the first read."""
+        from repro.engine.shared import SharedEngine
+
+        session = IndexingSession(Table({"a": rng.integers(0, 1000, 2_000)}))
+        session.create_sharded_index("a", method="PQ", shards=2)
+        with pytest.raises(InvalidColumnError, match="'a'.*ShardedColumn"):
+            SharedEngine(session).reader()
