@@ -11,9 +11,11 @@ full-scan / full-index baselines are interchangeable:
   or ``INACTIVE`` as appropriate).
 * :attr:`BaseIndex.last_stats` exposes per-query bookkeeping (predicted cost,
   delta used, phase) consumed by the cost-model-validation experiments.
-* Once an index is ``CONVERGED`` with nothing pending, :meth:`BaseIndex.query`
-  is one read of the sorted leaf (:class:`~repro.core.query.SortedLeaf`) plus
-  its counters; the bookkeeping above is materialised only when asked for.
+* Once an index is ``CONVERGED`` and no merge is due, :meth:`BaseIndex.query`
+  is one read of the sorted leaf (:class:`~repro.core.query.SortedLeaf`) —
+  plus, with writes pending, the same read of the two sorted side buffers and
+  a mask over the small raw window — and its counters; the bookkeeping above
+  is materialised only when asked for.
 
 Every budget decision flows through the index's
 :class:`~repro.core.policy.BudgetController`: the per-phase execute methods
@@ -30,6 +32,8 @@ import abc
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Callable
+
+import numpy as np
 
 from repro import obs
 
@@ -338,9 +342,13 @@ class BaseIndex(DeltaOverlay, abc.ABC):
             leaf is not None
             and self._lifecycle.phase is IndexPhase.CONVERGED
             and not _TR.enabled
-            and not self._overlay_active()
         ):
-            return self._steady_query(leaf, predicate)
+            live = self._live
+            pending = 0 if live is None else live.version - self._folded_seq
+            # The trigger is never below the absorb threshold, so the clean
+            # read (pending == 0) decides on this one compare.
+            if pending < self.ABSORB_THRESHOLD or not self._merge_due(pending):
+                return self._steady_query(leaf, predicate, pending)
         hist = self._obs_query_seconds
         tracing = _TR.enabled
         t0 = 0.0
@@ -374,13 +382,19 @@ class BaseIndex(DeltaOverlay, abc.ABC):
                     delta=self.last_stats.delta,
                     elements_indexed=self.last_stats.elements_indexed,
                 ).end()
-            if self._overlay_active():
-                cspan = _TR.start("overlay.correct") if tracing else None
-                correction = self._overlay_correction(predicate)
+            if self.pending_delta_rows():
+                cspan = None
+                if tracing:
+                    state = self._pending
+                    cspan = _TR.start("overlay.correct", {
+                        "buffer_rows": int(state.ins_leaf.values.size + state.del_leaf.values.size),
+                        "raw_rows": self._raw_rows(),
+                    })
+                result = QueryResult(*self._overlay_correct_one(
+                    predicate.low, predicate.high, result.value_sum, result.count
+                ))
                 if cspan is not None:
                     cspan.end()
-                if correction is not None:
-                    result = result + correction
                 # Maintenance runs strictly after the correction: a fold
                 # changes the watermark the *next* query's correction is
                 # computed from.
@@ -413,13 +427,15 @@ class BaseIndex(DeltaOverlay, abc.ABC):
                 self._obs_tau_ratio.observe(elapsed / stats.predicted_cost)
         return result
 
-    def _steady_query(self, leaf: SortedLeaf, predicate: Predicate) -> QueryResult:
-        """A converged read with nothing pending and tracing off.
+    def _steady_query(self, leaf: SortedLeaf, predicate: Predicate, pending: int) -> QueryResult:
+        """A converged read with no merge due and tracing off.
 
-        The same leaf read :meth:`_execute` performs once converged, minus
-        everything nobody reads in the steady state: no :class:`QueryStats`,
-        no cost prediction, no budget-controller clock.  The counters stay
-        exact and the duration histogram keeps its 1:N sampling.
+        The same leaf read :meth:`_execute` performs once converged — with
+        ``pending`` writes, corrected by the same overlay read the general
+        path uses, then the threshold absorb — minus everything nobody reads
+        in the steady state: no :class:`QueryStats`, no cost prediction, no
+        budget-controller clock.  The counters stay exact and the duration
+        histogram keeps its 1:N sampling.
         """
         hist = self._obs_query_seconds
         t0 = 0.0
@@ -431,10 +447,14 @@ class BaseIndex(DeltaOverlay, abc.ABC):
             else:
                 self._obs_sample_tick = tick
         self._queries_executed += 1
-        value_sum, count = leaf.range_one(predicate.low, predicate.high)
+        low, high = predicate.low, predicate.high
+        value_sum, count = leaf.range_one(low, high)
         self._lifecycle.note_query(IndexPhase.CONVERGED)
         self._last_stats = None
         self._steady_count = count
+        if pending:
+            value_sum, count = self._overlay_correct_one(low, high, value_sum, count)
+            self._absorb_if_due()
         if t0:
             hist.observe(perf_counter() - t0)
         return QueryResult(value_sum, count)
@@ -483,6 +503,38 @@ class BaseIndex(DeltaOverlay, abc.ABC):
         the structural base, or ``None`` while there is no sorted leaf."""
         leaf = self._leaf
         return None if leaf is None else leaf.range_one(low, high)
+
+    def read_absorbed(self, lows, highs):
+        """Structural base plus side buffers: ``(answer, absorbed_seq)``.
+
+        The answer — ``(sums, counts)`` arrays for array bounds,
+        ``(value_sum, count)`` for scalars — is exact at the returned
+        watermark and built from one published
+        :class:`~repro.core.overlay.PendingState`, so a reader thread may
+        call it while another thread absorbs.  ``None`` when the family has
+        no vectorized answer yet, or rows sit in sealed runs (those are read
+        under the work lane).
+        """
+        # The state before the runs: sealing appends the run, then publishes
+        # the emptied buffers, so an emptied state is never seen without it.
+        state = self._pending
+        if self._run_ins is not None and self._spilled_rows():
+            return None
+        # Nothing absorbed since the fold means empty buffers: the clean read
+        # decides on one compare.
+        buffered = state.absorbed_seq != self._folded_seq
+        if isinstance(lows, np.ndarray):
+            answered = self._search_many(lows, highs)
+            if buffered and answered is not None:
+                answered = state.correct_many(lows, highs, *answered)
+        else:
+            answered = self._search_one(lows, highs)
+            if buffered and answered is not None:
+                value_sum, count = state.correct_one(lows, highs, *answered)
+                answered = state.ins_leaf.wrap(value_sum), count
+        if answered is None:
+            return None
+        return answered, state.absorbed_seq
 
     def _converged_count_cost(self, match_count: int) -> CostBreakdown | None:
         """Predicted cost of a converged read matching ``match_count`` rows

@@ -276,6 +276,34 @@ def _integer_bounds(low, high, floor: int, ceiling: int):
     return low, high
 
 
+def _bounds_in_dtype(bounds: np.ndarray, dtype, floor: int, ceiling: int, round_up: bool):
+    """Batch bounds clamped into ``[floor, ceiling]`` and cast to ``dtype``.
+
+    Returns ``(cast, below, above)``; the masks mark the clamped entries.
+    Fractional bounds round inwards first (``round_up`` for lower bounds);
+    ``floor`` and ``ceiling + 1`` are powers of two, exact as floats.
+    """
+    if bounds.dtype.kind == "f":
+        bounds = np.ceil(bounds) if round_up else np.floor(bounds)
+        below, above = bounds < float(floor), bounds >= float(ceiling + 1)
+    else:
+        info = np.iinfo(bounds.dtype)
+        below = bounds < floor if info.min < floor else np.zeros(bounds.shape, dtype=bool)
+        above = bounds > ceiling if info.max > ceiling else np.zeros(bounds.shape, dtype=bool)
+    cast = np.empty(bounds.shape, dtype=dtype)
+    inside = ~(below | above) & (bounds == bounds)  # NaN stays out (and reads as empty)
+    cast[inside] = bounds[inside]
+    cast[~inside] = floor
+    cast[above] = ceiling
+    return cast, below, above
+
+
+def _wrap64(value_sum: int, sum_floor: int) -> int:
+    """A Python-int total folded into ``[sum_floor, sum_floor + 2**64)``:
+    what ``ndarray.sum`` leaves behind when an integer sum overflows."""
+    return (value_sum - sum_floor) % (1 << 64) + sum_floor
+
+
 #: Entries per block sum of a budgeted leaf (the cascade's default fanout β).
 SUM_BLOCK = 64
 
@@ -322,6 +350,11 @@ class SortedLeaf:
                             int(sums.min), int(sums.max))
         else:
             self._domain = None
+
+    @property
+    def integral(self) -> bool:
+        """Whether sums are exact integers modulo 2**64 (see :meth:`wrap`)."""
+        return self._domain is not None
 
     @classmethod
     def of(cls, values) -> "SortedLeaf":
@@ -394,12 +427,43 @@ class SortedLeaf:
         else:
             value_sum = self._block_sum(int(lo), int(hi))
         if not sum_floor <= value_sum <= sum_ceiling:
-            value_sum = (value_sum - sum_floor) % (1 << 64) + sum_floor
+            value_sum = _wrap64(value_sum, sum_floor)
         return value_sum, int(hi - lo)
+
+    def wrap(self, value_sum):
+        """A total composed from several reads, back in the sum dtype's range.
+
+        Integer leaves add as Python ints and wrap modulo 2**64 once, like
+        ``ndarray.sum``; float totals pass through.
+        """
+        domain = self._domain
+        if domain is not None and not domain[3] <= value_sum <= domain[4]:
+            value_sum = _wrap64(value_sum, domain[3])
+        return value_sum
 
     def range_many(self, lows, highs) -> tuple:
         """``(sums, counts)`` arrays for a batch of ranges."""
-        sums, counts, _ = search_sorted_many(self.values, lows, highs, self.prefix())
+        lows, highs = np.asarray(lows), np.asarray(highs)
+        dtype = self.values.dtype
+        if (
+            self._domain is None
+            or (lows.dtype == dtype and highs.dtype == dtype)
+            or lows.dtype.kind not in "iuf"
+            or highs.dtype.kind not in "iuf"
+        ):
+            sums, counts, _ = search_sorted_many(self.values, lows, highs, self.prefix())
+            return sums, counts
+        # Bound arrays of another dtype would make searchsorted promote the
+        # whole leaf (uint64 against int64 goes to float64 and loses the low
+        # bits): clamp them into the leaf's domain and search in its dtype.
+        floor, ceiling = self._domain[:2]
+        low_cast, _, low_above = _bounds_in_dtype(lows, dtype, floor, ceiling, round_up=True)
+        high_cast, high_below, _ = _bounds_in_dtype(highs, dtype, floor, ceiling, round_up=False)
+        sums, counts, _ = search_sorted_many(self.values, low_cast, high_cast, self.prefix())
+        empty = ~(lows <= highs) | low_above | high_below  # inverted, NaN, outside the dtype
+        if empty.any():
+            sums[empty] = 0
+            counts[empty] = 0
         return sums, counts
 
 

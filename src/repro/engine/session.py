@@ -153,6 +153,13 @@ class IndexingSession:
             kind="gauge", help="Index structure footprint",
             column=column_name,
         )
+        registry.register_pull(
+            "index.overlay.pending.rows", index,
+            lambda i: i.pending_delta_rows(), kind="gauge",
+            help="Delta rows not yet folded into the index (a fold starts at "
+                 "status()[column]['writes']['merge_trigger_rows'])",
+            column=column_name,
+        )
 
     # ------------------------------------------------------------------
     @property

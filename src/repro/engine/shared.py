@@ -18,10 +18,12 @@ needs:
     A per-client MVCC view pinned to the committed versions at creation (or
     last :meth:`~ReaderView.refresh`).  Reads are answered *exactly* at the
     pinned versions: structural answers — which track the live column or the
-    index's fold watermark — are moved to the pinned version with a
-    delta-store **window correction**: for aggregates, the answer at version
-    ``V`` equals the answer at watermark ``W`` plus/minus the net
-    (sum, count) of the writes in the seq window between them.  Uncommitted
+    index's absorbed watermark (sorted base plus sorted side buffers) — are
+    moved to the pinned version with a delta-store **window correction**:
+    for aggregates, the answer at version ``V`` equals the answer at
+    watermark ``W`` plus/minus the net (sum, count) of the writes in the seq
+    window between them — only the unabsorbed tail, not every write since
+    the last fold.  Uncommitted
     writer rows lie beyond every pinned version, so readers can never see
     them (no phantom deltas).
 

@@ -43,8 +43,6 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
-import numpy as np
-
 from repro import obs
 from repro.core.phase import IndexPhase
 from repro.core.policy import CappedBudget
@@ -247,14 +245,15 @@ class ProgressiveScheduler:
         """Answer via the shared (lock-free) lane, if possible.
 
         Array bounds take the index's batch read, scalar bounds its scalar
-        twin — the same sorted leaf either way.  Returns
-        ``((sums, counts), folded_seq)`` (``((value_sum, count), folded_seq)``
-        for scalars) — the structural answer and the delta-sequence
-        watermark it is exact at — or ``None`` when the index is not
-        eligible (caller falls back to the serialized path).  Eligibility is
-        re-checked *under* the shared lane: a phase change between the
-        optimistic check and the acquisition routes the query back to the
-        work queue.
+        twin — the same sorted leaves either way.  Returns
+        ``((sums, counts), absorbed_seq)`` (``((value_sum, count),
+        absorbed_seq)`` for scalars) — the structural base plus the sorted
+        side buffers, and the delta-sequence watermark that answer is exact
+        at (see :meth:`~repro.core.index.BaseIndex.read_absorbed`) — or
+        ``None`` when the index is not eligible (caller falls back to the
+        serialized path).  Eligibility is re-checked *under* the shared lane:
+        a phase change between the optimistic check and the acquisition
+        routes the query back to the work queue.
         """
         if not self.lockfree_eligible(index):
             return None
@@ -262,13 +261,10 @@ class ProgressiveScheduler:
         with lane.shared():
             if not self.lockfree_eligible(index):
                 return None
-            search = index._search_many if isinstance(lows, np.ndarray) else index._search_one
-            answered = search(lows, highs)
-            if answered is None:
-                return None
-            watermark = index._folded_seq
-            lane.lockfree_reads += 1
-            return answered, watermark
+            structural = index.read_absorbed(lows, highs)
+            if structural is not None:
+                lane.lockfree_reads += 1
+            return structural
 
     # ------------------------------------------------------------------
     # Serialized (mutating) path

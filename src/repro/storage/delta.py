@@ -17,7 +17,10 @@ insertion order.  Every individual write is stamped with a monotonically
 increasing sequence number; the store can answer "which inserts/deletes
 happened in the window ``(after, upto]``" with two binary searches, which is
 exactly what an index's delta overlay needs to correct a structural answer
-computed over an older snapshot.
+computed over an older snapshot.  Sequence numbers are **dense**: every
+logged row (insert or tombstone) consumes exactly one, so ``1 .. version``
+has no gaps and the window ``(after, upto]`` holds ``upto - after`` rows —
+counting pending writes is subtraction, never a search.
 
 The log arrays grow by amortized doubling, so a write is O(1) and the log
 views handed to overlays are zero-copy slices.
@@ -90,6 +93,10 @@ class _GrowableArray:
     def values(self) -> np.ndarray:
         """Zero-copy view of the appended elements."""
         return self._data[: self._size]
+
+    def tail(self, start: int) -> np.ndarray:
+        """Zero-copy view of the elements appended from position ``start`` on."""
+        return self._data[start : self._size]
 
     def append(self, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=self._data.dtype)
@@ -391,9 +398,16 @@ class DeltaStore:
         hi = int(np.searchsorted(seqs, upto, side="right"))
         return self._del_values.values[lo:hi]
 
-    def window_size(self, after: int, upto: int) -> int:
-        """Number of write operations in ``(after, upto]``."""
-        return self.insert_window(after, upto).size + self.delete_window(after, upto).size
+    def cursors_at(self, seq: int) -> Tuple[int, int]:
+        """Insert-log and delete-log positions of the first write after ``seq``
+        (an overlay stores them once; :meth:`raw_window` is then two slices)."""
+        ins_cursor = int(np.searchsorted(self._ins_seq.values, seq, side="right"))
+        # Dense sequence: the writes up to ``seq`` that are not inserts are deletes.
+        return ins_cursor, min(int(seq), self.version) - ins_cursor
+
+    def raw_window(self, ins_cursor: int, del_cursor: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Inserted and deleted values from the given log positions to the newest."""
+        return self._ins_values.tail(ins_cursor), self._del_values.tail(del_cursor)
 
     # ------------------------------------------------------------------
     @property
@@ -502,10 +516,10 @@ class SealedRun:
             backing.flush()
 
     def correction(self, low, high) -> Tuple:
-        """``(sum, count)`` of run values in ``[low, high]``."""
+        """``(sum, count)`` of run values in ``[low, high]``, as Python scalars."""
         lo = int(np.searchsorted(self.values, low, side="left"))
         hi = int(np.searchsorted(self.values, high, side="right"))
-        return self.prefix[hi] - self.prefix[lo], hi - lo
+        return (self.prefix[hi] - self.prefix[lo]).item(), hi - lo
 
     def correct_many(self, lows: np.ndarray, highs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`correction` over predicate batches."""

@@ -22,6 +22,7 @@ the offending reader thread and fail the run.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -232,6 +233,74 @@ def test_converged_family_serves_lockfree_reads():
     assert lane.lockfree_reads > 0, (
         f"converged PQ never took the lock-free path: {engine.scheduler.stats()['lanes']}"
     )
+
+
+def test_readers_never_see_a_torn_pending_state():
+    """Readers loop while the writer thread absorbs (outside any lane, the
+    way ``Database.checkpoint()`` does from the application thread) and
+    their own serialized reads fold: every lock-free answer is built from
+    one published (buffers, watermark) pair, so none may mix two."""
+    rows = 40_000  # merge trigger 156: room to absorb many times before a fold
+    base = np.random.default_rng(23).integers(0, DOMAIN, size=rows, dtype=np.int64)
+    session = IndexingSession(Column(base.copy(), name="ra"))
+    index = session.create_index("ra", method="PQ", budget=FixedDelta(0.5))
+    while not index.converged:
+        session.between("ra", 0, DOMAIN)
+    engine = SharedEngine(session)
+    lane = engine.scheduler.lane_for(index)
+    history = _History(base)
+    errors: list = []
+    observations: list = []
+    stop = threading.Event()
+    writer = engine.acquire_writer()
+
+    def write_absorb_fold():
+        rng = np.random.default_rng(29)
+        arr = base.copy()
+        try:
+            for burst in range(90):
+                values = rng.integers(0, DOMAIN, size=int(rng.integers(1, 8))).astype(np.int64)
+                writer.insert(values)
+                arr = np.concatenate([arr, values])
+                if burst % 3 == 0:
+                    low = int(rng.integers(0, DOMAIN))
+                    writer.delete("ra", low, low + 40)
+                    arr = arr[~((arr >= low) & (arr <= low + 40))]
+                history.record(writer.commit()["ra"], arr)
+                # Below the trigger nobody else absorbs (readers stay on the
+                # shared lane); past it the readers' serialized reads do.
+                if not index.has_pending_merge():
+                    index._absorb_raw()
+        except Exception as exc:
+            errors.append(exc)
+        finally:
+            stop.set()
+
+    views = [engine.reader("interactive") for _ in range(3)]
+    threads = [threading.Thread(target=write_absorb_fold)] + [
+        threading.Thread(target=_reader_loop, args=(view, observations, errors, stop, 300 + i))
+        for i, view in enumerate(views)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive(), "harness thread hung"
+    finally:
+        sys.setswitchinterval(interval)
+    writer.release()
+    assert not errors, f"harness thread failed: {errors[0]!r}"
+    stats = index.overlay_stats()
+    assert stats["rows_absorbed"] > 0 and stats["folds_completed"] >= 1
+    assert lane.lockfree_reads > 0 and len(observations) > 100
+    for pinned, low, high, value_sum, count in observations:
+        assert (value_sum, count) == _brute(history.at(pinned), low, high), (
+            f"pinned v{pinned} ({low}..{high})")
+    state = index._pending
+    assert state.ins_cursor + state.del_cursor == state.absorbed_seq
 
 
 def test_uncommitted_writes_are_invisible_to_readers():

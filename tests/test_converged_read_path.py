@@ -167,6 +167,38 @@ def test_float_leaf_matches_model(rows, low, high):
         assert_float_answer((sums[0], counts[0]), want, 1e3 * magnitude, "search_many")
 
 
+def test_batch_bounds_are_coerced_into_the_leaf_dtype():
+    """A uint64 leaf searched with int64 (or float) bound arrays must not be
+    promoted to float64: 2**63 - 1, 2**63 and 2**63 + 1 are one float."""
+    mid = 1 << 63
+    rows = [0, 5, mid - 1, mid, mid + 1, int(UINT64.max)]
+    leaf = SortedLeaf(np.array(rows, dtype=np.uint64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lows = np.array([-7, 0, mid - 1, 6, INT64.min], dtype=np.int64)
+        highs = np.array([-1, 5, int(INT64.max), int(INT64.max), int(INT64.max)], dtype=np.int64)
+        sums, counts = leaf.range_many(lows, highs)
+        for position, (low, high) in enumerate(zip(lows.tolist(), highs.tolist())):
+            assert_int_answer((sums[position], counts[position]), model(rows, low, high),
+                              UINT64, f"int64 bounds [{low}, {high}]")
+        assert counts.tolist() == [0, 2, 1, 1, 3]
+        # Bounds already in the leaf's dtype separate the three neighbours.
+        exact = np.array([mid - 1, mid, mid + 1], dtype=np.uint64)
+        sums, counts = leaf.range_many(exact, exact)
+        assert counts.tolist() == [1, 1, 1] and sums.tolist() == exact.tolist()
+        # Float bounds round inwards; NaN, inverted and out-of-dtype ranges are empty.
+        lows = np.array([-0.5, 4.5, np.nan, 9.0, -np.inf, 2.0 ** 64, -np.inf])
+        highs = np.array([5.5, 5.0, 1.0, 3.0, np.inf, np.inf, -1.0])
+        sums, counts = leaf.range_many(lows, highs)
+        assert counts.tolist() == [2, 1, 0, 0, len(rows), 0, 0]
+        assert int(sums[0]) == 5 and int(sums[4]) == wrapped(sum(rows), UINT64)
+        # An int64 leaf under uint64 bounds: the mirror case.
+        signed = SortedLeaf(np.array([INT64.min, -1, 0, int(INT64.max)], dtype=np.int64))
+        sums, counts = signed.range_many(np.array([0, mid], dtype=np.uint64),
+                                         np.array([int(UINT64.max), int(UINT64.max)], dtype=np.uint64))
+        assert counts.tolist() == [2, 0] and int(sums[0]) == int(INT64.max)
+
+
 def test_the_level_descent_left_the_serving_path():
     assert not hasattr(CascadeTree, "_leaf_position")
     tree = CascadeTree(np.arange(10_000), fanout=16)
