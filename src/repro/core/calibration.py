@@ -18,10 +18,11 @@ segments (the direct-sort fast path every refinement ends in), and
 radix/bucket algorithm is built on.
 
 The original system measures these at program start-up on the bare metal.
-Our execution substrate is NumPy, so :func:`calibrate` measures the *actual
-engine primitives* the cost formulas describe: ``omega`` from a predicated
-range scan (mask + masked sum, mirroring ``Column.scan_range``), ``kappa``
-from the creation-phase partition copy (mask, split, write both ends),
+Our execution substrate is the kernel seam (:mod:`repro.kernels`, compiled
+or NumPy), so :func:`calibrate` measures the *actual engine primitives* the
+cost formulas describe, on the active backend: ``omega`` from a predicated
+range scan (the call ``Column.scan_range`` makes), ``kappa`` from the
+creation-phase partition copy (the call Progressive Quicksort makes),
 ``sigma`` from a full run of the progressive sorter (the refinement
 primitive), ``phi`` from a random gather and ``tau`` from block
 allocations.  The resulting constants make the cost model predict the time
@@ -37,10 +38,11 @@ constants with realistic relative magnitudes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from repro import kernels
 from repro.errors import CalibrationError
 
 #: Number of 8-byte elements per "page" used throughout the cost model.
@@ -114,20 +116,11 @@ class CostConstants:
 
     def validate(self) -> None:
         """Raise :class:`CalibrationError` if any constant is non-positive."""
-        fields = {
-            "sequential_read_page": self.sequential_read_page,
-            "sequential_write_page": self.sequential_write_page,
-            "random_access": self.random_access,
-            "swap": self.swap,
-            "allocation": self.allocation,
-            "elements_per_page": self.elements_per_page,
-            "segment_sort": self.segment_sort,
-            "scatter": self.scatter,
-            "decompress": self.decompress,
-        }
-        for key, value in fields.items():
-            if value <= 0:
-                raise CalibrationError(f"calibrated constant {key} must be positive, got {value}")
+        for field_ in fields(self):
+            value = getattr(self, field_.name)
+            if field_.name != "source" and value <= 0:
+                raise CalibrationError(
+                    f"calibrated constant {field_.name} must be positive, got {value}")
 
 
 def simulated_constants() -> CostConstants:
@@ -155,14 +148,29 @@ def simulated_constants() -> CostConstants:
     )
 
 
-def _time_operation(operation, repetitions: int = 3) -> float:
-    """Return the minimum wall-clock time of ``operation`` over repetitions."""
-    best = float("inf")
-    for _ in range(repetitions):
-        start = time.perf_counter()
-        operation()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
+#: Wall-clock allowance of one :func:`calibrate` call's measuring rounds.
+_MEASURE_SECONDS = 0.15
+
+
+def _time_operations(operations: dict) -> dict:
+    """Minimum wall-clock time of each operation, measured in rounds.
+
+    Every round runs every operation once; at least three rounds, and more
+    until :data:`_MEASURE_SECONDS` are spent.  The compiled kernels finish
+    in a fraction of a millisecond and the budget policies divide one
+    constant by another, so what matters is that a burst of interference
+    cannot land on one primitive alone: interleaved, it spoils one round of
+    all of them, and the minimum over rounds drops that round.
+    """
+    best = dict.fromkeys(operations, float("inf"))
+    started = time.perf_counter()
+    rounds = 0
+    while rounds < 3 or (time.perf_counter() - started < _MEASURE_SECONDS and rounds < 64):
+        for name, operation in operations.items():
+            start = time.perf_counter()
+            operation()
+            best[name] = min(best[name], time.perf_counter() - start)
+        rounds += 1
     return best
 
 
@@ -189,7 +197,8 @@ def calibrate(
     Returns
     -------
     CostConstants
-        Constants with ``source="measured"``.
+        Constants with ``source="measured:<backend>"``: they price the
+        active kernel backend (:func:`repro.kernels.backend`), and only it.
     """
     if n_elements < elements_per_page * 16:
         raise CalibrationError(
@@ -199,139 +208,102 @@ def calibrate(
     data = rng.integers(0, n_elements, size=n_elements, dtype=np.int64)
     pages = n_elements / elements_per_page
 
-    # omega: the engine's predicated scan (mask + masked sum), mirroring
-    # Column.scan_range — not a bare np.sum, which is several times faster
-    # than the real query primitive.
+    # omega: the engine's predicated scan — the same seam call
+    # Column.scan_range makes, on the active backend — not a bare np.sum,
+    # which is several times faster than the real query primitive.
     low = n_elements // 4
     high = 3 * (n_elements // 4)
-
-    def _predicated_scan() -> None:
-        mask = (data >= low) & (data <= high)
-        if np.count_nonzero(mask):
-            data[mask].sum()
-
-    scan_seconds = _time_operation(_predicated_scan)
-
-    # kappa: the creation-phase partition copy (mask, split, write both
-    # ends of the target array) minus the scan share it implies.
-    pivot = n_elements // 2
+    # kappa: the creation-phase partition copy (both ends of the target
+    # array written) minus the scan share it implies.
     copy_target = np.empty_like(data)
-
-    def _partition_copy() -> None:
-        mask = data < pivot
-        lows = data[mask]
-        highs = data[~mask]
-        copy_target[: lows.size] = lows
-        copy_target[n_elements - highs.size :] = highs
-
-    partition_seconds = _time_operation(_partition_copy)
-    write_seconds = max(partition_seconds - scan_seconds, scan_seconds * 0.1)
-
     random_indices = rng.integers(0, n_elements, size=n_elements // 8)
-    gather_seconds = _time_operation(lambda: data[random_indices])
-
-    swap_per_element = _measure_sorter_primitive(data, rng)
-
     # segment_sort: np.sort over cache-sized segments (the direct-sort fast
     # path that finishes every refinement), per element.
     segment_elements = 2048
     n_segments = max(1, min(64, n_elements // segment_elements))
     sort_scratch = data[: n_segments * segment_elements].reshape(n_segments, segment_elements)
-
-    def _sort_segments() -> None:
-        np.sort(sort_scratch, axis=1)
-
-    segment_sort_seconds = _time_operation(_sort_segments)
-    segment_sort_per_element = segment_sort_seconds / sort_scratch.size
-
-    scatter_per_element = _measure_scatter_primitive(data, rng, block_size)
-
     # decompress: FOR-decode of one compressed block (widen + add the
     # reference), per element — the extra work a paged base adds per scan.
     narrow = (data[:65536] & 0xFF).astype(np.uint8)
-
-    def _for_decode() -> None:
-        narrow.astype(np.int64) + np.int64(7)
-
-    decompress_seconds = _time_operation(_for_decode)
-    decompress_per_element = decompress_seconds / narrow.size
-
     n_allocations = 64
 
     def _allocate() -> None:
         for _ in range(n_allocations):
             np.empty(block_size, dtype=np.int64)
 
-    allocation_seconds = _time_operation(_allocate)
+    refine_fully, refined_elements = _sorter_primitive(data)
+    scatter_pass, scattered_elements = _scatter_primitive(data)
+    seconds = _time_operations({
+        "scan": lambda: kernels.range_sum_count(data, low, high),
+        "partition": lambda: kernels.partition_chunk(
+            data, n_elements // 2, copy_target, 0, n_elements),
+        "gather": lambda: data[random_indices],
+        "refine": refine_fully,
+        "sort": lambda: np.sort(sort_scratch, axis=1),
+        "scatter": scatter_pass,
+        "decode": lambda: narrow.astype(np.int64) + np.int64(7),
+        "allocate": _allocate,
+    })
+    scan_seconds = seconds["scan"]
+    write_seconds = max(seconds["partition"] - scan_seconds, scan_seconds * 0.1)
 
     constants = CostConstants(
         sequential_read_page=max(scan_seconds / pages, 1e-12),
         sequential_write_page=max(write_seconds / pages, 1e-12),
-        random_access=max(gather_seconds / random_indices.size, 1e-12),
-        swap=max(swap_per_element, 1e-12),
-        allocation=max(allocation_seconds / n_allocations, 1e-12),
+        random_access=max(seconds["gather"] / random_indices.size, 1e-12),
+        swap=max(seconds["refine"] / refined_elements, 1e-12),
+        allocation=max(seconds["allocate"] / n_allocations, 1e-12),
         elements_per_page=elements_per_page,
-        segment_sort=max(segment_sort_per_element, 1e-12),
-        scatter=max(scatter_per_element, 1e-12),
-        decompress=max(decompress_per_element, 1e-12),
-        source="measured",
+        segment_sort=max(seconds["sort"] / sort_scratch.size, 1e-12),
+        scatter=max(seconds["scatter"] / scattered_elements, 1e-12),
+        decompress=max(seconds["decode"] / narrow.size, 1e-12),
+        source=f"measured:{kernels.backend()}",
     )
     constants.validate()
     return constants
 
 
-def _measure_scatter_primitive(
-    data: np.ndarray, rng: np.random.Generator, block_size: int
-) -> float:
-    """Per-element cost of the grouped bucket scatter.
+def _scatter_primitive(data: np.ndarray):
+    """One radix pass as the engine runs it, and the elements it moves.
 
-    Runs the actual :meth:`~repro.progressive.blocks.BucketSet.scatter`
-    (grouped argsort + bincount append) over a sample with uniform random
-    bucket ids — the primitive behind every radix/bucket creation pass.
-    Imported lazily to keep :mod:`repro.core` free of engine dependencies.
+    The seam call behind :meth:`~repro.progressive.blocks.BucketSet.scatter_radix`
+    (digit extraction included) — the primitive of every radix/bucket
+    creation pass — into a buffer allocated once: a fresh one per run would
+    time the allocator's page faults, some runs and not others.
     """
-    from repro.progressive.blocks import BucketSet
-
     # Measure at (close to) working-set scale: small samples stay
     # cache-resident and under-measure the out-of-cache scatter by 2x+.
-    sample_size = min(data.size, 1 << 20)
-    sample = data[:sample_size]
-    ids = rng.integers(0, 64, size=sample_size)
-
-    def _scatter() -> None:
-        buckets = BucketSet(64, block_size=block_size, dtype=sample.dtype)
-        buckets.scatter(sample, ids)
-
-    seconds = _time_operation(_scatter)
-    return seconds / sample_size
+    sample = data[: min(data.size, 1 << 20)]
+    grouped = np.empty_like(sample)
+    return (lambda: kernels.scatter_radix(sample, 0, 0, 63, grouped)), sample.size
 
 
-def _measure_sorter_primitive(data: np.ndarray, rng: np.random.Generator) -> float:
-    """Per-element cost of the refinement primitive (the progressive sorter).
+def _sorter_primitive(data: np.ndarray):
+    """The refinement primitive, and the elements one run of it processes.
 
     Runs the actual :class:`~repro.progressive.sorter.ProgressiveSorter` to
-    completion over a pivot-partitioned sample and divides by the element
-    count — this is the σ that prices ``delta * t_swap`` refinement work.
-    Imported lazily to keep :mod:`repro.core` free of engine dependencies.
+    completion over a pivot-partitioned sample.  σ prices ``delta * t_swap``
+    of refinement work, and ``delta * N`` is what one query hands to
+    :meth:`~repro.progressive.sorter.ProgressiveSorter.refine` as its element
+    budget — so σ is seconds per element *processed*, every partition pass
+    counted, not per element of the sample.  Imported lazily to keep
+    :mod:`repro.core` free of engine dependencies.
     """
     from repro.progressive.sorter import ProgressiveSorter
 
     # As with the scatter primitive, measure at out-of-cache scale.
-    sample_size = min(data.size, 1 << 19)
-    sample = data[:sample_size]
+    sample = data[: min(data.size, 1 << 19)]
     pivot = float(np.median(sample))
     value_low = float(sample.min())
     value_high = float(sample.max())
-    if not value_high > value_low:
-        # Degenerate constant column: the sorter would finish instantly;
-        # fall back to a conservative copy-scale estimate.
-        return 2e-9
     mask = sample < pivot
     partitioned = np.concatenate([sample[mask], sample[~mask]])
     boundary = int(np.count_nonzero(mask))
 
-    def _refine_fully() -> None:
-        scratch = partitioned.copy()
+    scratch = np.empty_like(partitioned)
+
+    def refine_fully() -> int:
+        scratch[:] = partitioned
         sorter = ProgressiveSorter.from_partitioned(
             scratch,
             boundary=boundary,
@@ -339,8 +311,10 @@ def _measure_sorter_primitive(data: np.ndarray, rng: np.random.Generator) -> flo
             value_low=value_low,
             value_high=value_high,
         )
+        processed = 0
         while not sorter.is_sorted:
-            sorter.refine(scratch.size)
+            processed += sorter.refine(scratch.size)
+        return processed
 
-    seconds = _time_operation(_refine_fully)
-    return seconds / sample_size
+    # A constant sample is sorted before it starts: price it per element.
+    return refine_fully, max(refine_fully(), sample.size)

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
+
 #: Bias turning an ``int64`` into an order-preserving ``uint64``.
 _SIGN_BIT = 1 << 63
 
@@ -49,10 +51,7 @@ class IntKeyCodec:
 
     def encode(self, values: np.ndarray) -> np.ndarray:
         """Vector of ``uint64`` keys ordered exactly like ``values``."""
-        values = np.asarray(values)
-        if values.dtype != np.int64:
-            values = values.astype(np.int64)
-        return values.astype(np.uint64) ^ np.uint64(_SIGN_BIT)
+        return kernels.order_keys(np.asarray(values, dtype=np.int64))
 
     def encode_scalar(self, value) -> int:
         """Key of a single (possibly fractional) bound as a Python int.
@@ -73,12 +72,7 @@ class FloatKeyCodec:
 
     def encode(self, values: np.ndarray) -> np.ndarray:
         """Vector of ``uint64`` keys ordered exactly like ``values``."""
-        values = np.asarray(values)
-        if values.dtype != np.float64:
-            values = values.astype(np.float64)
-        bits = np.ascontiguousarray(values).view(np.uint64)
-        negative = (bits >> np.uint64(63)) == np.uint64(1)
-        return np.where(negative, ~bits, bits ^ np.uint64(_SIGN_BIT))
+        return kernels.order_keys(np.ascontiguousarray(values, dtype=np.float64))
 
     def encode_scalar(self, value) -> int:
         """Key of a single bound as a Python int (exact, no rounding)."""

@@ -38,6 +38,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.core.cost_model import CostBreakdown
 from repro.core.phase import IndexPhase
 from repro.core.query import Predicate, SortedLeaf
@@ -48,17 +49,11 @@ from repro.storage.membudget import budget_of
 def _merge_into_sorted(sorted_buffer: np.ndarray, chunk: np.ndarray) -> np.ndarray:
     """Merge an unsorted chunk into a sorted buffer in one linear pass.
 
-    Sorting only the (small, threshold-bounded) chunk and splicing it in
-    with ``searchsorted`` + ``np.insert`` keeps each absorption linear in
-    the buffer size — re-sorting the whole accumulated buffer would make
-    the never-folding families (cracking, FullScan) pay a growing sort on
-    every absorption.
+    Only the (small, threshold-bounded) chunk is sorted; re-sorting the
+    whole accumulated buffer would make the never-folding families
+    (cracking, FullScan) pay a growing sort on every absorption.
     """
-    chunk = np.sort(chunk)
-    if sorted_buffer.size == 0:
-        return chunk
-    positions = np.searchsorted(sorted_buffer, chunk)
-    return np.insert(sorted_buffer, positions, chunk)
+    return kernels.merge_sorted(sorted_buffer, np.sort(chunk))
 
 
 def _predicated_delta(values: np.ndarray, low, high) -> Tuple[float, int]:
@@ -446,11 +441,9 @@ class DeltaOverlay:
         state = self._pending
         fold_ins, fold_del = state.ins_leaf.values, state.del_leaf.values
         if self._run_ins is not None and self._run_ins.total_rows:
-            fold_ins = np.concatenate([fold_ins, self._run_ins.merged()])
-            fold_ins.sort(kind="stable")
+            fold_ins = kernels.merge_sorted(fold_ins, self._run_ins.merged())
         if self._run_del is not None and self._run_del.total_rows:
-            fold_del = np.concatenate([fold_del, self._run_del.merged()])
-            fold_del.sort(kind="stable")
+            fold_del = kernels.merge_sorted(fold_del, self._run_del.merged())
         return fold_ins, fold_del
 
     def _clear_buffers(self) -> None:

@@ -18,7 +18,9 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from repro import kernels
 from repro.errors import InvalidPredicateError
+from repro.kernels import integer_bounds
 
 
 @dataclass(frozen=True)
@@ -127,11 +129,17 @@ class QueryResult:
 
     @classmethod
     def from_masked(cls, values: np.ndarray, mask: np.ndarray) -> "QueryResult":
-        """Aggregate ``values[mask]`` without allocating when empty."""
+        """Aggregate ``values[mask]`` for a mask the caller already holds
+        (a range over an unrefined slice goes through :meth:`from_range`)."""
         count = int(np.count_nonzero(mask))
         if count == 0:
             return cls.empty()
         return cls(values[mask].sum(), count)
+
+    @classmethod
+    def from_range(cls, values: np.ndarray, low, high) -> "QueryResult":
+        """Predicated scan of an unrefined slice: ``values`` in ``[low, high]``."""
+        return cls(*kernels.range_sum_count(values, low, high))
 
 
 class PredicateVector:
@@ -255,25 +263,6 @@ def search_sorted_many(segment: np.ndarray, lows, highs, prefix: np.ndarray | No
     hi = segment.searchsorted(np.asarray(highs), "right")
     hi = np.maximum(lo, hi)
     return prefix[hi] - prefix[lo], (hi - lo).astype(np.int64), prefix
-
-
-def _integer_bounds(low, high, floor: int, ceiling: int):
-    """``[low, high]`` as Python ints within ``[floor, ceiling]``.
-
-    The bounds of a read over an integer leaf that did not arrive as plain
-    ints: NumPy integers convert exactly, fractional bounds round inwards
-    (no integer lies between ``x`` and ``ceil(x)``), infinities clamp.
-    Returns ``None`` when no integer of the dtype can match (NaN included).
-    """
-    if isinstance(low, np.generic):
-        low = low.item()
-    if isinstance(high, np.generic):
-        high = high.item()
-    if not low <= high or low > ceiling or high < floor:
-        return None
-    low = floor if low <= floor else low if type(low) is int else math.ceil(low)
-    high = ceiling if high >= ceiling else high if type(high) is int else math.floor(high)
-    return low, high
 
 
 def _bounds_in_dtype(bounds: np.ndarray, dtype, floor: int, ceiling: int, round_up: bool):
@@ -401,7 +390,7 @@ class SortedLeaf:
             return values[lo:hi].sum(), int(hi - lo)
         floor, ceiling, cast, sum_floor, sum_ceiling = domain
         if type(low) is not int or type(high) is not int:
-            bounds = _integer_bounds(low, high, floor, ceiling)
+            bounds = integer_bounds(low, high, floor, ceiling)
             if bounds is None:
                 return 0, 0
             low, high = bounds

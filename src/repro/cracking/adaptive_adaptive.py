@@ -40,7 +40,7 @@ class AdaptiveAdaptiveIndexing(CrackingIndexBase):
 
     Parameters
     ----------
-    column, budget, constants, adaptive_kernels, rng:
+    column, budget, constants, rng:
         See :class:`~repro.cracking.base.CrackingIndexBase`.
     fanout:
         Number of equal-width partitions created per refinement step.
@@ -56,7 +56,6 @@ class AdaptiveAdaptiveIndexing(CrackingIndexBase):
         column: Column,
         budget: IndexingBudget | None = None,
         constants: CostConstants | None = None,
-        adaptive_kernels: bool = True,
         rng=None,
         fanout: int = DEFAULT_FANOUT,
         sort_threshold: int = DEFAULT_SORT_THRESHOLD,
@@ -65,7 +64,6 @@ class AdaptiveAdaptiveIndexing(CrackingIndexBase):
             column,
             budget=budget,
             constants=constants,
-            adaptive_kernels=adaptive_kernels,
             rng=rng,
         )
         if fanout < 2:

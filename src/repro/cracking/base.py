@@ -49,10 +49,6 @@ class CrackingIndexBase(BaseIndex):
         progressive indexes address).
     constants:
         Cost-model constants (used only for reporting).
-    adaptive_kernels:
-        Select the partition kernel per crack with the Haffner-style decision
-        tree (the default, matching the paper's adaptive cracking-kernel
-        setup) instead of always using the predicated kernel.
     rng:
         Random generator used by the stochastic variants.
     """
@@ -62,11 +58,9 @@ class CrackingIndexBase(BaseIndex):
         column: Column,
         budget: BudgetPolicy | None = None,
         constants: CostConstants | None = None,
-        adaptive_kernels: bool = True,
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__(column, budget=budget, constants=constants)
-        self.adaptive_kernels = bool(adaptive_kernels)
         self._rng = rng or np.random.default_rng(7)
         self._cracker: CrackerColumn | None = None
 
@@ -109,7 +103,6 @@ class CrackingIndexBase(BaseIndex):
         if self._cracker is not None:
             state["values"] = np.array(self._cracker.values)
             state["swaps"] = int(self._cracker.swaps_performed)
-            state["adaptive_kernels"] = bool(self._cracker.adaptive_kernels)
             state["cracker_index"] = self._cracker.index.state_dict()
         return state
 
@@ -123,7 +116,6 @@ class CrackingIndexBase(BaseIndex):
         cracker._column = self._column
         cracker.values = np.asarray(state["values"])
         cracker.index = CrackerIndex.from_state(state["cracker_index"])
-        cracker.adaptive_kernels = bool(state.get("adaptive_kernels", True))
         cracker.swaps_performed = int(state.get("swaps", 0))
         budget = budget_of(self._column)
         cracker._scratch = budget.scratch if budget is not None else None
@@ -140,7 +132,7 @@ class CrackingIndexBase(BaseIndex):
         convergence, which Table 2 of the paper records as "x" — the
         lifecycle enters ``REFINEMENT`` and never leaves it.
         """
-        self._cracker = CrackerColumn(self._column, adaptive_kernels=self.adaptive_kernels)
+        self._cracker = CrackerColumn(self._column)
         self._advance_phase(IndexPhase.REFINEMENT)
         self._on_first_query()
 

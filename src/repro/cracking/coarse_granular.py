@@ -27,7 +27,7 @@ class CoarseGranularIndex(CrackingIndexBase):
 
     Parameters
     ----------
-    column, budget, constants, adaptive_kernels, rng:
+    column, budget, constants, rng:
         See :class:`~repro.cracking.base.CrackingIndexBase`.
     initial_partitions:
         Number of equal-sized partitions created by the first query.  The
@@ -43,7 +43,6 @@ class CoarseGranularIndex(CrackingIndexBase):
         column: Column,
         budget: IndexingBudget | None = None,
         constants: CostConstants | None = None,
-        adaptive_kernels: bool = True,
         rng=None,
         initial_partitions: int = DEFAULT_INITIAL_PARTITIONS,
     ) -> None:
@@ -51,7 +50,6 @@ class CoarseGranularIndex(CrackingIndexBase):
             column,
             budget=budget,
             constants=constants,
-            adaptive_kernels=adaptive_kernels,
             rng=rng,
         )
         if initial_partitions < 2:

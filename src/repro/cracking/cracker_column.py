@@ -19,11 +19,13 @@ operations every cracking variant is expressed in:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from repro import kernels
 from repro.core.query import QueryResult
 from repro.cracking.cracker_index import CrackerIndex, Piece
-from repro.cracking.kernels import choose_kernel, partition_predicated, partition_streamed
 from repro.storage.column import Column
 from repro.storage.membudget import budget_of
 
@@ -48,20 +50,14 @@ class CrackerColumn:
     column:
         The base column; its data is copied (this copy is the dominant cost
         of the first query of every cracking algorithm).
-    adaptive_kernels:
-        When true (the default), the partition kernel is chosen per crack
-        with the Haffner-style decision tree of
-        :func:`~repro.cracking.kernels.choose_kernel`; otherwise the
-        predicated kernel is always used.
     """
 
-    def __init__(self, column: Column, adaptive_kernels: bool = True) -> None:
+    def __init__(self, column: Column) -> None:
         self._column = column
         self.values = column.copy_data()
         value_low = float(column.min())
         value_high = upper_exclusive(column.max(), column.dtype)
         self.index = CrackerIndex(len(column), value_low, value_high)
-        self.adaptive_kernels = bool(adaptive_kernels)
         self.swaps_performed = 0
         # Out-of-core: under a memory budget large cracks stream through a
         # spillable scratch buffer instead of allocating O(piece) masks.
@@ -99,21 +95,13 @@ class CrackerColumn:
         """
         segment = self.values[piece.start : piece.end]
         if self._chunk_rows is not None and piece.size > self._chunk_rows:
-            # Budgeted + larger than one streamed chunk: the radix-pass
-            # kernel keeps anonymous temporaries chunk-sized.
-            boundary_offset = partition_streamed(
-                segment, pivot, self._chunk_rows, self._scratch
+            # Budgeted + larger than one streamed chunk: partition through
+            # the budget's scratch, a chunk at a time.
+            boundary_offset = kernels.partition_inplace(
+                segment, pivot, self._scratch.allocate, self._chunk_rows
             )
         else:
-            if self.adaptive_kernels:
-                selectivity = 0.5
-                span = piece.value_high - piece.value_low
-                if span > 0:
-                    selectivity = min(1.0, max(0.0, (pivot - piece.value_low) / span))
-                kernel = choose_kernel(piece.size, selectivity)
-            else:
-                kernel = partition_predicated
-            boundary_offset = kernel(segment, pivot)
+            boundary_offset = kernels.partition_swap(segment, pivot)
         position = piece.start + boundary_offset
         self.index.add(pivot, position)
         self.swaps_performed += piece.size
@@ -163,27 +151,27 @@ class CrackerColumn:
         result = QueryResult.empty()
         if low_piece.start == high_piece.start:
             # Both bounds fall into the same piece: a single masked scan.
-            segment = self.values[low_piece.start : low_piece.end]
-            mask = (segment >= low) & (segment <= high)
-            return QueryResult.from_masked(segment, mask)
+            return QueryResult.from_range(
+                self.values[low_piece.start : low_piece.end], low, high
+            )
 
         # Piece containing the lower bound.
         middle_start = low_piece.end
         if low_position is not None:
             middle_start = int(low_position)
         else:
-            segment = self.values[low_piece.start : low_piece.end]
-            mask = segment >= low
-            result += QueryResult.from_masked(segment, mask)
+            result += QueryResult.from_range(
+                self.values[low_piece.start : low_piece.end], low, math.inf
+            )
 
         # Piece containing the upper bound.
         middle_end = high_piece.start
         if high_position is not None:
             middle_end = int(high_position)
         else:
-            segment = self.values[high_piece.start : high_piece.end]
-            mask = segment <= high
-            result += QueryResult.from_masked(segment, mask)
+            result += QueryResult.from_range(
+                self.values[high_piece.start : high_piece.end], -math.inf, high
+            )
 
         if middle_end > middle_start:
             segment = self.values[middle_start:middle_end]

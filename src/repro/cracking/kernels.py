@@ -1,166 +1,28 @@
-"""Cracking kernels: alternative implementations of the piece partition.
+"""Cracking kernels: the in-place piece partitions, as entry points.
 
 Pirk et al. (DaMoN 2014) and Haffner et al. (DaMoN 2018) study how the inner
 loop of database cracking — partitioning one piece of the column around a
-pivot — should be implemented (branching, predication, vectorisation, ...)
-and provide a decision tree selecting the most efficient kernel for a given
-piece size and selectivity.  The paper's experimental setup includes "an
-adaptive cracking kernel algorithm that picks the most efficient kernel when
-executing a query, following the decision tree from Haffner et al.".
-
-These kernels are the shared partition primitives of the construction-kernel
-layer: database cracking routes every crack through :func:`choose_kernel`,
-and :class:`~repro.progressive.sorter.ProgressiveSorter` uses the same
-decision tree whenever a whole pivot-tree node fits the element budget.
-
-* :func:`partition_branched` — a single-pass, in-place, pure-Python
-  two-pointer loop (the branching kernel of the original system; used for
-  cache-resident pieces and as the ground truth in tests).
-* :func:`partition_predicated` — boolean-mask partition, the NumPy analogue
-  of the predicated/vectorised kernels; allocates both sides.
-* :func:`partition_two_sided` — truly in-place vectorised Hoare-style
-  kernel: only the misplaced elements on each side are swapped, so work and
-  scratch memory are proportional to the number of misplaced elements, not
-  the piece size.
-* :func:`choose_kernel` — the decision tree.
+pivot — should be implemented, and the paper's own answer for progressive
+indexing is predication.  The implementations live behind the kernel seam
+(:mod:`repro.kernels`: compiled when the host has ``cc``, NumPy otherwise);
+these are its two in-place forms under the names the engine always used.
+Both return the boundary: ``values[:boundary] < pivot <= values[boundary:]``.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-#: Pieces of at most this many elements use the branched reference kernel
-#: (mirroring the original decision tree's preference for simple code on
-#: cache-resident pieces).
-BRANCHED_PIECE_LIMIT = 64
-
-#: Pieces larger than this always use the in-place two-sided kernel (the
-#: allocation of a same-sized mask plus both sides stops being free once a
-#: piece is far outside the cache hierarchy).
-TWO_SIDED_PIECE_LIMIT = BRANCHED_PIECE_LIMIT * 1024
-
-#: Selectivities outside ``[EXTREME_SELECTIVITY, 1 - EXTREME_SELECTIVITY]``
-#: are "extreme": almost every element already sits on the correct side, so
-#: the two-sided kernel's swap count collapses while the predicated kernel
-#: still pays a full copy of the piece.
-EXTREME_SELECTIVITY = 0.1
-
-
-def partition_branched(values: np.ndarray, pivot) -> int:
-    """Partition ``values`` in place around ``pivot`` with an explicit loop.
-
-    Returns the boundary position: ``values[:boundary] < pivot`` and
-    ``values[boundary:] >= pivot``.  A classic single-pass two-pointer
-    (Hoare-style) loop: no allocation, at most one swap per misplaced pair.
-    This is the reference kernel; it runs in pure Python and is only
-    intended for small pieces and for validating the vectorised kernels.
-    """
-    low = 0
-    high = int(values.size) - 1
-    while low <= high:
-        if values[low] < pivot:
-            low += 1
-        else:
-            values[low], values[high] = values[high], values[low]
-            high -= 1
-    return low
+from repro import kernels
 
 
 def partition_predicated(values: np.ndarray, pivot) -> int:
-    """Partition ``values`` in place around ``pivot`` using a boolean mask."""
-    mask = values < pivot
-    lows = values[mask]
-    highs = values[~mask]
-    values[: lows.size] = lows
-    values[lows.size :] = highs
-    return int(lows.size)
+    """Partition ``values`` in place around ``pivot``, order-preserving on
+    both sides (out of place through a scratch copy)."""
+    return kernels.partition_inplace(values, pivot)
 
 
 def partition_two_sided(values: np.ndarray, pivot) -> int:
-    """Partition ``values`` around ``pivot`` with in-place two-ended swaps.
-
-    The vectorised analogue of the in-place Hoare-style kernel of the
-    original system: the boundary is known from the pivot's rank, so the
-    only elements that move are the ``>= pivot`` stragglers in the low side,
-    which are swapped pairwise with the ``< pivot`` stragglers in the high
-    side (the counts always match).  Work and scratch are proportional to
-    the number of misplaced elements — at extreme selectivities this kernel
-    barely touches the piece.
-    """
-    mask = values < pivot
-    boundary = int(np.count_nonzero(mask))
-    misplaced_low = np.flatnonzero(~mask[:boundary])
-    if misplaced_low.size:
-        misplaced_high = boundary + np.flatnonzero(mask[boundary:])
-        stash = values[misplaced_low].copy()
-        values[misplaced_low] = values[misplaced_high]
-        values[misplaced_high] = stash
-    return boundary
-
-
-def partition_streamed(
-    values: np.ndarray,
-    pivot,
-    chunk_rows: int,
-    scratch_allocator=None,
-) -> int:
-    """Partition ``values`` around ``pivot`` streaming fixed-size chunks.
-
-    The out-of-core radix pass of the kernel layer: instead of allocating a
-    same-sized boolean mask plus both sides at once (the predicated kernel's
-    O(piece) temporaries), the piece streams through a two-ended scratch
-    buffer ``chunk_rows`` elements at a time, so anonymous temporaries stay
-    chunk-sized.  The scratch buffer itself comes from ``scratch_allocator``
-    when given — a :class:`~repro.storage.scratch.ScratchAllocator` spills it
-    to a pager-backed file past the memory budget — and the result is copied
-    back chunk by chunk.  Returns the boundary position like every kernel.
-    """
-    n = int(values.size)
-    if n == 0:
-        return 0
-    if scratch_allocator is not None:
-        scratch = scratch_allocator.allocate(n, values.dtype)
-    else:
-        scratch = np.empty(n, dtype=values.dtype)
-    step = max(1, int(chunk_rows))
-    low_fill = 0
-    high_fill = n
-    for start in range(0, n, step):
-        chunk = values[start : start + step]
-        mask = chunk < pivot
-        lows = chunk[mask]
-        highs = chunk[~mask]
-        scratch[low_fill : low_fill + lows.size] = lows
-        low_fill += lows.size
-        scratch[high_fill - highs.size : high_fill] = highs
-        high_fill -= highs.size
-    for start in range(0, n, step):
-        values[start : start + step] = scratch[start : start + step]
-    return low_fill
-
-
-def choose_kernel(piece_size: int, selectivity: float = 0.5) -> Callable[[np.ndarray, object], int]:
-    """Pick a partition kernel for a piece (Haffner-style decision tree).
-
-    Parameters
-    ----------
-    piece_size:
-        Number of elements in the piece about to be cracked.
-    selectivity:
-        Estimated fraction of the piece below the pivot.
-
-    The tree: cache-resident pieces with mid selectivity use the simple
-    branched loop; larger pieces with *extreme* selectivity use the
-    two-sided kernel (few misplaced elements, so in-place swaps beat a full
-    predicated copy — in the original system the same selectivities make
-    branches perfectly predicted); pieces far beyond the cache hierarchy
-    always use the two-sided kernel; everything else is predicated.
-    """
-    extreme = selectivity < EXTREME_SELECTIVITY or selectivity > 1.0 - EXTREME_SELECTIVITY
-    if piece_size <= BRANCHED_PIECE_LIMIT:
-        return partition_predicated if extreme else partition_branched
-    if extreme or piece_size > TWO_SIDED_PIECE_LIMIT:
-        return partition_two_sided
-    return partition_predicated
+    """Partition ``values`` in place around ``pivot`` with two-ended swaps:
+    only the misplaced elements move, pairwise, and nothing is allocated."""
+    return kernels.partition_swap(values, pivot)

@@ -37,7 +37,7 @@ class ProgressiveStochasticCracking(CrackingIndexBase):
 
     Parameters
     ----------
-    column, budget, constants, adaptive_kernels, rng:
+    column, budget, constants, rng:
         See :class:`~repro.cracking.base.CrackingIndexBase`.
     allowed_swaps:
         Maximum fraction of the column that may be reorganised per query
@@ -54,7 +54,6 @@ class ProgressiveStochasticCracking(CrackingIndexBase):
         column: Column,
         budget: IndexingBudget | None = None,
         constants: CostConstants | None = None,
-        adaptive_kernels: bool = True,
         rng=None,
         allowed_swaps: float = DEFAULT_ALLOWED_SWAPS,
         minimum_piece: int = DEFAULT_MINIMUM_PIECE,
@@ -63,7 +62,6 @@ class ProgressiveStochasticCracking(CrackingIndexBase):
             column,
             budget=budget,
             constants=constants,
-            adaptive_kernels=adaptive_kernels,
             rng=rng,
         )
         if allowed_swaps <= 0:

@@ -28,7 +28,7 @@ class StochasticCracking(CrackingIndexBase):
 
     Parameters
     ----------
-    column, budget, constants, adaptive_kernels, rng:
+    column, budget, constants, rng:
         See :class:`~repro.cracking.base.CrackingIndexBase`.
     minimum_piece:
         Piece size below which the query bound itself is used as the pivot.
@@ -42,7 +42,6 @@ class StochasticCracking(CrackingIndexBase):
         column: Column,
         budget: IndexingBudget | None = None,
         constants: CostConstants | None = None,
-        adaptive_kernels: bool = True,
         rng=None,
         minimum_piece: int = DEFAULT_MINIMUM_PIECE,
     ) -> None:
@@ -50,7 +49,6 @@ class StochasticCracking(CrackingIndexBase):
             column,
             budget=budget,
             constants=constants,
-            adaptive_kernels=adaptive_kernels,
             rng=rng,
         )
         self.minimum_piece = int(minimum_piece)

@@ -44,7 +44,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro import obs
+from repro import kernels, obs
 from repro.baselines.full_scan import FullScan
 from repro.core.policy import BudgetPolicy, CostModelGreedy, FixedDelta, TimeAdaptive
 from repro.core.calibration import CostConstants
@@ -133,6 +133,12 @@ class IndexingSession:
         self._obs_batch_queries = registry.counter(
             "session.batch.queries",
             help="Individual predicates answered through execute_batch()",
+        )
+        registry.register_pull(
+            "kernels.backend", kernels,
+            lambda k, resolved=kernels.backend(): int(k.backend() == resolved), kind="gauge",
+            help="1 while the construction kernels run on the labelled backend",
+            backend=kernels.backend(),
         )
 
     def _register_index_obs(self, column_name: str, index) -> None:
@@ -805,6 +811,7 @@ class IndexingSession:
                 "budget": index.budget.describe(),
                 "phase_stats": index.lifecycle.snapshot(),
                 "writes": index.overlay_stats(),
+                "kernels": kernels.info(),
             }
             delta = column.delta
             if delta is not None:

@@ -1,0 +1,249 @@
+"""The construction-kernel seam: one set of signatures, two backends.
+
+Everything the construction phase does per element — partition around a
+pivot, predicated range aggregation, the bucket scatter and its routing, the
+sorted merge — goes through the functions of this module.  Behind them sits
+either the compiled backend (``kernels.c``, built once with ``cc`` into a
+cache directory and loaded through ``ctypes``; see :mod:`repro.kernels._build`)
+or the NumPy backend (:mod:`repro.kernels._numpy`), which gives identical
+answers at the speed the engine had before and is what runs when there is no
+compiler.  The backend is resolved once, when this module is imported, so no
+query ever pays a compile; tests switch with :func:`use_backend`.
+
+The seam owns what must not differ between backends: pivots and bounds are
+brought into the array's own type here (an integer array compares against
+integer bounds, exactly, instead of NumPy's promotion to float64), shapes and
+fill cursors are validated here, and kernel time is attributed here
+(``kernel_us`` on the current trace span when tracing is on).  Kernels write
+only into arrays the caller allocated, so a memory budget's scratch
+allocator keeps governing what construction holds resident.
+"""
+
+from __future__ import annotations
+
+import math
+import subprocess
+import warnings
+from time import perf_counter
+
+import numpy as np
+
+from repro import obs
+from repro.kernels import _build, _numpy
+from repro.kernels._numpy import order_keys  # noqa: F401  (one definition, no compiled twin)
+
+_TR = obs.tracer()
+_LIMITS = {np.dtype(np.int64): (-(1 << 63), (1 << 63) - 1), np.dtype(np.uint64): (0, (1 << 64) - 1)}
+
+
+def _resolve():
+    try:
+        from repro.kernels._c import CBackend
+
+        library, path = _build.load_library()
+        return CBackend(library), path
+    except (OSError, subprocess.SubprocessError) as error:
+        warnings.warn(
+            f"repro.kernels: no compiled backend ({error!r}); construction runs on "
+            "the NumPy backend (same answers, slower)", RuntimeWarning, stacklevel=2)
+        return None, None
+
+
+_compiled, _cache_path = _resolve()
+_active = _compiled or _numpy
+
+
+def backend() -> str:
+    """Name of the active backend: ``"c"`` or ``"numpy"``."""
+    return _active.name
+
+
+def info() -> dict:
+    """The active backend, and where the compiled one was loaded from
+    (``None`` when it did not build)."""
+    return {"backend": _active.name, "cache_path": _cache_path}
+
+
+def use_backend(name: str) -> str:
+    """Switch the process to backend ``name``; returns the previous name.
+
+    For tests and measurements — the engine itself never switches.  Raises
+    :class:`RuntimeError` when ``"c"`` is asked for and did not build.
+    """
+    global _active
+    if name not in ("c", "numpy"):
+        raise ValueError(f"unknown kernel backend {name!r}")
+    if name == "c" and _compiled is None:
+        raise RuntimeError("the compiled kernel backend is not available on this host")
+    previous, _active = _active.name, (_compiled if name == "c" else _numpy)
+    return previous
+
+
+def _run(kernel, *args):
+    if not _TR.enabled:
+        return kernel(*args)
+    started = perf_counter()
+    try:
+        return kernel(*args)
+    finally:
+        span = _TR.current()
+        if span is not None:
+            elapsed = (perf_counter() - started) * 1e6
+            span.attrs["kernel_us"] = span.attrs.get("kernel_us", 0.0) + elapsed
+
+
+# ----------------------------------------------------------------------
+# Bounds and pivots in the array's own type
+# ----------------------------------------------------------------------
+def integer_bounds(low, high, floor: int, ceiling: int):
+    """``[low, high]`` as Python ints within ``[floor, ceiling]``.
+
+    NumPy integers convert exactly, fractional bounds round inwards (no
+    integer lies between ``x`` and ``ceil(x)``), infinities clamp.  Returns
+    ``None`` when no integer of the dtype can match (NaN included).
+    """
+    if isinstance(low, np.generic):
+        low = low.item()
+    if isinstance(high, np.generic):
+        high = high.item()
+    if not low <= high or low > ceiling or high < floor:
+        return None
+    low = floor if low <= floor else low if type(low) is int else math.ceil(low)
+    high = ceiling if high >= ceiling else high if type(high) is int else math.floor(high)
+    return low, high
+
+
+def _limits(dtype):
+    limits = _LIMITS.get(dtype)
+    if limits is None:
+        info = np.iinfo(dtype)
+        limits = _LIMITS[dtype] = (int(info.min), int(info.max))
+    return limits
+
+
+def _typed_pivot(dtype, pivot):
+    """``pivot`` such that ``v < pivot`` is exact in ``dtype``; ``None``
+    when every value of an integer dtype is below it."""
+    if dtype.kind == "f":
+        return float(pivot)
+    floor, ceiling = _limits(dtype)
+    if not pivot > floor:  # NaN included: nothing is below
+        return floor
+    if pivot > ceiling:
+        return None
+    return pivot if type(pivot) is int else math.ceil(pivot)
+
+
+# ----------------------------------------------------------------------
+# The kernels
+# ----------------------------------------------------------------------
+def partition_chunk(src: np.ndarray, pivot, out: np.ndarray, low_fill: int, high_fill: int) -> int:
+    """Two-ended predicated partition of ``src`` into ``out``, resumable.
+
+    Values ``< pivot`` are appended at ``out[low_fill:]``; the others are
+    written, in input order, as one block ending at ``out[high_fill]``.
+    Returns how many went low: the caller advances ``low_fill`` by it and
+    lowers ``high_fill`` by the rest, and may call again with the next chunk.
+    """
+    n = src.size
+    if src.dtype != out.dtype or low_fill < 0 or high_fill > out.size or high_fill - low_fill < n:
+        raise ValueError("partition_chunk: chunk does not fit the free range of out")
+    pivot = _typed_pivot(src.dtype, pivot)
+    if pivot is None:
+        out[low_fill : low_fill + n] = src
+        return n
+    return _run(_active.partition_chunk, src, pivot, out, low_fill, high_fill)
+
+
+def partition_inplace(values: np.ndarray, pivot, allocate=None, chunk_rows: int | None = None) -> int:
+    """Predicated partition of ``values`` in place; returns the boundary.
+
+    Out of place underneath: ``values`` streams through a scratch array of
+    its size (``allocate(n_rows, dtype)`` — a memory budget's allocator —
+    or ``np.empty``) ``chunk_rows`` at a time and is copied back, so the
+    NumPy backend's temporaries stay chunk-sized.  The low side keeps its
+    input order; so does the high side within a chunk.
+    """
+    n = values.size
+    scratch = np.empty(n, dtype=values.dtype) if allocate is None else allocate(n, values.dtype)
+    step = max(1, int(chunk_rows or n))
+    low_fill, high_fill = 0, n
+    for start in range(0, n, step):
+        chunk = values[start : start + step]
+        below = partition_chunk(chunk, pivot, scratch, low_fill, high_fill)
+        low_fill += below
+        high_fill -= chunk.size - below
+    values[:] = scratch
+    return low_fill
+
+
+def partition_swap(values: np.ndarray, pivot) -> int:
+    """Two-sided in-place partition; returns the boundary.
+
+    Only misplaced values move: the k-th value ``>= pivot`` of the low side
+    is swapped with the k-th value ``< pivot`` of the high side.
+    """
+    pivot = _typed_pivot(values.dtype, pivot)
+    if pivot is None:
+        return int(values.size)
+    return _run(_active.partition_swap, values, pivot)
+
+
+def range_sum_count(values: np.ndarray, low, high) -> tuple:
+    """Predicated scan: ``(sum, count)`` of the values in ``[low, high]``.
+
+    Integer sums are exact modulo 2**64; float sums are bit-identical to
+    ``values[mask].sum()`` (the matches are compacted and NumPy reduces
+    them, in its pairwise order).
+    """
+    dtype = values.dtype
+    if dtype.kind == "f":
+        low, high = float(low), float(high)
+        bounds = (low, high) if low <= high else None
+    else:
+        bounds = integer_bounds(low, high, *_limits(dtype))
+    if bounds is None or not values.size:
+        return dtype.type(0), 0
+    return _run(_active.range_sum_count, values, *bounds)
+
+
+def scatter(values: np.ndarray, ids: np.ndarray, n_buckets: int, out: np.ndarray) -> tuple:
+    """Stable counting scatter of ``values`` into ``out``, grouped by id.
+
+    Returns ``(counts, ends)``, one entry per bucket: bucket ``b`` is
+    ``out[ends[b] - counts[b] : ends[b]]``, in input order.  Raises
+    :class:`IndexError`, with ``out`` untouched, on an id outside
+    ``[0, n_buckets)``.
+    """
+    if ids.shape != values.shape or out.shape != values.shape or out.dtype != values.dtype:
+        raise ValueError("scatter: values, ids and out must agree in shape and dtype")
+    return _run(_active.scatter, values, ids, int(n_buckets), out)
+
+
+def scatter_radix(values: np.ndarray, base: int, shift: int, mask: int, out: np.ndarray) -> tuple:
+    """:func:`scatter` by one radix digit of the values' own order keys.
+
+    The bucket of ``v`` is ``((order_key(v) - base) >> shift) & mask`` in
+    uint64 arithmetic (:func:`order_keys`; ``mask + 1`` buckets, a power of
+    two), so the ids are never materialised.
+    """
+    if out.shape != values.shape or out.dtype != values.dtype:
+        raise ValueError("scatter_radix: values and out must agree in shape and dtype")
+    if not 0 <= shift < 64 or mask & (mask + 1) or not 0 < mask < 1 << 32:
+        raise ValueError(f"scatter_radix: bad digit (shift {shift}, mask {mask})")
+    return _run(_active.scatter_radix, values, int(base), int(shift), int(mask), out)
+
+
+def route_bounds(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Equi-height routing: ``np.searchsorted(bounds, values, side="right")``
+    for sorted float64 ``bounds``, as int64 bucket ids."""
+    return _run(_active.route_bounds, values, np.ascontiguousarray(bounds, dtype=np.float64))
+
+
+def merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stable merge of two sorted arrays into a new array of ``a``'s dtype
+    (ties keep ``a`` first; NaN sorts last, as in ``np.sort``)."""
+    b = np.asarray(b, dtype=a.dtype)
+    if not b.size:
+        return a.copy()
+    return _run(_active.merge_sorted, a, b)

@@ -1,0 +1,100 @@
+"""The NumPy backend: the boolean-mask pipelines the engine always ran.
+
+Mandatory — it is what runs without a C compiler — and the oracle the
+compiled backend is diffed against.  Bounds and pivots arrive already in the
+array's own type (see :mod:`repro.kernels`, which documents each function).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+name = "numpy"
+
+_SIGN_BIT = np.uint64(1 << 63)
+
+#: Grid cells per bound of :func:`route_bounds`.
+GRID_CELLS_PER_BOUND = 16
+
+
+def partition_chunk(src, pivot, out, low_fill: int, high_fill: int) -> int:
+    mask = src < pivot
+    lows = src[mask]
+    highs = src[~mask]
+    out[low_fill : low_fill + lows.size] = lows
+    out[high_fill - highs.size : high_fill] = highs
+    return int(lows.size)
+
+
+def partition_swap(values, pivot) -> int:
+    mask = values < pivot
+    boundary = int(np.count_nonzero(mask))
+    misplaced_low = np.flatnonzero(~mask[:boundary])
+    if misplaced_low.size:
+        misplaced_high = boundary + np.flatnonzero(mask[boundary:])
+        stash = values[misplaced_low]
+        values[misplaced_low] = values[misplaced_high]
+        values[misplaced_high] = stash
+    return boundary
+
+
+def range_sum_count(values, low, high):
+    mask = (values >= low) & (values <= high)
+    count = int(np.count_nonzero(mask))
+    if count == 0:
+        return values.dtype.type(0), 0
+    return values[mask].sum(), count
+
+
+def scatter(values, ids, n_buckets: int, out):
+    if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= n_buckets):
+        raise IndexError(f"bucket id outside [0, {n_buckets})")
+    # A stable argsort of integer keys is a radix sort whose pass count
+    # follows the key width: one- or two-byte ids group ~8x faster.
+    if n_buckets <= 65536:
+        ids = ids.astype(np.uint8 if n_buckets <= 256 else np.uint16)
+    np.take(values, np.argsort(ids, kind="stable"), out=out, mode="clip")
+    counts = np.bincount(ids, minlength=n_buckets)
+    return counts, np.cumsum(counts)
+
+
+def order_keys(values):
+    """Order-preserving ``uint64`` keys of an int64 or float64 array: the
+    sign-bit bias, and the IEEE-754 monotone bit pattern (``core/keys.py``)."""
+    if values.dtype.kind == "f":
+        bits = values.view(np.uint64)
+        return np.where(bits >> np.uint64(63) == np.uint64(1), ~bits, bits ^ _SIGN_BIT)
+    return values.astype(np.uint64) ^ _SIGN_BIT
+
+
+def scatter_radix(values, base: int, shift: int, mask: int, out):
+    keys = order_keys(values) - np.uint64(base)
+    ids = ((keys >> np.uint64(shift)) & np.uint64(mask)).astype(np.int64)
+    return scatter(values, ids, mask + 1, out)
+
+
+def route_bounds(values, bounds):
+    # On random data every probe of np.searchsorted is a mispredicted branch,
+    # so a uniform grid over the bounds' domain proposes each value's bucket
+    # with one multiply and one gather; the proposal is verified exactly
+    # against the neighbouring bounds, and only the values that fail — those
+    # in cells straddling a bound — take the binary search.
+    span = float(bounds[-1]) - float(bounds[0]) if bounds.size else 0.0  # inf - inf: NaN
+    if not 0 < span < np.inf:
+        return np.searchsorted(bounds, values, side="right")
+    n_cells = GRID_CELLS_PER_BOUND * (bounds.size + 1)
+    scale = n_cells / span
+    low = float(bounds[0])
+    cell_bucket = np.searchsorted(bounds, low + np.arange(n_cells) / scale, side="right")
+    padded = np.concatenate([[-np.inf], bounds, [np.inf]])
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN/inf cells fail the verification
+        cells = ((values - low) * scale).astype(np.int64)
+    ids = cell_bucket[np.clip(cells, 0, n_cells - 1, out=cells)]
+    misses = np.flatnonzero(~((padded[ids] <= values) & (values < padded[ids + 1])))
+    if misses.size:
+        ids[misses] = np.searchsorted(bounds, values[misses], side="right")
+    return ids
+
+
+def merge_sorted(a, b):
+    return np.insert(a, np.searchsorted(a, b, side="right"), b)

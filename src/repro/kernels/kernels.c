@@ -1,0 +1,252 @@
+/* Predicated construction kernels of repro (see repro/kernels/__init__.py).
+ *
+ * One source, macro-instantiated per element type: KERNELS for int64 (_i64),
+ * uint64 (_u64) and float64 (_f64); INTEGER_SUMS for the two integer types;
+ * KEY_KERNELS (radix scatter, equi-height routing) for the two column
+ * dtypes.  The hot loops are branch-free in the data (the paper's
+ * predication): a comparison becomes an integer that advances a cursor or
+ * selects a slot, not a jump.  Kernels write only into buffers the caller
+ * allocated and never allocate, so the Python side's memory budget keeps
+ * governing.
+ *
+ * Compiled by repro/kernels/_build.py with `cc -O3 -march=native -shared
+ * -fPIC`, loaded through ctypes.  NaN compares false everywhere, so a NaN
+ * is never below a pivot and never inside a range, exactly as in NumPy.
+ */
+#include <stdint.h>
+#include <string.h>
+
+#define BLOCK 256 /* offsets buffered per side by the in-place partition */
+
+#define KERNELS(T, S)                                                          \
+                                                                               \
+    static int64_t count_below_##S(const T *src, int64_t n, T pivot)           \
+    {                                                                          \
+        int64_t below = 0;                                                     \
+        for (int64_t k = 0; k < n; k++)                                        \
+            below += src[k] < pivot;                                           \
+        return below;                                                          \
+    }                                                                          \
+                                                                               \
+    /* Two-ended, resumable: values below the pivot go to out[low_fill...]     \
+     * upwards, the others form one block ending at out[high_fill], both in    \
+     * input order.  Returns how many went low. */                             \
+    int64_t partition_chunk_##S(const T *src, int64_t n, T pivot, T *out,      \
+                                int64_t low_fill, int64_t high_fill)           \
+    {                                                                          \
+        int64_t below = count_below_##S(src, n, pivot);                        \
+        int64_t lo = low_fill, hi = high_fill - (n - below);                   \
+        for (int64_t k = 0; k < n; k++) {                                      \
+            T v = src[k];                                                      \
+            int64_t c = v < pivot;                                             \
+            out[hi + ((lo - hi) & -c)] = v; /* c ? lo : hi, without a jump */  \
+            lo += c;                                                           \
+            hi += 1 - c;                                                       \
+        }                                                                      \
+        return below;                                                          \
+    }                                                                          \
+                                                                               \
+    /* In place: the k-th misplaced value of the low side is swapped with the  \
+     * k-th misplaced value of the high side.  Returns the boundary. */        \
+    int64_t partition_swap_##S(T *a, int64_t n, T pivot)                       \
+    {                                                                          \
+        int64_t boundary = count_below_##S(a, n, pivot);                       \
+        int64_t low_at[BLOCK], high_at[BLOCK];                                 \
+        int64_t i = 0, j = boundary, nl = 0, nh = 0, sl = 0, sh = 0;           \
+        for (;;) {                                                             \
+            while (nl == 0 && i < boundary) {                                  \
+                int64_t m = boundary - i < BLOCK ? boundary - i : BLOCK;       \
+                sl = 0;                                                        \
+                for (int64_t k = 0; k < m; k++) {                              \
+                    low_at[nl] = i + k;                                        \
+                    nl += !(a[i + k] < pivot);                                 \
+                }                                                              \
+                i += m;                                                        \
+            }                                                                  \
+            while (nh == 0 && j < n) {                                         \
+                int64_t m = n - j < BLOCK ? n - j : BLOCK;                     \
+                sh = 0;                                                        \
+                for (int64_t k = 0; k < m; k++) {                              \
+                    high_at[nh] = j + k;                                       \
+                    nh += a[j + k] < pivot;                                    \
+                }                                                              \
+                j += m;                                                        \
+            }                                                                  \
+            if (nl == 0 || nh == 0)                                            \
+                break; /* both sides hold equally many: both are done */       \
+            int64_t m = nl < nh ? nl : nh;                                     \
+            for (int64_t k = 0; k < m; k++) {                                  \
+                T stash = a[low_at[sl + k]];                                   \
+                a[low_at[sl + k]] = a[high_at[sh + k]];                        \
+                a[high_at[sh + k]] = stash;                                    \
+            }                                                                  \
+            nl -= m, sl += m, nh -= m, sh += m;                                \
+        }                                                                      \
+        return boundary;                                                       \
+    }                                                                          \
+                                                                               \
+    int64_t count_range_##S(const T *a, int64_t n, T low, T high)              \
+    {                                                                          \
+        int64_t count = 0;                                                     \
+        for (int64_t k = 0; k < n; k++)                                        \
+            count += (a[k] >= low) & (a[k] <= high);                           \
+        return count;                                                          \
+    }                                                                          \
+                                                                               \
+    /* Matches of [low, high] in input order; `out` holds count + 1 slots      \
+     * (the slot after the last match takes the rejected writes). */           \
+    int64_t compact_range_##S(const T *a, int64_t n, T low, T high, T *out)    \
+    {                                                                          \
+        int64_t count = 0;                                                     \
+        for (int64_t k = 0; k < n; k++) {                                      \
+            T v = a[k];                                                        \
+            out[count] = v;                                                    \
+            count += (v >= low) & (v <= high);                                 \
+        }                                                                      \
+        return count;                                                          \
+    }                                                                          \
+                                                                               \
+    /* Stable counting scatter.  counts and ends hold n_buckets slots; out n.  \
+     * Returns -1, having written nothing to out, when an id is out of range;  \
+     * otherwise bucket b is out[ends[b] - counts[b] ... ends[b]]. */          \
+    int64_t scatter_##S(const T *values, const int64_t *ids, int64_t n,        \
+                        int64_t n_buckets, int64_t *counts, int64_t *ends,     \
+                        T *out)                                                \
+    {                                                                          \
+        uint64_t bad = 0;                                                      \
+        memset(counts, 0, (size_t)n_buckets * sizeof(int64_t));                \
+        for (int64_t k = 0; k < n; k++) {                                      \
+            uint64_t id = (uint64_t)ids[k];                                    \
+            uint64_t ok = id < (uint64_t)n_buckets;                            \
+            bad |= !ok;                                                        \
+            counts[ok ? id : 0] += 1;                                          \
+        }                                                                      \
+        if (bad)                                                               \
+            return -1;                                                         \
+        int64_t at = 0;                                                        \
+        for (int64_t b = 0; b < n_buckets; b++) {                              \
+            ends[b] = at;                                                      \
+            at += counts[b];                                                   \
+        }                                                                      \
+        for (int64_t k = 0; k < n; k++)                                        \
+            out[ends[ids[k]]++] = values[k];                                   \
+        return n;                                                              \
+    }                                                                          \
+                                                                               \
+    /* Stable two-way merge of sorted a and b (ties: a first; NaN last). */    \
+    void merge_##S(const T *a, int64_t na, const T *b, int64_t nb, T *out)     \
+    {                                                                          \
+        int64_t i = 0, j = 0, k = 0;                                           \
+        while (i < na && j < nb) {                                             \
+            T va = a[i], vb = b[j];                                            \
+            int64_t take_a = (va <= vb) | (vb != vb);                          \
+            out[k++] = take_a ? va : vb;                                       \
+            i += take_a;                                                       \
+            j += 1 - take_a;                                                   \
+        }                                                                      \
+        memcpy(out + k, a + i, (size_t)(na - i) * sizeof(T));                  \
+        memcpy(out + k + (na - i), b + j, (size_t)(nb - j) * sizeof(T));       \
+    }
+
+KERNELS(int64_t, i64)
+KERNELS(uint64_t, u64)
+KERNELS(double, f64)
+
+/* Integer sums wrap modulo 2**64 like ndarray.sum; float sums are left to
+ * NumPy over the compacted matches, because its pairwise order is the
+ * contract (a running C sum rounds differently). */
+#define INTEGER_SUMS(T, S)                                                     \
+                                                                               \
+    int64_t sum_range_##S(const T *a, int64_t n, T low, T high, uint64_t *sum) \
+    {                                                                          \
+        uint64_t total = 0;                                                    \
+        int64_t count = 0;                                                     \
+        for (int64_t k = 0; k < n; k++) {                                      \
+            T v = a[k];                                                        \
+            uint64_t hit = (v >= low) & (v <= high);                           \
+            total += (uint64_t)v & (0 - hit);                                  \
+            count += (int64_t)hit;                                             \
+        }                                                                      \
+        *sum = total;                                                          \
+        return count;                                                          \
+    }
+
+INTEGER_SUMS(int64_t, i64)
+INTEGER_SUMS(uint64_t, u64)
+
+/* Order-preserving uint64 keys (core/keys.py): int64 biased by the sign bit;
+ * float64 by the IEEE-754 trick (flip the sign bit of non-negatives, all bits
+ * of negatives). */
+#define SIGN_BIT 0x8000000000000000ull
+
+static inline uint64_t order_key_i64(int64_t v) { return (uint64_t)v ^ SIGN_BIT; }
+
+static inline uint64_t order_key_f64(double v)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    return bits ^ ((0 - (bits >> 63)) | SIGN_BIT);
+}
+
+#define KEY_KERNELS(T, S)                                                      \
+                                                                               \
+    /* The scatter above, with the bucket id taken from the value itself: one  \
+     * radix digit, ((key - base) >> shift) & mask — so no id array is ever    \
+     * written or read.  counts and ends hold mask + 1 slots. */               \
+    void scatter_radix_##S(const T *values, int64_t n, uint64_t base,          \
+                           int64_t shift, uint64_t mask, int64_t *counts,      \
+                           int64_t *ends, T *out)                              \
+    {                                                                          \
+        memset(counts, 0, (size_t)(mask + 1) * sizeof(int64_t));               \
+        for (int64_t k = 0; k < n; k++)                                        \
+            counts[((order_key_##S(values[k]) - base) >> shift) & mask] += 1;  \
+        int64_t at = 0;                                                        \
+        for (uint64_t b = 0; b <= mask; b++) {                                 \
+            ends[b] = at;                                                      \
+            at += counts[b];                                                   \
+        }                                                                      \
+        for (int64_t k = 0; k < n; k++) {                                      \
+            T v = values[k];                                                   \
+            out[ends[((order_key_##S(v) - base) >> shift) & mask]++] = v;      \
+        }                                                                      \
+    }                                                                          \
+                                                                               \
+    /* Equi-height routing: how many of the sorted bounds are <= each value    \
+     * (np.searchsorted side="right"; NaN sorts after every bound), values     \
+     * compared as doubles like NumPy.  A uniform grid over the bounds'        \
+     * domain proposes the bucket of the value's cell (`cells`, n_cells slots  \
+     * of scratch, filled here); the proposal is then corrected against the    \
+     * neighbouring bounds, which moves it for the few values whose cell       \
+     * straddles a bound and makes rounding in the grid arithmetic harmless. */\
+    void route_bounds_##S(const T *values, int64_t n, const double *bounds,    \
+                          int64_t n_bounds, int64_t *cells, int64_t n_cells,   \
+                          int64_t *ids)                                        \
+    {                                                                          \
+        double low = n_bounds ? bounds[0] : 0.0;                               \
+        double span = n_bounds ? bounds[n_bounds - 1] - low : 0.0;             \
+        double scale = span > 0 && span <= 1.7976931348623157e308              \
+                           ? (double)n_cells / span : 0.0;                     \
+        int64_t at = 0;                                                        \
+        for (int64_t c = 0; c < n_cells; c++) {                                \
+            double edge = scale > 0 ? low + (double)c / scale : low;           \
+            while (at < n_bounds && bounds[at] <= edge)                        \
+                at++;                                                          \
+            cells[c] = at;                                                     \
+        }                                                                      \
+        double last = (double)(n_cells - 1);                                   \
+        for (int64_t k = 0; k < n; k++) {                                      \
+            double x = (double)values[k];                                      \
+            double cell = (x - low) * scale;                                   \
+            cell = cell > 0 ? cell : 0; /* NaN lands here too */               \
+            cell = cell < last ? cell : last;                                  \
+            int64_t id = cells[(int64_t)cell];                                 \
+            while (id < n_bounds && bounds[id] <= x)                           \
+                id++;                                                          \
+            while (id > 0 && bounds[id - 1] > x)                               \
+                id--;                                                          \
+            ids[k] = x != x ? n_bounds : id;                                   \
+        }                                                                      \
+    }
+
+KEY_KERNELS(int64_t, i64)
+KEY_KERNELS(double, f64)

@@ -44,6 +44,7 @@ from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
+from repro import kernels
 from repro.baselines.full_index import FullIndex
 from repro.baselines.full_scan import FullScan
 from repro.core.calibration import CostConstants
@@ -626,6 +627,7 @@ class Database:
                 },
                 "checkpoint": checkpoint,
                 "memory": self._session.memory_status(),
+                "kernels": kernels.info(),
                 "indexes": self._session.status(),
             }
         )

@@ -4,25 +4,32 @@ Section 3.2 of the paper: "To avoid having to allocate large regions of
 sequential data for every bucket, the buckets are implemented as a linked
 list of blocks of memory that each hold up to ``sb`` elements."
 
-:class:`BlockList` reproduces that layout: appending allocates a new block
-whenever the current one is full, scans touch one block at a time (which is
-what the ``t_bscan = t_scan + phi * N / sb`` cost term models), and the list
-can be materialised into a contiguous array when a bucket is merged into the
-final sorted index.
+:class:`BlockList` keeps that layout's *accounting* — ``n_blocks`` is what
+the ``t_bscan = t_scan + phi * N / sb`` and allocation cost terms price —
+over the contiguous pieces the scatter kernel produced: appending to a
+bucket is one list append instead of a per-block copy loop, a read folds
+the pieces into one array first, and a bucket can be drained into the final
+sorted index when it is merged.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import List
 
 import numpy as np
 
+from repro import kernels
 from repro.core.calibration import DEFAULT_BLOCK_SIZE
 from repro.core.query import QueryResult
 
 
 class BlockList:
-    """An append-only list of values stored in fixed-size blocks.
+    """An append-only list of values, accounted in fixed-size blocks.
+
+    The values are held as the contiguous *pieces* they arrived in (one per
+    :meth:`append_array` or per :meth:`BucketSet.scatter` call that reached
+    this list); ``n_blocks`` / :meth:`memory_footprint` report the paper's
+    ``ceil(size / sb)`` blocks, which is what the cost model prices.
 
     Parameters
     ----------
@@ -31,6 +38,10 @@ class BlockList:
     dtype:
         Element dtype; defaults to ``int64`` to match the paper's 8-byte
         integers.
+    arena:
+        Optional :class:`~repro.storage.scratch.BlockArena`; when set,
+        copied-in pieces are slab views that spill past the memory budget
+        instead of anonymous allocations summing to O(N).
     """
 
     def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE, dtype=np.int64, arena=None) -> None:
@@ -38,18 +49,9 @@ class BlockList:
             raise ValueError(f"block_size must be positive, got {block_size}")
         self.block_size = int(block_size)
         self.dtype = np.dtype(dtype)
-        #: Optional :class:`~repro.storage.scratch.BlockArena`; when set,
-        #: blocks are slab views that spill past the memory budget instead
-        #: of anonymous ``np.empty`` allocations summing to O(N).
         self._arena = arena
-        self._blocks: List[np.ndarray] = []
-        self._last_fill = 0
+        self._pieces: List[np.ndarray] = []
         self._size = 0
-
-    def _new_block(self) -> np.ndarray:
-        if self._arena is not None:
-            return self._arena.new_block()
-        return np.empty(self.block_size, dtype=self.dtype)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -57,13 +59,13 @@ class BlockList:
 
     @property
     def n_blocks(self) -> int:
-        """Number of allocated blocks."""
-        return len(self._blocks)
+        """Number of ``block_size`` blocks the stored values fill."""
+        return -(-self._size // self.block_size)
 
     @property
     def n_allocations(self) -> int:
         """Alias of :attr:`n_blocks`; each block is one allocation (cost τ)."""
-        return len(self._blocks)
+        return self.n_blocks
 
     def memory_footprint(self) -> int:
         """Bytes allocated by the block list."""
@@ -71,109 +73,71 @@ class BlockList:
 
     # ------------------------------------------------------------------
     def append_array(self, values: np.ndarray, owned: bool = False) -> None:
-        """Append ``values`` (in order), allocating blocks as needed.
+        """Append ``values`` (in order) as one piece.
 
-        Bulk appends are vectorised: after topping up the partial tail
-        block, all completely filled blocks are materialised with a single
-        copy-and-reshape (each block is a row of one contiguous allocation)
-        instead of a per-block Python loop, and only the new partial tail is
-        filled element-wise.
-
-        ``owned=True`` asserts the caller relinquishes ``values`` (it is a
-        freshly materialised array no one else mutates): full blocks then
-        become zero-copy row views of it.  Only the partial tail — the one
-        block that is written after creation — is ever copied.
+        ``owned=True`` asserts the caller relinquishes ``values`` (a freshly
+        materialised array, or a slice of one, that no one else mutates):
+        it is kept as is.  Otherwise it is copied — into the arena's
+        spillable slabs under a memory budget.
         """
         values = np.asarray(values, dtype=self.dtype)
         if values.size == 0:
             return
-        offset = 0
-        # Top up the current partial tail block first.
-        if self._blocks and self._last_fill < self.block_size:
-            take = min(self.block_size - self._last_fill, values.size)
-            block = self._blocks[-1]
-            block[self._last_fill : self._last_fill + take] = values[:take]
-            self._last_fill += take
-            offset = take
-        remaining = values.size - offset
-        # All completely filled blocks at once: rows of a 2-D array are full
-        # blocks (they are created full and never written afterwards).
-        n_full = remaining // self.block_size
-        if n_full > 0 and self._arena is None:
-            stop = offset + n_full * self.block_size
-            region = values[offset:stop]
-            if not owned:
-                region = np.array(region, dtype=self.dtype)
-            bulk = region.reshape(n_full, self.block_size)
-            self._blocks.extend(bulk)
-            self._last_fill = self.block_size
-            offset = stop
-            remaining -= n_full * self.block_size
-        elif n_full > 0:
-            # Arena-backed: full blocks are copied into spillable slab views
-            # (the zero-copy path would pin the caller's anonymous array).
-            for _ in range(n_full):
-                block = self._new_block()
-                block[:] = values[offset : offset + self.block_size]
-                self._blocks.append(block)
-                offset += self.block_size
-            self._last_fill = self.block_size
-            remaining -= n_full * self.block_size
-        # The leftover partial tail gets a fresh, writable block.
-        if remaining > 0:
-            block = self._new_block()
-            block[:remaining] = values[offset:]
-            self._blocks.append(block)
-            self._last_fill = remaining
-        self._size += values.size
+        if not owned:
+            if self._arena is not None:
+                piece = self._arena.allocate(values.size)
+                piece[:] = values
+                values = piece
+            else:
+                values = values.copy()
+        self._adopt(values)
+
+    def _adopt(self, piece: np.ndarray) -> None:
+        self._pieces.append(piece)
+        self._size += piece.size
 
     def append(self, value) -> None:
         """Append a single value (convenience wrapper for tests)."""
-        self.append_array(np.asarray([value], dtype=self.dtype))
+        self.append_array(np.asarray([value], dtype=self.dtype), owned=True)
 
     # ------------------------------------------------------------------
-    def iter_filled(self) -> Iterator[np.ndarray]:
-        """Iterate over the filled portion of every block, in append order."""
-        for index, block in enumerate(self._blocks):
-            if index == len(self._blocks) - 1:
-                yield block[: self._last_fill]
-            else:
-                yield block
+    def _readable(self) -> List[np.ndarray]:
+        """The pieces, for reading.  Many small pieces are first folded into
+        one — a read touches every value anyway, and pays per piece — except
+        under a memory budget, where the copy would be one more slab that
+        only frees with its neighbours."""
+        if len(self._pieces) > 1 and self._arena is None:
+            self._pieces = [np.concatenate(self._pieces)]
+        return self._pieces
 
     def scan(self, low, high) -> QueryResult:
         """Predicated scan of all stored values against ``[low, high]``."""
         total = QueryResult.empty()
-        for chunk in self.iter_filled():
-            mask = (chunk >= low) & (chunk <= high)
-            total += QueryResult.from_masked(chunk, mask)
+        for piece in self._readable():
+            total += QueryResult.from_range(piece, low, high)
         return total
 
     def to_array(self) -> np.ndarray:
         """Concatenate the stored values into a single contiguous array."""
-        if not self._blocks:
+        if not self._pieces:
             return np.empty(0, dtype=self.dtype)
-        return np.concatenate(list(self.iter_filled()))
+        return np.concatenate(self._pieces)  # always a copy
 
     def _iter_range(self, start: int, count: int):
-        """Yield the block pieces covering logical range ``[start, start+count)``.
-
-        Clamps the range to the stored data and walks the filled blocks,
-        yielding each overlapping piece in order.
-        """
+        """Yield the parts of pieces covering logical range ``[start, start+count)``,
+        clamped to the stored data, in order."""
         if count <= 0:
             return
         start = max(0, start)
         stop = min(self._size, start + count)
-        block_start = 0
-        for chunk in self.iter_filled():
-            block_stop = block_start + chunk.size
-            if block_stop > start and block_start < stop:
-                lo = max(0, start - block_start)
-                hi = min(chunk.size, stop - block_start)
-                yield chunk[lo:hi]
-            block_start = block_stop
-            if block_start >= stop:
+        piece_start = 0
+        for piece in self._readable():
+            if piece_start >= stop:
                 break
+            piece_stop = piece_start + piece.size
+            if piece_stop > start:
+                yield piece[max(0, start - piece_start) : stop - piece_start]
+            piece_start = piece_stop
 
     def slice_array(self, start: int, count: int) -> np.ndarray:
         """Return ``count`` elements starting at logical offset ``start``.
@@ -181,32 +145,26 @@ class BlockList:
         Used by the progressive merge step, which drains a bucket a bounded
         number of elements at a time.
         """
-        pieces = list(self._iter_range(start, count))
-        if not pieces:
+        parts = list(self._iter_range(start, count))
+        if len(parts) == 1:
+            return parts[0]  # a view: callers only read it
+        if not parts:
             return np.empty(0, dtype=self.dtype)
-        return np.concatenate(pieces)
+        return np.concatenate(parts)
 
     def drain_into(self, target: np.ndarray, target_start: int, start: int, count: int) -> int:
-        """Copy ``count`` elements from logical offset ``start`` into
-        ``target[target_start:]``, block by block.
-
-        The merge-loop primitive of the construction-kernel layer: draining a
-        bucket into its final-array segment copies each block straight into
-        place instead of materialising an intermediate concatenation
-        (:meth:`slice_array`) that is immediately copied again.  Returns the
-        number of elements copied.
-        """
+        """Copy ``count`` elements from logical offset ``start`` straight into
+        ``target[target_start:]``; returns the number of elements copied."""
         copied = 0
-        for piece in self._iter_range(start, count):
+        for part in self._iter_range(start, count):
             position = target_start + copied
-            target[position : position + piece.size] = piece
-            copied += piece.size
+            target[position : position + part.size] = part
+            copied += part.size
         return copied
 
     def clear(self) -> None:
-        """Release all blocks."""
-        self._blocks = []
-        self._last_fill = 0
+        """Release all stored values."""
+        self._pieces = []
         self._size = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
@@ -231,6 +189,7 @@ class BucketSet:
         self.n_buckets = int(n_buckets)
         self.block_size = int(block_size)
         self.dtype = np.dtype(dtype)
+        self._arena = arena
         self.buckets: List[BlockList] = [
             BlockList(block_size=block_size, dtype=dtype, arena=arena)
             for _ in range(n_buckets)
@@ -245,47 +204,40 @@ class BucketSet:
     def scatter(self, values: np.ndarray, bucket_ids: np.ndarray) -> None:
         """Append each value to the bucket named by ``bucket_ids`` (stable).
 
-        One grouped scatter per chunk: a single stable argsort of the bucket
-        ids clusters the chunk by bucket, ``np.bincount`` provides the group
-        offsets, and every non-empty bucket receives one contiguous slice.
-        The per-chunk work is ``O(n log b)`` regardless of the fan-out,
-        versus the ``O(n * b)`` of the masked reference scatter
-        (:meth:`scatter_masked`), and within-bucket input order is preserved.
+        One counting-sort pass per chunk (:func:`repro.kernels.scatter`)
+        groups the chunk by bucket into one buffer — the arena's under a
+        memory budget — and every non-empty bucket receives its slice of it:
+        ``O(n)`` regardless of the fan-out, within-bucket input order kept.
         """
         values = np.asarray(values, dtype=self.dtype)
         bucket_ids = np.asarray(bucket_ids)
-        if values.size == 0:
-            return
-        # Stable argsort on integer keys is a radix sort whose pass count
-        # follows the key width: bucket ids normally fit one or two bytes,
-        # so narrowing them first makes the grouping ~8x faster than sorting
-        # int64 ids.  Fan-outs beyond uint16 keep their original width.
-        if bucket_ids.itemsize > 2 and self.n_buckets <= 65536:
-            narrow = np.uint8 if self.n_buckets <= 256 else np.uint16
-            bucket_ids = bucket_ids.astype(narrow)
-        order = np.argsort(bucket_ids, kind="stable")
-        counts = np.bincount(bucket_ids, minlength=self.n_buckets)
-        grouped = values[order]
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        for bucket_id in np.flatnonzero(counts):
-            # ``grouped`` is freshly materialised and owned by this call, so
-            # full blocks can be zero-copy views of it.
-            self.buckets[int(bucket_id)].append_array(
-                grouped[offsets[bucket_id] : offsets[bucket_id + 1]], owned=True
-            )
+        if bucket_ids.dtype != np.int64:
+            bucket_ids = bucket_ids.astype(np.int64)
+        if values.size:
+            grouped = self._grouped_buffer(values.size)
+            self._distribute(grouped, *kernels.scatter(values, bucket_ids, self.n_buckets, grouped))
 
-    def scatter_masked(self, values: np.ndarray, bucket_ids: np.ndarray) -> None:
-        """Reference scatter: one boolean mask per distinct bucket id.
-
-        This is the pre-kernel-layer implementation, kept verbatim as the
-        equivalence oracle for :meth:`scatter` and as the baseline of the
-        construction-throughput benchmark.
-        """
+    def scatter_radix(self, values: np.ndarray, base: int, shift: int) -> None:
+        """:meth:`scatter` by the radix digit ``((key - base) >> shift) %
+        n_buckets`` of every value's order key (``n_buckets`` a power of two;
+        see :class:`~repro.core.keys.RadixKeySpace`), computed inside the
+        kernel instead of being passed in."""
         values = np.asarray(values, dtype=self.dtype)
-        bucket_ids = np.asarray(bucket_ids)
-        for bucket_id in np.unique(bucket_ids):
-            mask = bucket_ids == bucket_id
-            self.buckets[int(bucket_id)].append_array(values[mask])
+        if values.size:
+            grouped = self._grouped_buffer(values.size)
+            self._distribute(grouped, *kernels.scatter_radix(
+                values, base, shift, self.n_buckets - 1, grouped))
+
+    def _grouped_buffer(self, n_rows: int) -> np.ndarray:
+        if self._arena is not None:
+            return self._arena.allocate(n_rows)
+        return np.empty(n_rows, dtype=self.dtype)
+
+    def _distribute(self, grouped: np.ndarray, counts: np.ndarray, ends: np.ndarray) -> None:
+        buckets = self.buckets
+        for bucket_id, (count, end) in enumerate(zip(counts.tolist(), ends.tolist())):
+            if count:
+                buckets[bucket_id]._adopt(grouped[end - count : end])
 
     def scan(self, low, high, bucket_range: range | None = None) -> QueryResult:
         """Scan the given buckets (all by default) for values in ``[low, high]``."""

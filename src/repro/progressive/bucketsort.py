@@ -39,6 +39,7 @@ from typing import Deque, List, Optional
 
 import numpy as np
 
+from repro import kernels
 from repro.btree.cascade import DEFAULT_FANOUT
 from repro.core.calibration import DEFAULT_BLOCK_SIZE, CostConstants
 from repro.core.cost_model import CostBreakdown
@@ -53,54 +54,24 @@ from repro.storage.column import Column
 #: Default number of equi-height buckets (matches the radix variants).
 DEFAULT_BUCKET_COUNT = 64
 
-#: Grid cells per bucket used by the routing accelerator.
-GRID_CELLS_PER_BUCKET = 16
-
-
 class BoundsRouter:
-    """Grid-accelerated bucket routing over value-based bucket boundaries.
+    """Bucket routing over value-based bucket boundaries.
 
     Locating an element's equi-height bucket is a binary search over the
-    boundaries — the ``log2(b)`` term of the creation cost model — and on
-    random data every probe is a mispredicted branch, which makes the plain
-    vectorised ``np.searchsorted`` the dominant cost of the creation-phase
-    scatter.  The router overlays a uniform grid on the value domain and
-    precomputes, per cell, the bucket of the cell's lower edge.  Routing a
-    chunk is then one multiply + gather per element; the proposed bucket is
-    *verified* exactly against the neighbouring boundaries (so float
-    rounding in the grid arithmetic can never mis-route), and only the
-    elements that fail verification — those in cells straddling a boundary,
-    about ``n_bounds / n_cells`` of the data — fall back to the binary
-    search.  Degenerate domains (zero or non-finite span) disable the grid
-    and route everything through ``np.searchsorted`` unchanged.
+    boundaries — the ``log2(b)`` term of the creation cost model.  The
+    search itself is :func:`repro.kernels.route_bounds` (grid-accelerated
+    on both backends, always identical to ``np.searchsorted``); the router
+    is the boundaries it runs over.  The value domain callers pass is no
+    longer needed: the grid spans the boundaries themselves.
     """
 
-    def __init__(self, bounds: np.ndarray, value_min, value_max) -> None:
+    def __init__(self, bounds: np.ndarray, value_min=None, value_max=None) -> None:
         self.bounds = np.asarray(bounds, dtype=np.float64)
-        self._low = float(value_min)
-        span = float(value_max) - self._low
-        n_cells = max(1, GRID_CELLS_PER_BUCKET * (self.bounds.size + 1))
-        self._scale = n_cells / span if np.isfinite(span) and span > 0 else 0.0
-        if self._scale > 0 and np.isfinite(self._scale):
-            edges = self._low + np.arange(n_cells) / self._scale
-            self._cell_bucket = np.searchsorted(self.bounds, edges, side="right")
-            self._padded = np.concatenate([[-np.inf], self.bounds, [np.inf]])
-            self._n_cells = n_cells
-        else:
-            self._cell_bucket = None
 
     def route(self, values: np.ndarray) -> np.ndarray:
         """Bucket id of every value (identical to the plain binary search)."""
-        if self._cell_bucket is None:
-            return np.searchsorted(self.bounds, values, side="right")
-        cells = ((values - self._low) * self._scale).astype(np.int64)
-        np.clip(cells, 0, self._n_cells - 1, out=cells)
-        ids = self._cell_bucket[cells]
-        verified = (self._padded[ids] <= values) & (values < self._padded[ids + 1])
-        misses = np.flatnonzero(~verified)
-        if misses.size:
-            ids[misses] = np.searchsorted(self.bounds, values[misses], side="right")
-        return ids
+        return kernels.route_bounds(np.asarray(values), self.bounds)
+
 
 #: Number of elements sampled to estimate the equi-height bucket boundaries.
 #: The paper obtains the bounds "in the scan to answer the first query or

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.btree.cascade import DEFAULT_FANOUT
 from repro.core.calibration import CostConstants
 from repro.core.cost_model import CostBreakdown
@@ -211,13 +212,11 @@ class ProgressiveQuicksort(ProgressiveIndexBase):
         for offset in range(start, stop, step):
             chunk = self._column.data[offset : min(stop, offset + step)]
             chunk = np.asarray(chunk)
-            mask = chunk < self._pivot
-            lows = chunk[mask]
-            highs = chunk[~mask]
-            self._index_array[self._low_fill : self._low_fill + lows.size] = lows
-            self._low_fill += lows.size
-            self._index_array[self._high_fill - highs.size : self._high_fill] = highs
-            self._high_fill -= highs.size
+            below = kernels.partition_chunk(
+                chunk, self._pivot, self._index_array, self._low_fill, self._high_fill
+            )
+            self._low_fill += below
+            self._high_fill -= chunk.size - below
         self._elements_copied = stop
 
     def _query_creation_pieces(self, predicate: Predicate) -> QueryResult:
@@ -227,10 +226,10 @@ class ProgressiveQuicksort(ProgressiveIndexBase):
             return result
         if predicate.low < self._pivot and self._low_fill > 0:
             segment = self._index_array[: self._low_fill]
-            result += QueryResult.from_masked(segment, predicate.mask(segment))
+            result += QueryResult.from_range(segment, predicate.low, predicate.high)
         if predicate.high >= self._pivot and self._high_fill < self._index_array.size:
             segment = self._index_array[self._high_fill :]
-            result += QueryResult.from_masked(segment, predicate.mask(segment))
+            result += QueryResult.from_range(segment, predicate.low, predicate.high)
         return result
 
     def _enter_refinement(self) -> None:

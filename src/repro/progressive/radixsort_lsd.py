@@ -194,9 +194,6 @@ class ProgressiveRadixsortLSD(ProgressiveIndexBase):
     # ------------------------------------------------------------------
     # Radix helpers
     # ------------------------------------------------------------------
-    def _pass_bucket_ids(self, values: np.ndarray, pass_number: int) -> np.ndarray:
-        return self._keyspace.digit(values, pass_number)
-
     def _point_bucket_id(self, value, pass_number: int) -> int:
         return self._keyspace.digit_scalar(value, pass_number)
 
@@ -254,7 +251,7 @@ class ProgressiveRadixsortLSD(ProgressiveIndexBase):
             step = self._stream_chunk_rows() or to_bucket
             for offset in range(start, stop, step):
                 chunk = np.asarray(self._column.data[offset : min(stop, offset + step)])
-                self._current_set.scatter(chunk, self._pass_bucket_ids(chunk, 0))
+                self._current_set.scatter_radix(chunk, self._keyspace.key_min, 0)
                 self._elements_bucketed += chunk.size
 
         if predicate.is_point:
@@ -314,8 +311,9 @@ class ProgressiveRadixsortLSD(ProgressiveIndexBase):
                 continue
             take = min(budget, remaining)
             chunk = bucket.slice_array(self._pass_offset_cursor, take)
-            ids = self._pass_bucket_ids(chunk, self._current_pass)
-            self._next_set.scatter(chunk, ids)
+            self._next_set.scatter_radix(
+                chunk, self._keyspace.key_min, self._current_pass * self.bits_per_pass
+            )
             self._pass_offset_cursor += chunk.size
             self._pass_moved += chunk.size
             moved += chunk.size
@@ -373,13 +371,13 @@ class ProgressiveRadixsortLSD(ProgressiveIndexBase):
                 remaining = bucket.slice_array(
                     self._pass_offset_cursor, len(bucket) - self._pass_offset_cursor
                 )
-                result += QueryResult.from_masked(remaining, predicate.mask(remaining))
+                result += QueryResult.from_range(remaining, predicate.low, predicate.high)
         else:  # MERGE stage
             last_pass = self._total_passes - 1
             bucket_id = self._point_bucket_id(predicate.low, last_pass)
             # Already merged elements live in the sorted prefix of the array.
             prefix = self._final_array[: self._merge_position]
-            result += QueryResult.from_masked(prefix, predicate.mask(prefix))
+            result += QueryResult.from_range(prefix, predicate.low, predicate.high)
             if bucket_id > self._merge_bucket_cursor:
                 result += self._current_set[bucket_id].scan(predicate.low, predicate.high)
             elif bucket_id == self._merge_bucket_cursor:
@@ -387,7 +385,7 @@ class ProgressiveRadixsortLSD(ProgressiveIndexBase):
                 remaining = bucket.slice_array(
                     self._merge_offset_cursor, len(bucket) - self._merge_offset_cursor
                 )
-                result += QueryResult.from_masked(remaining, predicate.mask(remaining))
+                result += QueryResult.from_range(remaining, predicate.low, predicate.high)
         return result
 
     def _refinement_cost(self, predicate: Predicate, delta: float) -> CostBreakdown:

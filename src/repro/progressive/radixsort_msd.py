@@ -326,7 +326,7 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
             step = self._stream_chunk_rows() or to_bucket
             for offset in range(start, stop, step):
                 chunk = np.asarray(self._column.data[offset : min(stop, offset + step)])
-                self._buckets.scatter(chunk, self._bucket_id(chunk))
+                self._buckets.scatter_radix(chunk, self._keyspace.key_min, self._shift)
                 self._elements_bucketed += chunk.size
 
         result = self._buckets.scan(predicate.low, predicate.high, bucket_range)
@@ -408,12 +408,9 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
                 take = min(budget, node.size - node.moved)
                 if take > 0:
                     chunk = node.source.slice_array(node.moved, take)
-                    relative = self._keyspace.relative_keys(chunk) - np.uint64(node.value_low)
-                    child_ids = np.minimum(
-                        (relative >> np.uint64(node.shift)).astype(np.int64),
-                        self.n_buckets - 1,
+                    node.child_set.scatter_radix(
+                        chunk, self._keyspace.key_min + node.value_low, node.shift
                     )
-                    node.child_set.scatter(chunk, child_ids)
                     node.moved += chunk.size
                     processed += chunk.size
                     budget -= chunk.size

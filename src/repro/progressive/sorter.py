@@ -16,17 +16,14 @@ The reorganisation follows the paper's recursive quicksort refinement:
 * once both children of a node are sorted the node is pruned
   (:class:`~repro.progressive.pivot_tree.PivotTree` handles propagation).
 
-Substitution note (documented in DESIGN.md): the paper performs the partition
-with predicated in-place swaps.  When the element budget covers a whole node,
-the partition is delegated to the construction-kernel layer — the
-:func:`~repro.cracking.kernels.choose_kernel` decision tree picks the
-branched / predicated / in-place two-sided kernel from the node size and the
-pivot's estimated selectivity, exactly as the cracking side does.  A node
-*larger* than the budget streams through a two-ended scratch buffer — the
-creation-phase mechanics — and writes back when the node completes.
-Per-query work remains bounded by the element budget and queries on a
-mid-partition node scan the still intact original range, so answers stay
-exact.
+Substitution note: the paper performs the partition with predicated
+in-place swaps.  Here it goes through the kernel seam (:mod:`repro.kernels`):
+when the element budget covers a whole node, the in-place two-sided kernel
+partitions it in one call; a node *larger* than the budget streams through a
+two-ended scratch buffer — the creation-phase mechanics, the resumable
+out-of-place kernel — and writes back when the node completes.  Per-query
+work remains bounded by the element budget and queries on a mid-partition
+node scan the still intact original range, so answers stay exact.
 """
 
 from __future__ import annotations
@@ -36,8 +33,8 @@ from typing import Deque, Optional
 
 import numpy as np
 
+from repro import kernels
 from repro.core.query import Predicate, QueryResult
-from repro.cracking.kernels import choose_kernel
 from repro.progressive.pivot_tree import NodeState, PivotNode, PivotTree
 
 #: Default number of elements below which a range is sorted outright.  This is
@@ -260,8 +257,7 @@ class ProgressiveSorter:
                     matched = segment[lo:hi]
                     result += QueryResult(matched.sum(), int(matched.size))
             else:
-                mask = predicate.mask(segment)
-                result += QueryResult.from_masked(segment, mask)
+                result += QueryResult.from_range(segment, predicate.low, predicate.high)
         return result
 
     def scanned_fraction(self, predicate: Predicate) -> float:
@@ -397,15 +393,9 @@ class ProgressiveSorter:
     def _partition_step(self, node: PivotNode, budget: int) -> int:
         """Advance the two-ended partition of ``node`` by up to ``budget`` elements."""
         if node.state is NodeState.PENDING and budget >= node.size:
-            # The whole node fits the budget: partition it in one pass with
-            # the kernel the decision tree picks for this size/selectivity.
-            span = node.value_span
-            selectivity = 0.5
-            if span > 0:
-                selectivity = min(1.0, max(0.0, (node.pivot - node.value_low) / span))
-            kernel = choose_kernel(node.size, selectivity)
+            # The whole node fits the budget: partition it in place, at once.
             segment = self.array[node.start : node.end]
-            boundary = node.start + kernel(segment, node.pivot)
+            boundary = node.start + kernels.partition_swap(segment, node.pivot)
             self._create_children(node, boundary)
             return node.size
         if node.state is NodeState.PENDING:
@@ -422,13 +412,11 @@ class ProgressiveSorter:
             return 0
         chunk_start = node.start + node.scanned
         chunk = self.array[chunk_start : chunk_start + take]
-        mask = chunk < node.pivot
-        lows = chunk[mask]
-        highs = chunk[~mask]
-        node.scratch[node.low_fill : node.low_fill + lows.size] = lows
-        node.low_fill += lows.size
-        node.scratch[node.high_fill - highs.size : node.high_fill] = highs
-        node.high_fill -= highs.size
+        below = kernels.partition_chunk(
+            chunk, node.pivot, node.scratch, node.low_fill, node.high_fill
+        )
+        node.low_fill += below
+        node.high_fill -= take - below
         node.scanned += take
         if node.scanned >= node.size:
             self.array[node.start : node.end] = node.scratch

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
@@ -60,9 +61,10 @@ class WorkLane:
     """
 
     def __init__(self, index) -> None:
-        #: Strong reference pinning the index (the scheduler keys lanes by
-        #: ``id(index)``, which must stay unique for the lane's lifetime).
-        self.index = index
+        #: Only the name: the scheduler keys lanes by ``id(index)`` and drops
+        #: a lane when its index is collected, so a lane must not keep the
+        #: index (and its arrays) alive after ``drop_index``.
+        self.name = getattr(index, "name", "?")
         self._rw = RWLock()
         self._owner: Optional[int] = None
         #: Number of operations that ran through the exclusive side.
@@ -92,7 +94,7 @@ class WorkLane:
         """Mutation guard hook: the calling thread must own the lane."""
         if self._owner != threading.get_ident():
             raise ConcurrencyError(
-                f"index {getattr(self.index, 'name', '?')!r} life-cycle mutation "
+                f"index {self.name!r} life-cycle mutation "
                 "from a thread that does not hold the exclusive work lane — "
                 "index work must be serialized through the scheduler"
             )
@@ -221,6 +223,7 @@ class ProgressiveScheduler:
                     lane = WorkLane(index)
                     index.lifecycle.set_mutation_guard(lane.assert_exclusive)
                     self._lanes[id(index)] = lane
+                    weakref.finalize(index, self._lanes.pop, id(index), None)
         return lane
 
     # ------------------------------------------------------------------
@@ -407,7 +410,7 @@ class ProgressiveScheduler:
                     for (cls, column), seconds in sorted(self._ledger.items())
                 },
                 "lanes": {
-                    f"{getattr(lane.index, 'name', '?')}@{key:#x}": {
+                    f"{lane.name}@{key:#x}": {
                         "serialized_ops": lane.serialized_ops,
                         "lockfree_reads": lane.lockfree_reads,
                     }

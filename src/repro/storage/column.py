@@ -33,6 +33,7 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
+from repro import kernels
 from repro.errors import DroppedColumnError, InvalidColumnError
 from repro.storage.delta import DeltaStore
 from repro.storage.lazy import (
@@ -118,8 +119,8 @@ class _ReadableColumn:
         """Predicated scan: sum and count of values in ``[low, high]``.
 
         Mirrors the paper's ``SELECT SUM(R.A) WHERE R.A BETWEEN low AND high``
-        executed with predication (no data-dependent branches): a boolean mask
-        is materialised and reduced regardless of selectivity.
+        executed with predication (no data-dependent branches, through
+        :func:`repro.kernels.range_sum_count`) regardless of selectivity.
 
         Parameters
         ----------
@@ -143,12 +144,7 @@ class _ReadableColumn:
                 chunk_rows=self._chunk_rows(),
             )
             return (total, count) if count else (view.dtype.type(0), 0)
-        segment = view[start:stop]
-        mask = (segment >= low) & (segment <= high)
-        count = int(np.count_nonzero(mask))
-        if count == 0:
-            return segment.dtype.type(0), 0
-        return segment[mask].sum(), count
+        return kernels.range_sum_count(view[start:stop], low, high)
 
     def scan_count(self, low, high, start: int = 0, stop: int | None = None) -> int:
         """Count of values in ``[low, high]`` within ``data[start:stop]``."""

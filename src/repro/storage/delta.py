@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.errors import InvalidColumnError
 
 
@@ -615,9 +616,7 @@ def merge_sorted_with_delta(
     Returns a new sorted array equal to ``sorted_values`` plus the inserts
     minus one occurrence per tombstone.
     """
+    combined = sorted_values
     if inserts_sorted.size:
-        combined = np.concatenate([sorted_values, inserts_sorted])
-        combined.sort(kind="stable")
-    else:
-        combined = sorted_values
+        combined = kernels.merge_sorted(sorted_values, inserts_sorted)
     return remove_tombstones(combined, tombstones_sorted)

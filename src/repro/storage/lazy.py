@@ -25,6 +25,8 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import kernels
+
 #: Default number of rows per streamed chunk when no budget says otherwise.
 DEFAULT_CHUNK_ROWS = 1 << 18
 
@@ -273,10 +275,9 @@ def chunked_scan_range(
     total = np.dtype(array.dtype).type(0)
     count = 0
     for _, chunk in array_chunks(array, chunk_rows, start=start, stop=stop):
-        mask = (chunk >= low) & (chunk <= high)
-        hits = int(np.count_nonzero(mask))
+        chunk_sum, hits = kernels.range_sum_count(chunk, low, high)
         if hits:
-            total = total + chunk[mask].sum()
+            total = total + chunk_sum
             count += hits
     return total, count
 

@@ -155,13 +155,14 @@ def trim_mapped(array: np.ndarray) -> None:
 
 
 class BlockArena:
-    """Fixed-size block supplier carving blocks out of spillable slabs.
+    """Supplier of block-list storage carved out of spillable slabs.
 
     The linked-block structures (:class:`~repro.progressive.blocks.BlockList`)
-    allocate one small ``np.empty`` per block; under a memory budget those
-    tiny anonymous allocations collectively reach O(N).  An arena instead
-    allocates large slabs through the :class:`ScratchAllocator` (which
-    spills them once past budget) and hands out block-sized views.
+    hold many small arrays; as anonymous allocations those collectively
+    reach O(N) and — each below the spill threshold — could never leave RAM.
+    An arena instead allocates large slabs through the
+    :class:`ScratchAllocator` (which spills them once past budget) and hands
+    out views: the scatter kernel's per-chunk output buffer, or a copy target.
     """
 
     def __init__(
@@ -174,19 +175,21 @@ class BlockArena:
         self.allocator = allocator
         self.block_size = int(block_size)
         self.dtype = np.dtype(dtype)
-        self.slab_blocks = max(1, int(slab_blocks))
+        self.slab_rows = self.block_size * max(1, int(slab_blocks))
         self._slab: np.ndarray | None = None
-        self._next_block = 0
+        self._used = 0
         self._lock = threading.Lock()
 
-    def new_block(self) -> np.ndarray:
-        """A writable array of ``block_size`` rows (a view into a slab)."""
+    def allocate(self, n_rows: int) -> np.ndarray:
+        """A writable array of ``n_rows`` rows: a view into the current slab,
+        or an allocation of its own when it is at least a slab long."""
+        n_rows = int(n_rows)
+        if n_rows >= self.slab_rows:
+            return self.allocator.allocate(n_rows, self.dtype)
         with self._lock:
-            if self._slab is None or self._next_block >= self.slab_blocks:
-                self._slab = self.allocator.allocate(
-                    self.block_size * self.slab_blocks, self.dtype
-                )
-                self._next_block = 0
-            start = self._next_block * self.block_size
-            self._next_block += 1
-            return self._slab[start : start + self.block_size]
+            if self._slab is None or self._used + n_rows > self.slab_rows:
+                self._slab = self.allocator.allocate(self.slab_rows, self.dtype)
+                self._used = 0
+            start = self._used
+            self._used += n_rows
+            return self._slab[start : start + n_rows]

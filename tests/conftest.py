@@ -5,14 +5,56 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.core.query import Predicate, QueryResult
 from repro.storage.column import Column
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--kernels", choices=("c", "numpy"), default=None,
+        help="kernel backend the whole run uses (default: what repro.kernels resolved)",
+    )
 
 
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: long-running soak/stress tests (deselect with -m 'not slow')"
     )
+    if config.getoption("--kernels"):
+        kernels.use_backend(config.getoption("--kernels"))
+
+
+def pytest_report_header(config):
+    return f"repro.kernels: {kernels.info()}"
+
+
+@pytest.fixture(params=["c", "numpy"])
+def kernel_backend(request):
+    """Run the test once per kernel backend (``c`` skipped where it did not build)."""
+    try:
+        previous = kernels.use_backend(request.param)
+    except RuntimeError as error:
+        pytest.skip(str(error))
+    yield request.param
+    kernels.use_backend(previous)
+
+
+def partition_branched(values: np.ndarray, pivot) -> int:
+    """Reference partition: the single-pass two-pointer loop, in pure Python.
+
+    The ground truth the seam's kernels are validated against; returns the
+    boundary (``values[:boundary] < pivot <= values[boundary:]``).
+    """
+    low = 0
+    high = int(values.size) - 1
+    while low <= high:
+        if values[low] < pivot:
+            low += 1
+        else:
+            values[low], values[high] = values[high], values[low]
+            high -= 1
+    return low
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro import kernels
 from repro.core.calibration import (
     DEFAULT_ELEMENTS_PER_PAGE,
     CostConstants,
@@ -43,7 +44,7 @@ class TestConstants:
     def test_calibrate_produces_positive_constants(self):
         constants = calibrate(n_elements=1 << 16)
         constants.validate()
-        assert constants.source == "measured"
+        assert constants.source == f"measured:{kernels.backend()}"
 
     def test_calibrate_rejects_tiny_arrays(self):
         with pytest.raises(CalibrationError):

@@ -13,7 +13,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.cracking.kernels import partition_predicated, partition_streamed
+from repro import kernels
+from repro.cracking.kernels import partition_predicated
 from repro.errors import PersistenceError
 from repro.persist.checkpoint import CheckpointManager
 from repro.persist.compress import (
@@ -143,7 +144,7 @@ def test_partition_streamed_matches_predicated():
         values = rng.integers(0, 1000, size).astype(np.int64)
         expected = np.sort(values.copy())
         streamed = values.copy()
-        boundary = partition_streamed(streamed, 500, chunk_rows=64)
+        boundary = kernels.partition_inplace(streamed, 500, chunk_rows=64)
         reference = values.copy()
         want_boundary = partition_predicated(reference, 500)
         assert boundary == want_boundary
@@ -155,8 +156,7 @@ def test_partition_streamed_matches_predicated():
 def test_partition_streamed_uses_scratch_allocator(tmp_path):
     allocator = ScratchAllocator(1 << 20, str(tmp_path))
     values = np.random.default_rng(6).integers(0, 100, 500_000).astype(np.int64)
-    boundary = partition_streamed(values, 50, chunk_rows=10_000,
-                                  scratch_allocator=allocator)
+    boundary = kernels.partition_inplace(values, 50, allocator.allocate, chunk_rows=10_000)
     assert np.all(values[:boundary] < 50) and np.all(values[boundary:] >= 50)
     assert allocator.stats()["spill_count"] >= 1
 

@@ -7,13 +7,9 @@ from hypothesis import strategies as st
 
 from repro.cracking.cracker_column import CrackerColumn, upper_exclusive
 from repro.cracking.cracker_index import AVLCrackerIndex, CrackerIndex
-from repro.cracking.kernels import (
-    choose_kernel,
-    partition_branched,
-    partition_predicated,
-    partition_two_sided,
-)
+from repro.cracking.kernels import partition_predicated, partition_two_sided
 from repro.storage.column import Column
+from tests.conftest import partition_branched
 
 
 class TestCrackerIndex:
@@ -244,9 +240,3 @@ class TestKernels:
             working = values.copy()
             results.append(kernel(working, pivot))
         assert len(set(results)) == 1
-
-    def test_choose_kernel_decision_tree(self):
-        assert choose_kernel(10, 0.5) is partition_branched
-        assert choose_kernel(10, 0.01) is partition_predicated
-        assert choose_kernel(10_000, 0.5) is partition_predicated
-        assert choose_kernel(10_000_000, 0.5) is partition_two_sided

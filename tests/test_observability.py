@@ -172,8 +172,14 @@ def _phase_children(spans: list[dict], parent: dict) -> list[dict]:
 class TestTracing:
     def test_where_spans_reconcile_under_cost_model(self):
         rng = np.random.default_rng(3)
-        data = rng.integers(0, 1_000_000, size=200_000).astype(np.int64)
-        session = IndexingSession(Column(data, name="ra"))
+        # Sized so that the budgeted work dwarfs the glue on the compiled
+        # kernels too (200k rows are a 1 ms query there).  The planner's first
+        # look at a column computes its min and max, which is neither: done
+        # before the clock starts.
+        data = rng.integers(0, 1_000_000, size=2_000_000).astype(np.int64)
+        column = Column(data, name="ra")
+        column.value_range()
+        session = IndexingSession(column)
         session.create_index(
             "ra", method="PQ", budget=CostModelGreedy(interactivity_budget=0.01)
         )
@@ -212,6 +218,26 @@ class TestTracing:
         # Sanity: the traced query really answered something.
         mask = (data >= 100) & (data <= 600_000)
         assert result.count == int(mask.sum())
+
+    def test_phase_spans_split_kernel_time_from_bookkeeping(self, kernel_backend):
+        data = np.random.default_rng(9).integers(0, 1_000_000, size=200_000)
+        session = IndexingSession(Column(data, name="ra"))
+        session.create_index("ra", method="PMSD", fixed_delta=0.25)
+        obs.configure(tracing=True)
+        tracer = obs.tracer()
+        tracer.clear()
+        for low in (0, 300_000, 600_000):
+            session.between("ra", low, low + 50_000)
+        spans = tracer.drain()
+        obs.configure(tracing=False)
+        phases = [s for s in spans if s["name"] in ("phase.creation", "phase.refinement")]
+        assert len(phases) == 3
+        for span in phases:
+            # Scans, scatters and partitions ran, and they are part of the span.
+            assert 0.0 < span["attrs"]["kernel_us"] <= span["duration"] * 1e6
+        assert session.status()["ra"]["kernels"]["backend"] == kernel_backend
+        sample = obs.metrics().find("kernels.backend", backend=kernel_backend)
+        assert sample is not None and sample["value"] == 1
 
     def test_trace_crosses_parallel_shard_worker_pipes(self):
         rng = np.random.default_rng(5)

@@ -21,7 +21,9 @@ Three properties of :class:`~repro.serve.scheduler.ProgressiveScheduler`:
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -93,6 +95,24 @@ class TestMutationGuard:
         session = _session()
         result = session.between("ra", 1_000, 100_000)
         assert result.count >= 0  # no ConcurrencyError
+
+    def test_a_dropped_index_takes_its_lane_with_it(self):
+        """A lane must not pin its index: a served session that re-creates an
+        index per cold round would otherwise keep every generation's arrays."""
+        session = _session()
+        scheduler = ProgressiveScheduler()
+        index = session.index_for("ra")
+        scheduler.lane_for(index)
+        dropped = weakref.ref(index)
+        del index
+        session.drop_index("ra")
+        gc.collect()
+        assert dropped() is None
+        assert scheduler.stats()["lanes"] == {}
+        # The next generation gets a lane of its own, guard included.
+        session.create_index("ra", method="PQ", budget=FixedDelta(0.25))
+        scheduler.lane_for(session.index_for("ra"))
+        assert len(scheduler.stats()["lanes"]) == 1
 
     def test_work_queue_admits_one_mutator_at_a_time(self):
         """8 racing threads, every query serialized, zero overlap observed."""
