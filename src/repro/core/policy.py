@@ -893,11 +893,14 @@ class PooledBudgetController:
             return budget
         return max(0.0, budget - float(base_seconds))
 
-    def charge(self, touched: int, granted_seconds: float) -> None:
-        """Account one logical query's per-shard grants."""
-        self.queries += 1
-        self.shards_charged += max(0, int(touched))
-        self.granted_seconds += max(0.0, float(granted_seconds))
+    def charge(self, touched: int, granted_seconds: float, queries: int = 1) -> None:
+        """Account the per-shard grants of one logical query — or of a
+        batch of ``queries`` that touched ``touched`` shards between them."""
+        self.queries += queries
+        if touched > 0:
+            self.shards_charged += int(touched)
+        if granted_seconds > 0.0:
+            self.granted_seconds += float(granted_seconds)
 
     def snapshot(self) -> dict:
         return {

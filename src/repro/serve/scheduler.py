@@ -41,7 +41,6 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro import obs
@@ -50,6 +49,27 @@ from repro.core.policy import CappedBudget
 from repro.errors import ConcurrencyError
 from repro.serve.connection import DEFAULT_CLASSES, ConnectionClass
 from repro.serve.sync import RWLock
+
+
+class _ExclusiveGuard:
+    """``with lane.exclusive():`` — a slot in the work queue; the lane
+    records its owner for the mutation guard while the slot is held."""
+
+    __slots__ = ("_lane",)
+
+    def __init__(self, lane: "WorkLane") -> None:
+        self._lane = lane
+
+    def __enter__(self) -> "WorkLane":
+        lane = self._lane
+        lane._rw.acquire_write()
+        lane._owner = threading.get_ident()
+        return lane
+
+    def __exit__(self, *exc) -> None:
+        lane = self._lane
+        lane._owner = None
+        lane._rw.release_write()
 
 
 class WorkLane:
@@ -72,23 +92,11 @@ class WorkLane:
         #: Number of structural reads that ran through the shared side.
         self.lockfree_reads = 0
 
-    @contextmanager
-    def exclusive(self):
-        self._rw.acquire_write()
-        self._owner = threading.get_ident()
-        try:
-            yield self
-        finally:
-            self._owner = None
-            self._rw.release_write()
+    def exclusive(self) -> _ExclusiveGuard:
+        return _ExclusiveGuard(self)
 
-    @contextmanager
     def shared(self):
-        self._rw.acquire_read()
-        try:
-            yield self
-        finally:
-            self._rw.release_read()
+        return self._rw.read()
 
     def assert_exclusive(self) -> None:
         """Mutation guard hook: the calling thread must own the lane."""

@@ -18,7 +18,39 @@ readers queue behind it, bounding writer latency under a read-heavy stream.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
+
+
+class _ReadGuard:
+    """``with lock.read():`` — a plain guard object, not a generator: the
+    read path enters two of these per query."""
+
+    __slots__ = ("_lock",)
+
+    def __init__(self, lock: "RWLock") -> None:
+        self._lock = lock
+
+    def __enter__(self) -> "RWLock":
+        self._lock.acquire_read()
+        return self._lock
+
+    def __exit__(self, *exc) -> None:
+        self._lock.release_read()
+
+
+class _WriteGuard:
+    """``with lock.write():`` — the exclusive twin of :class:`_ReadGuard`."""
+
+    __slots__ = ("_lock",)
+
+    def __init__(self, lock: "RWLock") -> None:
+        self._lock = lock
+
+    def __enter__(self) -> "RWLock":
+        self._lock.acquire_write()
+        return self._lock
+
+    def __exit__(self, *exc) -> None:
+        self._lock.release_write()
 
 
 class RWLock:
@@ -64,23 +96,13 @@ class RWLock:
             self._cond.notify_all()
 
     # ------------------------------------------------------------------
-    @contextmanager
-    def read(self):
+    def read(self) -> _ReadGuard:
         """``with lock.read():`` — shared acquisition."""
-        self.acquire_read()
-        try:
-            yield self
-        finally:
-            self.release_read()
+        return _ReadGuard(self)
 
-    @contextmanager
-    def write(self):
+    def write(self) -> _WriteGuard:
         """``with lock.write():`` — exclusive acquisition."""
-        self.acquire_write()
-        try:
-            yield self
-        finally:
-            self.release_write()
+        return _WriteGuard(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -96,14 +96,15 @@ class ShardedColumn(_ReadableColumn):
         self._min = None
         self._max = None
         self._dropped = False
-        # Base-extreme zone maps: immutable once built (bases never change).
-        self._base_mins = np.array([float(s.base_data.min()) for s in shards])
-        self._base_maxs = np.array([float(s.base_data.max()) for s in shards])
-        # Insert extremes per shard (delta-aware bounds only ever widen;
-        # deletes are conservatively ignored, so a pruned shard provably
-        # holds no qualifying row).
-        self._ins_min = np.full(layout.n_shards, np.inf)
-        self._ins_max = np.full(layout.n_shards, -np.inf)
+        # Delta-aware zone maps: the base extremes, widened by every insert
+        # (deletes are conservatively ignored, so a pruned shard provably
+        # holds no qualifying row).  Exact scalars in the column's domain —
+        # Python ints for an integer column: a float64 rounds an edge past
+        # 2**53 and would prune the shard that holds the row.
+        self._dtype = shards[0].base_data.dtype
+        self._mins = [s.base_data.min().item() for s in shards]
+        self._maxs = [s.base_data.max().item() for s in shards]
+        self._bounds: Optional[tuple] = None
         # Global insert rid k -> owning shard and shard-local rid.
         self._ins_shard = _GrowableArray(np.int64)
         self._ins_local = _GrowableArray(np.int64)
@@ -155,6 +156,11 @@ class ShardedColumn(_ReadableColumn):
     def version(self) -> int:
         """Monotone write version (sum of the shard versions)."""
         return sum(shard.version for shard in self._shards)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The shards' dtype (asking the visible rows would concatenate them)."""
+        return self._dtype
 
     @property
     def dropped(self) -> bool:
@@ -209,14 +215,30 @@ class ShardedColumn(_ReadableColumn):
     def shard_bounds(self) -> tuple:
         """Delta-aware per-shard ``(mins, maxs)`` zone maps.
 
-        Base extremes are computed once (bases are immutable); insert
-        extremes widen with every insert.  Deletes are ignored, so bounds
-        are conservative: a shard outside them provably contains no
-        qualifying row, while a shard inside them may still be empty.
+        Arrays in the column's dtype.  Deletes are ignored, so bounds are
+        conservative: a shard outside them provably contains no qualifying
+        row, while a shard inside them may still be empty.
         """
-        mins = np.minimum(self._base_mins, self._ins_min)
-        maxs = np.maximum(self._base_maxs, self._ins_max)
-        return mins, maxs
+        return self._zone_maps()[3:]
+
+    def _zone_maps(self) -> tuple:
+        """``(mins, maxs, ordered, min_array, max_array)`` for the router.
+
+        ``ordered`` says both scalar lists ascend (a range layout), so a
+        predicate's survivors are one run of shards found by bisection.
+        Rebuilt only after an insert widened a bound.
+        """
+        maps = self._bounds
+        if maps is None:
+            mins, maxs = self._mins, self._maxs
+            ordered = all(a <= b for a, b in zip(mins, mins[1:])) and all(
+                a <= b for a, b in zip(maxs, maxs[1:])
+            )
+            arrays = np.array(mins, dtype=self._dtype), np.array(maxs, dtype=self._dtype)
+            for array in arrays:  # shared by every caller until the next widening
+                array.setflags(write=False)
+            maps = self._bounds = (mins, maxs, ordered, *arrays)
+        return maps
 
     # ------------------------------------------------------------------
     # Global rid mapping
@@ -265,7 +287,7 @@ class ShardedColumn(_ReadableColumn):
         offsets = self._layout.offsets
         base_parts: List[np.ndarray] = []
         insert_parts: List[np.ndarray] = []
-        mins, maxs = self.shard_bounds()
+        mins, maxs = self._mins, self._maxs
         for shard_number, shard in enumerate(self._shards):
             if maxs[shard_number] < low or mins[shard_number] > high:
                 continue  # zone map: provably no qualifying rows
@@ -343,12 +365,12 @@ class ShardedColumn(_ReadableColumn):
             self._shard_ins_global[shard_number].append(
                 start + np.flatnonzero(sel).astype(np.int64)
             )
-            chunk_min = float(np.min(chunk))
-            chunk_max = float(np.max(chunk))
-            if chunk_min < self._ins_min[shard_number]:
-                self._ins_min[shard_number] = chunk_min
-            if chunk_max > self._ins_max[shard_number]:
-                self._ins_max[shard_number] = chunk_max
+            chunk_min = self._dtype.type(chunk.min()).item()
+            chunk_max = self._dtype.type(chunk.max()).item()
+            if chunk_min < self._mins[shard_number]:
+                self._mins[shard_number], self._bounds = chunk_min, None
+            if chunk_max > self._maxs[shard_number]:
+                self._maxs[shard_number], self._bounds = chunk_max, None
         self._ins_shard.append(shard_ids)
         self._ins_local.append(local_rids)
         self._invalidate()

@@ -20,6 +20,11 @@ and the differential tests treat them interchangeably:
   owning workers as explicit small operations over the same FIFO pipes that
   carry queries, so a worker always applies a write before any later query.
 
+Every answer of the parallel executor carries a small per-shard state echo
+(:func:`shard_report`) — the only way worker-side phase, convergence and
+pending-merge state reaches the parent.  The serial executor sends none:
+its indexes live in the parent, where the facade reads them directly.
+
 The per-shard interactivity cap is enforced here, worker-side, where the
 index's cost model lives: :func:`execute_shard_query` turns the pooled
 controller's per-shard total-time target ``τ_s`` into a
@@ -54,7 +59,7 @@ REPLY_TIMEOUT_SECONDS = 600.0
 # Shared per-shard execution helpers (used by both executors and workers)
 # ----------------------------------------------------------------------
 def execute_shard_query(
-    index: BaseIndex, low, high, shard_budget: Optional[float]
+    index: BaseIndex, predicate: Predicate, shard_budget: Optional[float]
 ) -> Tuple[object, float]:
     """Run one capped query against a shard index.
 
@@ -67,7 +72,6 @@ def execute_shard_query(
     A converged shard with no merge due makes no budget decision at all, so
     it takes the index's steady read as is: nothing to cap, nothing granted.
     """
-    predicate = Predicate(low, high)
     if index.converged and not index.has_pending_merge():
         return index.query(predicate), 0.0
     if shard_budget is None or shard_budget == float("inf"):
@@ -112,7 +116,7 @@ def shard_status(index: BaseIndex) -> dict:
     }
 
 
-def _run_shard_batch(index: BaseIndex, lows, highs) -> Tuple[list, list, dict]:
+def _run_shard_batch(index: BaseIndex, lows, highs) -> Tuple[list, list]:
     """Execute a per-shard sub-batch through the standard batch machinery.
 
     Reuses :class:`~repro.engine.batch.BatchExecutor` unchanged, so the
@@ -126,7 +130,7 @@ def _run_shard_batch(index: BaseIndex, lows, highs) -> Tuple[list, list, dict]:
     batch = BatchExecutor().execute(index, predicates)
     sums = [result.value_sum for result in batch.results]
     counts = [int(result.count) for result in batch.results]
-    return sums, counts, shard_report(index)
+    return sums, counts
 
 
 # ----------------------------------------------------------------------
@@ -150,52 +154,45 @@ class SerialShardExecutor:
         return self._indexes
 
     def query(
-        self, shard_numbers: Sequence[int], low, high, shard_budget: Optional[float],
-        trace_ctx: Optional[dict] = None,
-    ) -> Dict[int, tuple]:
-        """``{shard: (value_sum, count, granted_seconds, report)}``.
+        self, shard_numbers: Sequence[int], predicate: Predicate,
+        shard_budget: Optional[float], trace_ctx: Optional[dict] = None,
+    ) -> tuple:
+        """``(value_sum, count, granted_seconds, reports)`` over the shards.
 
         ``trace_ctx`` is accepted for signature parity with the parallel
         executor; in-process the tracer's ambient current span already
         parents the per-shard spans.
         """
         tracer = obs.tracer()
-        answers: Dict[int, tuple] = {}
+        tracing = tracer.enabled
+        value_sum = count = 0
+        granted = 0.0
         for shard_number in shard_numbers:
-            index = self._indexes[int(shard_number)]
-            if tracer.enabled:
-                with tracer.span("shard.query", shard=int(shard_number)):
-                    result, granted = execute_shard_query(index, low, high, shard_budget)
+            index = self._indexes[shard_number]
+            if tracing:
+                with tracer.span("shard.query", shard=shard_number):
+                    result, seconds = execute_shard_query(index, predicate, shard_budget)
             else:
-                result, granted = execute_shard_query(index, low, high, shard_budget)
-            answers[int(shard_number)] = (
-                result.value_sum,
-                int(result.count),
-                granted,
-                shard_report(index),
-            )
-        return answers
+                result, seconds = execute_shard_query(index, predicate, shard_budget)
+            value_sum += result.value_sum
+            count += result.count
+            granted += seconds
+        return value_sum, count, granted, {}
 
-    def execute_batch(self, per_shard: Dict[int, tuple]) -> Dict[int, tuple]:
-        """``{shard: (sums, counts, report)}`` for per-shard sub-batches."""
-        answers: Dict[int, tuple] = {}
-        for shard_number, (lows, highs) in per_shard.items():
-            answers[int(shard_number)] = _run_shard_batch(
-                self._indexes[int(shard_number)], lows, highs
-            )
-        return answers
+    def execute_batch(self, per_shard: Dict[int, tuple]) -> tuple:
+        """``({shard: (sums, counts)}, reports)`` for per-shard sub-batches."""
+        answers = {
+            shard_number: _run_shard_batch(self._indexes[shard_number], lows, highs)
+            for shard_number, (lows, highs) in per_shard.items()
+        }
+        return answers, {}
 
     def search_many(self, per_shard: Dict[int, tuple]) -> Dict[int, Optional[tuple]]:
         """Read-only vectorized lookups; ``None`` per shard that cannot yet."""
-        answers: Dict[int, Optional[tuple]] = {}
-        for shard_number, (lows, highs) in per_shard.items():
-            answered = self._indexes[int(shard_number)].search_many(lows, highs)
-            if answered is None:
-                answers[int(shard_number)] = None
-            else:
-                sums, counts = answered
-                answers[int(shard_number)] = (list(sums), [int(c) for c in counts])
-        return answers
+        return {
+            shard_number: self._indexes[shard_number].search_many(lows, highs)
+            for shard_number, (lows, highs) in per_shard.items()
+        }
 
     def status(self) -> Dict[int, dict]:
         return {
@@ -290,53 +287,38 @@ def _worker_main(connection, shard_numbers: List[int], spec: dict) -> None:
                     f"a forwarded shard write failed in this worker:\n{error}"
                 )
             if kind == "query":
-                # Traced dispatches wrap the items in a dict carrying the
-                # parent's trace context; the worker activates it, captures
-                # every span finished inside, and ships them back in the
-                # reply so the parent's trace shows the per-shard children.
-                trace_ctx = None
-                items = payload
-                if isinstance(payload, dict):
-                    trace_ctx = payload.get("trace")
-                    items = payload["items"]
+                # The dispatch carries the parent's trace context (``None``
+                # untraced); the worker activates it, captures every span
+                # finished inside, and ships them back with the answers so
+                # the parent's trace shows the per-shard children.
                 tracer = obs.tracer()
-                with tracer.collect(trace_ctx) as captured:
+                with tracer.collect(payload["trace"]) as captured:
                     answers = {}
-                    for shard_number, low, high, shard_budget in items:
-                        if trace_ctx is not None:
-                            with tracer.span("shard.query", shard=shard_number,
-                                             worker_pid=os.getpid()):
-                                result, granted = execute_shard_query(
-                                    indexes[shard_number], low, high, shard_budget
-                                )
-                        else:
+                    for shard_number, low, high, shard_budget in payload["items"]:
+                        index = indexes[shard_number]
+                        with tracer.span("shard.query", shard=shard_number,
+                                         worker_pid=os.getpid()):
                             result, granted = execute_shard_query(
-                                indexes[shard_number], low, high, shard_budget
+                                index, Predicate(low, high), shard_budget
                             )
                         answers[shard_number] = (
-                            result.value_sum,
-                            int(result.count),
-                            granted,
-                            shard_report(indexes[shard_number]),
+                            result.value_sum, int(result.count), granted,
+                            shard_report(index),
                         )
-                if trace_ctx is not None:
-                    reply = {"answers": answers, "spans": captured}
-                else:
-                    reply = answers
+                reply = {"answers": answers, "spans": captured}
             elif kind == "batch":
                 reply = {
-                    shard_number: _run_shard_batch(indexes[shard_number], lows, highs)
+                    shard_number: (
+                        _run_shard_batch(indexes[shard_number], lows, highs),
+                        shard_report(indexes[shard_number]),
+                    )
                     for shard_number, lows, highs in payload
                 }
             elif kind == "search":
-                reply = {}
-                for shard_number, lows, highs in payload:
-                    answered = indexes[shard_number].search_many(lows, highs)
-                    if answered is None:
-                        reply[shard_number] = None
-                    else:
-                        sums, counts = answered
-                        reply[shard_number] = (list(sums), [int(c) for c in counts])
+                reply = {
+                    shard_number: indexes[shard_number].search_many(lows, highs)
+                    for shard_number, lows, highs in payload
+                }
             elif kind == "insert":
                 for shard_number, values in payload:
                     columns[shard_number].insert(values)
@@ -505,54 +487,56 @@ class ParallelShardExecutor:
 
     # ------------------------------------------------------------------
     def query(
-        self, shard_numbers: Sequence[int], low, high, shard_budget: Optional[float],
-        trace_ctx: Optional[dict] = None,
-    ) -> Dict[int, tuple]:
+        self, shard_numbers: Sequence[int], predicate: Predicate,
+        shard_budget: Optional[float], trace_ctx: Optional[dict] = None,
+    ) -> tuple:
+        """``(value_sum, count, granted_seconds, {shard: report})``.
+
+        ``trace_ctx`` rides along over the pipes; the workers' captured
+        child spans are merged into this process's tracer.
+        """
         items = [
-            (int(shard_number), low, high, shard_budget)
+            (int(shard_number), predicate.low, predicate.high, shard_budget)
             for shard_number in shard_numbers
         ]
-        if trace_ctx is None:
-            tasks = {
-                worker: ("query", grouped)
-                for worker, grouped in self._group(items).items()
-            }
-            return self._dispatch(tasks)
-        # Traced dispatch: forward the trace context over the pipes and
-        # merge the workers' captured child spans into this process's
-        # tracer before returning the answers.
         tasks = {
             worker: ("query", {"items": grouped, "trace": trace_ctx})
             for worker, grouped in self._group(items).items()
         }
-        merged: Dict[int, tuple] = {}
-        tracer = obs.tracer()
+        answers: Dict[int, tuple] = {}
         for payload in self._collect(tasks).values():
-            merged.update(payload["answers"])
-            tracer.ingest(payload["spans"])
-        return merged
+            answers.update(payload["answers"])
+            obs.tracer().ingest(payload["spans"])
+        value_sum = count = 0
+        granted = 0.0
+        reports = {}
+        for shard_number in sorted(answers):
+            shard_sum, shard_count, seconds, reports[shard_number] = answers[shard_number]
+            value_sum += shard_sum
+            count += shard_count
+            granted += seconds
+        return value_sum, count, granted, reports
 
-    def execute_batch(self, per_shard: Dict[int, tuple]) -> Dict[int, tuple]:
+    def _fan_out(self, kind: str, per_shard: Dict[int, tuple]) -> Dict[int, object]:
+        """Send per-shard ``(lows, highs)`` sub-batches to the owning workers."""
         items = [
             (int(shard_number), np.asarray(lows), np.asarray(highs))
             for shard_number, (lows, highs) in per_shard.items()
         ]
-        tasks = {
-            worker: ("batch", grouped)
-            for worker, grouped in self._group(items).items()
-        }
-        return self._dispatch(tasks)
+        return self._dispatch({
+            worker: (kind, grouped) for worker, grouped in self._group(items).items()
+        })
+
+    def execute_batch(self, per_shard: Dict[int, tuple]) -> tuple:
+        """``({shard: (sums, counts)}, {shard: report})``."""
+        replies = self._fan_out("batch", per_shard)
+        return (
+            {shard_number: reply[0] for shard_number, reply in replies.items()},
+            {shard_number: reply[1] for shard_number, reply in replies.items()},
+        )
 
     def search_many(self, per_shard: Dict[int, tuple]) -> Dict[int, Optional[tuple]]:
-        items = [
-            (int(shard_number), np.asarray(lows), np.asarray(highs))
-            for shard_number, (lows, highs) in per_shard.items()
-        ]
-        tasks = {
-            worker: ("search", grouped)
-            for worker, grouped in self._group(items).items()
-        }
-        return self._dispatch(tasks)
+        return self._fan_out("search", per_shard)
 
     def status(self) -> Dict[int, dict]:
         tasks = {

@@ -11,12 +11,23 @@ already speaks:
   donate their slice);
 * a :class:`~repro.shard.executor.SerialShardExecutor` or
   :class:`~repro.shard.executor.ParallelShardExecutor` runs the per-shard
-  capped queries and streams back ``(sum, count, granted, phase)`` echoes.
+  queries and returns their summed ``(sum, count, granted)``.
+
+A query takes one path: scalar route, one loop over the survivors, one
+charge.  Per survivor the loop reads a converged shard with no merge due
+through its own steady ``BaseIndex.query`` exit — same predicate object,
+nothing capped, nothing granted — and sends any other shard through the
+budget-capped query; the choice is the shard's state alone, so a logical
+read over converged shards costs one index read per survivor plus the
+route.  With tracing on the same loop runs under ``shard.route`` /
+``shard.query`` spans.
 
 Each shard's index progresses through its *own*
 :class:`~repro.core.phase.IndexLifecycle`; the facade reports the merged
 view (a logical phase, summed per-phase counters) so ``session.status()``
-and the experiment reports keep their shape.
+and the experiment reports keep their shape.  In-process shard indexes are
+asked for their state directly; a parallel executor's live in the workers,
+and every answer echoes their state back.
 """
 
 from __future__ import annotations
@@ -43,6 +54,10 @@ from repro.shard.column import ShardedColumn, shard_column
 from repro.shard.executor import ParallelShardExecutor, SerialShardExecutor
 from repro.shard.router import ShardRouter
 from repro.storage.column import Column
+
+
+#: The process-wide tracer (a stable singleton, cached for the read path).
+_TR = obs.tracer()
 
 
 def merge_phase(phases: List[IndexPhase]) -> IndexPhase:
@@ -137,7 +152,12 @@ class ShardedIndex:
         self._executor = executor
         self._controller = controller
         self._algorithm = str(algorithm).upper()
-        n_shards = column.n_shards
+        self._n_shards = n_shards = column.n_shards
+        # In-process shard indexes are asked for their state directly; a
+        # parallel executor's live in the workers, whose answers echo it.
+        self._indexes = (
+            executor.indexes if isinstance(executor, SerialShardExecutor) else None
+        )
         self._phases = [IndexPhase.INACTIVE] * n_shards
         self._converged_flags = [False] * n_shards
         self._pending_flags = [False] * n_shards
@@ -178,7 +198,7 @@ class ShardedIndex:
 
     @property
     def n_shards(self) -> int:
-        return self._column.n_shards
+        return self._n_shards
 
     @property
     def parallelism(self) -> int:
@@ -216,72 +236,89 @@ class ShardedIndex:
         )
 
     def _shard_phases(self) -> List[IndexPhase]:
-        if isinstance(self._executor, SerialShardExecutor):
-            return [index.phase for index in self._executor.indexes]
+        if self._indexes is not None:
+            return [index.phase for index in self._indexes]
         return list(self._phases)
 
     def _shard_converged(self) -> List[bool]:
-        if isinstance(self._executor, SerialShardExecutor):
-            return [index.converged for index in self._executor.indexes]
+        if self._indexes is not None:
+            return [index.converged for index in self._indexes]
         return list(self._converged_flags)
 
     def has_pending_merge(self) -> bool:
-        if isinstance(self._executor, SerialShardExecutor):
-            return any(
-                index.has_pending_merge() for index in self._executor.indexes
-            )
+        if self._indexes is not None:
+            return any(index.has_pending_merge() for index in self._indexes)
         return any(self._pending_flags)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _apply_report(self, shard_number: int, report: dict) -> None:
-        self._phases[shard_number] = IndexPhase(report["phase"])
-        self._converged_flags[shard_number] = bool(report["converged"])
-        self._pending_flags[shard_number] = bool(report["pending_merge"])
+    def _apply_reports(self, reports: Dict[int, dict]) -> None:
+        """Mirror the worker-side shard states a parallel answer echoed."""
+        for shard_number, report in reports.items():
+            self._phases[shard_number] = IndexPhase(report["phase"])
+            self._converged_flags[shard_number] = bool(report["converged"])
+            self._pending_flags[shard_number] = bool(report["pending_merge"])
 
     def query(self, predicate: Predicate) -> QueryResult:
         """Answer one logical range query across the surviving shards."""
         hist = self._obs_query_seconds
-        tracer = obs.tracer()
-        if hist or tracer.enabled:
+        tracing = _TR.enabled
+        if hist or tracing:
             started = perf_counter()
         span = None
-        if tracer.enabled:
-            span = tracer.start("shard.route", {
+        if tracing:
+            span = _TR.start("shard.route", {
                 "algorithm": self._algorithm, "n_shards": self.n_shards,
             })
         try:
-            survivors = self._router.route(predicate.low, predicate.high)
+            survivors = self._router._route(predicate.low, predicate.high)
+            touched = len(survivors)
             self._queries += 1
-            self._status_cache = None
-            pruned = self.n_shards - int(survivors.size)
-            if pruned and hist:
-                self._obs_pruned.inc(pruned)
+            controller = self._controller
+            if hist and touched < self._n_shards:
+                self._obs_pruned.inc(self._n_shards - touched)
             if span is not None:
-                span.set(survivors=int(survivors.size), pruned=pruned)
-            if survivors.size == 0:
-                self._controller.charge(0, 0.0)
+                span.set(survivors=touched, pruned=self._n_shards - touched)
+            if not touched:
+                controller.charge(0, 0.0)
                 return QueryResult.empty()
-            shard_budget = self._controller.shard_budget(int(survivors.size))
-            answers = self._executor.query(
-                [int(s) for s in survivors], predicate.low, predicate.high,
-                shard_budget, trace_ctx=tracer.context(),
+            value_sum, count, granted, reports = self._executor.query(
+                survivors, predicate, controller.shard_budget(touched),
+                trace_ctx=_TR.context() if tracing else None,
             )
-            total = QueryResult.empty()
-            granted = 0.0
-            for shard_number in sorted(answers):
-                value_sum, count, shard_granted, report = answers[shard_number]
-                total += QueryResult(value_sum, int(count))
-                granted += float(shard_granted)
-                self._apply_report(int(shard_number), report)
-            self._controller.charge(int(survivors.size), granted)
-            return total
+            if reports:
+                self._apply_reports(reports)
+            controller.charge(touched, granted)
+            return QueryResult(value_sum, count)
         finally:
             if span is not None:
                 span.end()
             if hist:
                 hist.observe(perf_counter() - started)
+
+    def _sub_batches(self, lows, highs) -> tuple:
+        """Route a batch: ``({shard: rows}, {shard: (lows, highs)})``."""
+        matrix = self._router.route_many(lows, highs)
+        rows = {
+            shard_number: np.flatnonzero(matrix[:, shard_number])
+            for shard_number in np.flatnonzero(matrix.any(axis=0)).tolist()
+        }
+        per_shard = {
+            shard_number: (lows[chosen], highs[chosen])
+            for shard_number, chosen in rows.items()
+        }
+        return rows, per_shard
+
+    def _gather(self, n_queries: int, rows: dict, answers: dict) -> tuple:
+        """Scatter-add per-shard ``(sums, counts)`` back into batch order."""
+        sum_dtype = np.int64 if self._column.dtype.kind in "iu" else np.float64
+        sums = np.zeros(n_queries, dtype=sum_dtype)
+        counts = np.zeros(n_queries, dtype=np.int64)
+        for shard_number, (shard_sums, shard_counts) in answers.items():
+            sums[rows[shard_number]] += np.asarray(shard_sums, dtype=sum_dtype)
+            counts[rows[shard_number]] += np.asarray(shard_counts, dtype=np.int64)
+        return sums, counts
 
     def execute_batch(self, lows, highs) -> List[QueryResult]:
         """Answer a whole batch, routed per query, sub-batched per shard.
@@ -295,61 +332,25 @@ class ShardedIndex:
         """
         lows = np.atleast_1d(np.asarray(lows))
         highs = np.atleast_1d(np.asarray(highs))
-        matrix = self._router.route_many(lows, highs)
-        n_queries = int(lows.size)
-        sum_dtype = (
-            np.int64 if self._column.dtype.kind in "iu" else np.float64
-        )
-        sums = np.zeros(n_queries, dtype=sum_dtype)
-        counts = np.zeros(n_queries, dtype=np.int64)
-        per_shard: Dict[int, tuple] = {}
-        for shard_number in range(self.n_shards):
-            rows = np.flatnonzero(matrix[:, shard_number])
-            if rows.size:
-                per_shard[shard_number] = (lows[rows], highs[rows])
-        if per_shard:
-            answers = self._executor.execute_batch(per_shard)
-            for shard_number, (shard_sums, shard_counts, report) in answers.items():
-                rows = np.flatnonzero(matrix[:, shard_number])
-                sums[rows] += np.asarray(shard_sums, dtype=sum_dtype)
-                counts[rows] += np.asarray(shard_counts, dtype=np.int64)
-                self._apply_report(int(shard_number), report)
-        touched = matrix.sum(axis=1)
-        for query_number in range(n_queries):
-            self._controller.charge(int(touched[query_number]), 0.0)
-        self._queries += n_queries
-        self._status_cache = None
-        return [
-            QueryResult(sums[query_number], int(counts[query_number]))
-            for query_number in range(n_queries)
-        ]
+        rows, per_shard = self._sub_batches(lows, highs)
+        answers, reports = self._executor.execute_batch(per_shard)
+        self._apply_reports(reports)
+        sums, counts = self._gather(lows.size, rows, answers)
+        touched = sum(chosen.size for chosen in rows.values())
+        self._controller.charge(touched, 0.0, queries=lows.size)
+        self._queries += lows.size
+        return [QueryResult(value_sum, int(count)) for value_sum, count in zip(sums, counts)]
 
     def search_many(self, lows, highs):
         """Vectorized read-only lookups; ``None`` until every touched
         shard can answer without further indexing work."""
         lows = np.atleast_1d(np.asarray(lows))
         highs = np.atleast_1d(np.asarray(highs))
-        matrix = self._router.route_many(lows, highs)
-        sum_dtype = (
-            np.int64 if self._column.dtype.kind in "iu" else np.float64
-        )
-        sums = np.zeros(lows.size, dtype=sum_dtype)
-        counts = np.zeros(lows.size, dtype=np.int64)
-        per_shard: Dict[int, tuple] = {}
-        for shard_number in range(self.n_shards):
-            rows = np.flatnonzero(matrix[:, shard_number])
-            if rows.size:
-                per_shard[shard_number] = (lows[rows], highs[rows])
-        if per_shard:
-            answers = self._executor.search_many(per_shard)
-            for shard_number, answer in answers.items():
-                if answer is None:
-                    return None
-                shard_sums, shard_counts = answer
-                rows = np.flatnonzero(matrix[:, shard_number])
-                sums[rows] += np.asarray(shard_sums, dtype=sum_dtype)
-                counts[rows] += np.asarray(shard_counts, dtype=np.int64)
-        return sums, counts
+        rows, per_shard = self._sub_batches(lows, highs)
+        answers = self._executor.search_many(per_shard)
+        if any(answer is None for answer in answers.values()):
+            return None
+        return self._gather(lows.size, rows, answers)
 
     def predict_cost(self, predicate: Predicate):
         """No unified cost model across shards (per-shard models live with
@@ -396,11 +397,7 @@ class ShardedIndex:
             "layout": self._column.layout.describe(),
             "router": self._router.describe(),
             "pool": self._controller.snapshot(),
-            "executor": (
-                "serial"
-                if isinstance(self._executor, SerialShardExecutor)
-                else "parallel"
-            ),
+            "executor": "serial" if self._indexes is not None else "parallel",
             "parallelism": self.parallelism,
             "shards": {
                 int(shard_number): entry for shard_number, entry in status.items()

@@ -14,10 +14,15 @@ by the shared vectorized primitives in :mod:`repro.shard.zonemaps`:
 
 Pruned shards never receive the query, and under the pooled budget
 controller their interactivity budget flows to the surviving shards.
+
+One predicate is routed with scalar compares against the column's exact
+bounds (no array is built per query); a batch goes through the vectorized
+overlap matrix.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Optional
 
 import numpy as np
@@ -50,8 +55,8 @@ class ShardRouter:
         self._column = column
         self._edges: Optional[np.ndarray] = None
         self._bitmaps: Optional[np.ndarray] = None
+        self._n_shards = column.n_shards
         self.queries_routed = 0
-        self.shards_pruned = 0
         self.shards_dispatched = 0
         if bin_bits:
             low = float(min(s.base_data.min() for s in column.shards))
@@ -69,7 +74,12 @@ class ShardRouter:
     # ------------------------------------------------------------------
     @property
     def n_shards(self) -> int:
-        return self._column.n_shards
+        return self._n_shards
+
+    @property
+    def shards_pruned(self) -> int:
+        """Dispatches the zone maps avoided: every query could touch K shards."""
+        return self.queries_routed * self._n_shards - self.shards_dispatched
 
     def _absorb_write(self, op: dict) -> None:
         """Widen the bitmaps with inserted values (deletes are ignored)."""
@@ -86,15 +96,31 @@ class ShardRouter:
     # ------------------------------------------------------------------
     def route(self, low, high) -> np.ndarray:
         """Shard ids (ascending) that may contain rows in ``[low, high]``."""
-        mins, maxs = self._column.shard_bounds()
-        survivors = zonemaps.interval_candidates(mins, maxs, low, high)
-        if self._bitmaps is not None and survivors.size:
+        survivors = self._route(low, high)
+        if type(survivors) is range:
+            return np.arange(survivors.start, survivors.stop)
+        return np.array(survivors, dtype=np.int64)
+
+    def _route(self, low, high):
+        """:meth:`route` as a plain sequence, for the facade's read loop.
+
+        Scalar compares against the column's exact bounds: over ordered
+        bounds (range layouts) the survivors are the run of shards between
+        two bisections, otherwise one pass over the shards.
+        """
+        mins, maxs, ordered, _, _ = self._column._zone_maps()
+        if ordered:
+            survivors = range(bisect_left(maxs, low), bisect_right(mins, high))
+        else:
+            survivors = [
+                shard for shard, bound in enumerate(maxs)
+                if bound >= low and mins[shard] <= high
+            ]
+        if self._bitmaps is not None and survivors:
             query = zonemaps.query_bitmap(self._edges, low, high)
-            hits = zonemaps.bitmap_candidates(self._bitmaps[survivors], query)
-            survivors = survivors[hits]
+            survivors = [s for s in survivors if self._bitmaps[s] & query]
         self.queries_routed += 1
-        self.shards_dispatched += int(survivors.size)
-        self.shards_pruned += self.n_shards - int(survivors.size)
+        self.shards_dispatched += len(survivors)
         return survivors
 
     def route_many(self, lows, highs) -> np.ndarray:
@@ -107,9 +133,7 @@ class ShardRouter:
                     query = zonemaps.query_bitmap(self._edges, low, high)
                     matrix[query_number] &= (self._bitmaps & query).astype(bool)
         self.queries_routed += matrix.shape[0]
-        dispatched = int(matrix.sum())
-        self.shards_dispatched += dispatched
-        self.shards_pruned += matrix.size - dispatched
+        self.shards_dispatched += int(matrix.sum())
         return matrix
 
     # ------------------------------------------------------------------

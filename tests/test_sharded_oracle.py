@@ -195,3 +195,185 @@ def test_batch_path_matches_oracle(parallel, oracle_data, rng):
     finally:
         index.close()
         column.close()
+
+
+# ----------------------------------------------------------------------
+# The steady sharded read: spans, tracing parity, executor parity, big ints
+# ----------------------------------------------------------------------
+PROGRESSIVE = ("PQ", "PB", "PMSD", "PLSD")
+
+
+def _span(column, first: int, last: int):
+    """A range from inside shard ``first`` to inside shard ``last``."""
+    mins, maxs = column.shard_bounds()
+    low = (int(mins[first]) + int(maxs[first])) // 2
+    high = low + 50 if first == last else (int(mins[last]) + int(maxs[last])) // 2
+    return low, high
+
+
+def _drive_shards(index, column, shard_numbers, limit=300):
+    """Single-shard reads until the given shards converged."""
+    for _ in range(limit):
+        status = index.shard_status()["shards"]
+        if all(status[shard]["converged"] for shard in shard_numbers):
+            return
+        for shard in shard_numbers:
+            index.query(Predicate(*_span(column, shard, shard)))
+    raise AssertionError(f"shards {shard_numbers} did not converge")
+
+
+@pytest.mark.parametrize("algorithm", PROGRESSIVE)
+def test_converged_spans_match_oracle(algorithm, oracle_data):
+    column = shard_column(Column(oracle_data.copy(), name="v"), 5)
+    index = build_sharded_index(column, algorithm, budget=FixedDelta(0.5))
+    _drive_shards(index, column, range(5))
+    assert index.converged
+    for first, last in ((2, 2), (1, 2), (0, 3), (0, 4), (4, 4)):
+        low, high = _span(column, first, last)
+        assert index.router.route(low, high).size == last - first + 1
+        pool = index.budget.snapshot()
+        for _ in range(2):
+            _assert_equal(
+                index.query(Predicate(low, high)), _oracle(oracle_data, low, high),
+                f"{algorithm} converged span {first}..{last}",
+            )
+        after = index.budget.snapshot()
+        assert after["queries"] == pool["queries"] + 2
+        assert after["shards_charged"] == pool["shards_charged"] + 2 * (last - first + 1)
+        assert after["granted_seconds"] == pool["granted_seconds"]
+
+
+@pytest.mark.parametrize("algorithm", PROGRESSIVE)
+def test_span_with_one_unconverged_survivor_matches_oracle(algorithm, oracle_data):
+    column = shard_column(Column(oracle_data.copy(), name="v"), 5)
+    index = build_sharded_index(column, algorithm, budget=FixedDelta(0.1))
+    _drive_shards(index, column, (0, 1, 3))
+    status = index.shard_status()["shards"]
+    assert not status[2]["converged"] and not index.converged
+    low, high = _span(column, 0, 3)  # converged, converged, unconverged, converged
+    before = [status[shard]["queries_executed"] for shard in range(5)]
+    _assert_equal(
+        index.query(Predicate(low, high)), _oracle(oracle_data, low, high),
+        f"{algorithm} span over an unconverged shard",
+    )
+    status = index.shard_status()["shards"]
+    after = [status[shard]["queries_executed"] for shard in range(5)]
+    assert [b - a for a, b in zip(before, after)] == [1, 1, 1, 1, 0]
+    assert status[2]["phase"] != "inactive"  # the capped query advanced it
+
+
+def _stream(rng, data, n_queries=140):
+    """Narrow reads, wide spans and a miss, in a fixed order."""
+    top = int(data.max())
+    for number in range(n_queries):
+        low = int(rng.integers(0, top))
+        if number % 10 == 9:
+            yield top + 10, top + 20
+        else:
+            yield low, low + (top // 2 if number % 5 == 4 else 300)
+
+
+def _run_stream(data, parallel=False):
+    column = shard_column(Column(data.copy(), name="v"), 4)
+    index = build_sharded_index(
+        column, "PQ", parallel=parallel, workers=2, budget=FixedDelta(0.25)
+    )
+    reference = data.copy()
+    rng = np.random.default_rng(99)
+    answers = []
+    try:
+        for number, (low, high) in enumerate(_stream(rng, data)):
+            if number == 90:  # a write burst on converged shards: merge path
+                fresh = rng.integers(0, int(data.max()), 600)
+                column.insert(fresh)
+                reference = np.concatenate([reference, fresh])
+            result = index.query(Predicate(low, high))
+            _assert_equal(result, _oracle(reference, low, high), f"query {number}")
+            answers.append((int(result.value_sum), int(result.count)))
+        status = index.shard_status()
+        shards = status["shards"]
+        return {
+            "answers": answers,
+            "router": status["router"],
+            "pool": status["pool"],
+            "queries": index.queries_executed,
+            "phase": index.phase,
+            "converged": index.converged,
+            "pending_merge": index.has_pending_merge(),
+            "shard_queries": [shards[n]["queries_executed"] for n in sorted(shards)],
+            "shard_phases": [shards[n]["phase"] for n in sorted(shards)],
+        }
+    finally:
+        index.close()
+        column.close()
+
+
+def test_tracing_on_and_off_take_the_same_read(oracle_data):
+    from repro import obs
+
+    plain = _run_stream(oracle_data)
+    obs.configure(tracing=True)
+    try:
+        traced = _run_stream(oracle_data)
+    finally:
+        obs.configure(tracing=False)
+        obs.tracer().clear()
+    assert traced == plain
+    # the stream ran through construction, steady reads, the merge and back
+    assert plain["converged"] and not plain["pending_merge"]
+    assert plain["queries"] == 140 and plain["pool"]["granted_seconds"] > 0.0
+
+
+def test_parallel_executor_answers_and_status_match_serial(oracle_data):
+    serial = _run_stream(oracle_data)
+    parallel = _run_stream(oracle_data, parallel=True)
+    for entry in (serial, parallel):
+        entry["pool"] = {**entry["pool"], "parallelism": None}
+    assert parallel == serial
+
+
+def test_big_integer_shard_edges_route_exactly(rng):
+    """Shard edges past 2**53: float64 bounds would round them and a scalar
+    compare against the exact predicate would prune the shard holding the row."""
+    groups = [2**53 + 1, 2**55 + 1, 2**57 + 1, 2**59 + 1, 2**61 + 1]
+    values = np.concatenate(
+        [rng.integers(start, start + 3_000, 1_200) for start in groups]
+        + [np.array([2**62 - 1, 2**62])]
+    ).astype(np.int64)
+    rng.shuffle(values)
+    model = sorted(values.tolist())
+    column = shard_column(Column(values.copy(), name="v"), 7)
+    index = build_sharded_index(column, "PQ", budget=FixedDelta(0.1))
+    mins, maxs = column.shard_bounds()
+    assert mins.dtype == np.int64 and int(maxs[-1]) == 2**62
+    edges = sorted({int(edge) for edge in mins} | {int(edge) for edge in maxs})
+    assert all(edge > 2**53 for edge in edges)
+    windows = []
+    for edge in edges:
+        windows += [
+            (edge, edge), (edge - 1, edge - 1), (edge + 1, edge + 1),
+            (edge - 2, edge - 1), (edge - 1, edge), (edge, edge + 1), (edge + 1, edge + 2),
+        ]
+    # typed bounds take the same route as plain ints; above every shard
+    # (also past int64) routes nowhere
+    windows += [(np.int64(low), np.int64(high)) for low, high in windows[:21]]
+    windows += [(np.uint64(low), np.uint64(high)) for low, high in windows[:21]]
+    misses = [(2**62 + 1, 2**63 - 1), (2**63 + 5, 2**64 - 1),
+              (np.uint64(2**63 + 5), np.uint64(2**63 + 9))]
+
+    def check(stage):
+        for low, high in windows:
+            hits = [value for value in model if low <= value <= high]
+            result = index.query(Predicate(low, high))
+            assert (int(result.value_sum), int(result.count)) == (sum(hits), len(hits)), (
+                f"{stage}: [{low}, {high}]"
+            )
+        for low, high in misses:
+            assert index.router.route(low, high).size == 0
+            assert index.query(Predicate(low, high)).count == 0
+
+    assert not index.converged
+    check("before convergence")
+    _drive_shards(index, column, range(7))
+    assert index.converged
+    check("after convergence")

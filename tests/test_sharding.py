@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.phase import IndexPhase
-from repro.core.policy import PooledBudgetController
+from repro.core.policy import FixedDelta, PooledBudgetController
 from repro.core.query import Predicate
 from repro.engine.session import IndexingSession
 from repro.errors import ExperimentError, InvalidColumnError
@@ -293,6 +293,14 @@ class TestPooledBudget:
         assert snapshot["shards_charged"] == 3
         assert snapshot["granted_seconds"] == pytest.approx(0.002)
 
+    def test_batch_charge_equals_per_query_charges(self):
+        one_by_one = PooledBudgetController(0.01, n_shards=4)
+        for touched in (3, 0, 1, 4):
+            one_by_one.charge(touched, 0.0)
+        at_once = PooledBudgetController(0.01, n_shards=4)
+        at_once.charge(8, 0.0, queries=4)
+        assert at_once.snapshot() == one_by_one.snapshot()
+
 
 # ----------------------------------------------------------------------
 # Merged phase facade
@@ -310,6 +318,120 @@ class TestMergedPhase:
         assert merge_phase([C, R, V]) is C
         assert merge_phase([R, M, V]) is R
         assert merge_phase([IndexPhase.INACTIVE, C]) is IndexPhase.INACTIVE
+
+
+# ----------------------------------------------------------------------
+# The read path: cached bounds, steady reads, batch accounting
+# ----------------------------------------------------------------------
+def _converge(index, data, rng, limit=400):
+    """Random narrow reads until every shard converged."""
+    top = int(data.max())
+    for _ in range(limit):
+        if index.converged:
+            return
+        low = int(rng.integers(0, top))
+        index.query(Predicate(low, low + 500))
+    raise AssertionError("index did not converge")
+
+
+def _model_answer(model, low, high):
+    hits = [value for value in model if low <= value <= high]
+    return sum(hits), len(hits)
+
+
+def _answer(index, low, high):
+    result = index.query(Predicate(low, high))
+    return int(result.value_sum), int(result.count)
+
+
+class TestReadPath:
+    def test_bounds_are_cached_until_an_insert_widens_them(self, uniform_data):
+        column = shard_column(Column(uniform_data, name="v"), 4)
+        bounds = column.shard_bounds()
+        assert column.shard_bounds()[1] is bounds[1]
+        assert bounds[0].dtype == np.int64  # the column's dtype, not float64
+        inside = int(bounds[0][1]) + 1
+        column.insert(np.array([inside]))  # widens nothing
+        assert column.shard_bounds()[1] is bounds[1]
+        column.insert(np.array([70_000]))
+        assert column.shard_bounds()[1] is not bounds[1]
+        assert int(column.shard_bounds()[1][-1]) == 70_000
+
+    def test_insert_widening_a_pruned_shard_is_routed_to_at_once(self, uniform_data, rng):
+        column = shard_column(Column(uniform_data, name="v"), 4)
+        index = build_sharded_index(column, "PQ", budget=FixedDelta(0.5))
+        model = uniform_data.tolist()
+        _converge(index, uniform_data, rng)
+        # beyond every shard: pruned everywhere, nothing dispatched
+        assert index.router.route(90_000, 90_010).size == 0
+        assert _answer(index, 90_000, 90_010) == (0, 0)
+        column.insert(np.array([90_005]))
+        model.append(90_005)
+        assert index.router.route(90_000, 90_010).tolist() == [3]
+        assert _answer(index, 90_000, 90_010) == (90_005, 1)
+        # and below the lowest shard, which a [-20, -1] read pruned too
+        assert _answer(index, -20, -1) == (0, 0)
+        column.insert(np.array([-7]))
+        model.append(-7)
+        assert _answer(index, -20, -1) == (-7, 1)
+        assert _answer(index, -20, 95_000) == _model_answer(model, -20, 95_000)
+
+    def test_write_to_converged_shard_caps_then_returns_to_steady_read(
+        self, uniform_data, rng
+    ):
+        column = shard_column(Column(uniform_data, name="v"), 4)
+        index = build_sharded_index(column, "PQ", budget=FixedDelta(0.5))
+        model = uniform_data.tolist()
+        _converge(index, uniform_data, rng)
+        mins, maxs = column.shard_bounds()
+        low, high = int(mins[1]), int(maxs[1])
+        granted = index.budget.snapshot()["granted_seconds"]
+        for _ in range(5):  # steady reads grant nothing
+            assert _answer(index, low, high) == _model_answer(model, low, high)
+        assert index.budget.snapshot()["granted_seconds"] == granted
+        fresh = rng.integers(low, high, 400)
+        column.insert(fresh)
+        model.extend(fresh.tolist())
+        assert index.has_pending_merge() and index.converged
+        merging = 0
+        while index.has_pending_merge():
+            assert _answer(index, low, high) == _model_answer(model, low, high)
+            merging += 1
+            assert merging < 100, "the fold never finished"
+        # the merge-pending shard went through the budgeted path ...
+        assert index.budget.snapshot()["granted_seconds"] > granted
+        assert "merge" in index.lifecycle.snapshot()
+        # ... and after the fold the steady read is back: exact, no grant
+        granted = index.budget.snapshot()["granted_seconds"]
+        shard_queries = index.shard_status()["shards"][1]["queries_executed"]
+        for _ in range(5):
+            assert _answer(index, low, high) == _model_answer(model, low, high)
+        assert index.budget.snapshot()["granted_seconds"] == granted
+        assert index.shard_status()["shards"][1]["queries_executed"] == shard_queries + 5
+        assert index.converged and not index.has_pending_merge()
+
+    def test_batch_charges_the_pool_once_with_per_query_totals(self, uniform_data, rng):
+        column = shard_column(Column(uniform_data, name="v"), 5)
+        index = build_sharded_index(column, "PQ", budget=FixedDelta(0.25))
+        lows = rng.integers(0, 45_000, 30)
+        highs = lows + rng.integers(0, 8_000, 30)
+        lows[7], highs[7] = 80_000, 80_500  # pruned everywhere: touches nothing
+        touched = sum(
+            ShardRouter(column).route(low, high).size for low, high in zip(lows, highs)
+        )
+        results = index.execute_batch(lows, highs)
+        assert index.budget.snapshot() == {
+            **index.budget.snapshot(),
+            "queries": 30, "shards_charged": touched, "granted_seconds": 0.0,
+        }
+        assert index.queries_executed == 30
+        assert index.router.describe()["shards_dispatched"] == touched
+        assert index.router.describe()["shards_pruned"] == 30 * 5 - touched
+        for low, high, result in zip(lows, highs, results):
+            mask = (uniform_data >= low) & (uniform_data <= high)
+            assert (int(result.value_sum), int(result.count)) == (
+                int(uniform_data[mask].sum()), int(mask.sum())
+            )
 
 
 # ----------------------------------------------------------------------
