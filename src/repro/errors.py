@@ -101,6 +101,15 @@ class ProtocolError(ProgressiveIndexError):
     """
 
 
+class ConnectionLostError(ProtocolError):
+    """Raised by a service client whose request got no complete response.
+
+    A timeout, a transport error or a short read after the request was sent
+    leaves a reply in flight that would answer the *next* request; the client
+    closes the socket instead, and every later call raises this too.
+    """
+
+
 class CalibrationError(ProgressiveIndexError):
     """Raised when hardware-constant calibration produces unusable values."""
 

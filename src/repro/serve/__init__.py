@@ -1,6 +1,6 @@
 """The concurrent query service: MVCC readers over one progressive engine.
 
-* :mod:`repro.serve.protocol` — the newline-delimited JSON wire format.
+* :mod:`repro.serve.protocol` — the wire format: JSON lines, ``b1`` read frames.
 * :mod:`repro.serve.sync` — the writer-preferring reader–writer lock used
   for the engine-wide write gate and the per-index work lanes.
 * :mod:`repro.serve.connection` — connection classes (τ + fairness weight)

@@ -1,17 +1,20 @@
-"""A thin synchronous client for the JSON-line query service.
+"""A thin synchronous client for the query service.
 
 :class:`ServiceClient` is what the tests, the benchmark and the README
 quickstart use; it is also executable documentation of the wire protocol —
-every method is one request line and one response line.
+every method is one request and one response (a JSON line or a ``b1`` frame).
 """
 
 from __future__ import annotations
 
 import socket
+import struct
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from repro.errors import ProtocolError
-from repro.serve.protocol import read_message, send_message
+from repro.errors import ConnectionLostError, ProtocolError
+from repro.serve.protocol import FRAME_MAGIC, FRAMES, OP_BETWEEN, OP_EQUALS, TAG_READ
+from repro.serve.protocol import REPLY_FRAME, REQUEST_FRAME
+from repro.serve.protocol import FrameReader, FramingError, decode_message, encode_message
 
 Address = Union[str, Tuple[str, int]]
 
@@ -59,25 +62,48 @@ class ServiceClient:
         if timeout is not None:
             sock.settimeout(timeout)
         self._sock = sock
-        self._file = sock.makefile("rb")
+        self._messages = FrameReader(sock.recv)
         self.role = role
         #: Snapshot versions pinned by the hello (readers) / last commit.
         self.versions: Dict[str, int] = {}
+        #: Frame ids of the server's columns; empty on a JSON-only connection.
+        self._column_ids: Dict[str, int] = {}
         hello = self.request(
-            {"op": "hello", "role": role, "class": connection_class}
+            {"op": "hello", "role": role, "class": connection_class, "frames": [FRAMES]}
         )
         self.versions = hello.get("versions", {})
+        if hello.get("frames") == FRAMES:
+            self._messages.frame_size = REPLY_FRAME.size
+            self._column_ids = {name: i for i, name in enumerate(hello.get("columns", ()))}
 
     # ------------------------------------------------------------------
     def request(self, payload: dict) -> dict:
         """Send one request and return the (``ok``) response payload.
 
-        Raises :class:`ServiceError` on an error response.
+        Raises :class:`ServiceError` on an error response; without a complete
+        response, ``ConnectionLostError`` — as does every call after that one.
         """
-        send_message(self._sock, payload)
-        response = read_message(self._file)
-        if response is None:
-            raise ProtocolError("server closed the connection mid-request")
+        return self._exchange(encode_message(payload))
+
+    def _exchange(self, request: bytes) -> dict:
+        try:
+            self._sock.sendall(request)
+            message = self._messages.read()
+            if message is None:
+                raise FramingError("server closed the connection mid-request")
+        except BaseException as exc:
+            # The reply may still arrive and would answer the next request:
+            # close, so that every later call ends up here too (EBADF).
+            self._sock.close()
+            if isinstance(exc, (OSError, FramingError)):
+                raise ConnectionLostError(f"no complete response: {exc}") from exc
+            raise
+        if message[0] == FRAME_MAGIC:
+            _, tag, value_sum, count, version = REPLY_FRAME.unpack(message)
+            if tag != TAG_READ:
+                raise ProtocolError(f"unknown reply frame tag {tag}")
+            return {"ok": True, "sum": value_sum, "count": count, "version": version}
+        response = decode_message(message)
         if not response.get("ok", False):
             raise ServiceError(
                 str(response.get("error", "unknown")),
@@ -85,18 +111,31 @@ class ServiceClient:
             )
         return response
 
+    def _read(self, op: int, column: str, low, high) -> Optional[dict]:
+        """The framed read, or ``None`` when this one has to travel as JSON."""
+        column_id = self._column_ids.get(column)
+        if column_id is None or type(low) is not int or type(high) is not int:
+            return None
+        try:
+            frame = REQUEST_FRAME.pack(FRAME_MAGIC, op, column_id, low, high)
+        except struct.error:  # a bound past int64
+            return None
+        return self._exchange(frame)
+
     # ------------------------------------------------------------------
     # Reader operations
     # ------------------------------------------------------------------
     def between(self, column: str, low, high) -> dict:
         """Range aggregate at this reader's pinned snapshot version."""
-        return self.request(
+        return self._read(OP_BETWEEN, column, low, high) or self.request(
             {"op": "between", "column": column, "low": low, "high": high}
         )
 
     def equals(self, column: str, value) -> dict:
         """Point aggregate at the pinned snapshot version."""
-        return self.request({"op": "equals", "column": column, "value": value})
+        return self._read(OP_EQUALS, column, value, value) or self.request(
+            {"op": "equals", "column": column, "value": value}
+        )
 
     def batch(self, column: str, bounds: Sequence[Sequence]) -> dict:
         """Vectorized batch of ``[low, high]`` ranges at the pinned version."""
@@ -176,18 +215,10 @@ class ServiceClient:
     def close(self) -> None:
         """Say ``bye`` (best effort) and close the socket."""
         try:
-            send_message(self._sock, {"op": "bye"})
-            read_message(self._file)
-        except OSError:
+            self._exchange(encode_message({"op": "bye"}))
+        except ProtocolError:
             pass
-        finally:
-            try:
-                self._file.close()
-            finally:
-                try:
-                    self._sock.close()
-                except OSError:
-                    pass
+        self._sock.close()
 
     def __enter__(self) -> "ServiceClient":
         return self

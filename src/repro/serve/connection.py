@@ -8,7 +8,7 @@ allowance of indexing seconds derived from its class's τ and remaining
 work-account balance — so one greedy client class cannot monopolise the
 progressive construction of a hot column.
 
-:class:`ClientConnection` speaks the newline-delimited JSON protocol of
+:class:`ClientConnection` speaks the JSON-line-and-frame wire protocol of
 :mod:`repro.serve.protocol` over one accepted socket: a ``hello`` declares
 the role (``reader`` or ``writer``) and class, readers then execute
 range/point/batch/conjunctive queries against their pinned snapshot
@@ -22,13 +22,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConcurrencyError, ProgressiveIndexError
+from repro.serve.protocol import FRAME_MAGIC, FRAMES, OP_BETWEEN, OP_EQUALS, REQUEST_FRAME
 from repro.serve.protocol import (
+    FrameReader,
+    FramingError,
     ProtocolError,
+    decode_message,
     encode_message,
     encode_read_reply,
     error_payload,
-    read_message,
-    send_message,
 )
 
 
@@ -76,33 +78,38 @@ class ClientConnection:
     The first message must be ``{"op": "hello", "role": ..., "class": ...}``;
     afterwards each request is dispatched by its ``op`` field.  Protocol or
     library errors are reported as ``{"ok": false, ...}`` responses and the
-    connection keeps serving; only transport failures terminate it.
+    connection keeps serving; a transport failure terminates it, and so does
+    a stream that can no longer be cut into messages (after one error reply).
     """
 
     def __init__(self, server, sock: socket.socket, peer: str) -> None:
         self._server = server
         self._sock = sock
-        self._file = sock.makefile("rb")
+        self._messages = FrameReader(sock.recv)
         self._peer = peer
         self._role: Optional[str] = None
+        self._columns: tuple = ()  # what frame column ids index, from the hello
         self._reader = None
         self._writer = None
 
     # ------------------------------------------------------------------
     def serve(self) -> None:
         """Request loop; returns when the peer says ``bye`` or hangs up."""
+        read = self._messages.read
         try:
             while True:
                 try:
-                    request = read_message(self._file)
+                    request = read()
+                    if request is not None and request[0] != FRAME_MAGIC:
+                        request = decode_message(request)
                 except ProtocolError as exc:
-                    send_message(self._sock, error_payload("protocol", str(exc)))
+                    self._sock.sendall(encode_message(error_payload("protocol", str(exc))))
+                    if isinstance(exc, FramingError):
+                        return  # message boundaries are lost: replies would mispair
                     continue
-                if request is None:
+                if request is None or not self._handle(request):
                     return
-                if not self._handle(request):
-                    return
-        except (BrokenPipeError, ConnectionResetError, OSError):
+        except OSError:
             return
         finally:
             self._teardown()
@@ -112,22 +119,22 @@ class ClientConnection:
             self._writer.release()
             self._writer = None
         try:
-            self._file.close()
-        except OSError:
-            pass
-        try:
             self._sock.close()
         except OSError:
             pass
 
     # ------------------------------------------------------------------
-    def _handle(self, request: dict) -> bool:
-        op = request.get("op")
+    def _handle(self, request) -> bool:
+        """Answer one request: a decoded JSON object or a raw ``b1`` frame."""
+        framed = type(request) is bytes
+        op = None if framed else request.get("op")
         if op == "bye":
-            send_message(self._sock, {"ok": True, "op": "bye"})
+            self._sock.sendall(encode_message({"ok": True, "op": "bye"}))
             return False
         try:
-            if op == "hello":
+            if framed:
+                response = self._framed_read(request)
+            elif op == "hello":
                 response = self._hello(request)
             elif self._role is None:
                 raise ProtocolError("the first request must be 'hello'")
@@ -145,7 +152,7 @@ class ClientConnection:
             response = error_payload(type(exc).__name__, str(exc))
         except (KeyError, TypeError, ValueError) as exc:
             response = error_payload("bad-request", f"{type(exc).__name__}: {exc}")
-        # Read replies arrive already encoded (see ``_reader_op``).
+        # Read replies arrive already encoded (see ``_read_reply``).
         self._sock.sendall(
             response if isinstance(response, bytes) else encode_message(response)
         )
@@ -169,8 +176,13 @@ class ClientConnection:
             except ConcurrencyError as exc:
                 return error_payload("writer-busy", str(exc))
             versions = engine.committed_versions()
+        response = {"ok": True, "op": "hello", "role": role, "versions": versions}
+        if role == "reader" and FRAMES in request.get("frames", ()):
+            self._columns = tuple(engine.session.table.column_names)
+            self._messages.frame_size = REQUEST_FRAME.size
+            response.update(frames=FRAMES, columns=self._columns)
         self._role = role
-        return {"ok": True, "op": "hello", "role": role, "versions": versions}
+        return response
 
     # ------------------------------------------------------------------
     def _metrics(self, request: dict) -> dict:
@@ -209,20 +221,28 @@ class ClientConnection:
         return {"ok": True, "enabled": tracer.enabled, "spans": spans}
 
     # ------------------------------------------------------------------
+    def _framed_read(self, frame: bytes) -> bytes:
+        _, op, column_id, low, high = REQUEST_FRAME.unpack(frame)
+        if op == OP_EQUALS:
+            high = low
+        elif op != OP_BETWEEN:
+            raise ProtocolError(f"unknown frame operation {op}")
+        if column_id >= len(self._columns):
+            raise ProtocolError(f"column id {column_id} is not in the hello's table")
+        return self._read_reply(self._columns[column_id], low, high, framed=True)
+
+    def _read_reply(self, column: str, low, high, framed: bool = False) -> bytes:
+        reader = self._reader
+        result = reader.between(column, low, high)
+        version = reader.snapshot_version(column)
+        return encode_read_reply(_native(result.value_sum), int(result.count), version, framed)
+
     def _reader_op(self, op: str, request: dict):
         reader = self._reader
-        if op == "between" or op == "equals":
-            column = request["column"]
-            if op == "equals":
-                low = high = request["value"]
-            else:
-                low, high = request["low"], request["high"]
-            result = reader.between(column, low, high)
-            return encode_read_reply(
-                _native(result.value_sum),
-                int(result.count),
-                reader.snapshot_version(column),
-            )
+        if op == "between":
+            return self._read_reply(request["column"], request["low"], request["high"])
+        if op == "equals":
+            return self._read_reply(request["column"], request["value"], request["value"])
         if op == "batch":
             column = request["column"]
             bounds = request["bounds"]

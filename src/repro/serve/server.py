@@ -2,7 +2,7 @@
 
 :class:`QueryServer` wraps one :class:`~repro.engine.shared.SharedEngine`
 (usually built from an open :class:`~repro.persist.database.Database`) and
-serves the newline-delimited JSON protocol of :mod:`repro.serve.protocol`
+serves the JSON-line-and-frame protocol of :mod:`repro.serve.protocol`
 over a Unix-domain or TCP socket.  Each accepted connection runs in its own
 thread; correctness does not depend on the thread count because all index
 mutation is serialized through the engine's
