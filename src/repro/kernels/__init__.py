@@ -2,7 +2,8 @@
 
 Everything the construction phase does per element — partition around a
 pivot, predicated range aggregation, the bucket scatter and its routing, the
-sorted merge — goes through the functions of this module.  Behind them sits
+sorted merge — goes through the functions of this module, and so does the
+block codec's frame-of-reference pack and unpack.  Behind them sits
 either the compiled backend (``kernels.c``, built once with ``cc`` into a
 cache directory and loaded through ``ctypes``; see :mod:`repro.kernels._build`)
 or the NumPy backend (:mod:`repro.kernels._numpy`), which gives identical
@@ -34,6 +35,7 @@ from repro.kernels._numpy import order_keys  # noqa: F401  (one definition, no c
 
 _TR = obs.tracer()
 _LIMITS = {np.dtype(np.int64): (-(1 << 63), (1 << 63) - 1), np.dtype(np.uint64): (0, (1 << 64) - 1)}
+_INT64_MIN, _INT64_MAX = _LIMITS[np.dtype(np.int64)]
 
 
 def _resolve():
@@ -247,3 +249,26 @@ def merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not b.size:
         return a.copy()
     return _run(_active.merge_sorted, a, b)
+
+
+def pack_for(values: np.ndarray, ref: int, width: int) -> bytes:
+    """Frame-of-reference payload of an integer block: ``values - ref`` as
+    little-endian unsigned deltas ``width`` bytes wide (1, 2 or 4).
+
+    The difference is taken modulo 2**64 and truncated to the width; the
+    caller picks a width that holds the block's span.
+    """
+    if width not in (1, 2, 4) or values.dtype.kind != "i" or not _INT64_MIN <= ref <= _INT64_MAX:
+        raise ValueError(f"pack_for: bad block ({values.dtype} values, ref {ref}, width {width})")
+    return _run(_active.pack_for, values, int(ref), width)
+
+
+def unpack_for(payload, width: int, count: int, ref: int) -> np.ndarray:
+    """Inverse of :func:`pack_for`: a new int64 array of ``ref + delta``
+    (wrapping like NumPy's int64 addition).  Raises :class:`ValueError`,
+    with nothing read, unless ``payload`` holds exactly ``count`` deltas."""
+    if (width not in (1, 2, 4) or count < 0 or len(payload) != count * width
+            or not _INT64_MIN <= ref <= _INT64_MAX):
+        raise ValueError(
+            f"unpack_for: {len(payload)} bytes do not hold {count} deltas of width {width} (ref {ref})")
+    return _run(_active.unpack_for, payload, width, count, int(ref))

@@ -9,6 +9,7 @@ the arrays stay referenced by the caller's frame for the length of the call.
 
 from __future__ import annotations
 
+import sys
 from ctypes import byref, c_double, c_int64, c_uint64, c_void_p
 
 import numpy as np
@@ -34,6 +35,10 @@ _SIGNATURES = {
     "route_bounds": ((_P, _I, _P, _I, _P, _I, _P), False),
     "merge": ((_P, _I, _P, _I, _P), False),
 }
+#: Delta widths of ``pack_for_<width>`` / ``unpack_for_<width>``; both take
+#: (source, n, reference, target).  The payload is little-endian by format and
+#: the kernels store native integers, so a big-endian host binds none of them.
+_FOR_WIDTHS = (1, 2, 4) if sys.byteorder == "little" else ()
 
 
 class CBackend:
@@ -51,6 +56,11 @@ class CBackend:
                 function.argtypes = [scalar if kind is _T else kind for kind in signature]
                 function.restype = _I if counts else None
                 self._entry[kernel, dtype] = function
+        for width in _FOR_WIDTHS:
+            for kernel in ("pack_for", "unpack_for"):
+                function = getattr(library, f"{kernel}_{width}")
+                function.argtypes, function.restype = [_P, _I, _I, _P], None
+                self._entry[kernel, width] = function
 
     def _kernel(self, kernel: str, *arrays):
         """The entry point for the first array's dtype, or ``None`` (NumPy path)."""
@@ -124,3 +134,20 @@ class CBackend:
         out = np.empty(a.size + b.size, dtype=a.dtype)
         kernel(a.ctypes.data, a.size, b.ctypes.data, b.size, out.ctypes.data)
         return out
+
+    def pack_for(self, values, ref: int, width: int) -> bytes:
+        kernel = self._entry.get(("pack_for", width))
+        if kernel is None or values.dtype != np.int64 or not values.flags.c_contiguous:
+            return _numpy.pack_for(values, ref, width)
+        payload = np.empty(values.size * width, dtype=np.uint8)
+        kernel(values.ctypes.data, values.size, ref, payload.ctypes.data)
+        return payload.tobytes()
+
+    def unpack_for(self, payload, width: int, count: int, ref: int):
+        kernel = self._entry.get(("unpack_for", width))
+        if kernel is None:
+            return _numpy.unpack_for(payload, width, count, ref)
+        source = np.frombuffer(payload, dtype=np.uint8)  # zero-copy; holds the payload
+        values = np.empty(count, dtype=np.int64)
+        kernel(source.ctypes.data, count, ref, values.ctypes.data)
+        return values

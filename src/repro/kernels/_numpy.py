@@ -98,3 +98,13 @@ def route_bounds(values, bounds):
 
 def merge_sorted(a, b):
     return np.insert(a, np.searchsorted(a, b, side="right"), b)
+
+
+def pack_for(values, ref: int, width: int) -> bytes:
+    deltas = (values.astype(np.int64) - np.int64(ref)).astype(np.uint64)
+    return deltas.astype(np.dtype(f"<u{width}")).tobytes()
+
+
+def unpack_for(payload, width: int, count: int, ref: int):
+    deltas = np.frombuffer(payload, dtype=np.dtype(f"<u{width}"), count=count)
+    return deltas.astype(np.int64) + np.int64(ref)

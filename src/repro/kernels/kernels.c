@@ -3,7 +3,8 @@
  * One source, macro-instantiated per element type: KERNELS for int64 (_i64),
  * uint64 (_u64) and float64 (_f64); INTEGER_SUMS for the two integer types;
  * KEY_KERNELS (radix scatter, equi-height routing) for the two column
- * dtypes.  The hot loops are branch-free in the data (the paper's
+ * dtypes; FOR_KERNELS (the block codec's pack/unpack) per delta width.  The
+ * hot loops are branch-free in the data (the paper's
  * predication): a comparison becomes an integer that advances a cursor or
  * selects a slot, not a jump.  Kernels write only into buffers the caller
  * allocated and never allocate, so the Python side's memory budget keeps
@@ -250,3 +251,34 @@ static inline uint64_t order_key_f64(double v)
 
 KEY_KERNELS(int64_t, i64)
 KEY_KERNELS(double, f64)
+
+/* Frame-of-reference block codec (persist/compress.py): int64 values <->
+ * `value - ref` as little-endian unsigned deltas W bytes wide, one pass each
+ * way.  The arithmetic is modulo 2**64, so `ref + delta` wraps exactly like
+ * NumPy's int64 addition; the payload is addressed as bytes (it sits at any
+ * offset of a file read), the memcpy is how a W-byte load is spelled.  The
+ * seam only loads these on a little-endian host. */
+#define FOR_KERNELS(U, W)                                                      \
+                                                                               \
+    void pack_for_##W(const int64_t *values, int64_t n, int64_t ref,           \
+                      unsigned char *payload)                                  \
+    {                                                                          \
+        for (int64_t k = 0; k < n; k++) {                                      \
+            U delta = (U)((uint64_t)values[k] - (uint64_t)ref);                \
+            memcpy(payload + k * W, &delta, W);                                \
+        }                                                                      \
+    }                                                                          \
+                                                                               \
+    void unpack_for_##W(const unsigned char *payload, int64_t n, int64_t ref,  \
+                        int64_t *values)                                       \
+    {                                                                          \
+        for (int64_t k = 0; k < n; k++) {                                      \
+            U delta;                                                           \
+            memcpy(&delta, payload + k * W, W);                                \
+            values[k] = (int64_t)((uint64_t)ref + delta);                      \
+        }                                                                      \
+    }
+
+FOR_KERNELS(uint8_t, 1)
+FOR_KERNELS(uint16_t, 2)
+FOR_KERNELS(uint32_t, 4)

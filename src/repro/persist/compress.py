@@ -24,9 +24,31 @@ Codecs (chosen per block, smallest encoding wins):
 * ``DICT`` — dictionary: sorted unique values + per-row codes, for
   low-cardinality blocks of either dtype.
 
+**The codec is chosen by arithmetic.**  The payload lengths of a block of
+``n`` 8-byte values are known before any payload exists: RAW ``8n``; FOR
+``w·n``, ``w`` read off ``max - min`` (1, 2 or 4, else no FOR); DICT over
+``u < n`` distinct values ``4 + 8u + c·n`` (``c`` = 1 up to 256 values, 2 up
+to 65 536).  The format's tie-breaks — a candidate replaces the best so far
+only when *strictly* shorter, tried in the order RAW, DICT, FOR — read: **DICT
+iff strictly shorter than RAW and no longer than FOR; else FOR if it exists;
+else RAW.**  So the encoder computes the largest ``u`` that could still win
+(none when ``w`` is 1) and only then counts: first the distinct values of a
+sorted *prefix* one eighth longer than that ``u`` (every NaN one value, as
+``np.unique`` counts) — a prefix cannot hold more distinct values than the
+block, so a count above the limit rules DICT out for certain, while a count
+below it decides nothing: the full ``np.unique`` runs and the exact ``u``
+decides.  The prefix is only ever an early "no", so the choice, and every
+byte written, is what building all three payloads and keeping the shortest
+gives (``tests/test_compress.py`` keeps that encoder and diffs files against
+it).  Only the winner's payload is built.
+
 Reads decompress **one block at a time** through a :class:`BlockCache`
 (LRU with pinning), and :class:`PagedArray` wraps a reader + cache into the
-lazy array-like the column/kernel layers stream over.  Decompression cost
+lazy array-like the column/kernel layers stream over, on the block grid: a
+chunk within one block is a view of the cached block.  :func:`decode_block`
+checks every length, the dictionary size and the largest code before a byte
+is interpreted — a damaged block is a :class:`~repro.errors.PersistenceError`
+naming file and block, and never reaches a kernel.  Decompression cost
 is priced into the cost model via ``CostConstants.decompress`` (see
 :meth:`~repro.core.index.BaseIndex._price_decompression`).
 """
@@ -43,6 +65,7 @@ from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.errors import PersistenceError
 from repro.persist.pager import fsync_file
 from repro.storage.lazy import LazyArray
@@ -88,66 +111,108 @@ def _for_width(span: int) -> int:
     return 8
 
 
+def _largest_winning_dictionary(n: int, itemsize: int, limit: int) -> int:
+    """The most distinct values a DICT payload of at most ``limit`` bytes can
+    hold over ``n`` rows (0: none can)."""
+    wide = min((limit - 4 - 2 * n) // itemsize, 1 << 16, n - 1)
+    if wide > 1 << 8:
+        return wide
+    return max(0, min((limit - 4 - n) // itemsize, 1 << 8, n - 1))
+
+
+def _distinct_sorted(ordered: np.ndarray) -> int:
+    """Distinct values of a sorted array, every NaN one value (``np.unique``'s rule)."""
+    if ordered.dtype.kind == "f":
+        ordered = ordered[: int(np.searchsorted(ordered, np.nan)) + 1]  # NaNs sort last: keep one
+    return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+
+
+def _dictionary(values: np.ndarray, limit: int):
+    """``(unique, codes)`` when the DICT payload is at most ``limit`` bytes long, else ``None``."""
+    most = _largest_winning_dictionary(values.size, values.dtype.itemsize, limit)
+    if most == 0:
+        return None
+    # A prefix cannot hold more distinct values than the block: a cheap lower
+    # bound on the count that rules DICT out before anything is sorted whole.
+    prefix = most + most // 8 + 1
+    if prefix < values.size and _distinct_sorted(np.sort(values[:prefix])) > most:
+        return None
+    unique, codes = np.unique(values, return_inverse=True)
+    if unique.size > most:
+        return None
+    if values.dtype.kind == "f":
+        # Equal floats of different bits (0.0 and -0.0, NaN payloads): store
+        # the representative this call picks, as the format always has.
+        unique = np.unique(values)
+    return unique, codes
+
+
 def encode_block(values: np.ndarray) -> Tuple[int, int, bytes, object, object, object]:
     """Encode one block; returns ``(codec, width, payload, min, max, ref)``."""
     if values.size == 0:
         raise PersistenceError("cannot encode an empty column block")
     vmin = values.min()
     vmax = values.max()
+    itemsize = values.dtype.itemsize
     little = values.dtype.newbyteorder("<")
-    raw_payload = values.astype(little, copy=False).tobytes()
-    best = (CODEC_RAW, values.dtype.itemsize, raw_payload)
-
-    unique = np.unique(values)
-    if unique.size <= 1 << 16 and unique.size < values.size:
+    for_width = None
+    limit = values.size * itemsize - 1  # DICT must be strictly shorter than RAW ...
+    if values.dtype.kind == "i":
+        width = _for_width(int(vmax) - int(vmin))
+        if width < itemsize:
+            for_width = width
+            limit = width * values.size  # ... and no longer than FOR
+    dictionary = _dictionary(values, limit)
+    if dictionary is not None:
+        unique, codes = dictionary
         code_width = 1 if unique.size <= 1 << 8 else 2
-        code_dtype = np.dtype(f"<u{code_width}")
-        codes = np.searchsorted(unique, values).astype(code_dtype)
         payload = (
             struct.pack("<I", unique.size)
             + unique.astype(little, copy=False).tobytes()
-            + codes.tobytes()
+            + codes.astype(np.dtype(f"<u{code_width}")).tobytes()
         )
-        if len(payload) < len(best[2]):
-            best = (CODEC_DICT, code_width, payload)
-
-    if values.dtype.kind == "i":
-        span = int(vmax) - int(vmin)
-        width = _for_width(span)
-        if width < values.dtype.itemsize:
-            deltas = (values.astype(np.int64) - np.int64(vmin)).astype(np.uint64)
-            payload = deltas.astype(np.dtype(f"<u{width}")).tobytes()
-            if len(payload) < len(best[2]):
-                best = (CODEC_FOR, width, payload)
-
-    codec, width, payload = best
-    return codec, width, payload, vmin, vmax, vmin
+        return CODEC_DICT, code_width, payload, vmin, vmax, vmin
+    if for_width is not None:
+        return CODEC_FOR, for_width, kernels.pack_for(values, int(vmin), for_width), vmin, vmax, vmin
+    return CODEC_RAW, itemsize, values.astype(little, copy=False).tobytes(), vmin, vmax, vmin
 
 
 def decode_block(
     payload: bytes, codec: int, width: int, count: int, dtype: np.dtype, ref
 ) -> np.ndarray:
-    """Inverse of :func:`encode_block`; returns a read-only array."""
+    """Inverse of :func:`encode_block`; returns a read-only array.  A payload
+    that disagrees with ``count`` / ``width`` is a :class:`PersistenceError`."""
     little = dtype.newbyteorder("<")
     if codec == CODEC_RAW:
+        _expect_length(payload, count * dtype.itemsize, "RAW")
         values = np.frombuffer(payload, dtype=little, count=count).astype(dtype, copy=True)
     elif codec == CODEC_FOR:
-        deltas = np.frombuffer(payload, dtype=np.dtype(f"<u{width}"), count=count)
-        values = deltas.astype(np.int64) + np.int64(ref)
-        values = values.astype(dtype, copy=False)
+        if width not in (1, 2, 4) or dtype.kind != "i":
+            raise PersistenceError(f"FOR block of width {width} over dtype {dtype.name}")
+        _expect_length(payload, count * width, "FOR")
+        values = kernels.unpack_for(payload, width, count, int(ref)).astype(dtype, copy=False)
     elif codec == CODEC_DICT:
+        if width not in (1, 2) or len(payload) < 4:
+            raise PersistenceError(f"DICT block of code width {width}, {len(payload)} bytes")
         (n_unique,) = struct.unpack_from("<I", payload, 0)
-        cursor = 4
-        unique = np.frombuffer(payload, dtype=little, count=n_unique, offset=cursor)
-        cursor += n_unique * dtype.itemsize
+        cursor = 4 + n_unique * dtype.itemsize
+        _expect_length(payload, cursor + count * width, f"DICT of {n_unique} values")
+        unique = np.frombuffer(payload, dtype=little, count=n_unique, offset=4)
         codes = np.frombuffer(payload, dtype=np.dtype(f"<u{width}"), count=count, offset=cursor)
+        if count and int(codes.max()) >= n_unique:
+            raise PersistenceError(
+                f"DICT block holds code {int(codes.max())} past its {n_unique} values")
         values = unique.astype(dtype, copy=False)[codes]
     else:
         raise PersistenceError(f"column block declares unknown codec {codec}")
-    if values.size != count:
-        raise PersistenceError("column block payload does not match its count")
     values.setflags(write=False)
     return values
+
+
+def _expect_length(payload, expected: int, what: str) -> None:
+    if len(payload) != expected:
+        raise PersistenceError(
+            f"{what} block payload is {len(payload)} bytes long, its directory entry needs {expected}")
 
 
 # ----------------------------------------------------------------------
@@ -342,14 +407,17 @@ class CompressedColumnReader:
         payload = os.pread(self._fd, int(self.lengths[i]), int(self.offsets[i]))
         if len(payload) != int(self.lengths[i]):
             raise PersistenceError(f"column file {self.path!r} block {i} is truncated")
-        return decode_block(
-            payload,
-            int(self.codecs[i]),
-            int(self.widths[i]),
-            int(self.counts[i]),
-            self.dtype,
-            self.refs[i],
-        )
+        try:
+            return decode_block(
+                payload,
+                int(self.codecs[i]),
+                int(self.widths[i]),
+                int(self.counts[i]),
+                self.dtype,
+                self.refs[i],
+            )
+        except PersistenceError as error:
+            raise PersistenceError(f"column file {self.path!r} block {i}: {error}") from None
 
     def block_bounds(self, block_id: int) -> Tuple[int, int]:
         """Row range ``[start, stop)`` the block covers."""

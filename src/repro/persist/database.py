@@ -585,6 +585,8 @@ class Database:
         if checkpoint:
             self.checkpoint()
         self._wal.close()
+        if self.memory_budget is not None:
+            self.memory_budget.trim()  # closes the spill files kept for reuse
         self._release_lock()
         self._closed = True
 

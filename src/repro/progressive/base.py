@@ -46,6 +46,7 @@ from repro.core.query import Predicate, QueryResult, SortedLeaf
 from repro.progressive.consolidation import ProgressiveConsolidator
 from repro.storage.column import Column
 from repro.storage.delta import merge_sorted_with_delta
+from repro.storage.lazy import array_chunks
 from repro.storage.membudget import budget_of
 
 
@@ -135,12 +136,14 @@ class ProgressiveIndexBase(BaseIndex):
             return budget.scratch.allocate(n_rows, dtype)
         return np.empty(int(n_rows), dtype=np.dtype(dtype))
 
-    def _stream_chunk_rows(self) -> int | None:
-        """Rows per streamed construction chunk, or ``None`` (single pass)."""
+    def _stream_column(self, start: int, stop: int):
+        """The base column's rows ``[start, stop)`` as ndarray chunks of the
+        memory budget's chunk size (one chunk without a budget); a paged
+        base yields them on its block grid."""
         budget = budget_of(self._column)
-        if budget is None:
-            return None
-        return budget.chunk_rows(self._column.dtype)
+        step = budget.chunk_rows(self._column.dtype) if budget is not None else max(1, stop - start)
+        for _, chunk in array_chunks(self._column.data, step, start=start, stop=stop):
+            yield np.asarray(chunk)
 
     def _scratch_pool(self):
         """The column's shared scratch allocator, or ``None`` (no budget)."""

@@ -257,8 +257,14 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
             sample = data[::step]
         else:
             sample = data
-        quantiles = np.linspace(0.0, 1.0, self.n_buckets + 1)[1:-1]
-        self._bounds = np.quantile(sample, quantiles)
+        # np.quantile's linear rule, off one sort of the sample instead of a
+        # selection per bound; any fixed rule does — the bounds only route,
+        # and they are persisted with the index.
+        ordered = np.sort(np.asarray(sample)).astype(np.float64, copy=False)
+        position = np.linspace(0.0, 1.0, self.n_buckets + 1)[1:-1] * (ordered.size - 1)
+        lower = position.astype(np.int64)
+        upper = np.minimum(lower + 1, ordered.size - 1)
+        self._bounds = ordered[lower] + (position - lower) * (ordered[upper] - ordered[lower])
         self._router = BoundsRouter(self._bounds, self._column.min(), self._column.max())
 
     # ------------------------------------------------------------------
@@ -313,10 +319,7 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
 
         if to_bucket > 0:
             start = self._elements_bucketed
-            stop = start + to_bucket
-            step = self._stream_chunk_rows() or to_bucket
-            for offset in range(start, stop, step):
-                chunk = np.asarray(self._column.data[offset : min(stop, offset + step)])
+            for chunk in self._stream_column(start, start + to_bucket):
                 self._buckets.scatter(chunk, self._bucket_id(chunk))
                 self._elements_bucketed += chunk.size
 

@@ -208,10 +208,7 @@ class ProgressiveQuicksort(ProgressiveIndexBase):
         """
         start = self._elements_copied
         stop = min(len(self._column), start + count)
-        step = self._stream_chunk_rows() or (stop - start) or 1
-        for offset in range(start, stop, step):
-            chunk = self._column.data[offset : min(stop, offset + step)]
-            chunk = np.asarray(chunk)
+        for chunk in self._stream_column(start, stop):
             below = kernels.partition_chunk(
                 chunk, self._pivot, self._index_array, self._low_fill, self._high_fill
             )

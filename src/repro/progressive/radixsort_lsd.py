@@ -247,10 +247,7 @@ class ProgressiveRadixsortLSD(ProgressiveIndexBase):
 
         if to_bucket > 0:
             start = self._elements_bucketed
-            stop = start + to_bucket
-            step = self._stream_chunk_rows() or to_bucket
-            for offset in range(start, stop, step):
-                chunk = np.asarray(self._column.data[offset : min(stop, offset + step)])
+            for chunk in self._stream_column(start, start + to_bucket):
                 self._current_set.scatter_radix(chunk, self._keyspace.key_min, 0)
                 self._elements_bucketed += chunk.size
 

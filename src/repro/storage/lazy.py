@@ -47,6 +47,10 @@ class LazyArray:
 
     dtype: np.dtype
     size: int
+    #: Rows per storage block of an array that is read block-wise
+    #: (:class:`~repro.persist.compress.PagedArray`): chunk streams keep to
+    #: that grid.
+    block_rows: int | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -138,12 +142,22 @@ class LazyArray:
         start: int = 0,
         stop: int | None = None,
     ) -> Iterator[Tuple[int, np.ndarray]]:
-        """Yield ``(offset, values)`` over rows ``[start, stop)``."""
+        """Yield ``(offset, values)`` over rows ``[start, stop)``.
+
+        On a block grid a chunk crosses a block edge only when it is whole
+        blocks — from an unaligned offset it ends at the next edge — so a
+        stream settles on the grid and a chunk within one block can be a view
+        of that block instead of a copy assembled from two.
+        """
         span = int(chunk_rows or DEFAULT_CHUNK_ROWS)
         stop = self.size if stop is None else min(int(stop), self.size)
         cursor = max(0, int(start))
+        grid = self.block_rows
         while cursor < stop:
             upto = min(cursor + span, stop)
+            if grid and cursor % grid + upto - cursor > grid:
+                into = cursor % grid
+                upto = cursor + (grid - into if into else (upto - cursor) // grid * grid)
             yield cursor, self._read(cursor, upto)
             cursor = upto
 

@@ -325,6 +325,65 @@ def test_integer_pivots_and_bounds_are_exact_beyond_2_53(kernel_backend):
 
 
 # ----------------------------------------------------------------------
+# The block codec's frame-of-reference pack / unpack
+# ----------------------------------------------------------------------
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+@requires_c
+@pytest.mark.parametrize("width", [1, 2, 4])
+@pytest.mark.parametrize("ref", [0, -12345, INT64_MIN, INT64_MAX - 2**32 + 1, INT64_MAX - 200])
+def test_pack_and_unpack_for_agree_on_both_backends(width, ref):
+    rng = np.random.default_rng(width)
+    span = min(2 ** (8 * width), INT64_MAX - ref + 1)
+    for rows in (0, 1, 7, 4097):
+        deltas = rng.integers(0, span, rows)
+        if rows:
+            deltas[0], deltas[-1] = 0, span - 1  # the block's min and max
+        values = (deltas.astype(np.uint64) + np.uint64(ref % 2**64)).astype(np.int64)
+        compiled, reference = both(kernels.pack_for, values, ref, width)
+        assert compiled == reference and len(compiled) == rows * width
+        for unpacked in both(kernels.unpack_for, compiled, width, rows, ref):
+            assert unpacked.dtype == np.int64 and bits(unpacked) == bits(values)
+
+
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_unpack_for_wraps_like_int64_addition(kernel_backend, width):
+    """A reference near the top of int64 plus a full-width delta wraps modulo
+    2**64 on both backends — what ``deltas.astype(int64) + ref`` always did."""
+    top = 2 ** (8 * width) - 1
+    payload = np.array([0, 1, top], dtype=f"<u{width}").tobytes()
+    unpacked = kernels.unpack_for(payload, width, 3, INT64_MAX)
+    assert unpacked.tolist() == [INT64_MAX, INT64_MIN, INT64_MIN + top - 1]
+    strided = np.arange(10, dtype=np.int64)[::2]  # not contiguous: the NumPy path, same bytes
+    assert kernels.pack_for(strided, 0, width) == kernels.pack_for(strided.copy(), 0, width)
+
+
+def test_the_seam_rejects_a_payload_of_the_wrong_length_before_reading_it(kernel_backend):
+    class Opaque:
+        """Has a length and no buffer: reading it would be a TypeError."""
+
+        def __init__(self, length):
+            self.length = length
+
+        def __len__(self):
+            return self.length
+
+    for length, width, count in ((7, 2, 4), (9, 2, 4), (0, 4, 1), (3, 3, 1)):
+        with pytest.raises(ValueError):
+            kernels.unpack_for(Opaque(length), width, count, 0)
+    with pytest.raises(ValueError):
+        kernels.unpack_for(b"\0" * 8, 2, -4, 0)
+    with pytest.raises(ValueError):
+        kernels.unpack_for(b"\0" * 8, 2, 4, 2**63)  # a reference no int64 holds
+    with pytest.raises(ValueError):
+        kernels.pack_for(np.arange(4.0), 0, 2)
+    with pytest.raises(ValueError):
+        kernels.pack_for(np.arange(4), 0, 8)
+    assert kernels.unpack_for(b"", 4, 0, 5).size == 0
+
+
+# ----------------------------------------------------------------------
 # The grouped scatter of BucketSet
 # ----------------------------------------------------------------------
 class TestGroupedScatterEquivalence:

@@ -9,6 +9,9 @@ the same compressed column and plain NumPy over the raw values.
 
 from __future__ import annotations
 
+import gc
+import os
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,9 @@ from repro.engine.session import IndexingSession
 from repro.persist.compress import write_compressed_column
 from repro.persist.pager import map_column_file
 from repro.storage.column import Column
+from repro.storage import scratch
 from repro.storage.membudget import MemoryBudget
+from repro.storage.scratch import ScratchAllocator
 from repro.storage.table import Table
 
 ROWS = 6000
@@ -55,13 +60,9 @@ def _check(result, data, low, high, context):
     assert int(result.value_sum) == int(data[mask].sum(dtype=np.int64)), context
 
 
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-def test_algorithm_matches_oracle_under_budget(algorithm, dataset, tmp_path):
-    path, data = dataset
-    column = Column.from_file(path, name="v", memory_budget=_tiny_budget(tmp_path))
-    oracle_column = Column.from_file(
-        path, name="v", memory_budget=_tiny_budget(tmp_path / "oracle")
-    )
+def _drive_against_oracle(algorithm, path, data, budget, oracle_budget):
+    column = Column.from_file(path, name="v", memory_budget=budget)
+    oracle_column = Column.from_file(path, name="v", memory_budget=oracle_budget)
     index = create_index(algorithm, column, budget=FixedDelta(0.25))
     oracle = create_index("FS", oracle_column)
 
@@ -83,6 +84,41 @@ def test_algorithm_matches_oracle_under_budget(algorithm, dataset, tmp_path):
     for number, (low, high) in enumerate(_predicates(3)):
         _check(index.query(Predicate(low, high)), data, low, high,
                f"{algorithm} post-drive #{number}")
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_algorithm_matches_oracle_under_budget(algorithm, dataset, tmp_path):
+    path, data = dataset
+    _drive_against_oracle(
+        algorithm, path, data, _tiny_budget(tmp_path), _tiny_budget(tmp_path / "oracle"))
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_algorithm_does_not_rely_on_fresh_spill_files_reading_as_zeros(
+    algorithm, dataset, tmp_path, monkeypatch
+):
+    """The same matrix with every scratch array spilled and every reused spill
+    file filled with 0xFF first: a spilled array's contents are unspecified."""
+    path, data = dataset
+    take_free = ScratchAllocator._take_free
+
+    def take_poisoned(self, nbytes):
+        found = take_free(self, nbytes)
+        if found is not None:
+            size, handle = found
+            os.pwrite(handle.fileno(), b"\xff" * size, 0)
+        return found
+
+    monkeypatch.setattr(ScratchAllocator, "_take_free", take_poisoned)
+    monkeypatch.setattr(scratch, "SMALL_ALLOCATION_BYTES", 1)
+    budget = _tiny_budget(tmp_path)
+    allocator = budget._scratch = ScratchAllocator(0, str(tmp_path))  # nothing stays resident
+    for rows in (2 * ROWS, 1 << 18):  # two released files: index-array and bucket-slab sized
+        allocator.allocate(rows, np.int64)
+    gc.collect()
+    assert len(allocator._free) == 2
+    _drive_against_oracle(algorithm, path, data, budget, _tiny_budget(tmp_path / "oracle"))
+    assert allocator.stats()["spill_reused"] >= 1 or algorithm == "FS"  # a scan allocates nothing
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
