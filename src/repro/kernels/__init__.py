@@ -2,8 +2,9 @@
 
 Everything the construction phase does per element — partition around a
 pivot, predicated range aggregation, the bucket scatter and its routing, the
-sorted merge — goes through the functions of this module, and so does the
-block codec's frame-of-reference pack and unpack.  Behind them sits
+sorted merge — goes through the functions of this module, and so do the
+block codec's frame-of-reference pack and unpack and the shard layout's
+routing and grouping.  Behind them sits
 either the compiled backend (``kernels.c``, built once with ``cc`` into a
 cache directory and loaded through ``ctypes``; see :mod:`repro.kernels._build`)
 or the NumPy backend (:mod:`repro.kernels._numpy`), which gives identical
@@ -234,6 +235,16 @@ def scatter_radix(values: np.ndarray, base: int, shift: int, mask: int, out: np.
     if not 0 <= shift < 64 or mask & (mask + 1) or not 0 < mask < 1 << 32:
         raise ValueError(f"scatter_radix: bad digit (shift {shift}, mask {mask})")
     return _run(_active.scatter_radix, values, int(base), int(shift), int(mask), out)
+
+
+def route_cuts(values: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Range routing: ``np.searchsorted(cuts, values, side="left")`` as int64
+    ids — how many of the sorted ``cuts`` sort before each value.
+
+    Compared in the arrays' own type when they share it, so an int64 value
+    past 2**53 routes exactly (:func:`route_bounds` compares in float64).
+    """
+    return _run(_active.route_cuts, values, cuts)
 
 
 def route_bounds(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:

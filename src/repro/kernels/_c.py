@@ -1,8 +1,8 @@
 """The compiled backend: ``kernels.c`` called through ``ctypes``, zero-copy.
 
-Kernels exist for int64, uint64 and float64 (the radix and routing ones for
-the two column dtypes); any other dtype, and any array that is not
-C-contiguous, takes the NumPy backend for that one call.  Shapes, dtypes and
+Kernels exist for int64, uint64 and float64 (the radix and equi-height
+routing ones for the two column dtypes); any other dtype, and any array that
+is not C-contiguous, takes the NumPy backend for that one call.  Shapes, dtypes and
 fill cursors are checked by :mod:`repro.kernels` before a pointer is taken;
 the arrays stay referenced by the caller's frame for the length of the call.
 """
@@ -32,6 +32,7 @@ _SIGNATURES = {
     "sum_range": ((_P, _I, _T, _T, _P), True),
     "scatter": ((_P, _P, _I, _I, _P, _P, _P), True),
     "scatter_radix": ((_P, _I, _U, _I, _U, _P, _P, _P), False),
+    "route_cuts": ((_P, _I, _P, _I, _P), False),
     "route_bounds": ((_P, _I, _P, _I, _P, _I, _P), False),
     "merge": ((_P, _I, _P, _I, _P), False),
 }
@@ -116,6 +117,14 @@ class CBackend:
         kernel(values.ctypes.data, values.size, base, shift, mask,
                counts.ctypes.data, ends.ctypes.data, out.ctypes.data)
         return counts, ends
+
+    def route_cuts(self, values, cuts):
+        kernel = self._kernel("route_cuts", values, cuts)
+        if kernel is None or cuts.dtype != values.dtype:
+            return _numpy.route_cuts(values, cuts)
+        ids = np.empty(values.size, dtype=np.int64)
+        kernel(values.ctypes.data, values.size, cuts.ctypes.data, cuts.size, ids.ctypes.data)
+        return ids
 
     def route_bounds(self, values, bounds):
         kernel = self._kernel("route_bounds", values, bounds)

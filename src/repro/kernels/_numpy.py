@@ -73,6 +73,10 @@ def scatter_radix(values, base: int, shift: int, mask: int, out):
     return scatter(values, ids, mask + 1, out)
 
 
+def route_cuts(values, cuts):
+    return np.searchsorted(cuts, values, side="left").astype(np.int64, copy=False)
+
+
 def route_bounds(values, bounds):
     # On random data every probe of np.searchsorted is a mispredicted branch,
     # so a uniform grid over the bounds' domain proposes each value's bucket

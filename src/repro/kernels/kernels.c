@@ -1,6 +1,7 @@
 /* Predicated construction kernels of repro (see repro/kernels/__init__.py).
  *
- * One source, macro-instantiated per element type: KERNELS for int64 (_i64),
+ * One source, macro-instantiated per element type: KERNELS (partitions, range
+ * scans, the counting scatter, shard routing, the merge) for int64 (_i64),
  * uint64 (_u64) and float64 (_f64); INTEGER_SUMS for the two integer types;
  * KEY_KERNELS (radix scatter, equi-height routing) for the two column
  * dtypes; FOR_KERNELS (the block codec's pack/unpack) per delta width.  The
@@ -132,6 +133,31 @@
         for (int64_t k = 0; k < n; k++)                                        \
             out[ends[ids[k]]++] = values[k];                                   \
         return n;                                                              \
+    }                                                                          \
+                                                                               \
+    /* Range routing: how many of the sorted cuts sort before each value       \
+     * (np.searchsorted side="left"), compared in T itself with NumPy's order  \
+     * (NaN after every number; the NaN terms fold away for integers).  The    \
+     * binary search takes the same steps for every value: the probe moves     \
+     * the window's base, never the control flow. */                           \
+    void route_cuts_##S(const T *values, int64_t n, const T *cuts,             \
+                        int64_t n_cuts, int64_t *ids)                          \
+    {                                                                          \
+        for (int64_t k = 0; k < n; k++) {                                      \
+            T v = values[k];                                                   \
+            int64_t base = 0, len = n_cuts;                                    \
+            while (len > 1) {                                                  \
+                int64_t half = len >> 1;                                       \
+                T c = cuts[base + half - 1];                                   \
+                base += half & -(int64_t)((c < v) | ((v != v) & (c == c)));    \
+                len -= half;                                                   \
+            }                                                                  \
+            if (len) {                                                         \
+                T c = cuts[base];                                              \
+                base += (c < v) | ((v != v) & (c == c));                       \
+            }                                                                  \
+            ids[k] = base;                                                     \
+        }                                                                      \
     }                                                                          \
                                                                                \
     /* Stable two-way merge of sorted a and b (ties: a first; NaN last). */    \

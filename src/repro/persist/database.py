@@ -58,7 +58,8 @@ from repro.extensions.progressive_hash import ProgressiveHashIndex
 from repro.persist.checkpoint import CheckpointManager
 from repro.persist.pager import ColumnPager, fsync_directory
 from repro.persist.wal import WriteAheadLog
-from repro.storage.column import Column
+from repro.storage.column import Column, require_finite
+from repro.storage.lazy import is_lazy
 from repro.storage.membudget import MemoryBudget
 from repro.storage.table import Table
 
@@ -202,6 +203,10 @@ class Database:
                     f"column {column_name!r} carries delta-store writes; "
                     "Database.create() persists base data only"
                 )
+            if is_lazy(column.base_data):
+                # Column() checks the arrays it is given; a paged base (a
+                # Column over a column file) reaches the store unread.
+                require_finite(column.base_data, column_name)
             pager.store(
                 column_name,
                 np.asarray(column.base_data),

@@ -40,8 +40,8 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.errors import DroppedColumnError, InvalidColumnError
-from repro.shard.partition import ShardLayout, build_layout, rebalance_empty_shards
-from repro.storage.column import Column, _ReadableColumn
+from repro.shard.partition import ShardLayout, build_layout, rebalance_empty_shards, split_rows
+from repro.storage.column import Column, _coerce, _ReadableColumn
 from repro.storage.delta import _GrowableArray
 
 
@@ -271,9 +271,8 @@ class ShardedColumn(_ReadableColumn):
         """Current values of the rows with the given global rids."""
         rids, shard_ids, local_rids = self._locate(rids)
         out = np.empty(rids.size, dtype=self.dtype)
-        for shard_number in np.unique(shard_ids):
-            sel = shard_ids == shard_number
-            out[sel] = self._shards[int(shard_number)].values_at(local_rids[sel])
+        for shard_number, positions in split_rows(shard_ids, self.n_shards):
+            out[positions] = self._shards[shard_number].values_at(local_rids[positions])
         return out
 
     def rids_where(self, low, high) -> np.ndarray:
@@ -341,7 +340,8 @@ class ShardedColumn(_ReadableColumn):
         sharded column directly would desync the sibling columns.
         """
         self._check_writable()
-        values = np.atleast_1d(np.asarray(values))
+        # Validated before routing, so a rejected batch reaches no shard.
+        values = _coerce(np.atleast_1d(np.asarray(values)), dtype=self._dtype, name=self._name)
         if shard_ids is None:
             if self._name != self._shard_set.driving_column:
                 raise InvalidColumnError(
@@ -357,14 +357,10 @@ class ShardedColumn(_ReadableColumn):
             )
         start = self._layout.total_base_rows + len(self._ins_shard)
         local_rids = np.empty(values.size, dtype=np.int64)
-        for shard_number in np.unique(shard_ids):
-            shard_number = int(shard_number)
-            sel = shard_ids == shard_number
-            chunk = values[sel]
-            local_rids[sel] = self._shards[shard_number].insert(chunk, handle=handle)
-            self._shard_ins_global[shard_number].append(
-                start + np.flatnonzero(sel).astype(np.int64)
-            )
+        for shard_number, positions in split_rows(shard_ids, self.n_shards):
+            chunk = values[positions]
+            local_rids[positions] = self._shards[shard_number].insert(chunk, handle=handle)
+            self._shard_ins_global[shard_number].append(start + positions)
             chunk_min = self._dtype.type(chunk.min()).item()
             chunk_max = self._dtype.type(chunk.max()).item()
             if chunk_min < self._mins[shard_number]:
@@ -383,9 +379,8 @@ class ShardedColumn(_ReadableColumn):
         rids, shard_ids, local_rids = self._locate(rids)
         deleted = 0
         per_shard: Dict[int, np.ndarray] = {}
-        for shard_number in np.unique(shard_ids):
-            shard_number = int(shard_number)
-            locals_here = local_rids[shard_ids == shard_number]
+        for shard_number, positions in split_rows(shard_ids, self.n_shards):
+            locals_here = local_rids[positions]
             per_shard[shard_number] = locals_here
             deleted += self._shards[shard_number].delete_rows(locals_here, handle=handle)
         self._invalidate()

@@ -48,6 +48,7 @@ from repro.core.index import BaseIndex
 from repro.core.policy import CappedBudget, policy_from_state
 from repro.core.query import Predicate
 from repro.errors import ExperimentError
+from repro.shard.partition import split_rows
 
 #: Pipe receive timeout for worker replies, in seconds.  Generous: a worker
 #: may legitimately spend a long time on a large construction step, but a
@@ -549,11 +550,10 @@ class ParallelShardExecutor:
     def _forward_write(self, op: dict) -> None:
         """Mirror a parent-side shard write into the owning workers."""
         if op.get("op") == "insert":
-            shard_ids = np.asarray(op["shard_ids"])
             values = np.asarray(op["values"])
             items = [
-                (int(shard_number), values[shard_ids == shard_number])
-                for shard_number in np.unique(shard_ids)
+                (shard_number, values[positions])
+                for shard_number, positions in split_rows(op["shard_ids"], self._column.n_shards)
             ]
             kind = "insert"
         elif op.get("op") == "delete":

@@ -22,16 +22,30 @@ occupy the contiguous block ``[offsets[s], offsets[s+1])``, so per-shard
 rid answers concatenate in shard order into a globally sorted rid array
 without any re-sorting; inserted rows continue from ``total_base_rows``
 in table insertion order (see :mod:`repro.shard.column`).
+
+Cost of a layout over ``n`` rows: **one sort, one routing pass, one
+scatter**.  A range layout sorts a copy of the driving column once and
+takes its cuts at ``sorted[ceil(q * (n - 1))]`` for ``q = s / K`` — exactly
+what ``np.quantile(values, q, method="higher")`` returns, without its
+partition.  Every row's shard id then comes from
+:meth:`ShardLayout.route_values`, the same routing inserts take
+(:func:`repro.kernels.route_cuts`, compared in the column's own dtype; the
+hash of a hash layout).  Last, one stable counting scatter of the row
+numbers by shard id (:func:`repro.kernels.scatter`, through
+:func:`group_rows`) yields ``source_rows`` and the offset map at once; the
+per-shard write loops group their rows with the same call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.errors import InvalidColumnError
+from repro.storage.column import require_finite
 
 #: Knuth's multiplicative constant for the 64-bit value hash.
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
@@ -86,11 +100,12 @@ class ShardLayout:
         return np.diff(self.offsets)
 
     def route_values(self, values) -> np.ndarray:
-        """Shard id of every value, vectorized."""
+        """Shard id of every value, vectorized: the one routing definition,
+        shared by :func:`build_layout` and every insert."""
         values = np.atleast_1d(np.asarray(values))
         if self.kind == "hash":
             return _hash_shards(values, self.n_shards)
-        return np.searchsorted(self.boundaries, values, side="left").astype(np.int64)
+        return kernels.route_cuts(values, self.boundaries)
 
     def shard_of_base_rid(self, rids: np.ndarray) -> np.ndarray:
         """Shard owning each global *base* rid (``rid < total_base_rows``)."""
@@ -137,43 +152,55 @@ def build_layout(
     kind = str(kind).lower()
     if kind not in ("range", "hash"):
         raise InvalidColumnError(f"unknown shard layout kind {kind!r}")
+    require_finite(values, driving_column)
 
+    boundaries = np.empty(0, dtype=values.dtype)
     if kind == "range" and n_shards > 1:
-        quantiles = np.quantile(
-            values, np.arange(1, n_shards) / n_shards, method="higher"
-        )
-        boundaries = np.asarray(quantiles, dtype=values.dtype)
-        shard_ids = np.searchsorted(boundaries, values, side="left").astype(np.int64)
-    elif kind == "hash" and n_shards > 1:
-        boundaries = np.empty(0, dtype=values.dtype)
-        shard_ids = _hash_shards(values, n_shards)
-    else:
-        boundaries = np.empty(0, dtype=values.dtype)
-        shard_ids = np.zeros(values.size, dtype=np.int64)
-
-    # Stable gather: argsort(kind="stable") groups rows by shard while
-    # preserving original order inside each shard.
-    order = np.argsort(shard_ids, kind="stable")
-    counts = np.bincount(shard_ids, minlength=n_shards)
-    offsets = np.zeros(n_shards + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    source_rows = [
-        order[offsets[s] : offsets[s + 1]].astype(np.int64) for s in range(n_shards)
-    ]
+        # np.quantile(values, q, method="higher") is sorted[ceil((n - 1) * q)],
+        # in NumPy's own float arithmetic for the index.
+        quantiles = np.arange(1, n_shards) / n_shards
+        boundaries = np.sort(values)[np.ceil((values.size - 1) * quantiles).astype(np.intp)]
+    layout = ShardLayout(
+        kind=kind,
+        n_shards=n_shards,
+        driving_column=str(driving_column),
+        boundaries=boundaries,
+    )
+    shard_ids = layout.route_values(values)
+    rows, layout.offsets = group_rows(shard_ids, n_shards)
+    source_rows = [rows[start:stop] for start, stop in zip(layout.offsets, layout.offsets[1:])]
     # Duplicate-heavy data can starve shards: a quantile boundary repeated
     # across cuts leaves some shards empty.  Empty shards are legal (their
     # zone maps prune them everywhere) but a fully empty shard cannot host
     # a Column, so guard by collapsing to fewer effective shards is NOT
     # done here — callers see the honest layout and the sharded column
     # backfills single-row floors instead.
-    layout = ShardLayout(
-        kind=kind,
-        n_shards=n_shards,
-        driving_column=str(driving_column),
-        boundaries=boundaries,
-        offsets=offsets,
-    )
     return layout, source_rows, shard_ids
+
+
+def group_rows(shard_ids: np.ndarray, n_shards: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Row positions grouped by shard, stably: ``(rows, offsets)``.
+
+    Shard ``s`` owns ``rows[offsets[s]:offsets[s + 1]]``, ascending (input
+    order) — one counting scatter of the positions by id.  Raises
+    :class:`IndexError` on an id outside ``[0, n_shards)``.
+    """
+    shard_ids = np.ascontiguousarray(shard_ids, dtype=np.int64)
+    rows = np.empty(shard_ids.size, dtype=np.int64)
+    _, ends = kernels.scatter(
+        np.arange(shard_ids.size, dtype=np.int64), shard_ids, n_shards, rows
+    )
+    offsets = np.zeros(n_shards + 1, dtype=np.int64)
+    offsets[1:] = ends
+    return rows, offsets
+
+
+def split_rows(shard_ids: np.ndarray, n_shards: int) -> Iterator[Tuple[int, np.ndarray]]:
+    """``(shard, positions)`` for every shard that owns rows, in shard order;
+    the positions ascend (:func:`group_rows`)."""
+    rows, offsets = group_rows(shard_ids, n_shards)
+    for shard in np.flatnonzero(offsets[1:] > offsets[:-1]).tolist():
+        yield shard, rows[offsets[shard] : offsets[shard + 1]]
 
 
 def rebalance_empty_shards(

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.shard import zonemaps
 from repro.shard.column import ShardedColumn
+from repro.shard.partition import split_rows
 
 
 class ShardRouter:
@@ -85,12 +86,10 @@ class ShardRouter:
         """Widen the bitmaps with inserted values (deletes are ignored)."""
         if op.get("op") != "insert" or self._bitmaps is None:
             return
-        shard_ids = op["shard_ids"]
         values = op["values"]
-        for shard_number in np.unique(shard_ids):
-            chunk = values[shard_ids == shard_number]
-            self._bitmaps[int(shard_number)] |= zonemaps.occupancy_bitmap(
-                self._edges, chunk
+        for shard_number, positions in split_rows(op["shard_ids"], self._n_shards):
+            self._bitmaps[shard_number] |= zonemaps.occupancy_bitmap(
+                self._edges, values[positions]
             )
 
     # ------------------------------------------------------------------

@@ -185,20 +185,41 @@ class _ReadableColumn:
         return self._view().copy()
 
 
-def _coerce(values: ArrayLike, dtype: Optional[np.dtype] = None):
+def require_finite(values, name: str) -> None:
+    """Raise :class:`InvalidColumnError` naming column ``name`` when float
+    data holds NaN or ±inf; integer data is not read.
+
+    Range predicates, quantile cuts, zone maps and pivots all assume totally
+    ordered values: a NaN lands in no range and poisons every min/max it
+    touches, so it would turn into wrong counts, not errors.  Two reductions
+    find one (``min``/``max`` propagate NaN); a lazy array is streamed.
+    """
+    if np.dtype(values.dtype).kind != "f":
+        return
+    chunks = (chunk for _, chunk in values.iter_chunks()) if is_lazy(values) else (values,)
+    for chunk in chunks:
+        if chunk.size and not (np.isfinite(chunk.min()) and np.isfinite(chunk.max())):
+            raise InvalidColumnError(
+                f"column {name!r} holds NaN or infinite values; range queries need "
+                "totally ordered data, so drop or replace them before ingest"
+            )
+
+
+def _coerce(values: ArrayLike, dtype: Optional[np.dtype] = None, name: str = "value"):
     """Validate and normalise column data to a contiguous int64/float64 array.
 
     Lazy arrays (paged compressed columns, chained snapshot views) pass
     through untouched — materializing them here would defeat out-of-core
     operation; they are already read-only and dtype-normalized at creation.
+    Float data must be finite (:func:`require_finite`).
     """
     if is_lazy(values):
-        name = np.dtype(values.dtype).name
-        if name not in ("int64", "float64"):
-            raise InvalidColumnError(f"column data must be numeric, got dtype {name}")
+        dtype_name = np.dtype(values.dtype).name
+        if dtype_name not in ("int64", "float64"):
+            raise InvalidColumnError(f"column data must be numeric, got dtype {dtype_name}")
         if dtype is not None and np.dtype(dtype) != np.dtype(values.dtype):
             raise InvalidColumnError(
-                f"lazy column data has dtype {name}, expected {np.dtype(dtype).name}"
+                f"lazy column data has dtype {dtype_name}, expected {np.dtype(dtype).name}"
             )
         return values
     array = np.asarray(values)
@@ -221,8 +242,8 @@ def _coerce(values: ArrayLike, dtype: Optional[np.dtype] = None):
                     "cannot write non-integral float values into an int64 "
                     "column; convert the values (or the column) explicitly"
                 )
-        return np.ascontiguousarray(array.astype(dtype, copy=False))
-    if array.dtype.kind in ("i", "u", "b"):
+        array = array.astype(dtype, copy=False)
+    elif array.dtype.kind in ("i", "u", "b"):
         array = array.astype(np.int64, copy=False)
     elif array.dtype.kind == "f":
         array = array.astype(np.float64, copy=False)
@@ -230,6 +251,7 @@ def _coerce(values: ArrayLike, dtype: Optional[np.dtype] = None):
         raise InvalidColumnError(
             f"column data must be numeric, got dtype {array.dtype}"
         )
+    require_finite(array, name)
     return np.ascontiguousarray(array)
 
 
@@ -256,7 +278,7 @@ class Column(_ReadableColumn):
         name: str = "value",
         memory_budget=None,
     ) -> None:
-        array = _coerce(values)
+        array = _coerce(values, name=name)
         if array.size == 0:
             raise InvalidColumnError("column data must not be empty")
         self._base = array
@@ -289,6 +311,12 @@ class Column(_ReadableColumn):
     def base_size(self) -> int:
         """Number of rows in the base array."""
         return int(self._base.size)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The base's dtype, which every write is coerced to (asking the
+        visible rows would materialize them after a write)."""
+        return self._base.dtype
 
     @property
     def version(self) -> int:
@@ -412,7 +440,7 @@ class Column(_ReadableColumn):
     def insert(self, values, handle=None) -> np.ndarray:
         """Append rows; returns the stable row ids of the new rows."""
         delta = self._writable_delta()
-        coerced = _coerce(np.atleast_1d(np.asarray(values)), dtype=self._base.dtype)
+        coerced = _coerce(np.atleast_1d(np.asarray(values)), dtype=self.dtype, name=self._name)
         rids = delta.insert(coerced, handle=handle)
         self._invalidate()
         return rids

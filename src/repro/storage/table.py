@@ -21,7 +21,7 @@ from typing import Dict, Iterable, Mapping
 import numpy as np
 
 from repro.errors import InvalidColumnError, UnknownColumnError
-from repro.storage.column import Column
+from repro.storage.column import Column, _coerce
 
 
 class Table:
@@ -106,8 +106,13 @@ class Table:
             raise InvalidColumnError(
                 f"insert_rows() must cover every column; missing {sorted(missing)}"
             )
+        # Every batch is validated before any column is written, so a
+        # rejected value (NaN, a fraction into an int64 column) leaves the
+        # columns aligned.
         arrays = {
-            name: np.atleast_1d(np.asarray(values))
+            name: _coerce(
+                np.atleast_1d(np.asarray(values)), dtype=self._columns[name].dtype, name=name
+            )
             for name, values in values_by_column.items()
         }
         sizes = {array.size for array in arrays.values()}

@@ -274,6 +274,23 @@ class TestCompiledAgainstNumpy:
         assert compiled == reference
         assert compiled == np.searchsorted(bounds, values, side="right").tolist()
 
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(count=2))
+    @example([np.array([2**53, 2**53 + 1, 2**53 + 2], dtype=np.int64),
+              np.array([2**53, 2**53 + 1], dtype=np.int64)])
+    @example([np.array([np.nan, -0.0, 0.0, np.inf, -np.inf]), np.array([-np.inf, 0.0, -0.0, np.nan])])
+    @example([np.arange(5), np.empty(0, dtype=np.int64)])
+    def test_route_cuts(self, pair):
+        values, cuts = pair[0], np.sort(pair[1])
+        compiled, reference = both(lambda: kernels.route_cuts(values, cuts).tolist())
+        assert compiled == reference
+        # Exact in the dtype (no float64 promotion of an int64 past 2**53),
+        # in NumPy's order: a NaN value sorts after every number, not after a NaN cut.
+        numbers = [c for c in cuts.tolist() if c == c]
+        assert compiled == [
+            sum(c < v for c in numbers) if v == v else len(numbers) for v in values.tolist()
+        ]
+
     @pytest.mark.parametrize("bad", [-1, 4, 2**62])
     def test_scatter_rejects_ids_out_of_range_without_writing(self, kernel_backend, bad):
         values = np.arange(5)
