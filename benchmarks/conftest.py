@@ -39,7 +39,7 @@ def pytest_addoption(parser):
     )
     group.addoption(
         "--workers", type=int, default=None,
-        help="worker processes used by sharded/parallel benchmarks "
+        help="threads used by sharded/parallel benchmarks "
              "(default: cpu count)",
     )
 

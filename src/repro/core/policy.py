@@ -831,8 +831,8 @@ class PooledBudgetController:
     n_shards:
         Total shard count K (for reporting).
     parallelism:
-        Number of concurrent execution lanes (worker processes; 1 for
-        the serial executor).
+        Number of concurrent execution lanes (the shard executor's
+        threads; 1 when it runs serially).
     """
 
     def __init__(

@@ -79,6 +79,26 @@ def point(value: float) -> Predicate:
     return Predicate(value, value)
 
 
+#: Sums strictly inside ``±2**62`` cannot wrap in int64 or uint64.
+_NO_WRAP = 1 << 62
+
+
+def add_sums(a, b):
+    """``a + b`` for two partial ``SELECT SUM`` answers.
+
+    Integer sums are exact modulo 2**64 (the kernels' sums wrap), so adding
+    two of them wraps too — without the ``RuntimeWarning`` NumPy raises when
+    a scalar integer addition overflows.  Python's exact sum picks the
+    rare case that needs the guard (entering it costs ~1 µs).
+    """
+    if (isinstance(a, np.integer) or isinstance(b, np.integer)) and not (
+        -_NO_WRAP < int(a) + int(b) < _NO_WRAP
+    ):
+        with np.errstate(over="ignore"):
+            return a + b
+    return a + b
+
+
 @dataclass
 class QueryResult:
     """Aggregate answer to a predicate.
@@ -97,12 +117,14 @@ class QueryResult:
     def __add__(self, other: "QueryResult") -> "QueryResult":
         if not isinstance(other, QueryResult):
             return NotImplemented
-        return QueryResult(self.value_sum + other.value_sum, self.count + other.count)
+        return QueryResult(
+            add_sums(self.value_sum, other.value_sum), self.count + other.count
+        )
 
     def __iadd__(self, other: "QueryResult") -> "QueryResult":
         if not isinstance(other, QueryResult):
             return NotImplemented
-        self.value_sum = self.value_sum + other.value_sum
+        self.value_sum = add_sums(self.value_sum, other.value_sum)
         self.count += other.count
         return self
 

@@ -104,13 +104,13 @@ def create_sharded_index(
     parallel: bool = False,
     **kwargs,
 ):
-    """Build a sharded parallel index over ``column``.
+    """Build a sharded index over ``column``.
 
     Partitions the column into ``shards`` range (default) or hash
     partitions, each served by its own instance of ``algorithm`` with an
     independent lifecycle, fronted by a zone-map router and a pooled
-    interactivity budget.  With ``parallel=True`` the per-shard work runs
-    on a persistent worker-process pool sharing the base arrays zero-copy.
+    interactivity budget.  With ``parallel=True`` the construction work of
+    the shards a query touches runs on a thread pool.
     See :func:`repro.shard.index.build_sharded_index` for all options.
     """
     if algorithm.upper() not in ALGORITHMS:

@@ -313,10 +313,9 @@ class IndexingSession:
         point_query_workload: bool = False,
         skewed_data: bool = False,
         router_bins: bool = False,
-        spill_dir: Optional[str] = None,
         **kwargs,
     ):
-        """Create a sharded (optionally multi-process parallel) index.
+        """Create a sharded (optionally thread-parallel) index.
 
         Converts **every** column of the table to a
         :class:`~repro.shard.column.ShardedColumn` under one shared layout
@@ -330,17 +329,15 @@ class IndexingSession:
             Partition count K.  A table already sharded by a previous call
             reuses its layout (``shards`` must then agree).
         parallel / workers:
-            Run per-shard work on a persistent worker-process pool (shard
-            bases shared zero-copy; ``workers`` defaults to the CPU count).
+            Run the construction work of the shards a query touches on a
+            thread pool of ``workers`` threads (default: the CPU count,
+            clamped to K).
         kind:
             ``"range"`` partitioning (zone-map routable — the default) or
             ``"hash"``.
         router_bins:
             Add per-shard bin-occupancy bitmaps for extra pruning (useful
             for hash layouts).
-        spill_dir:
-            Back the shared shard bases with mmap'd column files in this
-            directory instead of anonymous shared memory.
         """
         from repro.shard import ShardedColumn, ShardedIndex, shard_table
         from repro.shard.index import build_sharded_index
@@ -386,7 +383,6 @@ class IndexingSession:
             budget=budget,
             constants=self._constants,
             router_bins=router_bins,
-            spill_dir=spill_dir,
             **kwargs,
         )
         self._indexes[column_name] = index
@@ -396,7 +392,7 @@ class IndexingSession:
     def drop_index(self, column_name: str) -> None:
         """Remove the index on ``column_name`` (no error if absent).
 
-        Sharded indexes shut down their worker pool on the way out.
+        Sharded indexes shut down their thread pool on the way out.
         """
         index = self._indexes.pop(column_name, None)
         close = getattr(index, "close", None)

@@ -16,12 +16,9 @@ a bounded ring buffer (drained by the serve ``trace`` verb or
 :meth:`Tracer.export_jsonl`) and, optionally, stream to a JSON-lines
 sink file.
 
-Cross-process propagation: :meth:`Tracer.context` captures the current
-``(trace_id, span_id)`` pair as a plain dict that fits in a worker-pipe
-payload; the shard worker wraps its slice of the query in
-:meth:`Tracer.collect` and ships the finished span dicts back, and the
-parent re-ingests them with :meth:`Tracer.ingest` so the merged trace
-shows the per-shard children under the routing span that dispatched them.
+Spans also nest across threads: a task submitted with a copy of the
+caller's :mod:`contextvars` context (as the shard executor's thread pool
+does) starts its spans under the caller's current span, in the same trace.
 """
 
 from __future__ import annotations
@@ -147,7 +144,6 @@ class Tracer:
         self._ring: deque = deque(maxlen=buffer_size)
         self._sink_path: str | None = None
         self._sink = None
-        self._collectors = threading.local()
 
     # -- configuration ----------------------------------------------------
 
@@ -214,70 +210,10 @@ class Tracer:
                 self._current.set(None)
             span._token = None
         record = span.to_dict()
-        collector = getattr(self._collectors, "sinks", None)
-        if collector:
-            collector[-1].append(record)
-            return
         with self._lock:
             self._ring.append(record)
             if self._sink is not None:
                 self._sink.write(json.dumps(record) + "\n")
-                self._sink.flush()
-
-    # -- cross-process propagation ---------------------------------------
-
-    def context(self) -> dict | None:
-        """Wire-format handle to the current span (or ``None``)."""
-        if not self.enabled:
-            return None
-        span = self._current.get()
-        if span is None:
-            return None
-        return {"trace_id": span.trace_id, "span_id": span.span_id}
-
-    @contextmanager
-    def collect(self, ctx: dict | None):
-        """Capture spans under a remote parent instead of the ring.
-
-        Used on the worker side of the shard executor: everything traced
-        inside the block parents onto ``ctx`` and is yielded as a list of
-        span dicts for the reply pipe.  Temporarily enables tracing (the
-        worker process's tracer is otherwise off).
-        """
-        spans: list[dict] = []
-        if ctx is None:
-            yield spans
-            return
-        sinks = getattr(self._collectors, "sinks", None)
-        if sinks is None:
-            sinks = self._collectors.sinks = []
-        sinks.append(spans)
-        was_enabled = self.enabled
-        self.enabled = True
-        synthetic = Span(self, "<remote-parent>", ctx["trace_id"], None, None)
-        synthetic.span_id = ctx["span_id"]
-        token = self._current.set(synthetic)
-        try:
-            yield spans
-        finally:
-            self._current.reset(token)
-            self.enabled = was_enabled
-            sinks.pop()
-
-    def ingest(self, records: list[dict]) -> None:
-        """Adopt foreign finished spans (e.g. shipped back from a worker)."""
-        if not records:
-            return
-        collector = getattr(self._collectors, "sinks", None)
-        if collector:
-            collector[-1].extend(records)
-            return
-        with self._lock:
-            for record in records:
-                self._ring.append(record)
-                if self._sink is not None:
-                    self._sink.write(json.dumps(record) + "\n")
-            if self._sink is not None:
                 self._sink.flush()
 
     # -- export -----------------------------------------------------------

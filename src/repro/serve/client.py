@@ -68,9 +68,13 @@ class ServiceClient:
         self.versions: Dict[str, int] = {}
         #: Frame ids of the server's columns; empty on a JSON-only connection.
         self._column_ids: Dict[str, int] = {}
-        hello = self.request(
-            {"op": "hello", "role": role, "class": connection_class, "frames": [FRAMES]}
-        )
+        try:
+            hello = self.request(
+                {"op": "hello", "role": role, "class": connection_class, "frames": [FRAMES]}
+            )
+        except BaseException:  # e.g. writer-busy: nobody else will close it
+            sock.close()
+            raise
         self.versions = hello.get("versions", {})
         if hello.get("frames") == FRAMES:
             self._messages.frame_size = REPLY_FRAME.size

@@ -1,5 +1,6 @@
-"""Sharded parallel execution: partitioned columns, zone-map routing,
-per-shard progressive indexes and a pooled interactivity budget."""
+"""Sharded execution: partitioned columns, zone-map routing, per-shard
+progressive indexes (optionally built on threads) and a pooled
+interactivity budget."""
 
 from repro.shard.column import (
     ShardedColumn,
@@ -8,16 +9,15 @@ from repro.shard.column import (
     shard_column,
     shard_table,
 )
-from repro.shard.executor import ParallelShardExecutor, SerialShardExecutor
+from repro.shard.executor import ShardExecutor
 from repro.shard.index import ShardedIndex, build_sharded_index, merge_phase
 from repro.shard.partition import ShardLayout, build_layout
 from repro.shard.router import ShardRouter
 
 __all__ = [
-    "ParallelShardExecutor",
-    "SerialShardExecutor",
     "ShardLayout",
     "ShardRouter",
+    "ShardExecutor",
     "ShardSet",
     "ShardedColumn",
     "ShardedDelta",

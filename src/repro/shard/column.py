@@ -17,24 +17,10 @@ rows continue from ``total_base_rows`` in table insertion order; the column
 keeps the ``(shard, local rid)`` mapping of every insert, and per-shard
 insert rids are ascending too, so only the (small) insert tail of a
 ``rids_where`` answer ever needs a merge.
-
-Zero-copy sharing
------------------
-For parallel execution the per-shard base arrays must be readable from
-worker processes without pickling the payload.  :meth:`ShardedColumn.
-ensure_shareable` places each shard base either in a
-``multiprocessing.shared_memory`` segment (anonymous columns) or in a
-column file mapped via :mod:`repro.persist.pager` (when a spill directory
-is provided); workers reattach from a tiny descriptor.  Delta writes are
-forwarded to workers as explicit (small) operations — the base payload is
-never serialized.
 """
 
 from __future__ import annotations
 
-import os
-import weakref
-from multiprocessing import shared_memory
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -43,15 +29,6 @@ from repro.errors import DroppedColumnError, InvalidColumnError
 from repro.shard.partition import ShardLayout, build_layout, rebalance_empty_shards, split_rows
 from repro.storage.column import Column, _coerce, _ReadableColumn
 from repro.storage.delta import _GrowableArray
-
-
-def _release_segments(segments: List[shared_memory.SharedMemory]) -> None:
-    for segment in segments:
-        try:
-            segment.close()
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already reclaimed
-            pass
 
 
 class ShardSet:
@@ -113,13 +90,9 @@ class ShardedColumn(_ReadableColumn):
             _GrowableArray(np.int64) for _ in range(layout.n_shards)
         ]
         self._visible_cache: Optional[tuple] = None
-        #: Callables invoked with every write op (parallel executors mirror
-        #: the writes into their worker-side shard columns through this).
+        #: Callables invoked with every write op (the router widens its
+        #: bin bitmaps through this).
         self._write_listeners: List[Callable[[dict], None]] = []
-        # Zero-copy sharing state (built on demand).
-        self._segments: List[shared_memory.SharedMemory] = []
-        self._descriptors: Optional[List[dict]] = None
-        self._finalizer = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -140,7 +113,7 @@ class ShardedColumn(_ReadableColumn):
 
     @property
     def shards(self) -> List[Column]:
-        """The per-shard live columns (parent-process replicas)."""
+        """The per-shard live columns."""
         return self._shards
 
     @property
@@ -400,73 +373,6 @@ class ShardedColumn(_ReadableColumn):
         if all(shard.delta is None for shard in self._shards):
             return None
         return ShardedDelta(self._shards)
-
-    # ------------------------------------------------------------------
-    # Zero-copy sharing
-    # ------------------------------------------------------------------
-    def ensure_shareable(self, spill_dir: Optional[str] = None) -> List[dict]:
-        """Place shard bases where worker processes can attach zero-copy.
-
-        Anonymous shards move into ``multiprocessing.shared_memory``
-        segments; with ``spill_dir`` they are written as column files and
-        memory-mapped instead (the page cache is the shared medium).
-        Shards that are already file-backed just report their path.  Only
-        legal before any write lands (the shard columns are rebuilt around
-        the shared buffers); returns one descriptor per shard.
-        """
-        if self._descriptors is not None:
-            return self._descriptors
-        if any(shard.version for shard in self._shards):
-            raise InvalidColumnError(
-                "ensure_shareable() must run before the first write; create "
-                "the sharded index with parallel=True up front"
-            )
-        from repro.persist import pager
-
-        descriptors: List[dict] = []
-        rebuilt: List[Column] = []
-        for shard_number, shard in enumerate(self._shards):
-            base = shard.base_data
-            if shard.is_mapped and hasattr(base, "filename") and base.filename:
-                descriptors.append({"kind": "file", "path": str(base.filename)})
-                rebuilt.append(shard)
-                continue
-            if spill_dir is not None:
-                path = os.path.join(
-                    spill_dir, f"{self._name}.shard{shard_number}.col"
-                )
-                pager.write_column_file(path, np.ascontiguousarray(base))
-                rebuilt.append(Column.from_file(path, name=self._name))
-                descriptors.append({"kind": "file", "path": path})
-                continue
-            segment = shared_memory.SharedMemory(create=True, size=base.nbytes)
-            shared = np.ndarray(base.shape, dtype=base.dtype, buffer=segment.buf)
-            shared[:] = base
-            self._segments.append(segment)
-            rebuilt.append(Column(shared, name=self._name))
-            descriptors.append(
-                {
-                    "kind": "shm",
-                    "name": segment.name,
-                    "dtype": str(base.dtype),
-                    "size": int(base.size),
-                }
-            )
-        self._shards = rebuilt
-        self._visible_cache = None
-        self._descriptors = descriptors
-        if self._segments:
-            self._finalizer = weakref.finalize(
-                self, _release_segments, self._segments
-            )
-        return descriptors
-
-    def close(self) -> None:
-        """Release shared-memory segments (idempotent)."""
-        if self._finalizer is not None:
-            self._finalizer()
-            self._finalizer = None
-            self._segments = []
 
     # ------------------------------------------------------------------
     def _invalidate(self) -> None:

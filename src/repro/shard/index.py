@@ -9,9 +9,9 @@ already speaks:
 * the :class:`~repro.core.policy.PooledBudgetController` splits the logical
   query's interactivity budget τ across the surviving shards (pruned shards
   donate their slice);
-* a :class:`~repro.shard.executor.SerialShardExecutor` or
-  :class:`~repro.shard.executor.ParallelShardExecutor` runs the per-shard
-  queries and returns their summed ``(sum, count, granted)``.
+* the :class:`~repro.shard.executor.ShardExecutor` runs the per-shard
+  queries — on threads for shards with construction work, when built with
+  ``parallel=True`` — and returns their summed ``(sum, count, granted)``.
 
 A query takes one path: scalar route, one loop over the survivors, one
 charge.  Per survivor the loop reads a converged shard with no merge due
@@ -25,9 +25,8 @@ route.  With tracing on the same loop runs under ``shard.route`` /
 Each shard's index progresses through its *own*
 :class:`~repro.core.phase.IndexLifecycle`; the facade reports the merged
 view (a logical phase, summed per-phase counters) so ``session.status()``
-and the experiment reports keep their shape.  In-process shard indexes are
-asked for their state directly; a parallel executor's live in the workers,
-and every answer echoes their state back.
+and the experiment reports keep their shape.  The shard indexes live in
+this process and are asked for their state directly.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from repro.core.policy import (
 from repro.core.query import Predicate, QueryResult
 from repro.errors import ExperimentError
 from repro.shard.column import ShardedColumn, shard_column
-from repro.shard.executor import ParallelShardExecutor, SerialShardExecutor
+from repro.shard.executor import ShardExecutor
 from repro.shard.router import ShardRouter
 from repro.storage.column import Column
 
@@ -152,22 +151,14 @@ class ShardedIndex:
         self._executor = executor
         self._controller = controller
         self._algorithm = str(algorithm).upper()
-        self._n_shards = n_shards = column.n_shards
-        # In-process shard indexes are asked for their state directly; a
-        # parallel executor's live in the workers, whose answers echo it.
-        self._indexes = (
-            executor.indexes if isinstance(executor, SerialShardExecutor) else None
-        )
-        self._phases = [IndexPhase.INACTIVE] * n_shards
-        self._converged_flags = [False] * n_shards
-        self._pending_flags = [False] * n_shards
+        self._n_shards = column.n_shards
+        self._indexes = executor.indexes
         self._queries = 0
         self._lifecycle = _MergedLifecycle(self)
         self._status_cache: Optional[tuple] = None
         self._closed = False
-        # Parent-side latency histogram: with a parallel executor the
-        # per-shard BaseIndex histograms live in the worker processes, so
-        # this is the registry's end-to-end view of a sharded query.
+        # The registry's end-to-end view of a sharded query (the per-shard
+        # BaseIndex histograms time each shard's part alone).
         registry = obs.metrics()
         self._obs_query_seconds = registry.histogram(
             "shard.query.seconds",
@@ -217,11 +208,11 @@ class ShardedIndex:
     def phase(self) -> IndexPhase:
         if self._queries == 0:
             return IndexPhase.INACTIVE
-        return merge_phase(self._shard_phases())
+        return merge_phase([index.phase for index in self._indexes])
 
     @property
     def converged(self) -> bool:
-        return all(self._shard_converged())
+        return all(index.converged for index in self._indexes)
 
     @property
     def queries_executed(self) -> int:
@@ -235,31 +226,12 @@ class ShardedIndex:
             f"parallelism={self.parallelism}): {self.description}"
         )
 
-    def _shard_phases(self) -> List[IndexPhase]:
-        if self._indexes is not None:
-            return [index.phase for index in self._indexes]
-        return list(self._phases)
-
-    def _shard_converged(self) -> List[bool]:
-        if self._indexes is not None:
-            return [index.converged for index in self._indexes]
-        return list(self._converged_flags)
-
     def has_pending_merge(self) -> bool:
-        if self._indexes is not None:
-            return any(index.has_pending_merge() for index in self._indexes)
-        return any(self._pending_flags)
+        return any(index.has_pending_merge() for index in self._indexes)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _apply_reports(self, reports: Dict[int, dict]) -> None:
-        """Mirror the worker-side shard states a parallel answer echoed."""
-        for shard_number, report in reports.items():
-            self._phases[shard_number] = IndexPhase(report["phase"])
-            self._converged_flags[shard_number] = bool(report["converged"])
-            self._pending_flags[shard_number] = bool(report["pending_merge"])
-
     def query(self, predicate: Predicate) -> QueryResult:
         """Answer one logical range query across the surviving shards."""
         hist = self._obs_query_seconds
@@ -283,12 +255,9 @@ class ShardedIndex:
             if not touched:
                 controller.charge(0, 0.0)
                 return QueryResult.empty()
-            value_sum, count, granted, reports = self._executor.query(
-                survivors, predicate, controller.shard_budget(touched),
-                trace_ctx=_TR.context() if tracing else None,
+            value_sum, count, granted = self._executor.query(
+                survivors, predicate, controller.shard_budget(touched)
             )
-            if reports:
-                self._apply_reports(reports)
             controller.charge(touched, granted)
             return QueryResult(value_sum, count)
         finally:
@@ -333,8 +302,7 @@ class ShardedIndex:
         lows = np.atleast_1d(np.asarray(lows))
         highs = np.atleast_1d(np.asarray(highs))
         rows, per_shard = self._sub_batches(lows, highs)
-        answers, reports = self._executor.execute_batch(per_shard)
-        self._apply_reports(reports)
+        answers = self._executor.execute_batch(per_shard)
         sums, counts = self._gather(lows.size, rows, answers)
         touched = sum(chosen.size for chosen in rows.values())
         self._controller.charge(touched, 0.0, queries=lows.size)
@@ -376,9 +344,6 @@ class ShardedIndex:
         if self._status_cache is not None and self._status_cache[0] == key:
             return self._status_cache[1]
         status = self._executor.status()
-        for shard_number, entry in status.items():
-            self._phases[int(shard_number)] = IndexPhase(entry["phase"])
-            self._converged_flags[int(shard_number)] = bool(entry["converged"])
         self._status_cache = (key, status)
         return status
 
@@ -397,7 +362,6 @@ class ShardedIndex:
             "layout": self._column.layout.describe(),
             "router": self._router.describe(),
             "pool": self._controller.snapshot(),
-            "executor": "serial" if self._indexes is not None else "parallel",
             "parallelism": self.parallelism,
             "shards": {
                 int(shard_number): entry for shard_number, entry in status.items()
@@ -406,11 +370,7 @@ class ShardedIndex:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the executor (worker pool); idempotent.
-
-        Shared-memory segments are owned by the column and released by its
-        finalizer — a closed index leaves the column readable.
-        """
+        """Shut down the executor's thread pool; idempotent."""
         if not self._closed:
             self._executor.close()
             self._closed = True
@@ -443,7 +403,6 @@ def build_sharded_index(
     interactivity_budget: Optional[float] = None,
     constants=None,
     router_bins: bool = False,
-    spill_dir: Optional[str] = None,
     **kwargs,
 ) -> ShardedIndex:
     """Build a :class:`ShardedIndex` over a column.
@@ -461,12 +420,10 @@ def build_sharded_index(
     kind:
         ``"range"`` (zone-map routable) or ``"hash"`` partitioning.
     parallel:
-        Dispatch per-shard work to a persistent worker-process pool; the
-        shard bases are shared zero-copy (must be requested before any
-        write lands on the column).
+        Run the construction work of the shards a query touches on a
+        thread pool (the compiled kernels release the GIL).
     workers:
-        Worker processes for the parallel pool (default: CPU count,
-        clamped to K).
+        Threads of that pool (default: CPU count, clamped to K).
     budget / interactivity_budget:
         The per-shard budget policy (every shard gets an independent clone)
         — at most one of the two; ``interactivity_budget`` is sugar for
@@ -477,9 +434,6 @@ def build_sharded_index(
     router_bins:
         Build per-shard bin-occupancy bitmaps on top of the min/max zone
         maps (extra pruning for hash layouts).
-    spill_dir:
-        Share shard bases as mmap'd column files here instead of anonymous
-        shared memory (parallel mode only).
     kwargs:
         Extra keyword arguments for the per-shard index constructors.
     """
@@ -500,32 +454,25 @@ def build_sharded_index(
     def clone_policy() -> Optional[BudgetPolicy]:
         return policy_from_state(policy_state) if policy_state is not None else None
 
-    if parallel:
-        n_workers = workers if workers is not None else (os.cpu_count() or 1)
-        executor = ParallelShardExecutor(
-            column,
-            str(algorithm),
-            policy_state,
-            constants=constants,
-            n_workers=int(n_workers),
-            spill_dir=spill_dir,
-            index_kwargs=kwargs,
-        )
-    else:
-        from repro.engine.registry import create_index
+    from repro.engine.registry import create_index
 
-        executor = SerialShardExecutor(
-            [
-                create_index(
-                    str(algorithm),
-                    shard,
-                    budget=clone_policy(),
-                    constants=constants,
-                    **kwargs,
-                )
-                for shard in column.shards
-            ]
-        )
+    executor = ShardExecutor(
+        [
+            create_index(
+                str(algorithm),
+                shard,
+                budget=clone_policy(),
+                constants=constants,
+                **kwargs,
+            )
+            for shard in column.shards
+        ],
+        column.dtype,
+        parallelism=(
+            (workers if workers is not None else os.cpu_count() or 1)
+            if parallel else 1
+        ),
+    )
     router = ShardRouter(column, bin_bits=router_bins)
     controller = PooledBudgetController(
         interactivity_budget=tau,

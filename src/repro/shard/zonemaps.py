@@ -112,16 +112,6 @@ def bitmap_candidates(bitmaps: np.ndarray, query: np.uint64) -> np.ndarray:
     return np.flatnonzero(np.asarray(bitmaps, dtype=np.uint64) & np.uint64(query))
 
 
-def interval_candidates(mins: np.ndarray, maxs: np.ndarray, low, high) -> np.ndarray:
-    """Indices of the regions whose ``[min, max]`` intersects ``[low, high]``.
-
-    A region with ``max < low`` or ``min > high`` provably contains no
-    qualifying row and is pruned.
-    """
-    mask = (np.asarray(maxs) >= low) & (np.asarray(mins) <= high)
-    return np.flatnonzero(mask)
-
-
 def interval_overlap_matrix(
     mins: np.ndarray, maxs: np.ndarray, lows: np.ndarray, highs: np.ndarray
 ) -> np.ndarray:

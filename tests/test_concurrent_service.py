@@ -376,6 +376,43 @@ def test_socket_service_end_to_end(tmp_path):
         server.stop()
 
 
+def test_refused_writer_closes_its_socket(tmp_path, monkeypatch):
+    """A hello refused with writer-busy leaves no socket open for GC."""
+    import gc
+    import socket
+    import warnings
+
+    session = IndexingSession(Column(_base_data(), name="ra"))
+    server = QueryServer(session=session, address=str(tmp_path / "svc.sock"))
+    server.start()
+    created = []
+
+    class RecordingSocket(socket.socket):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    try:
+        with ServiceClient(server.endpoint, role="writer"):
+            monkeypatch.setattr(socket, "socket", RecordingSocket)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                with pytest.raises(ServiceError) as excinfo:
+                    ServiceClient(server.endpoint, role="writer")
+                monkeypatch.undo()
+                assert excinfo.value.code == "writer-busy"
+                # The client's socket exists before it connects, so before
+                # the server accepts (and wraps) the other end.
+                refused = created[0]
+                assert refused.fileno() == -1
+                del excinfo, refused
+                created.clear()
+                gc.collect()
+            assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    finally:
+        server.stop()
+
+
 @pytest.mark.parametrize("address", ["unix", ("127.0.0.1", 0)], ids=["unix", "tcp"])
 def test_stop_returns_promptly_after_serving_a_client(tmp_path, address):
     """Closing the listener does not wake a thread parked in accept(): once

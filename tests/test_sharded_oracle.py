@@ -1,25 +1,26 @@
 """Differential oracle: sharded execution must equal the unsharded scan.
 
-Every registry algorithm runs over {1, 4, 7} shards, serial and parallel,
-against a brute-force NumPy oracle maintained alongside the workload —
-including mutable writes routed to their owning shards and queries on both
-sides of convergence.  Zero correctness deviation is the acceptance bar:
-counts and integer sums must match *exactly* (float sums within 1e-9
-relative, since per-shard partial sums reassociate the addition).
-
-The full parallel matrix spawns a worker pool per case and runs in the
-nightly/slow lane (``-m slow``); a two-algorithm parallel smoke subset
-stays in the default lane.
+Every registry algorithm runs over {1, 4, 7} shards, serial and on
+threads, against a brute-force NumPy oracle maintained alongside the
+workload — including mutable writes routed to their owning shards and
+queries on both sides of convergence.  Zero correctness deviation is the
+acceptance bar: counts and integer sums must match *exactly* (modulo 2**64,
+as the oracle's own sum wraps), float sums within 1e-9 relative, since
+per-shard partial sums reassociate the addition.  The threaded executor
+adds the partials in shard order, so against the serial executor even
+float sums are bit-identical.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.core.policy import FixedDelta
 from repro.core.query import Predicate, QueryResult
-from repro.engine.registry import ALGORITHMS
+from repro.engine.registry import ALGORITHMS, create_index
 from repro.shard.column import shard_column
 from repro.shard.index import build_sharded_index
 from repro.storage.column import Column
@@ -71,8 +72,7 @@ def run_differential(
         width = max(1, (domain_high - domain_low) // 10)
         for query_number in range(n_queries):
             if with_writes and query_number == n_queries // 3:
-                # inserts route to their owning shards (and, in parallel
-                # mode, forward to the owning workers before later queries)
+                # inserts route to their owning shards
                 fresh = rng.integers(domain_low, domain_high + 1, 200)
                 column.insert(fresh)
                 reference = np.concatenate([reference, fresh])
@@ -92,7 +92,6 @@ def run_differential(
             )
     finally:
         index.close()
-        column.close()
 
 
 @pytest.fixture
@@ -110,15 +109,14 @@ def test_serial_matches_oracle(algorithm, shards, oracle_data, rng):
 
 
 # ----------------------------------------------------------------------
-# Parallel: smoke subset in the fast lane, full matrix nightly
+# Threaded: a short smoke subset, then the same matrix
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("algorithm", ["PQ", "STD"])
 def test_parallel_smoke_matches_oracle(algorithm, oracle_data, rng):
     run_differential(algorithm, 4, True, oracle_data, rng, n_queries=16)
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("shards", (1, 4, 7))
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
 @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
 def test_parallel_matches_oracle(algorithm, shards, oracle_data, rng):
     run_differential(algorithm, shards, True, oracle_data, rng)
@@ -194,7 +192,6 @@ def test_batch_path_matches_oracle(parallel, oracle_data, rng):
             )
     finally:
         index.close()
-        column.close()
 
 
 # ----------------------------------------------------------------------
@@ -289,7 +286,7 @@ def _run_stream(data, parallel=False):
                 reference = np.concatenate([reference, fresh])
             result = index.query(Predicate(low, high))
             _assert_equal(result, _oracle(reference, low, high), f"query {number}")
-            answers.append((int(result.value_sum), int(result.count)))
+            answers.append((result.value_sum, int(result.count)))
         status = index.shard_status()
         shards = status["shards"]
         return {
@@ -305,7 +302,6 @@ def _run_stream(data, parallel=False):
         }
     finally:
         index.close()
-        column.close()
 
 
 def test_tracing_on_and_off_take_the_same_read(oracle_data):
@@ -324,12 +320,44 @@ def test_tracing_on_and_off_take_the_same_read(oracle_data):
     assert plain["queries"] == 140 and plain["pool"]["granted_seconds"] > 0.0
 
 
-def test_parallel_executor_answers_and_status_match_serial(oracle_data):
-    serial = _run_stream(oracle_data)
-    parallel = _run_stream(oracle_data, parallel=True)
-    for entry in (serial, parallel):
-        entry["pool"] = {**entry["pool"], "parallelism": None}
-    assert parallel == serial
+def test_parallel_executor_answers_and_status_match_serial(oracle_data, rng):
+    # Float sums too: the threaded partials are added in shard order, so
+    # they equal the serial loop's bit for bit.
+    for data in (oracle_data, rng.uniform(0.0, 50_000.0, oracle_data.size)):
+        serial = _run_stream(data)
+        parallel = _run_stream(data, parallel=True)
+        for entry in (serial, parallel):
+            entry["pool"] = {**entry["pool"], "parallelism": None}
+        assert parallel == serial
+
+
+@pytest.mark.parametrize("shards, parallel", [(1, False), (4, False), (4, True)])
+def test_int64_sums_wrap_without_warning(shards, parallel, rng):
+    """Values near 2**60: sums wrap modulo 2**64 (as the oracle's do) and no
+    scalar addition raises NumPy's overflow RuntimeWarning."""
+    values = rng.integers(2**60, 2**60 + 2**20, 8_000, dtype=np.int64)
+    column = Column(values.copy(), name="v")
+    if shards == 1:
+        index = create_index("PQ", column, budget=FixedDelta(0.25))
+    else:
+        index = build_sharded_index(
+            shard_column(column, shards), "PQ", parallel=parallel, workers=2,
+            budget=FixedDelta(0.25),
+        )
+    wrapped = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for number in range(60):
+            low = 2**60 + int(rng.integers(0, 2**19))
+            high = low + int(rng.integers(0, 2**19))
+            expected = _oracle(values, low, high)
+            result = index.query(Predicate(low, high))
+            assert result.count == expected.count, f"query {number}"
+            assert int(result.value_sum) == int(expected.value_sum), f"query {number}"
+            wrapped += int(expected.value_sum) != expected.count * 2**60 + int(
+                (values[(values >= low) & (values <= high)] - 2**60).sum()
+            )
+    assert index.converged and wrapped > 50
 
 
 def test_big_integer_shard_edges_route_exactly(rng):

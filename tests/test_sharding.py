@@ -95,12 +95,6 @@ class TestZonemaps:
             chunk = values[number * block : (number + 1) * block]
             assert vectorized[number] == zonemaps.occupancy_bitmap(edges, chunk)
 
-    def test_interval_candidates(self):
-        mins = np.array([0.0, 100.0, 200.0])
-        maxs = np.array([99.0, 199.0, 299.0])
-        assert zonemaps.interval_candidates(mins, maxs, 150, 250).tolist() == [1, 2]
-        assert zonemaps.interval_candidates(mins, maxs, 300, 400).tolist() == []
-
     def test_interval_overlap_matrix(self):
         mins = np.array([0.0, 100.0])
         maxs = np.array([99.0, 199.0])
@@ -177,12 +171,6 @@ class TestShardedColumn:
         _, maxs_after = column.shard_bounds()
         assert maxs_after.max() == 200_000.0
         assert maxs_after.max() > maxs_before.max()
-
-    def test_ensure_shareable_rejected_after_write(self, uniform_data):
-        column = shard_column(Column(uniform_data, name="v"), 2)
-        column.insert(np.array([1]))
-        with pytest.raises(InvalidColumnError):
-            column.ensure_shareable()
 
     def test_shard_column_rejects_written_column(self, uniform_data):
         plain = Column(uniform_data, name="v")
@@ -318,6 +306,32 @@ class TestMergedPhase:
         assert merge_phase([C, R, V]) is C
         assert merge_phase([R, M, V]) is R
         assert merge_phase([IndexPhase.INACTIVE, C]) is IndexPhase.INACTIVE
+
+
+def test_failing_shard_task_joins_its_siblings_before_raising(monkeypatch):
+    """No pool task outlives a failed query, so a retry never puts two
+    threads on one shard index."""
+    import time
+
+    index = build_sharded_index(
+        np.arange(40_000), "PQ", shards=4, parallel=True, workers=2,
+        budget=FixedDelta(0.05),
+    )
+    executor = index._executor
+    answer, finished = executor._answer, []
+
+    def failing_answer(shard_number, predicate, shard_budget):
+        if shard_number == 0:
+            raise RuntimeError("shard 0 failed")
+        time.sleep(0.05)
+        finished.append(shard_number)
+        return answer(shard_number, predicate, shard_budget)
+
+    monkeypatch.setattr(executor, "_answer", failing_answer)
+    with pytest.raises(RuntimeError, match="shard 0 failed"):
+        index.query(Predicate(0, 40_000))
+    assert sorted(finished) == [1, 2, 3]  # before close() joins the pool
+    index.close()
 
 
 # ----------------------------------------------------------------------
