@@ -16,6 +16,11 @@ of the paper's formulas:
 * radix/bucket creation:
   ``t_total = (1 - rho - delta) * t_scan + alpha * t_bscan + delta * t_bucket``
 
+The progressive index base class prices the creation and refinement phases of
+all four algorithms through :meth:`CostModel.creation_phase_cost` and
+:meth:`CostModel.refinement_phase_cost`, given each algorithm's α, scan unit
+and full work time.
+
 All costs are expressed in seconds for a given number of elements.
 """
 
@@ -175,9 +180,10 @@ class CostModel:
 
         The paper (Section 3.3) charges an extra ``log2(b)`` factor for the
         binary search locating each element's bucket.  This substrate routes
-        through a grid-accelerated ``BoundsRouter`` instead — a verified
-        gather, O(1) per element — so the measured routing cost is about one
-        more scatter-scale pass over the data, not a ``log2(b)`` blow-up:
+        through :func:`repro.kernels.route_bounds` instead — a grid-proposed,
+        verified gather, O(1) per element — so the measured routing cost is
+        about one more scatter-scale pass over the data, not a ``log2(b)``
+        blow-up:
         ``t_equiheight = t_bucket + scatter * N``.
         """
         return self.bucket_write_time(n_elements) + self.constants.scatter * n_elements

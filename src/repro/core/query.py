@@ -163,6 +163,17 @@ class QueryResult:
         """Predicated scan of an unrefined slice: ``values`` in ``[low, high]``."""
         return cls(*kernels.range_sum_count(values, low, high))
 
+    @classmethod
+    def from_sorted(cls, values: np.ndarray, low, high) -> "QueryResult":
+        """Binary search of a sorted slice, summing the matching run in place
+        (no prefix sums: those are the converged read's)."""
+        lo = int(np.searchsorted(values, low, side="left"))
+        hi = int(np.searchsorted(values, high, side="right"))
+        if hi <= lo:
+            return cls.empty()
+        matched = values[lo:hi]
+        return cls(matched.sum(), int(matched.size))
+
 
 class PredicateVector:
     """A batch of inclusive range predicates stored as parallel arrays.

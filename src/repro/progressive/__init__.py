@@ -12,8 +12,9 @@ shared machinery they are built from:
 * :mod:`repro.progressive.consolidation` — progressive construction of the
   B+-tree cascade from a sorted array.
 * :mod:`repro.progressive.base` — the shared life-cycle driver: phase
-  dispatch, budget-controller routing, and the consolidation / converged
-  phases implemented once for all four algorithms.
+  dispatch, budget-controller routing, and every phase — creation,
+  refinement, consolidation, converged — implemented once for all four
+  algorithms, which supply their partition rule as hooks.
 * :mod:`repro.progressive.quicksort` — Progressive Quicksort.
 * :mod:`repro.progressive.radixsort_msd` — Progressive Radixsort (MSD).
 * :mod:`repro.progressive.radixsort_lsd` — Progressive Radixsort (LSD).

@@ -1,11 +1,9 @@
 """Shared life-cycle driver of the four progressive indexes.
 
 Every progressive indexing algorithm of the paper moves through the same
-phases — creation, refinement, consolidation, converged — and ends the same
-way: a fully sorted array consolidated into a B+-tree cascade.  Before this
-module existed, each of the four algorithms carried its own copy of the
-phase dispatch, the consolidation-phase execution, and the converged-path
-execution; :class:`ProgressiveIndexBase` is the template method that owns
+phases — creation, refinement, consolidation, converged — and prices every
+phase with the same formula shape, ``(1-ρ-δ)·t_scan + α·t_indexed_scan +
+δ·t_work``.  :class:`ProgressiveIndexBase` is the template method that owns
 all of it:
 
 * phase transitions go through the index's shared
@@ -16,11 +14,37 @@ all of it:
   which is also what powers the public
   :meth:`~repro.core.index.BaseIndex.predicted_cost` API that
   :class:`~repro.core.policy.CostModelGreedy` solves against;
+* the creation phase (ingest ``δ·N`` more base-column rows, answer from the
+  ingested part plus a scan of the rest) and the refinement phase (spend
+  ``δ·N`` elements of work, answer from the partly refined index), priced
+  through :meth:`~repro.core.cost_model.CostModel.creation_phase_cost` and
+  :meth:`~repro.core.cost_model.CostModel.refinement_phase_cost`;
 * the consolidation phase (progressively copying the sorted array into
-  cascade levels) and the converged path are implemented once.
+  cascade levels), the converged path, the memory footprint, and the
+  construction of every bucket set, block list and radix key space.
 
-Subclasses implement the creation and refinement phases plus their cost
-formulas (:meth:`_creation_cost`, :meth:`_refinement_cost`).
+Each algorithm is reduced to its partition rule, as hooks:
+
+========================  ==================================================
+``_initialize``           the first query's structures (pivot, bounds, ...)
+``_ingest``               route one chunk of base-column rows
+``_creation_work_time``   ``t_work`` of ingesting the whole column
+``_creation_scan``        α and ``t_indexed_scan`` of the ingested part
+``_scan_ingested``        the answer from the ingested part
+``_start_refinement``     the refinement structures, once all is ingested
+``_refinement_work_time`` ``t_work`` of the whole refinement
+``_refinement_scan``      α and ``t_indexed_scan`` of the partly refined index
+``_refine``               one budgeted step; returns the elements it spent
+``_refinement_answer``    the answer from the partly refined index
+``_refinement_done``      whether the final array is sorted
+========================  ==================================================
+
+The bucket families (PMSD, PB, PLSD) name the buckets a query reads
+(``_relevant_buckets``) and inherit ``_creation_scan``/``_scan_ingested``;
+PQ's two creation pieces override them.  PLSD's range fallback (a full
+column scan, whatever ρ and δ are) is the one override of
+``_creation_cost``, with ``_creation_answer``.  The checkpoint payloads
+(``_construction_state`` / ``_load_construction_state``) stay per family.
 
 Mutable columns ride on the shared :class:`~repro.core.overlay.DeltaOverlay`
 mixin (inherited through :class:`~repro.core.index.BaseIndex`): structures
@@ -34,15 +58,20 @@ budget decisions the same way creation/refinement/consolidation work was.
 
 from __future__ import annotations
 
+import abc
+from functools import cached_property
+
 import numpy as np
 
 from repro.btree.cascade import DEFAULT_FANOUT, CascadeTree
 from repro.core.calibration import CostConstants
 from repro.core.cost_model import CostBreakdown
 from repro.core.index import BaseIndex
+from repro.core.keys import RadixKeySpace
 from repro.core.phase import IndexPhase
 from repro.core.policy import BudgetPolicy
 from repro.core.query import Predicate, QueryResult, SortedLeaf
+from repro.progressive.blocks import BlockList, BucketSet
 from repro.progressive.consolidation import ProgressiveConsolidator
 from repro.storage.column import Column
 from repro.storage.delta import merge_sorted_with_delta
@@ -71,6 +100,9 @@ class ProgressiveIndexBase(BaseIndex):
     #: serving scheduler may run them from concurrent reader threads.
     concurrent_reads = True
 
+    #: Checkpoint key of the ingested-elements counter.
+    _ingested_key = "elements_bucketed"
+
     def __init__(
         self,
         column: Column,
@@ -82,6 +114,12 @@ class ProgressiveIndexBase(BaseIndex):
         self.fanout = int(fanout)
         self._consolidator: ProgressiveConsolidator | None = None
         self._cascade = None
+        #: Base-column rows the creation phase has ingested (``ρ·N``).
+        self._ingested = 0
+        #: The creation phase's buckets (bucket families).
+        self._buckets: BucketSet | None = None
+        #: The array that ends sorted and becomes the cascade's leaf.
+        self._final_array: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Phase dispatch
@@ -122,6 +160,23 @@ class ProgressiveIndexBase(BaseIndex):
             return self._merge_phase_cost(predicate, delta)
         return None
 
+    def memory_footprint(self) -> int:
+        """Bytes held by the bucket blocks, the index array and the cascade."""
+        total = sum(
+            buckets.memory_footprint() for buckets in self._bucket_sets() if buckets is not None
+        )
+        if self._final_array is not None:
+            total += self._final_array.nbytes
+        if self._cascade is not None:
+            total += self._cascade.memory_footprint()
+        elif self._consolidator is not None:
+            total += sum(level.nbytes for level in self._consolidator.levels)
+        return total
+
+    def _bucket_sets(self) -> tuple:
+        """The bucket sets the footprint counts (``None`` where there is none)."""
+        return (self._buckets,)
+
     # ------------------------------------------------------------------
     # Out-of-core support (streaming kernels)
     # ------------------------------------------------------------------
@@ -150,35 +205,173 @@ class ProgressiveIndexBase(BaseIndex):
         budget = budget_of(self._column)
         return budget.scratch if budget is not None else None
 
-    def _block_arena(self, block_size: int):
+    def _block_arena(self):
         """Spillable slab arena for linked bucket blocks (``None`` unbudgeted)."""
         pool = self._scratch_pool()
         if pool is None:
             return None
         from repro.storage.scratch import BlockArena
 
-        return BlockArena(pool, int(block_size), self._column.dtype)
+        return BlockArena(pool, self.block_size, self._column.dtype)
 
     # ------------------------------------------------------------------
-    # Subclass hooks
+    # Bucket families' structures
     # ------------------------------------------------------------------
+    def _bucket_set(self, state: dict | None = None) -> BucketSet:
+        """An empty ``n_buckets`` set, or the one ``state`` saved; either
+        way its blocks come from the column's arena under a memory budget."""
+        if state is not None:
+            return BucketSet.from_state(state, arena=self._block_arena())
+        return BucketSet(
+            self.n_buckets,
+            block_size=self.block_size,
+            dtype=self._column.dtype,
+            arena=self._block_arena(),
+        )
+
+    def _block_list(self, values: np.ndarray | None = None) -> BlockList:
+        """A block list holding ``values``, under the column's arena."""
+        blocks = BlockList(self.block_size, self._column.dtype, arena=self._block_arena())
+        if values is not None:
+            blocks.append_array(values, owned=True)
+        return blocks
+
+    @cached_property
+    def _keyspace(self) -> RadixKeySpace:
+        """The column's radix key space, ``log2(n_buckets)`` bits a digit (a
+        pure function of the pinned snapshot's bounds)."""
+        return RadixKeySpace(
+            self._column.min(),
+            self._column.max(),
+            self._column.dtype,
+            self.n_buckets.bit_length() - 1,
+        )
+
+    def _relevant_buckets(self, predicate: Predicate) -> range:
+        """The creation buckets that can hold values matching ``predicate``."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Creation phase
+    # ------------------------------------------------------------------
+    @abc.abstractmethod
     def _initialize(self) -> None:
         """Allocate the first-query structures (pivot, buckets, bounds...)."""
-        raise NotImplementedError
 
-    def _execute_creation(self, predicate: Predicate) -> QueryResult:
-        raise NotImplementedError
+    @abc.abstractmethod
+    def _ingest(self, chunk: np.ndarray) -> None:
+        """Route the next ``chunk`` of base-column rows into the index."""
 
-    def _execute_refinement(self, predicate: Predicate) -> QueryResult:
-        raise NotImplementedError
+    @abc.abstractmethod
+    def _creation_work_time(self) -> float:
+        """Time to ingest the whole column (the phase's ``t_work``)."""
+
+    def _creation_scan(self, predicate: Predicate) -> tuple:
+        """``(α, t_indexed_scan)``: the share of the column the query scans
+        in the ingested part, and the time to scan all of it."""
+        n = len(self._column)
+        scanned = sum(len(self._buckets[i]) for i in self._relevant_buckets(predicate))
+        return scanned / n, self._cost_model.bucket_scan_time(n)
+
+    def _scan_ingested(self, predicate: Predicate) -> QueryResult:
+        """The answer over the rows ingested so far."""
+        return self._buckets.scan(predicate.low, predicate.high, self._relevant_buckets(predicate))
+
+    def _creation_answer(self, predicate: Predicate) -> QueryResult:
+        """The ingested part plus the column rows not ingested yet."""
+        result = self._scan_ingested(predicate)
+        result += self._scan_column(predicate, start=self._ingested)
+        return result
 
     def _creation_cost(self, predicate: Predicate, delta: float) -> CostBreakdown:
         """Creation-phase cost at ``delta`` (state read-only)."""
-        raise NotImplementedError
+        n = len(self._column)
+        alpha, indexed_scan_time = self._creation_scan(predicate)
+        return self._cost_model.creation_phase_cost(
+            n, self._ingested / n, alpha, delta, self._creation_work_time(), indexed_scan_time
+        )
+
+    def _execute_creation(self, predicate: Predicate) -> QueryResult:
+        n = len(self._column)
+        decision = self._decide(
+            self._creation_work_time(),
+            lambda d: self._creation_cost(predicate, d),
+            max_delta=1.0 - self._ingested / n,
+        )
+        delta = decision.delta
+        to_ingest = min(n - self._ingested, int(np.ceil(delta * n))) if delta > 0 else 0
+        if to_ingest > 0:
+            # Streamed in budget-sized chunks, so a paged base never
+            # materializes more than one chunk of decompressed data.
+            for chunk in self._stream_column(self._ingested, self._ingested + to_ingest):
+                self._ingest(chunk)
+                self._ingested += chunk.size
+        result = self._creation_answer(predicate)
+        self.last_stats.elements_indexed = to_ingest
+        if self._ingested >= n:
+            self._start_refinement()
+            self._advance_phase(IndexPhase.REFINEMENT)
+            if self._refinement_done():
+                self._finish_refinement()
+        return result
+
+    # ------------------------------------------------------------------
+    # Refinement phase
+    # ------------------------------------------------------------------
+    @abc.abstractmethod
+    def _start_refinement(self) -> None:
+        """Build the refinement structures over the fully ingested index."""
+
+    @abc.abstractmethod
+    def _refinement_work_time(self) -> float:
+        """Time to perform the entire remaining refinement at once."""
+
+    @abc.abstractmethod
+    def _refinement_scan(self, predicate: Predicate) -> tuple:
+        """``(α, t_indexed_scan)`` of the partly refined index."""
+
+    def _refinement_lookup_time(self) -> float:
+        """Traversal time of the refinement's lookup structure."""
+        return 0.0
+
+    @abc.abstractmethod
+    def _refine(self, element_budget: int, predicate: Predicate) -> int:
+        """Spend up to ``element_budget`` elements of refinement work; return
+        the elements processed."""
+
+    @abc.abstractmethod
+    def _refinement_answer(self, predicate: Predicate) -> QueryResult:
+        """The exact answer from the partly refined index."""
+
+    @abc.abstractmethod
+    def _refinement_done(self) -> bool:
+        """Whether the final array is fully sorted."""
 
     def _refinement_cost(self, predicate: Predicate, delta: float) -> CostBreakdown:
         """Refinement-phase cost at ``delta`` (state read-only)."""
-        raise NotImplementedError
+        alpha, indexed_scan_time = self._refinement_scan(predicate)
+        return self._cost_model.refinement_phase_cost(
+            alpha, delta, self._refinement_lookup_time(), indexed_scan_time,
+            self._refinement_work_time(),
+        )
+
+    def _execute_refinement(self, predicate: Predicate) -> QueryResult:
+        n = len(self._column)
+        decision = self._decide(
+            self._refinement_work_time(), lambda d: self._refinement_cost(predicate, d)
+        )
+        element_budget = int(np.ceil(decision.delta * n)) if decision.delta > 0 else 0
+        refined = self._refine(element_budget, predicate) if element_budget > 0 else 0
+        result = self._refinement_answer(predicate)
+        self.last_stats.elements_indexed = refined
+        if self._refinement_done():
+            self._finish_refinement()
+        return result
+
+    def _finish_refinement(self) -> None:
+        """The final array is sorted: release the buckets and consolidate."""
+        self._buckets = None
+        self._enter_consolidation(self._final_array)
 
     # ------------------------------------------------------------------
     # Consolidation phase (shared by all four algorithms)
@@ -296,43 +489,36 @@ class ProgressiveIndexBase(BaseIndex):
             state["copied"] = int(self._consolidator.copied_elements)
         else:
             state["stage"] = "construction"
+            state[self._ingested_key] = int(self._ingested)
             state.update(self._construction_state())
         return state
 
     def _load_family_state(self, state: dict) -> None:
+        # load_state may have re-pinned the snapshot the key space derives from.
+        self.__dict__.pop("_keyspace", None)
         stage = state.get("stage")
         self.fanout = int(state.get("fanout", self.fanout))
         if stage == "converged":
-            leaf = np.asarray(state["leaf_values"])
-            self._cascade = CascadeTree(self._sorted_leaf(leaf), fanout=self.fanout)
-            self._restore_final_array(leaf, sorted_ready=True)
+            self._final_array = np.asarray(state["leaf_values"])
+            self._cascade = CascadeTree(self._sorted_leaf(self._final_array), fanout=self.fanout)
         elif stage == "consolidation":
-            leaf = np.asarray(state["leaf_values"])
+            self._final_array = np.asarray(state["leaf_values"])
             self._consolidator = ProgressiveConsolidator(
-                self._sorted_leaf(leaf), fanout=self.fanout
+                self._sorted_leaf(self._final_array), fanout=self.fanout
             )
             # Replaying the copy counter is deterministic and costs exactly
             # the elements already paid for before the checkpoint.
             copied = int(state["copied"])
             if copied:
                 self._consolidator.step(copied)
-            self._restore_final_array(leaf, sorted_ready=True)
         else:
+            self._ingested = int(state.get(self._ingested_key, 0))
             self._load_construction_state(state)
 
+    @abc.abstractmethod
     def _construction_state(self) -> dict:
         """Creation/refinement payload (subclass hook)."""
-        raise NotImplementedError
 
+    @abc.abstractmethod
     def _load_construction_state(self, state: dict) -> None:
         """Restore a creation/refinement payload (subclass hook)."""
-        raise NotImplementedError
-
-    def _restore_final_array(self, leaf: np.ndarray, sorted_ready: bool) -> None:
-        """Re-wire the family's alias of the (sorted) index array.
-
-        Called when restoring the shared consolidation/converged stages so
-        family-level attributes (``_index_array``, ``_final_array``) point
-        at the restored leaf array; the default covers families that keep
-        no alias.
-        """

@@ -268,16 +268,17 @@ class BucketSet:
         }
 
     @classmethod
-    def from_state(cls, state: dict) -> "BucketSet":
-        """Rebuild a bucket set from :meth:`state_dict` output."""
+    def from_state(cls, state: dict, arena=None) -> "BucketSet":
+        """Rebuild a bucket set from :meth:`state_dict` output; with an
+        ``arena``, what is scattered into it later is carved from its slabs."""
         bucket_set = cls(
             int(state["n_buckets"]),
             block_size=int(state["block_size"]),
             dtype=np.dtype(str(state["dtype"])),
+            arena=arena,
         )
         for bucket, values in zip(bucket_set.buckets, state["buckets"]):
-            if np.asarray(values).size:
-                bucket.append_array(np.asarray(values, dtype=bucket_set.dtype), owned=True)
+            bucket.append_array(values, owned=True)
         return bucket_set
 
     def total_allocations(self) -> int:

@@ -42,36 +42,14 @@ import numpy as np
 from repro import kernels
 from repro.btree.cascade import DEFAULT_FANOUT
 from repro.core.calibration import DEFAULT_BLOCK_SIZE, CostConstants
-from repro.core.cost_model import CostBreakdown
-from repro.core.phase import IndexPhase
 from repro.core.policy import BudgetPolicy
 from repro.core.query import Predicate, QueryResult
 from repro.progressive.base import ProgressiveIndexBase
-from repro.progressive.blocks import BucketSet
 from repro.progressive.sorter import DEFAULT_SORT_THRESHOLD, ProgressiveSorter
 from repro.storage.column import Column
 
 #: Default number of equi-height buckets (matches the radix variants).
 DEFAULT_BUCKET_COUNT = 64
-
-class BoundsRouter:
-    """Bucket routing over value-based bucket boundaries.
-
-    Locating an element's equi-height bucket is a binary search over the
-    boundaries — the ``log2(b)`` term of the creation cost model.  The
-    search itself is :func:`repro.kernels.route_bounds` (grid-accelerated
-    on both backends, always identical to ``np.searchsorted``); the router
-    is the boundaries it runs over.  The value domain callers pass is no
-    longer needed: the grid spans the boundaries themselves.
-    """
-
-    def __init__(self, bounds: np.ndarray, value_min=None, value_max=None) -> None:
-        self.bounds = np.asarray(bounds, dtype=np.float64)
-
-    def route(self, values: np.ndarray) -> np.ndarray:
-        """Bucket id of every value (identical to the plain binary search)."""
-        return kernels.route_bounds(np.asarray(values), self.bounds)
-
 
 #: Number of elements sampled to estimate the equi-height bucket boundaries.
 #: The paper obtains the bounds "in the scan to answer the first query or
@@ -147,32 +125,17 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
         self.sort_threshold = int(sort_threshold)
         self.bounds_sample = int(bounds_sample)
         self._cost_model.block_size = self.block_size
-        # Creation state --------------------------------------------------
         self._bounds: np.ndarray | None = None
-        self._router: BoundsRouter | None = None
-        self._buckets: BucketSet | None = None
-        self._elements_bucketed = 0
-        # Refinement state ------------------------------------------------
-        self._final_array: np.ndarray | None = None
+        # Refinement state: one merge bucket per bucket, the unfinished ones
+        # queued in value order.
         self._merge_buckets: List[_MergeBucket] | None = None
         self._worklist: Deque[_MergeBucket] = deque()
-        self._unfinished = 0
 
     # ------------------------------------------------------------------
     @property
     def bounds(self) -> np.ndarray | None:
         """The equi-height bucket boundaries (``n_buckets - 1`` values)."""
         return self._bounds
-
-    def memory_footprint(self) -> int:
-        total = 0
-        if self._buckets is not None:
-            total += self._buckets.memory_footprint()
-        if self._final_array is not None:
-            total += self._final_array.nbytes
-        if self._cascade is not None:
-            total += self._cascade.memory_footprint()
-        return total
 
     # ------------------------------------------------------------------
     # Persistence (checkpointing)
@@ -188,16 +151,10 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
     def _load_family_state(self, state: dict) -> None:
         if "pb_bounds" in state:
             self._bounds = np.asarray(state["pb_bounds"], dtype=np.float64)
-            self._router = BoundsRouter(
-                self._bounds, self._column.min(), self._column.max()
-            )
         super()._load_family_state(state)
 
     def _construction_state(self) -> dict:
-        state = {
-            "initialized": self._bounds is not None,
-            "elements_bucketed": int(self._elements_bucketed),
-        }
+        state = {"initialized": self._bounds is not None}
         if self._bounds is not None:
             state["bounds"] = np.asarray(self._bounds, dtype=np.float64)
         if self._buckets is not None:
@@ -224,16 +181,13 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
         if not state.get("initialized"):
             return
         self._bounds = np.asarray(state["bounds"], dtype=np.float64)
-        self._router = BoundsRouter(self._bounds, self._column.min(), self._column.max())
-        self._elements_bucketed = int(state["elements_bucketed"])
         if "buckets" in state:
-            self._buckets = BucketSet.from_state(state["buckets"])
+            self._buckets = self._bucket_set(state["buckets"])
         if "merge" not in state:
             return
         self._final_array = np.asarray(state["final_array"])
         self._merge_buckets = []
         self._worklist = deque()
-        self._unfinished = 0
         for bucket_id, spec in enumerate(state["merge"]):
             merge = _MergeBucket(bucket_id, int(spec["offset"]), int(spec["size"]))
             merge.state = _BucketState(spec["state"])
@@ -243,13 +197,12 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
                 merge.sorter.scratch_allocator = self._scratch_pool()
             self._merge_buckets.append(merge)
             if merge.state is not _BucketState.DONE:
-                self._unfinished += 1
                 self._worklist.append(merge)
 
-    def _restore_final_array(self, leaf: np.ndarray, sorted_ready: bool) -> None:
-        self._final_array = leaf
-
-    def _initialize_bounds(self) -> None:
+    # ------------------------------------------------------------------
+    # Creation phase
+    # ------------------------------------------------------------------
+    def _initialize(self) -> None:
         n = len(self._column)
         data = self._column.data
         if n > self.bounds_sample:
@@ -265,92 +218,34 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
         lower = position.astype(np.int64)
         upper = np.minimum(lower + 1, ordered.size - 1)
         self._bounds = ordered[lower] + (position - lower) * (ordered[upper] - ordered[lower])
-        self._router = BoundsRouter(self._bounds, self._column.min(), self._column.max())
+        self._buckets = self._bucket_set()
 
-    # ------------------------------------------------------------------
-    # Creation phase
-    # ------------------------------------------------------------------
-    def _initialize(self) -> None:
-        self._initialize_bounds()
-        self._buckets = BucketSet(
-            self.n_buckets,
-            block_size=self.block_size,
-            dtype=self._column.dtype,
-            arena=self._block_arena(self.block_size),
-        )
-        self._elements_bucketed = 0
+    def _ingest(self, chunk: np.ndarray) -> None:
+        # The binary search over the bounds is the log2(b) term of the cost
+        # model; the kernel answers it from a verified grid.
+        self._buckets.scatter(chunk, kernels.route_bounds(chunk, self._bounds))
 
-    def _bucket_id(self, values: np.ndarray) -> np.ndarray:
-        return self._router.route(values)
+    def _creation_work_time(self) -> float:
+        return self._cost_model.equiheight_bucket_write_time(len(self._column), self.n_buckets)
 
-    def _relevant_bucket_range(self, predicate: Predicate) -> range:
+    def _relevant_buckets(self, predicate: Predicate) -> range:
         low_id = int(np.searchsorted(self._bounds, predicate.low, side="right"))
         high_id = int(np.searchsorted(self._bounds, predicate.high, side="right"))
         return range(low_id, high_id + 1)
 
-    def _creation_cost(self, predicate: Predicate, delta: float) -> CostBreakdown:
-        n = len(self._column)
-        rho = self._elements_bucketed / n
-        bucket_range = self._relevant_bucket_range(predicate)
-        indexed_relevant = sum(len(self._buckets[i]) for i in bucket_range)
-        alpha = indexed_relevant / n if n else 0.0
-        return CostBreakdown(
-            scan=(
-                max(0.0, 1.0 - rho - delta) * self._cost_model.scan_time(n)
-                + alpha * self._cost_model.bucket_scan_time(n)
-            ),
-            lookup=0.0,
-            indexing=delta
-            * self._cost_model.equiheight_bucket_write_time(n, self.n_buckets),
-        )
-
-    def _execute_creation(self, predicate: Predicate) -> QueryResult:
-        n = len(self._column)
-        rho = self._elements_bucketed / n
-        bucket_range = self._relevant_bucket_range(predicate)
-        bucket_write_time = self._cost_model.equiheight_bucket_write_time(n, self.n_buckets)
-        decision = self._decide(
-            bucket_write_time,
-            lambda d: self._creation_cost(predicate, d),
-            max_delta=1.0 - rho,
-        )
-        delta = decision.delta
-        to_bucket = min(n - self._elements_bucketed, int(np.ceil(delta * n))) if delta > 0 else 0
-
-        if to_bucket > 0:
-            start = self._elements_bucketed
-            for chunk in self._stream_column(start, start + to_bucket):
-                self._buckets.scatter(chunk, self._bucket_id(chunk))
-                self._elements_bucketed += chunk.size
-
-        result = self._buckets.scan(predicate.low, predicate.high, bucket_range)
-        result += self._scan_column(predicate, start=self._elements_bucketed)
-
-        self.last_stats.elements_indexed = to_bucket
-
-        if self._elements_bucketed >= n:
-            self._enter_refinement()
-        return result
-
     # ------------------------------------------------------------------
     # Refinement phase
     # ------------------------------------------------------------------
-    def _enter_refinement(self) -> None:
-        n = len(self._column)
-        self._final_array = self._scratch_allocate(n, self._column.dtype)
+    def _start_refinement(self) -> None:
+        self._final_array = self._scratch_allocate(len(self._column), self._column.dtype)
         sizes = self._buckets.sizes()
         offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
         self._merge_buckets = []
-        self._unfinished = 0
         for bucket_id in range(self.n_buckets):
             merge = _MergeBucket(bucket_id, int(offsets[bucket_id]), int(sizes[bucket_id]))
             self._merge_buckets.append(merge)
             if merge.state is not _BucketState.DONE:
-                self._unfinished += 1
                 self._worklist.append(merge)
-        self._advance_phase(IndexPhase.REFINEMENT)
-        if self._unfinished == 0:
-            self._finish_refinement()
 
     def _bucket_value_bounds(self, bucket_id: int) -> tuple:
         low = float(self._column.min()) if bucket_id == 0 else float(self._bounds[bucket_id - 1])
@@ -361,7 +256,7 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
         )
         return low, high
 
-    def _refine_step(self, element_budget: int) -> int:
+    def _refine(self, element_budget: int, predicate: Predicate) -> int:
         processed = 0
         budget = int(element_budget)
         while budget > 0 and self._worklist:
@@ -390,7 +285,7 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
                     )
                     merge.sorter.scratch_allocator = self._scratch_pool()
                     merge.state = _BucketState.SORTING
-            elif merge.state is _BucketState.SORTING:
+            else:  # SORTING
                 if self.budget.pooled and budget >= merge.sorter.remaining_work():
                     done = merge.sorter.finish()
                 else:
@@ -399,12 +294,7 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
                 budget -= done
                 if merge.sorter.is_sorted:
                     merge.state = _BucketState.DONE
-                    self._unfinished -= 1
                     self._worklist.popleft()
-                elif done == 0:  # pragma: no cover - defensive
-                    break
-            else:  # pragma: no cover - defensive
-                self._worklist.popleft()
         return processed
 
     def _query_merge_bucket(self, merge: _MergeBucket, predicate: Predicate) -> QueryResult:
@@ -416,12 +306,7 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
         if merge.state is _BucketState.SORTING:
             return merge.sorter.query(predicate)
         segment = self._final_array[merge.offset : merge.offset + merge.size]
-        lo = np.searchsorted(segment, predicate.low, side="left")
-        hi = np.searchsorted(segment, predicate.high, side="right")
-        if hi <= lo:
-            return QueryResult.empty()
-        matched = segment[lo:hi]
-        return QueryResult(matched.sum(), int(matched.size))
+        return QueryResult.from_sorted(segment, predicate.low, predicate.high)
 
     def _relevant_refinement_size(self, merge: _MergeBucket, predicate: Predicate) -> int:
         if merge.size == 0 or merge.state is _BucketState.DONE:
@@ -430,43 +315,22 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
             return int(merge.sorter.scanned_fraction(predicate) * merge.size)
         return merge.size
 
-    def _refinement_cost(self, predicate: Predicate, delta: float) -> CostBreakdown:
+    def _refinement_work_time(self) -> float:
+        return self._cost_model.swap_time(len(self._column))
+
+    def _refinement_scan(self, predicate: Predicate) -> tuple:
         n = len(self._column)
-        bucket_range = self._relevant_bucket_range(predicate)
         relevant = sum(
             self._relevant_refinement_size(self._merge_buckets[i], predicate)
-            for i in bucket_range
+            for i in self._relevant_buckets(predicate)
         )
-        alpha = relevant / n if n else 0.0
-        return CostBreakdown(
-            scan=alpha * self._cost_model.bucket_scan_time(n),
-            lookup=0.0,
-            indexing=delta * self._cost_model.swap_time(n),
-        )
+        return relevant / n, self._cost_model.bucket_scan_time(n)
 
-    def _execute_refinement(self, predicate: Predicate) -> QueryResult:
-        n = len(self._column)
-        swap_time = self._cost_model.swap_time(n)
-        bucket_range = self._relevant_bucket_range(predicate)
-        decision = self._decide(
-            swap_time, lambda d: self._refinement_cost(predicate, d)
-        )
-        element_budget = int(np.ceil(decision.delta * n)) if decision.delta > 0 else 0
-
-        refined = self._refine_step(element_budget) if element_budget > 0 else 0
-
+    def _refinement_answer(self, predicate: Predicate) -> QueryResult:
         result = QueryResult.empty()
-        for bucket_id in bucket_range:
+        for bucket_id in self._relevant_buckets(predicate):
             result += self._query_merge_bucket(self._merge_buckets[bucket_id], predicate)
-
-        self.last_stats.elements_indexed = refined
-
-        if self._unfinished == 0:
-            self._finish_refinement()
         return result
 
-    def _finish_refinement(self) -> None:
-        """All buckets merged and sorted: release them and consolidate."""
-        self._buckets = None
-        self._merge_buckets = None
-        self._enter_consolidation(self._final_array)
+    def _refinement_done(self) -> bool:
+        return not self._worklist

@@ -128,13 +128,7 @@ class ProgressiveConsolidator:
         the query that completes the cascade: the prefix sums the converged
         read uses are not built inside a construction-phase query.
         """
-        values = self.leaf_values
-        lo = int(np.searchsorted(values, predicate.low, side="left"))
-        hi = int(np.searchsorted(values, predicate.high, side="right"))
-        if hi <= lo:
-            return QueryResult.empty()
-        segment = values[lo:hi]
-        return QueryResult(segment.sum(), int(segment.size))
+        return QueryResult.from_sorted(self.leaf_values, predicate.low, predicate.high)
 
     def matching_fraction(self, predicate: Predicate) -> float:
         """Fraction of the leaf array matched by ``predicate`` (the paper's α)."""

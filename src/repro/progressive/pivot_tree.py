@@ -170,20 +170,6 @@ class PivotTree:
             current = current.parent
 
     # ------------------------------------------------------------------
-    def collect_leaves(self) -> List[PivotNode]:
-        """All current leaves (nodes without children), in array order."""
-        leaves: List[PivotNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            kids = node.children()
-            if not kids:
-                leaves.append(node)
-            else:
-                stack.extend(reversed(kids))
-        leaves.sort(key=lambda n: n.start)
-        return leaves
-
     def lookup_nodes(self, low, high) -> List[PivotNode]:
         """Nodes whose ranges may contain values in ``[low, high]``.
 

@@ -34,7 +34,6 @@ import numpy as np
 from repro.btree.cascade import DEFAULT_FANOUT
 from repro.core.calibration import DEFAULT_BLOCK_SIZE, CostConstants
 from repro.core.cost_model import CostBreakdown
-from repro.core.keys import RadixKeySpace
 from repro.core.phase import IndexPhase
 from repro.core.policy import BudgetPolicy
 from repro.core.query import Predicate, QueryResult
@@ -92,184 +91,113 @@ class ProgressiveRadixsortLSD(ProgressiveIndexBase):
         self.bits_per_pass = int(np.log2(self.n_buckets))
         self.block_size = int(block_size)
         self._cost_model.block_size = self.block_size
-        # Radix bookkeeping ------------------------------------------------
-        self._keyspace: RadixKeySpace | None = None
-        self._total_passes = 1
+        # Refinement state: ``_buckets`` is the generation being read, in
+        # bucket order from the cursor on; a pass scatters it into
+        # ``_next_set``, the merge drains it into ``_final_array``.
         self._current_pass = 0
-        # Creation state ----------------------------------------------------
-        self._current_set: BucketSet | None = None
-        self._elements_bucketed = 0
-        # Refinement state --------------------------------------------------
         self._stage = _RefinementStage.PASSES
         self._next_set: BucketSet | None = None
-        self._pass_bucket_cursor = 0
-        self._pass_offset_cursor = 0
-        self._pass_moved = 0
-        self._final_array: np.ndarray | None = None
-        self._merge_bucket_cursor = 0
-        self._merge_offset_cursor = 0
-        self._merge_position = 0
+        self._bucket_cursor = 0
+        self._offset_cursor = 0
+        self._moved = 0             # elements this pass / the merge has moved
 
     # ------------------------------------------------------------------
     @property
     def total_passes(self) -> int:
         """Total number of radix passes required for convergence."""
-        return self._total_passes
+        return self._keyspace.n_digits
 
     @property
     def current_pass(self) -> int:
         """Zero-based index of the pass currently in progress."""
         return self._current_pass
 
-    def memory_footprint(self) -> int:
-        total = 0
-        for bucket_set in (self._current_set, self._next_set):
-            if bucket_set is not None:
-                total += bucket_set.memory_footprint()
-        if self._final_array is not None:
-            total += self._final_array.nbytes
-        if self._cascade is not None:
-            total += self._cascade.memory_footprint()
-        return total
+    def _bucket_sets(self) -> tuple:
+        return self._buckets, self._next_set
 
     # ------------------------------------------------------------------
     # Persistence (checkpointing)
     # ------------------------------------------------------------------
     def _construction_state(self) -> dict:
         state = {
-            "initialized": self._keyspace is not None,
-            "elements_bucketed": int(self._elements_bucketed),
+            "initialized": self.phase is not IndexPhase.INACTIVE,
             "current_pass": int(self._current_pass),
             "stage": self._stage.value,
         }
-        if self._current_set is not None:
-            state["current_set"] = self._current_set.state_dict()
+        if self._buckets is not None:
+            state["current_set"] = self._buckets.state_dict()
         if self._stage is _RefinementStage.PASSES:
             if self._next_set is not None:
                 state["next_set"] = self._next_set.state_dict()
-            state["pass_bucket_cursor"] = int(self._pass_bucket_cursor)
-            state["pass_offset_cursor"] = int(self._pass_offset_cursor)
-            state["pass_moved"] = int(self._pass_moved)
+            prefix, moved_key = "pass", "pass_moved"
         else:
             if self._final_array is not None:
                 state["final_array"] = np.array(self._final_array)
-            state["merge_bucket_cursor"] = int(self._merge_bucket_cursor)
-            state["merge_offset_cursor"] = int(self._merge_offset_cursor)
-            state["merge_position"] = int(self._merge_position)
+            prefix, moved_key = "merge", "merge_position"
+        state[f"{prefix}_bucket_cursor"] = int(self._bucket_cursor)
+        state[f"{prefix}_offset_cursor"] = int(self._offset_cursor)
+        state[moved_key] = int(self._moved)
         return state
 
     def _load_construction_state(self, state: dict) -> None:
         if not state.get("initialized"):
             return
-        # The keyspace is a pure function of the pinned snapshot's bounds.
-        self._keyspace = RadixKeySpace(
-            self._column.min(), self._column.max(), self._column.dtype, self.bits_per_pass
-        )
-        self._total_passes = self._keyspace.n_digits
-        self._elements_bucketed = int(state["elements_bucketed"])
         self._current_pass = int(state["current_pass"])
         self._stage = _RefinementStage(state["stage"])
         if "current_set" in state:
-            self._current_set = BucketSet.from_state(state["current_set"])
+            self._buckets = self._bucket_set(state["current_set"])
         if self._stage is _RefinementStage.PASSES:
             if "next_set" in state:
-                self._next_set = BucketSet.from_state(state["next_set"])
-            self._pass_bucket_cursor = int(state.get("pass_bucket_cursor", 0))
-            self._pass_offset_cursor = int(state.get("pass_offset_cursor", 0))
-            self._pass_moved = int(state.get("pass_moved", 0))
+                self._next_set = self._bucket_set(state["next_set"])
+            prefix, moved_key = "pass", "pass_moved"
         else:
             if "final_array" in state:
                 self._final_array = np.asarray(state["final_array"])
-            self._merge_bucket_cursor = int(state.get("merge_bucket_cursor", 0))
-            self._merge_offset_cursor = int(state.get("merge_offset_cursor", 0))
-            self._merge_position = int(state.get("merge_position", 0))
-
-    def _restore_final_array(self, leaf: np.ndarray, sorted_ready: bool) -> None:
-        self._final_array = leaf
-        self._keyspace = RadixKeySpace(
-            self._column.min(), self._column.max(), self._column.dtype, self.bits_per_pass
-        )
-        self._total_passes = self._keyspace.n_digits
-
-    # ------------------------------------------------------------------
-    # Radix helpers
-    # ------------------------------------------------------------------
-    def _point_bucket_id(self, value, pass_number: int) -> int:
-        return self._keyspace.digit_scalar(value, pass_number)
+            prefix, moved_key = "merge", "merge_position"
+        self._bucket_cursor = int(state.get(f"{prefix}_bucket_cursor", 0))
+        self._offset_cursor = int(state.get(f"{prefix}_offset_cursor", 0))
+        self._moved = int(state.get(moved_key, 0))
 
     # ------------------------------------------------------------------
     # Creation phase (pass 0)
     # ------------------------------------------------------------------
     def _initialize(self) -> None:
-        self._keyspace = RadixKeySpace(
-            self._column.min(), self._column.max(), self._column.dtype, self.bits_per_pass
-        )
-        self._total_passes = self._keyspace.n_digits
-        self._current_set = BucketSet(
-            self.n_buckets,
-            block_size=self.block_size,
-            dtype=self._column.dtype,
-            arena=self._block_arena(self.block_size),
-        )
-        self._current_pass = 0
-        self._elements_bucketed = 0
+        self._buckets = self._bucket_set()
 
+    def _ingest(self, chunk: np.ndarray) -> None:
+        self._buckets.scatter_radix(chunk, self._keyspace.key_min, 0)
+
+    def _creation_work_time(self) -> float:
+        return self._cost_model.bucket_write_time(len(self._column))
+
+    def _relevant_buckets(self, predicate: Predicate) -> range:
+        digit = self._keyspace.digit_scalar(predicate.low, 0)
+        return range(digit, digit + 1)
+
+    # The LSD buckets are no value-range partitioning, so a range query
+    # cannot use them: it scans the whole original column instead (the
+    # paper's alpha == rho case).  That scan costs t_scan whatever rho and
+    # delta are, which the shared (1-rho-delta)*t_scan + alpha*t_bscan shape
+    # cannot express, hence these two overrides.
     def _creation_cost(self, predicate: Predicate, delta: float) -> CostBreakdown:
-        n = len(self._column)
-        rho = self._elements_bucketed / n
-        scan_time = self._cost_model.scan_time(n)
         if predicate.is_point:
-            bucket = self._current_set[self._point_bucket_id(predicate.low, 0)]
-            alpha = len(bucket) / n if n else 0.0
-            scan = alpha * self._cost_model.bucket_scan_time(n)
-            scan += max(0.0, 1.0 - rho - delta) * scan_time
-        else:
-            # Range queries cannot use the LSD buckets: fall back to a full
-            # column scan (alpha == rho case in the paper).
-            scan = scan_time
+            return super()._creation_cost(predicate, delta)
         return CostBreakdown(
-            scan=scan,
+            scan=self._cost_model.scan_time(len(self._column)),
             lookup=0.0,
-            indexing=delta * self._cost_model.bucket_write_time(n),
+            indexing=delta * self._creation_work_time(),
         )
 
-    def _execute_creation(self, predicate: Predicate) -> QueryResult:
-        n = len(self._column)
-        rho = self._elements_bucketed / n
-        bucket_write_time = self._cost_model.bucket_write_time(n)
-        decision = self._decide(
-            bucket_write_time,
-            lambda d: self._creation_cost(predicate, d),
-            max_delta=1.0 - rho,
-        )
-        delta = decision.delta
-        to_bucket = min(n - self._elements_bucketed, int(np.ceil(delta * n))) if delta > 0 else 0
-
-        if to_bucket > 0:
-            start = self._elements_bucketed
-            for chunk in self._stream_column(start, start + to_bucket):
-                self._current_set.scatter_radix(chunk, self._keyspace.key_min, 0)
-                self._elements_bucketed += chunk.size
-
+    def _creation_answer(self, predicate: Predicate) -> QueryResult:
         if predicate.is_point:
-            bucket = self._current_set[self._point_bucket_id(predicate.low, 0)]
-            result = bucket.scan(predicate.low, predicate.high)
-            result += self._scan_column(predicate, start=self._elements_bucketed)
-        else:
-            result = self._scan_column(predicate)
-
-        self.last_stats.elements_indexed = to_bucket
-
-        if self._elements_bucketed >= n:
-            self._enter_refinement()
-        return result
+            return super()._creation_answer(predicate)
+        return self._scan_column(predicate)
 
     # ------------------------------------------------------------------
     # Refinement phase (passes 1 .. total_passes-1, then the merge)
     # ------------------------------------------------------------------
-    def _enter_refinement(self) -> None:
-        self._advance_phase(IndexPhase.REFINEMENT)
-        if self._total_passes == 1:
+    def _start_refinement(self) -> None:
+        if self.total_passes == 1:
             self._start_merge()
         else:
             self._start_pass(1)
@@ -277,154 +205,88 @@ class ProgressiveRadixsortLSD(ProgressiveIndexBase):
     def _start_pass(self, pass_number: int) -> None:
         self._current_pass = pass_number
         self._stage = _RefinementStage.PASSES
-        self._next_set = BucketSet(
-            self.n_buckets,
-            block_size=self.block_size,
-            dtype=self._column.dtype,
-            arena=self._block_arena(self.block_size),
-        )
-        self._pass_bucket_cursor = 0
-        self._pass_offset_cursor = 0
-        self._pass_moved = 0
+        self._next_set = self._bucket_set()
+        self._bucket_cursor = self._offset_cursor = self._moved = 0
 
     def _start_merge(self) -> None:
         self._stage = _RefinementStage.MERGE
         self._final_array = self._scratch_allocate(len(self._column), self._column.dtype)
-        self._merge_bucket_cursor = 0
-        self._merge_offset_cursor = 0
-        self._merge_position = 0
+        self._bucket_cursor = self._offset_cursor = self._moved = 0
 
-    def _advance_pass(self, element_budget: int) -> int:
-        """Move up to ``element_budget`` elements into the next bucket set."""
+    def _refine(self, element_budget: int, predicate: Predicate) -> int:
+        """Move up to ``element_budget`` elements on from the cursor: into the
+        next bucket generation, or, after the last pass, into the array."""
         moved = 0
-        budget = int(element_budget)
         n = len(self._column)
-        while budget > 0 and self._pass_moved < n:
-            bucket = self._current_set[self._pass_bucket_cursor]
-            remaining = len(bucket) - self._pass_offset_cursor
-            if remaining <= 0:
-                self._pass_bucket_cursor += 1
-                self._pass_offset_cursor = 0
+        passing = self._stage is _RefinementStage.PASSES
+        while moved < element_budget and self._moved < n:
+            bucket = self._buckets[self._bucket_cursor]
+            take = min(element_budget - moved, len(bucket) - self._offset_cursor)
+            if take <= 0:
+                self._bucket_cursor += 1
+                self._offset_cursor = 0
                 continue
-            take = min(budget, remaining)
-            chunk = bucket.slice_array(self._pass_offset_cursor, take)
-            self._next_set.scatter_radix(
-                chunk, self._keyspace.key_min, self._current_pass * self.bits_per_pass
-            )
-            self._pass_offset_cursor += chunk.size
-            self._pass_moved += chunk.size
-            moved += chunk.size
-            budget -= chunk.size
-        if self._pass_moved >= n:
-            self._current_set.clear()
-            self._current_set = self._next_set
-            self._next_set = None
-            if self._current_pass + 1 < self._total_passes:
+            if passing:
+                chunk = bucket.slice_array(self._offset_cursor, take)
+                self._next_set.scatter_radix(
+                    chunk, self._keyspace.key_min, self._current_pass * self.bits_per_pass
+                )
+                done = chunk.size
+            else:
+                done = bucket.drain_into(
+                    self._final_array, self._moved, self._offset_cursor, take
+                )
+            self._offset_cursor += done
+            self._moved += done
+            moved += done
+        if passing and self._moved >= n:
+            self._buckets.clear()
+            self._buckets, self._next_set = self._next_set, None
+            if self._current_pass + 1 < self.total_passes:
                 self._start_pass(self._current_pass + 1)
             else:
                 self._start_merge()
         return moved
 
-    def _advance_merge(self, element_budget: int) -> int:
-        """Drain the final bucket generation into the sorted index array."""
-        moved = 0
-        budget = int(element_budget)
-        n = len(self._column)
-        while budget > 0 and self._merge_position < n:
-            bucket = self._current_set[self._merge_bucket_cursor]
-            remaining = len(bucket) - self._merge_offset_cursor
-            if remaining <= 0:
-                self._merge_bucket_cursor += 1
-                self._merge_offset_cursor = 0
-                continue
-            take = min(budget, remaining)
-            copied = bucket.drain_into(
-                self._final_array, self._merge_position, self._merge_offset_cursor, take
-            )
-            self._merge_offset_cursor += copied
-            self._merge_position += copied
-            moved += copied
-            budget -= copied
-        if self._merge_position >= n:
-            self._current_set.clear()
-            self._current_set = None
-            self._enter_consolidation(self._final_array)
-        return moved
+    def _refinement_done(self) -> bool:
+        return self._stage is _RefinementStage.MERGE and self._moved >= len(self._column)
 
-    def _point_query_during_refinement(self, predicate: Predicate) -> QueryResult:
-        """Answer a point query from the (partially migrated) bucket sets."""
+    def _refinement_answer(self, predicate: Predicate) -> QueryResult:
+        if self._refinement_done():
+            # Merged: the array is sorted, answer the way consolidation does.
+            return QueryResult.from_sorted(self._final_array, predicate.low, predicate.high)
+        if not predicate.is_point:
+            return self._scan_column(predicate)
+        # A point query reads the moved part and the unmoved rest of its bucket.
         result = QueryResult.empty()
         if self._stage is _RefinementStage.PASSES:
-            old_pass = self._current_pass - 1
-            old_id = self._point_bucket_id(predicate.low, old_pass)
-            new_id = self._point_bucket_id(predicate.low, self._current_pass)
             # Elements already moved live in the new set.
+            new_id = self._keyspace.digit_scalar(predicate.low, self._current_pass)
             result += self._next_set[new_id].scan(predicate.low, predicate.high)
-            # Elements not yet moved live in the old set, beyond the cursor.
-            if old_id > self._pass_bucket_cursor:
-                result += self._current_set[old_id].scan(predicate.low, predicate.high)
-            elif old_id == self._pass_bucket_cursor:
-                bucket = self._current_set[old_id]
-                remaining = bucket.slice_array(
-                    self._pass_offset_cursor, len(bucket) - self._pass_offset_cursor
-                )
-                result += QueryResult.from_range(remaining, predicate.low, predicate.high)
-        else:  # MERGE stage
-            last_pass = self._total_passes - 1
-            bucket_id = self._point_bucket_id(predicate.low, last_pass)
+            unmoved_pass = self._current_pass - 1
+        else:
             # Already merged elements live in the sorted prefix of the array.
-            prefix = self._final_array[: self._merge_position]
+            prefix = self._final_array[: self._moved]
             result += QueryResult.from_range(prefix, predicate.low, predicate.high)
-            if bucket_id > self._merge_bucket_cursor:
-                result += self._current_set[bucket_id].scan(predicate.low, predicate.high)
-            elif bucket_id == self._merge_bucket_cursor:
-                bucket = self._current_set[bucket_id]
-                remaining = bucket.slice_array(
-                    self._merge_offset_cursor, len(bucket) - self._merge_offset_cursor
-                )
-                result += QueryResult.from_range(remaining, predicate.low, predicate.high)
+            unmoved_pass = self._current_pass  # the merge drains the last pass's buckets
+        # Elements not yet moved live in the old set, beyond the cursor.
+        bucket_id = self._keyspace.digit_scalar(predicate.low, unmoved_pass)
+        if bucket_id > self._bucket_cursor:
+            result += self._buckets[bucket_id].scan(predicate.low, predicate.high)
+        elif bucket_id == self._bucket_cursor:
+            bucket = self._buckets[bucket_id]
+            remaining = bucket.slice_array(self._offset_cursor, len(bucket) - self._offset_cursor)
+            result += QueryResult.from_range(remaining, predicate.low, predicate.high)
         return result
 
-    def _refinement_cost(self, predicate: Predicate, delta: float) -> CostBreakdown:
+    def _refinement_work_time(self) -> float:
         n = len(self._column)
         if self._stage is _RefinementStage.PASSES:
-            full_work = self._cost_model.bucket_write_time(n)
-        else:
-            full_work = self._cost_model.write_time(n)
+            return self._cost_model.bucket_write_time(n)
+        return self._cost_model.write_time(n)
+
+    def _refinement_scan(self, predicate: Predicate) -> tuple:
+        n = len(self._column)
         if predicate.is_point:
-            alpha = 1.0 / self.n_buckets
-            scan = alpha * self._cost_model.bucket_scan_time(n)
-        else:
-            scan = self._cost_model.scan_time(n)
-        return CostBreakdown(scan=scan, lookup=0.0, indexing=delta * full_work)
-
-    def _execute_refinement(self, predicate: Predicate) -> QueryResult:
-        n = len(self._column)
-        if self._stage is _RefinementStage.PASSES:
-            full_work = self._cost_model.bucket_write_time(n)
-        else:
-            full_work = self._cost_model.write_time(n)
-        decision = self._decide(
-            full_work, lambda d: self._refinement_cost(predicate, d)
-        )
-        delta = decision.delta
-        element_budget = int(np.ceil(delta * n)) if delta > 0 else 0
-
-        moved = 0
-        if element_budget > 0:
-            if self._stage is _RefinementStage.PASSES:
-                moved = self._advance_pass(element_budget)
-            else:
-                moved = self._advance_merge(element_budget)
-
-        # Answer the query.  The phase may have advanced to consolidation
-        # (or beyond) while performing the work; re-dispatch in that case.
-        if self.phase is not IndexPhase.REFINEMENT:
-            result = self._consolidator.query(predicate)
-        elif predicate.is_point:
-            result = self._point_query_during_refinement(predicate)
-        else:
-            result = self._scan_column(predicate)
-
-        self.last_stats.elements_indexed = moved
-        return result
+            return 1.0 / self.n_buckets, self._cost_model.bucket_scan_time(n)
+        return 1.0, self._cost_model.scan_time(n)

@@ -35,8 +35,6 @@ import numpy as np
 
 from repro.btree.cascade import DEFAULT_FANOUT
 from repro.core.calibration import DEFAULT_BLOCK_SIZE, CostConstants
-from repro.core.cost_model import CostBreakdown
-from repro.core.keys import RadixKeySpace
 from repro.core.phase import IndexPhase
 from repro.core.policy import BudgetPolicy
 from repro.core.query import Predicate, QueryResult
@@ -140,42 +138,21 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
         self.block_size = int(block_size)
         self.sort_threshold = int(sort_threshold)
         self._cost_model.block_size = self.block_size
-        # Creation state --------------------------------------------------
-        self._buckets: BucketSet | None = None
-        self._keyspace: RadixKeySpace | None = None
-        self._shift = 0
-        self._elements_bucketed = 0
-        # Refinement state ------------------------------------------------
-        self._final_array: np.ndarray | None = None
+        # Refinement state: the radix node forest, its unfinished nodes
+        # queued breadth first.
         self._roots: List[_RadixNode] | None = None
         self._worklist: Deque[_RadixNode] = deque()
-        self._unfinished_nodes = 0
 
-    # ------------------------------------------------------------------
-    def memory_footprint(self) -> int:
-        total = 0
-        if self._buckets is not None:
-            total += self._buckets.memory_footprint()
-        if self._final_array is not None:
-            total += self._final_array.nbytes
-        if self._cascade is not None:
-            total += self._cascade.memory_footprint()
-        return total
+    @property
+    def _shift(self) -> int:
+        """Shift of the creation buckets' (most significant) digit."""
+        return self._keyspace.top_shift
 
     # ------------------------------------------------------------------
     # Persistence (checkpointing)
     # ------------------------------------------------------------------
-    def _rebuild_keyspace(self) -> None:
-        self._keyspace = RadixKeySpace(
-            self._column.min(), self._column.max(), self._column.dtype, self.bits_per_level
-        )
-        self._shift = self._keyspace.top_shift
-
     def _construction_state(self) -> dict:
-        state = {
-            "initialized": self._keyspace is not None,
-            "elements_bucketed": int(self._elements_bucketed),
-        }
+        state = {"initialized": self.phase is not IndexPhase.INACTIVE}
         if self._buckets is not None and self._roots is None:
             state["buckets"] = self._buckets.state_dict()
         if self._roots is not None:
@@ -209,7 +186,7 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
             state["roots"] = [visit(root) for root in self._roots]
             state["nodes"] = nodes
             state["worklist"] = [ids[id(node)] for node in self._worklist]
-            state["unfinished"] = int(self._unfinished_nodes)
+            state["unfinished"] = len(self._worklist)
             if self._final_array is not None:
                 state["final_array"] = np.array(self._final_array)
         return state
@@ -217,10 +194,8 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
     def _load_construction_state(self, state: dict) -> None:
         if not state.get("initialized"):
             return
-        self._rebuild_keyspace()
-        self._elements_bucketed = int(state["elements_bucketed"])
         if "buckets" in state:
-            self._buckets = BucketSet.from_state(state["buckets"])
+            self._buckets = self._bucket_set(state["buckets"])
         if "nodes" not in state:
             return
         if "final_array" in state:
@@ -228,13 +203,8 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
         specs = state["nodes"]
         built: List[_RadixNode] = []
         for spec in specs:
-            source = BlockList(block_size=self.block_size, dtype=self._column.dtype)
-            if "source" in spec and np.asarray(spec["source"]).size:
-                source.append_array(
-                    np.asarray(spec["source"], dtype=self._column.dtype), owned=True
-                )
             node = _RadixNode(
-                source=source,
+                source=self._block_list(spec.get("source")),
                 offset=int(spec["offset"]),
                 size=int(spec["size"]),
                 value_low=int(spec["value_low"]),
@@ -244,38 +214,26 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
             node.copied = int(spec["copied"])
             node.moved = int(spec["moved"])
             if "child_set" in spec:
-                node.child_set = BucketSet.from_state(spec["child_set"])
+                node.child_set = self._bucket_set(spec["child_set"])
             built.append(node)
         for spec, node in zip(specs, built):
             if spec["children"] is not None:
                 node.children = [built[int(i)] for i in spec["children"]]
         self._roots = [built[int(i)] for i in state["roots"]]
+        # The unfinished nodes are exactly the queued ones.
         self._worklist = deque(built[int(i)] for i in state.get("worklist", []))
-        self._unfinished_nodes = int(state.get("unfinished", 0))
-        self._buckets = BucketSet(
-            self.n_buckets, block_size=self.block_size, dtype=self._column.dtype
-        )
-
-    def _restore_final_array(self, leaf: np.ndarray, sorted_ready: bool) -> None:
-        self._final_array = leaf
-        self._rebuild_keyspace()
 
     # ------------------------------------------------------------------
     # Creation phase
     # ------------------------------------------------------------------
     def _initialize(self) -> None:
-        n = len(self._column)
-        self._keyspace = RadixKeySpace(
-            self._column.min(), self._column.max(), self._column.dtype, self.bits_per_level
-        )
-        self._shift = self._keyspace.top_shift
-        self._buckets = BucketSet(
-            self.n_buckets,
-            block_size=self.block_size,
-            dtype=self._column.dtype,
-            arena=self._block_arena(self.block_size),
-        )
-        self._elements_bucketed = 0
+        self._buckets = self._bucket_set()
+
+    def _ingest(self, chunk: np.ndarray) -> None:
+        self._buckets.scatter_radix(chunk, self._keyspace.key_min, self._shift)
+
+    def _creation_work_time(self) -> float:
+        return self._cost_model.bucket_write_time(len(self._column))
 
     def _bucket_id(self, values: np.ndarray) -> np.ndarray:
         shifted = self._keyspace.shifted(values, self._shift)
@@ -284,7 +242,7 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
     def _bucket_id_scalar(self, value) -> int:
         return min(self._keyspace.relative_key(value) >> self._shift, self.n_buckets - 1)
 
-    def _relevant_bucket_range(self, predicate: Predicate) -> range:
+    def _relevant_buckets(self, predicate: Predicate) -> range:
         if predicate.high < self._column.min():
             return range(0)
         return range(
@@ -292,60 +250,16 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
             self._bucket_id_scalar(predicate.high) + 1,
         )
 
-    def _creation_cost(self, predicate: Predicate, delta: float) -> CostBreakdown:
-        n = len(self._column)
-        rho = self._elements_bucketed / n
-        bucket_range = self._relevant_bucket_range(predicate)
-        indexed_relevant = sum(len(self._buckets[i]) for i in bucket_range)
-        alpha = indexed_relevant / n if n else 0.0
-        return CostBreakdown(
-            scan=(
-                max(0.0, 1.0 - rho - delta) * self._cost_model.scan_time(n)
-                + alpha * self._cost_model.bucket_scan_time(n)
-            ),
-            lookup=0.0,
-            indexing=delta * self._cost_model.bucket_write_time(n),
-        )
-
-    def _execute_creation(self, predicate: Predicate) -> QueryResult:
-        n = len(self._column)
-        rho = self._elements_bucketed / n
-        bucket_range = self._relevant_bucket_range(predicate)
-        bucket_write_time = self._cost_model.bucket_write_time(n)
-        decision = self._decide(
-            bucket_write_time,
-            lambda d: self._creation_cost(predicate, d),
-            max_delta=1.0 - rho,
-        )
-        delta = decision.delta
-        to_bucket = min(n - self._elements_bucketed, int(np.ceil(delta * n))) if delta > 0 else 0
-
-        if to_bucket > 0:
-            start = self._elements_bucketed
-            for chunk in self._stream_column(start, start + to_bucket):
-                self._buckets.scatter_radix(chunk, self._keyspace.key_min, self._shift)
-                self._elements_bucketed += chunk.size
-
-        result = self._buckets.scan(predicate.low, predicate.high, bucket_range)
-        result += self._scan_column(predicate, start=self._elements_bucketed)
-
-        self.last_stats.elements_indexed = to_bucket
-
-        if self._elements_bucketed >= n:
-            self._enter_refinement()
-        return result
-
     # ------------------------------------------------------------------
     # Refinement phase
     # ------------------------------------------------------------------
-    def _enter_refinement(self) -> None:
+    def _start_refinement(self) -> None:
         n = len(self._column)
         self._final_array = self._scratch_allocate(n, self._column.dtype)
         sizes = self._buckets.sizes()
         offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
         bucket_span = 1 << self._shift
         self._roots = []
-        self._unfinished_nodes = 0
         for bucket_id in range(self.n_buckets):
             size = int(sizes[bucket_id])
             node = _RadixNode(
@@ -359,17 +273,13 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
             if size == 0:
                 node.state = _NodeState.DONE
             else:
-                self._unfinished_nodes += 1
                 self._worklist.append(node)
-        self._advance_phase(IndexPhase.REFINEMENT)
-        if self._unfinished_nodes == 0:
-            self._finish_refinement()
 
     def _node_must_copy(self, node: _RadixNode) -> bool:
         """Small (or unsplittable) nodes are sorted outright into the array."""
         return node.size <= self.sort_threshold or node.shift <= 0 or self._shift == 0
 
-    def _refine_step(self, element_budget: int) -> int:
+    def _refine(self, element_budget: int, predicate: Predicate) -> int:
         processed = 0
         budget = int(element_budget)
         while budget > 0 and self._worklist:
@@ -379,12 +289,7 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
                     node.state = _NodeState.COPYING
                 else:
                     node.state = _NodeState.PARTITIONING
-                    node.child_set = BucketSet(
-                        self.n_buckets,
-                        block_size=self.block_size,
-                        dtype=self._column.dtype,
-                        arena=self._block_arena(self.block_size),
-                    )
+                    node.child_set = self._bucket_set()
             if node.state is _NodeState.COPYING:
                 take = min(budget, node.size - node.copied)
                 if take > 0:
@@ -399,9 +304,8 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
                     segment.sort()
                     node.source.clear()
                     node.state = _NodeState.DONE
-                    self._unfinished_nodes -= 1
                     self._worklist.popleft()
-            elif node.state is _NodeState.PARTITIONING:
+            else:  # PARTITIONING
                 take = min(budget, node.size - node.moved)
                 if take > 0:
                     chunk = node.source.slice_array(node.moved, take)
@@ -414,8 +318,6 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
                 if node.moved >= node.size:
                     self._expand_node(node)
                     self._worklist.popleft()
-            else:  # pragma: no cover - defensive
-                self._worklist.popleft()
         return processed
 
     def _expand_node(self, node: _RadixNode) -> None:
@@ -425,7 +327,6 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
         offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]]) + node.offset
         child_span = 1 << node.shift
         node.children = []
-        new_children = 0
         for child_id in range(self.n_buckets):
             size = int(sizes[child_id])
             child = _RadixNode(
@@ -439,11 +340,9 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
             if size == 0:
                 child.state = _NodeState.DONE
             else:
-                new_children += 1
                 self._worklist.append(child)
         node.state = _NodeState.EXPANDED
         node.child_set = None
-        self._unfinished_nodes += new_children - 1
 
     def _query_node(
         self, node: _RadixNode, predicate: Predicate, key_low: int, key_high: int
@@ -459,12 +358,7 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
             return QueryResult.empty()
         if node.state is _NodeState.DONE:
             segment = self._final_array[node.offset : node.offset + node.size]
-            lo = np.searchsorted(segment, predicate.low, side="left")
-            hi = np.searchsorted(segment, predicate.high, side="right")
-            if hi <= lo:
-                return QueryResult.empty()
-            matched = segment[lo:hi]
-            return QueryResult(matched.sum(), int(matched.size))
+            return QueryResult.from_sorted(segment, predicate.low, predicate.high)
         if node.state is _NodeState.EXPANDED:
             result = QueryResult.empty()
             child_span = 1 << node.shift
@@ -513,46 +407,23 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
             + self._cost_model.segment_sort_time(n)
         )
 
-    def _refinement_cost(self, predicate: Predicate, delta: float) -> CostBreakdown:
+    def _refinement_scan(self, predicate: Predicate) -> tuple:
         n = len(self._column)
-        bucket_range = self._relevant_bucket_range(predicate)
         key_low = self._keyspace.relative_key(predicate.low)
         key_high = self._keyspace.relative_key(predicate.high)
         relevant = sum(
             self._relevant_node_size(self._roots[i], key_low, key_high)
-            for i in bucket_range
+            for i in self._relevant_buckets(predicate)
         )
-        alpha = relevant / n if n else 0.0
-        return CostBreakdown(
-            scan=alpha * self._cost_model.bucket_scan_time(n),
-            lookup=0.0,
-            indexing=delta * self._refinement_work_time(),
-        )
+        return relevant / n, self._cost_model.bucket_scan_time(n)
 
-    def _execute_refinement(self, predicate: Predicate) -> QueryResult:
-        n = len(self._column)
-        bucket_range = self._relevant_bucket_range(predicate)
+    def _refinement_answer(self, predicate: Predicate) -> QueryResult:
         key_low = self._keyspace.relative_key(predicate.low)
         key_high = self._keyspace.relative_key(predicate.high)
-        decision = self._decide(
-            self._refinement_work_time(), lambda d: self._refinement_cost(predicate, d)
-        )
-        element_budget = int(np.ceil(decision.delta * n)) if decision.delta > 0 else 0
-
-        refined = self._refine_step(element_budget) if element_budget > 0 else 0
-
         result = QueryResult.empty()
-        for bucket_id in bucket_range:
+        for bucket_id in self._relevant_buckets(predicate):
             result += self._query_node(self._roots[bucket_id], predicate, key_low, key_high)
-
-        self.last_stats.elements_indexed = refined
-
-        if self._unfinished_nodes == 0:
-            self._finish_refinement()
         return result
 
-    def _finish_refinement(self) -> None:
-        """All nodes done: release the buckets and start consolidating."""
-        self._buckets = None
-        self._roots = None
-        self._enter_consolidation(self._final_array)
+    def _refinement_done(self) -> bool:
+        return not self._worklist

@@ -251,11 +251,7 @@ class ProgressiveSorter:
             if segment.size == 0:
                 continue
             if node.is_sorted:
-                lo = np.searchsorted(segment, predicate.low, side="left")
-                hi = np.searchsorted(segment, predicate.high, side="right")
-                if hi > lo:
-                    matched = segment[lo:hi]
-                    result += QueryResult(matched.sum(), int(matched.size))
+                result += QueryResult.from_sorted(segment, predicate.low, predicate.high)
             else:
                 result += QueryResult.from_range(segment, predicate.low, predicate.high)
         return result

@@ -265,6 +265,10 @@ class TestCompiledAgainstNumpy:
     @example(np.array([np.nan, -np.inf, np.inf, 0.5]), np.array([-1.0, 0.0, 1.0]))
     @example(np.array([1.0, 2.0]), np.array([-np.inf, np.inf]))
     @example(np.arange(5), np.empty(0))
+    # PB's routing cases: a span too wide for the grid, bounds clustered at the low end.
+    @example(np.array([-1.7976931348623157e308, -2.0, -0.5, 0.5, 2.0, 1.7976931348623157e308]),
+             np.array([-1.0, 0.0, 1.0]))
+    @example(np.array([0, 3, 5, 5, 99, 100, 7_000, 999_999]), np.array([1.0, 5.0, 5.0, 60.0, 5e5]))
     def test_route_bounds(self, values, bounds):
         if values.dtype == np.uint64:
             values = values.view(np.int64)

@@ -3,17 +3,22 @@
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.core.budget import AdaptiveBudget, FixedBudget
 from repro.core.phase import IndexPhase
 from repro.core.query import Predicate
-from repro.progressive.bucketsort import BoundsRouter, ProgressiveBucketsort
+from repro.progressive.bucketsort import ProgressiveBucketsort
 from repro.storage.column import Column
 
 from tests.conftest import assert_matches_brute_force, random_range_predicates
 
 
 class TestBoundsRouter:
-    """The grid-accelerated router must be bit-identical to the binary search."""
+    """PB routes a chunk with ``kernels.route_bounds`` over its bounds: the
+    grid-accelerated search must be bit-identical to the binary search."""
+
+    def route(self, bounds, values):
+        return kernels.route_bounds(values, np.asarray(bounds, dtype=np.float64))
 
     def reference(self, bounds, values):
         return np.searchsorted(bounds, values, side="right")
@@ -21,37 +26,32 @@ class TestBoundsRouter:
     def test_uniform_int_data(self, rng):
         data = rng.integers(0, 100_000, size=50_000)
         bounds = np.quantile(data, np.linspace(0, 1, 65)[1:-1])
-        router = BoundsRouter(bounds, data.min(), data.max())
-        assert np.array_equal(router.route(data), self.reference(bounds, data))
+        assert np.array_equal(self.route(bounds, data), self.reference(bounds, data))
 
     def test_skewed_data_with_clustered_bounds(self, rng):
         data = np.concatenate(
             [rng.integers(0, 100, size=45_000), rng.integers(0, 1_000_000, size=5_000)]
         )
         bounds = np.quantile(data, np.linspace(0, 1, 33)[1:-1])
-        router = BoundsRouter(bounds, data.min(), data.max())
-        assert np.array_equal(router.route(data), self.reference(bounds, data))
+        assert np.array_equal(self.route(bounds, data), self.reference(bounds, data))
 
     def test_float_data_and_boundary_values(self, rng):
         data = rng.normal(0.0, 1.0, size=20_000)
         bounds = np.quantile(data, np.linspace(0, 1, 17)[1:-1])
-        router = BoundsRouter(bounds, data.min(), data.max())
         probes = np.concatenate([data, bounds, np.nextafter(bounds, -np.inf),
                                  np.nextafter(bounds, np.inf)])
-        assert np.array_equal(router.route(probes), self.reference(bounds, probes))
+        assert np.array_equal(self.route(bounds, probes), self.reference(bounds, probes))
 
     def test_degenerate_single_value_domain(self):
         bounds = np.array([5.0, 5.0, 5.0])
-        router = BoundsRouter(bounds, 5, 5)
         values = np.full(100, 5)
-        assert np.array_equal(router.route(values), self.reference(bounds, values))
+        assert np.array_equal(self.route(bounds, values), self.reference(bounds, values))
 
     def test_non_finite_span_falls_back(self):
         huge = np.finfo(np.float64).max
         bounds = np.array([-1.0, 0.0, 1.0])
-        router = BoundsRouter(bounds, -huge, huge)
         values = np.array([-huge, -2.0, -0.5, 0.5, 2.0, huge])
-        assert np.array_equal(router.route(values), self.reference(bounds, values))
+        assert np.array_equal(self.route(bounds, values), self.reference(bounds, values))
 
 
 class TestBucketsortLifecycle:

@@ -1,0 +1,267 @@
+"""Golden trace of the four progressive indexes, replayed against a fixture.
+
+Each case is one family on one dtype under one ``FixedDelta``: a fresh index
+over 4 096 rows answers a fixed query trace until it has converged.  The
+fixture holds, per query, the phase the query arrived in, the δ it was
+given, ``elements_indexed``, the answer (count and sum, the sum's exact bits)
+and the predicted cost breakdown; and, for every phase entry, the encoded
+checkpoint (``pager.encode_state(index.state_dict())``) taken right after the
+query that entered it.
+
+The replay checks three things on the current code:
+
+* the whole trace, from a fresh index, query by query;
+* every checkpoint the current code takes at a phase entry, against the
+  recorded one, key for key and array for array;
+* every recorded checkpoint loads into a fresh index, and the rest of the
+  trace from there matches too.
+
+Unfilled slots of a construction array hold whatever ``np.empty`` left there,
+and they are persisted as they are; recording and replay both allocate those
+arrays zeroed, so checkpoints compare exactly.  Nothing reads those slots.
+
+Regenerate the fixture only for an intended behaviour change, with the code
+whose behaviour it should pin::
+
+    PYTHONPATH=src python tests/test_progressive_golden.py
+"""
+
+from __future__ import annotations
+
+import base64
+import json
+import lzma
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.core.budget import FixedBudget
+from repro.core.query import Predicate
+from repro.persist import pager
+from repro.progressive import (
+    ProgressiveBucketsort,
+    ProgressiveQuicksort,
+    ProgressiveRadixsortLSD,
+    ProgressiveRadixsortMSD,
+)
+from repro.progressive.base import ProgressiveIndexBase
+from repro.storage.column import Column
+
+FIXTURE = Path(__file__).parent / "data" / "progressive_golden.json.xz"
+
+ROWS = 4_096
+DELTAS = (0.1, 0.25)
+DTYPES = ("int64", "float64")
+#: Small fan-outs and thresholds, so every phase, pass and node state occurs.
+FAMILIES = {
+    "PQ": (ProgressiveQuicksort, {"sort_threshold": 64}),
+    "PMSD": (ProgressiveRadixsortMSD, {"n_buckets": 8, "sort_threshold": 64}),
+    "PB": (ProgressiveBucketsort, {"n_buckets": 8, "sort_threshold": 64}),
+    "PLSD": (ProgressiveRadixsortLSD, {"n_buckets": 16}),
+}
+#: Queries after convergence, and the longest trace a case may need.
+TAIL_QUERIES = 3
+MAX_QUERIES = 600
+BREAKDOWN_FIELDS = ("scan", "lookup", "indexing", "merge", "decompress")
+REL_TOL = 1e-12
+
+
+def column_data(dtype: str) -> np.ndarray:
+    rng = np.random.default_rng(20261015)
+    values = rng.integers(-6_000, 6_000, ROWS)
+    if dtype == "float64":
+        # Tenths: fractional, negative and duplicated values whose sums
+        # depend on the order they are added in.
+        return values / 10.0
+    return values.astype(np.int64)
+
+
+def query_trace(data: np.ndarray, count: int):
+    """Points on present values, ranges of every width, and misses."""
+    rng = np.random.default_rng(7)
+    low_end, high_end = float(data.min()), float(data.max())
+    trace = []
+    for number in range(count):
+        kind = number % 5
+        if kind in (0, 3):
+            value = data[int(rng.integers(0, data.size))].item()
+            trace.append((value, value))
+            continue
+        if kind == 4 and number % 3 == 0:
+            trace.append((high_end + 1, high_end + 50))
+            continue
+        low = float(rng.uniform(low_end - 10, high_end))
+        width = (high_end - low_end) * float(rng.choice([0.002, 0.05, 0.3, 1.0]))
+        if data.dtype.kind == "i":
+            trace.append((math.floor(low), math.floor(low + width)))
+        else:
+            trace.append((low, low + width))
+    return trace
+
+
+def build(family: str, delta: float, data: np.ndarray):
+    index_class, options = FAMILIES[family]
+    return index_class(Column(data.copy()), budget=FixedBudget(delta), **options)
+
+
+def record(index, low, high) -> list:
+    """One query's observable behaviour, as JSON-able values."""
+    result = index.query(Predicate(low, high))
+    stats = index.last_stats
+    breakdown = stats.predicted_breakdown
+    value_sum = result.value_sum
+    exact_sum = float(value_sum).hex() if isinstance(value_sum, (float, np.floating)) else int(value_sum)
+    return [
+        stats.phase.value,
+        float(stats.delta),
+        int(stats.elements_indexed),
+        int(result.count),
+        exact_sum,
+        None if breakdown is None else [float(getattr(breakdown, f)) for f in BREAKDOWN_FIELDS],
+    ]
+
+
+def resume(case: dict, checkpoint: dict) -> list:
+    """The records of the trace after ``checkpoint``, from a fresh index that
+    loaded it."""
+    index = build(case["family"], case["delta"], column_data(case["dtype"]))
+    index.load_state(pager.decode_state(base64.b64decode(checkpoint["state"])))
+    assert index.phase.value == checkpoint["phase"]
+    return [record(index, low, high) for low, high in case["trace"][checkpoint["after"]:]]
+
+
+def run_case(family: str, dtype: str, delta: float) -> dict:
+    data = column_data(dtype)
+    trace = query_trace(data, MAX_QUERIES)
+    index = build(family, delta, data)
+    records, states, phases = [], [], []
+    tail = TAIL_QUERIES
+    for low, high in trace:
+        records.append(record(index, low, high))
+        states.append(pager.encode_state(index.state_dict()))
+        phases.append(index.phase.value)
+        if index.converged:
+            tail -= 1
+            if tail == 0:
+                break
+    assert index.converged, f"{family}/{dtype}/{delta} did not converge in {MAX_QUERIES} queries"
+    # Every phase entry, the middle of creation, and the middle and the last
+    # query of refinement (mid-merge for PLSD).
+    chosen = {n for n in range(len(phases)) if n == 0 or phases[n] != phases[n - 1]}
+    for phase in ("creation", "refinement"):
+        numbers = [n for n, value in enumerate(phases) if value == phase]
+        chosen.add(numbers[len(numbers) // 2])
+        if phase == "refinement":
+            chosen.add(numbers[-1])
+    case = {
+        "family": family,
+        "dtype": dtype,
+        "delta": delta,
+        "trace": trace[: len(records)],
+        "records": records,
+        "checkpoints": [
+            {"after": n + 1, "phase": phases[n], "state": base64.b64encode(states[n]).decode("ascii")}
+            for n in sorted(chosen)
+        ],
+    }
+    # A restore may legitimately redo work: a sorter node caught
+    # mid-partition restarts it.  The continuation is stored where it is not
+    # the uninterrupted trace's.
+    for checkpoint in case["checkpoints"]:
+        continued = resume(case, checkpoint)
+        if continued != records[checkpoint["after"]:]:
+            checkpoint["resume"] = continued
+    return case
+
+
+def zeroed_scratch(self, n_rows, dtype):
+    return np.zeros(int(n_rows), dtype=np.dtype(dtype))
+
+
+# ----------------------------------------------------------------------
+# Replay
+# ----------------------------------------------------------------------
+def load_cases() -> list:
+    return json.loads(lzma.decompress(FIXTURE.read_bytes()))["cases"]
+
+
+CASES = load_cases() if FIXTURE.exists() else []
+
+
+def case_id(case) -> str:
+    return f"{case['family']}-{case['dtype']}-{case['delta']}"
+
+
+def assert_same_record(actual, expected, where):
+    assert actual[:5] == expected[:5], where
+    if expected[5] is None:
+        assert actual[5] is None, where
+    else:
+        assert actual[5] == pytest.approx(expected[5], rel=REL_TOL, abs=0.0), where
+
+
+def assert_same_tree(actual, expected, path="state"):
+    if isinstance(expected, dict):
+        assert isinstance(actual, dict), path
+        assert sorted(actual) == sorted(expected), path
+        for key in expected:
+            assert_same_tree(actual[key], expected[key], f"{path}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), path
+        for position, (got, want) in enumerate(zip(actual, expected)):
+            assert_same_tree(got, want, f"{path}[{position}]")
+    elif isinstance(expected, np.ndarray):
+        assert isinstance(actual, np.ndarray) and actual.dtype == expected.dtype, path
+        assert np.array_equal(actual, expected), path
+    else:
+        assert actual == expected, path
+
+
+@pytest.fixture
+def zeroed(monkeypatch):
+    monkeypatch.setattr(ProgressiveIndexBase, "_scratch_allocate", zeroed_scratch)
+
+
+def test_fixture_covers_every_case():
+    recorded = {(c["family"], c["dtype"], c["delta"]) for c in CASES}
+    assert recorded == {(f, t, d) for f in FAMILIES for t in DTYPES for d in DELTAS}
+
+
+@pytest.mark.usefixtures("zeroed")
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_trace_and_checkpoints_match_the_recording(case):
+    data = column_data(case["dtype"])
+    index = build(case["family"], case["delta"], data)
+    checkpoints = {c["after"]: c for c in case["checkpoints"]}
+    for number, ((low, high), expected) in enumerate(zip(case["trace"], case["records"]), 1):
+        assert_same_record(record(index, low, high), expected, f"query {number}")
+        if number in checkpoints:
+            assert index.phase.value == checkpoints[number]["phase"]
+            recorded = pager.decode_state(base64.b64decode(checkpoints[number]["state"]))
+            current = pager.decode_state(pager.encode_state(index.state_dict()))
+            assert_same_tree(current, recorded, f"checkpoint after query {number}")
+    assert index.converged
+
+
+@pytest.mark.usefixtures("zeroed")
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_recorded_checkpoints_resume_the_trace(case):
+    for checkpoint in case["checkpoints"]:
+        start = checkpoint["after"]
+        expected = checkpoint.get("resume", case["records"][start:])
+        for number, (actual, want) in enumerate(zip(resume(case, checkpoint), expected), start + 1):
+            assert_same_record(actual, want, f"query {number} after the checkpoint of query {start}")
+
+
+if __name__ == "__main__":
+    ProgressiveIndexBase._scratch_allocate = zeroed_scratch
+    cases = [
+        run_case(family, dtype, delta)
+        for family in FAMILIES for dtype in DTYPES for delta in DELTAS
+    ]
+    FIXTURE.parent.mkdir(exist_ok=True)
+    payload = json.dumps({"cases": cases}, separators=(",", ":")).encode()
+    FIXTURE.write_bytes(lzma.compress(payload, preset=9 | lzma.PRESET_EXTREME))
+    print(f"{FIXTURE}: {len(cases)} cases, {FIXTURE.stat().st_size} bytes")
