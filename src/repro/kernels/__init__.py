@@ -2,6 +2,7 @@
 
 Everything the construction phase does per element — partition around a
 pivot, predicated range aggregation, the bucket scatter and its routing, the
+radix histogram and the cursor scatter that fills buckets of known size, the
 sorted merge — goes through the functions of this module, and so do the
 block codec's frame-of-reference pack and unpack and the shard layout's
 routing and grouping.  Behind them sits
@@ -223,18 +224,72 @@ def scatter(values: np.ndarray, ids: np.ndarray, n_buckets: int, out: np.ndarray
     return _run(_active.scatter, values, ids, int(n_buckets), out)
 
 
-def scatter_radix(values: np.ndarray, base: int, shift: int, mask: int, out: np.ndarray) -> tuple:
-    """:func:`scatter` by one radix digit of the values' own order keys.
+def _check_digit(kernel: str, shift: int, mask: int) -> None:
+    if not 0 <= shift < 64 or mask & (mask + 1) or not 0 < mask < 1 << 32:
+        raise ValueError(f"{kernel}: bad digit (shift {shift}, mask {mask})")
 
-    The bucket of ``v`` is ``((order_key(v) - base) >> shift) & mask`` in
-    uint64 arithmetic (:func:`order_keys`; ``mask + 1`` buckets, a power of
-    two), so the ids are never materialised.
+
+def _check_slots(kernel: str, mask: int, *arrays) -> None:
+    for slots in arrays:
+        if slots.shape != (mask + 1,) or slots.dtype != np.int64 or not slots.flags.writeable:
+            raise ValueError(f"{kernel}: expected {mask + 1} writable int64 slots, "
+                             f"got {slots.shape} {slots.dtype}")
+
+
+def radix_histogram(values: np.ndarray, base: int, shift: int, mask: int,
+                    counts: np.ndarray | None = None) -> np.ndarray:
+    """How many values have each radix digit of their order key.
+
+    The digit of ``v`` is ``((order_key(v) - base) >> shift) & mask`` in
+    uint64 arithmetic (:func:`order_keys`; ``mask + 1`` digits, a power of
+    two).  The counts are added to ``counts`` (``mask + 1`` int64 slots) when
+    it is given, so the pieces of one bucket set are counted into one
+    histogram; returns the counts.
     """
+    _check_digit("radix_histogram", shift, mask)
+    if counts is None:
+        counts = np.zeros(mask + 1, dtype=np.int64)
+    _check_slots("radix_histogram", mask, counts)
+    if values.size:
+        _run(_active.radix_histogram, values, int(base), int(shift), int(mask), counts)
+    return counts
+
+
+def scatter_cursor(values: np.ndarray, base: int, shift: int, mask: int,
+                   cursors: np.ndarray, limits: np.ndarray, out: np.ndarray) -> None:
+    """Stable radix scatter into regions of ``out`` whose sizes are known.
+
+    Each value goes to ``out[cursors[d]]`` of its digit ``d`` (as in
+    :func:`radix_histogram`), and ``cursors[d]`` advances — in place, so the
+    cursors live across calls and a bucket set is filled chunk by chunk,
+    every value written once, straight into its slot.  Digit ``d``'s region
+    ends at ``limits[d]``.  Raises :class:`ValueError` when a cursor is
+    negative or a limit lies past ``out`` (nothing written), or when a region
+    overflows (the values that did not fit are not written, the others are).
+    """
+    _check_digit("scatter_cursor", shift, mask)
+    _check_slots("scatter_cursor", mask, cursors, limits)
+    if out.dtype != values.dtype or out.ndim != 1 or not out.flags.writeable:
+        raise ValueError("scatter_cursor: out must be a writable vector of the values' dtype")
+    if not values.size:
+        return
+    lost = _run(_active.scatter_cursor, values, int(base), int(shift), int(mask), cursors, limits, out)
+    if lost < 0:
+        raise ValueError("scatter_cursor: a cursor is negative or a limit lies past out")
+    if lost:
+        raise ValueError(f"scatter_cursor: {lost} values overflow their region")
+
+
+def scatter_radix(values: np.ndarray, base: int, shift: int, mask: int, out: np.ndarray) -> tuple:
+    """:func:`scatter` by one radix digit of the values' own order keys: the
+    histogram, its prefix sum, then the cursor scatter, so the ids are never
+    materialised.  Returns ``(counts, ends)`` as :func:`scatter` does."""
     if out.shape != values.shape or out.dtype != values.dtype:
         raise ValueError("scatter_radix: values and out must agree in shape and dtype")
-    if not 0 <= shift < 64 or mask & (mask + 1) or not 0 < mask < 1 << 32:
-        raise ValueError(f"scatter_radix: bad digit (shift {shift}, mask {mask})")
-    return _run(_active.scatter_radix, values, int(base), int(shift), int(mask), out)
+    counts = radix_histogram(values, base, shift, mask)
+    ends = np.cumsum(counts)
+    scatter_cursor(values, base, shift, mask, ends - counts, ends, out)
+    return counts, ends
 
 
 def route_cuts(values: np.ndarray, cuts: np.ndarray) -> np.ndarray:

@@ -31,7 +31,8 @@ _SIGNATURES = {
     "compact_range": ((_P, _I, _T, _T, _P), True),
     "sum_range": ((_P, _I, _T, _T, _P), True),
     "scatter": ((_P, _P, _I, _I, _P, _P, _P), True),
-    "scatter_radix": ((_P, _I, _U, _I, _U, _P, _P, _P), False),
+    "radix_histogram": ((_P, _I, _U, _I, _U, _P), False),
+    "scatter_cursor": ((_P, _I, _U, _I, _U, _P, _P, _P, _I), True),
     "route_cuts": ((_P, _I, _P, _I, _P), False),
     "route_bounds": ((_P, _I, _P, _I, _P, _I, _P), False),
     "merge": ((_P, _I, _P, _I, _P), False),
@@ -109,14 +110,18 @@ class CBackend:
             raise IndexError(f"bucket id outside [0, {n_buckets})")
         return counts, ends
 
-    def scatter_radix(self, values, base: int, shift: int, mask: int, out):
-        kernel = self._kernel("scatter_radix", values, out)
+    def radix_histogram(self, values, base: int, shift: int, mask: int, counts) -> None:
+        kernel = self._kernel("radix_histogram", values, counts)
         if kernel is None:
-            return _numpy.scatter_radix(values, base, shift, mask, out)
-        counts, ends = np.empty((2, mask + 1), dtype=np.int64)
-        kernel(values.ctypes.data, values.size, base, shift, mask,
-               counts.ctypes.data, ends.ctypes.data, out.ctypes.data)
-        return counts, ends
+            return _numpy.radix_histogram(values, base, shift, mask, counts)
+        kernel(values.ctypes.data, values.size, base, shift, mask, counts.ctypes.data)
+
+    def scatter_cursor(self, values, base: int, shift: int, mask: int, cursors, limits, out) -> int:
+        kernel = self._kernel("scatter_cursor", values, out, cursors, limits)
+        if kernel is None:
+            return _numpy.scatter_cursor(values, base, shift, mask, cursors, limits, out)
+        return kernel(values.ctypes.data, values.size, base, shift, mask, cursors.ctypes.data,
+                      limits.ctypes.data, out.ctypes.data, out.size)
 
     def route_cuts(self, values, cuts):
         kernel = self._kernel("route_cuts", values, cuts)

@@ -67,10 +67,31 @@ def order_keys(values):
     return values.astype(np.uint64) ^ _SIGN_BIT
 
 
-def scatter_radix(values, base: int, shift: int, mask: int, out):
-    keys = order_keys(values) - np.uint64(base)
-    ids = ((keys >> np.uint64(shift)) & np.uint64(mask)).astype(np.int64)
-    return scatter(values, ids, mask + 1, out)
+def _digits(values, base: int, shift: int, mask: int):
+    """Every value's radix digit, in the narrowest dtype that holds it (a
+    stable argsort of one- or two-byte keys takes fewer radix passes)."""
+    digits = ((order_keys(values) - np.uint64(base)) >> np.uint64(shift)) & np.uint64(mask)
+    return digits.astype(np.uint8 if mask < 256 else np.uint16 if mask < 65536 else np.int64)
+
+
+def radix_histogram(values, base: int, shift: int, mask: int, counts) -> None:
+    counts += np.bincount(_digits(values, base, shift, mask), minlength=mask + 1)
+
+
+def scatter_cursor(values, base: int, shift: int, mask: int, cursors, limits, out) -> int:
+    if (cursors < 0).any() or (limits > out.size).any():
+        return -1
+    digits = _digits(values, base, shift, mask)
+    order = np.argsort(digits, kind="stable")
+    grouped = digits[order]
+    counts = np.bincount(digits, minlength=mask + 1)
+    # The k-th value of digit d goes to cursors[d] + k while that is below limits[d].
+    rank = np.arange(values.size) - (np.cumsum(counts) - counts)[grouped]
+    room = np.clip(limits - cursors, 0, counts)
+    fits = rank < room[grouped]
+    out[(cursors[grouped] + rank)[fits]] = values[order[fits]]
+    cursors += room
+    return int(values.size - room.sum())
 
 
 def route_cuts(values, cuts):

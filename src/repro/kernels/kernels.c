@@ -3,8 +3,8 @@
  * One source, macro-instantiated per element type: KERNELS (partitions, range
  * scans, the counting scatter, shard routing, the merge) for int64 (_i64),
  * uint64 (_u64) and float64 (_f64); INTEGER_SUMS for the two integer types;
- * KEY_KERNELS (radix scatter, equi-height routing) for the two column
- * dtypes; FOR_KERNELS (the block codec's pack/unpack) per delta width.  The
+ * KEY_KERNELS (radix histogram, cursor scatter, equi-height routing) for the
+ * two column dtypes; FOR_KERNELS (the block codec's pack/unpack) per delta width.  The
  * hot loops are branch-free in the data (the paper's
  * predication): a comparison becomes an integer that advances a cursor or
  * selects a slot, not a jump.  Kernels write only into buffers the caller
@@ -215,27 +215,70 @@ static inline uint64_t order_key_f64(double v)
     return bits ^ ((0 - (bits >> 63)) | SIGN_BIT);
 }
 
+#define DIGIT(S, v) (((order_key_##S(v) - base) >> shift) & mask)
+#define LOCAL_DIGITS 256 /* fan-outs up to this count in stack-local sets */
+#define PREFETCH_AHEAD 32 /* elements (four cache lines) a write stream looks ahead */
+
 #define KEY_KERNELS(T, S)                                                      \
                                                                                \
-    /* The scatter above, with the bucket id taken from the value itself: one  \
-     * radix digit, ((key - base) >> shift) & mask — so no id array is ever    \
-     * written or read.  counts and ends hold mask + 1 slots. */               \
-    void scatter_radix_##S(const T *values, int64_t n, uint64_t base,          \
-                           int64_t shift, uint64_t mask, int64_t *counts,      \
-                           int64_t *ends, T *out)                              \
+    /* Radix histogram: adds to counts[d] how many values have the digit       \
+     * ((key - base) >> shift) & mask == d.  counts holds mask + 1 slots.      \
+     * Small fan-outs count into four interleaved sets, so neighbouring        \
+     * values with one digit do not wait on each other's increment. */         \
+    void radix_histogram_##S(const T *values, int64_t n, uint64_t base,        \
+                             int64_t shift, uint64_t mask, int64_t *counts)    \
     {                                                                          \
-        memset(counts, 0, (size_t)(mask + 1) * sizeof(int64_t));               \
-        for (int64_t k = 0; k < n; k++)                                        \
-            counts[((order_key_##S(values[k]) - base) >> shift) & mask] += 1;  \
-        int64_t at = 0;                                                        \
-        for (uint64_t b = 0; b <= mask; b++) {                                 \
-            ends[b] = at;                                                      \
-            at += counts[b];                                                   \
+        int64_t k = 0;                                                         \
+        if (mask < LOCAL_DIGITS) {                                             \
+            int64_t local[4][LOCAL_DIGITS];                                    \
+            memset(local, 0, sizeof local);                                    \
+            for (; k + 4 <= n; k += 4) {                                       \
+                local[0][DIGIT(S, values[k])] += 1;                            \
+                local[1][DIGIT(S, values[k + 1])] += 1;                        \
+                local[2][DIGIT(S, values[k + 2])] += 1;                        \
+                local[3][DIGIT(S, values[k + 3])] += 1;                        \
+            }                                                                  \
+            for (uint64_t b = 0; b <= mask; b++)                               \
+                counts[b] += local[0][b] + local[1][b] + local[2][b]           \
+                             + local[3][b];                                    \
         }                                                                      \
+        for (; k < n; k++)                                                     \
+            counts[DIGIT(S, values[k])] += 1;                                  \
+    }                                                                          \
+                                                                               \
+    /* Cursor scatter, stable: each value goes to out[cursors[d]] of its digit \
+     * d, which then advances; digit d's region of out ends at limits[d].      \
+     * The cursors persist across calls, so a bucket set whose sizes are       \
+     * known is filled in place chunk by chunk.  Returns how many values did   \
+     * not fit their region (they are not written; with sizes counted first   \
+     * every value fits, so the check is a branch that always predicts), or    \
+     * -1, having written nothing, when a cursor is negative or a limit lies   \
+     * past n_out.  Each write also prefetches its stream a few lines ahead:   \
+     * between two calls the caller may have scanned a column through the      \
+     * caches, and no hardware prefetcher follows mask + 1 interleaved write   \
+     * streams. */                                                             \
+    int64_t scatter_cursor_##S(const T *values, int64_t n, uint64_t base,      \
+                               int64_t shift, uint64_t mask, int64_t *cursors, \
+                               const int64_t *limits, T *out, int64_t n_out)   \
+    {                                                                          \
+        for (uint64_t b = 0; b <= mask; b++)                                   \
+            if (cursors[b] < 0 || limits[b] > n_out)                           \
+                return -1;                                                     \
+        int64_t lost = 0, last = n_out - 1;                                    \
         for (int64_t k = 0; k < n; k++) {                                      \
             T v = values[k];                                                   \
-            out[ends[((order_key_##S(v) - base) >> shift) & mask]++] = v;      \
+            uint64_t d = DIGIT(S, v);                                          \
+            int64_t at = cursors[d];                                           \
+            if (at < limits[d]) {                                              \
+                int64_t ahead = at + PREFETCH_AHEAD;                           \
+                __builtin_prefetch(out + (ahead < last ? ahead : last), 1, 3); \
+                out[at] = v;                                                   \
+                cursors[d] = at + 1;                                           \
+            } else {                                                           \
+                lost++;                                                        \
+            }                                                                  \
         }                                                                      \
+        return lost;                                                           \
     }                                                                          \
                                                                                \
     /* Equi-height routing: how many of the sorted bounds are <= each value    \

@@ -71,7 +71,7 @@ from repro.core.keys import RadixKeySpace
 from repro.core.phase import IndexPhase
 from repro.core.policy import BudgetPolicy
 from repro.core.query import Predicate, QueryResult, SortedLeaf
-from repro.progressive.blocks import BlockList, BucketSet
+from repro.progressive.blocks import BlockList, BucketSet, ExactBucketSet
 from repro.progressive.consolidation import ProgressiveConsolidator
 from repro.storage.column import Column
 from repro.storage.delta import merge_sorted_with_delta
@@ -120,6 +120,8 @@ class ProgressiveIndexBase(BaseIndex):
         self._buckets: BucketSet | None = None
         #: The array that ends sorted and becomes the cascade's leaf.
         self._final_array: np.ndarray | None = None
+        #: Slab arena of the bucket storage under a memory budget.
+        self._arena = None
 
     # ------------------------------------------------------------------
     # Phase dispatch
@@ -206,28 +208,33 @@ class ProgressiveIndexBase(BaseIndex):
         return budget.scratch if budget is not None else None
 
     def _block_arena(self):
-        """Spillable slab arena for linked bucket blocks (``None`` unbudgeted)."""
+        """The index's spillable slab arena for bucket storage (``None``
+        unbudgeted); one per index, so small exact-offset sets share slabs."""
         pool = self._scratch_pool()
         if pool is None:
             return None
-        from repro.storage.scratch import BlockArena
+        if self._arena is None or self._arena.allocator is not pool:
+            from repro.storage.scratch import BlockArena
 
-        return BlockArena(pool, self.block_size, self._column.dtype)
+            self._arena = BlockArena(pool, self.block_size, self._column.dtype)
+        return self._arena
 
     # ------------------------------------------------------------------
     # Bucket families' structures
     # ------------------------------------------------------------------
-    def _bucket_set(self, state: dict | None = None) -> BucketSet:
-        """An empty ``n_buckets`` set, or the one ``state`` saved; either
-        way its blocks come from the column's arena under a memory budget."""
+    def _bucket_set(self, state: dict | None = None, sizes=None) -> BucketSet:
+        """An empty ``n_buckets`` set, or the one ``state`` saved; an
+        exact-offset set when the buckets' final ``sizes`` are known.  Either
+        way its storage comes from the column's arena under a memory budget."""
+        arena = self._block_arena()
+        if sizes is not None:
+            buckets = ExactBucketSet(sizes, self.block_size, self._column.dtype, arena)
+            if state is not None:
+                buckets.restore(state["buckets"])
+            return buckets
         if state is not None:
-            return BucketSet.from_state(state, arena=self._block_arena())
-        return BucketSet(
-            self.n_buckets,
-            block_size=self.block_size,
-            dtype=self._column.dtype,
-            arena=self._block_arena(),
-        )
+            return BucketSet.from_state(state, arena=arena)
+        return BucketSet(self.n_buckets, block_size=self.block_size, dtype=self._column.dtype, arena=arena)
 
     def _block_list(self, values: np.ndarray | None = None) -> BlockList:
         """A block list holding ``values``, under the column's arena."""

@@ -1,20 +1,34 @@
-"""Linked lists of fixed-size blocks backing the bucket-based algorithms.
+"""Bucket storage of the bucket-based algorithms.
 
 Section 3.2 of the paper: "To avoid having to allocate large regions of
 sequential data for every bucket, the buckets are implemented as a linked
-list of blocks of memory that each hold up to ``sb`` elements."
+list of blocks of memory that each hold up to ``sb`` elements."  A bucket
+set comes in two kinds, decided by whether its buckets' final sizes are known
+before it is filled:
 
-:class:`BlockList` keeps that layout's *accounting* — ``n_blocks`` is what
-the ``t_bscan = t_scan + phi * N / sb`` and allocation cost terms price —
-over the contiguous pieces the scatter kernel produced: appending to a
-bucket is one list append instead of a per-block copy loop, a read folds
-the pieces into one array first, and a bucket can be drained into the final
-sorted index when it is merged.
+* **Pieces** (:class:`BucketSet`): the sizes are unknown — the creation
+  phase fills buckets from the base column, ``δ·N`` rows a query.  Every
+  bucket is a :class:`BlockList`, the contiguous *pieces* the scatter kernel
+  produced: a chunk is grouped by bucket into one buffer and each bucket
+  adopts its slice of it, accounted in the paper's ``sb``-element blocks
+  (``n_blocks`` is what the ``t_bscan = t_scan + phi * N / sb`` and
+  allocation cost terms price).
+* **Exact offsets** (:class:`ExactBucketSet`): the sizes are known — a radix
+  generation whose digit histogram was counted first (PLSD's refinement
+  passes, a PMSD node's children).  One flat array holds every bucket at a
+  fixed start offset, with one fill cursor per bucket; the cursor scatter
+  kernel writes each value straight into its slot, and a bucket is a view.
+  The buckets lie in bucket order, so a full set read in bucket order is one
+  slice of the array.
+
+Both read alike: a bucket (``bucket_set[i]``) is a :class:`BlockList`, a set
+reads in bucket order with :meth:`BucketSet.read`, and checkpoints store one
+array per bucket whichever the kind.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterator, List
 
 import numpy as np
 
@@ -28,7 +42,8 @@ class BlockList:
 
     The values are held as the contiguous *pieces* they arrived in (one per
     :meth:`append_array` or per :meth:`BucketSet.scatter` call that reached
-    this list); ``n_blocks`` / :meth:`memory_footprint` report the paper's
+    this list; a bucket of an :class:`ExactBucketSet` is one piece, a view);
+    ``n_blocks`` / :meth:`memory_footprint` report the paper's
     ``ceil(size / sb)`` blocks, which is what the cost model prices.
 
     Parameters
@@ -117,15 +132,21 @@ class BlockList:
             total += QueryResult.from_range(piece, low, high)
         return total
 
+    def histogram(self, base: int, shift: int, counts: np.ndarray) -> None:
+        """Add the radix histogram of the stored values (digit ``((key -
+        base) >> shift) & (counts.size - 1)``) to ``counts``."""
+        for piece in self._readable():
+            kernels.radix_histogram(piece, base, shift, counts.size - 1, counts)
+
     def to_array(self) -> np.ndarray:
         """Concatenate the stored values into a single contiguous array."""
         if not self._pieces:
             return np.empty(0, dtype=self.dtype)
         return np.concatenate(self._pieces)  # always a copy
 
-    def _iter_range(self, start: int, count: int):
+    def read(self, start: int, count: int) -> Iterator[np.ndarray]:
         """Yield the parts of pieces covering logical range ``[start, start+count)``,
-        clamped to the stored data, in order."""
+        clamped to the stored data, in order (views: callers only read them)."""
         if count <= 0:
             return
         start = max(0, start)
@@ -140,12 +161,8 @@ class BlockList:
             piece_start = piece_stop
 
     def slice_array(self, start: int, count: int) -> np.ndarray:
-        """Return ``count`` elements starting at logical offset ``start``.
-
-        Used by the progressive merge step, which drains a bucket a bounded
-        number of elements at a time.
-        """
-        parts = list(self._iter_range(start, count))
+        """Return ``count`` elements starting at logical offset ``start``."""
+        parts = list(self.read(start, count))
         if len(parts) == 1:
             return parts[0]  # a view: callers only read it
         if not parts:
@@ -156,7 +173,7 @@ class BlockList:
         """Copy ``count`` elements from logical offset ``start`` straight into
         ``target[target_start:]``; returns the number of elements copied."""
         copied = 0
-        for part in self._iter_range(start, count):
+        for part in self.read(start, count):
             position = target_start + copied
             target[position : position + part.size] = part
             copied += part.size
@@ -175,7 +192,8 @@ class BlockList:
 
 
 class BucketSet:
-    """A fixed number of :class:`BlockList` buckets addressed by bucket id."""
+    """A fixed number of :class:`BlockList` buckets addressed by bucket id,
+    filled piece by piece (the *pieces* kind of the module docstring)."""
 
     def __init__(
         self,
@@ -244,12 +262,33 @@ class BucketSet:
         total = QueryResult.empty()
         indices = bucket_range if bucket_range is not None else range(self.n_buckets)
         for bucket_id in indices:
-            total += self.buckets[bucket_id].scan(low, high)
+            total += self[bucket_id].scan(low, high)
         return total
 
     def sizes(self) -> np.ndarray:
         """Array of bucket sizes."""
         return np.array([len(bucket) for bucket in self.buckets], dtype=np.int64)
+
+    def histogram(self, base: int, shift: int) -> np.ndarray:
+        """Radix histogram (``n_buckets`` digits) of every stored value: the
+        sizes of the set one radix pass over this one fills."""
+        counts = np.zeros(self.n_buckets, dtype=np.int64)
+        for bucket in self.buckets:
+            bucket.histogram(base, shift, counts)
+        return counts
+
+    def read(self, start: int, count: int) -> Iterator[np.ndarray]:
+        """The values at positions ``[start, start+count)`` of the set read
+        bucket after bucket, as contiguous views."""
+        stop = start + count
+        at = 0
+        for bucket in self.buckets:
+            size = len(bucket)
+            if at + size > start:
+                yield from bucket.read(start - at, stop - max(start, at))
+            at += size
+            if at >= stop:
+                break
 
     # ------------------------------------------------------------------
     # Persistence (checkpointing)
@@ -257,19 +296,20 @@ class BucketSet:
     def state_dict(self) -> dict:
         """Serializable snapshot: every bucket flattened to one array.
 
-        Block boundaries are an allocation detail, not semantics — the
-        restored set holds identical values in identical order, re-blocked.
+        Block boundaries and the set's kind are an allocation detail, not
+        semantics — the restored set holds identical values in identical
+        order.
         """
         return {
             "n_buckets": self.n_buckets,
             "block_size": self.block_size,
             "dtype": self.dtype.name,
-            "buckets": [bucket.to_array() for bucket in self.buckets],
+            "buckets": [self[bucket_id].to_array() for bucket_id in range(self.n_buckets)],
         }
 
     @classmethod
     def from_state(cls, state: dict, arena=None) -> "BucketSet":
-        """Rebuild a bucket set from :meth:`state_dict` output; with an
+        """Rebuild a pieces set from :meth:`state_dict` output; with an
         ``arena``, what is scattered into it later is carved from its slabs."""
         bucket_set = cls(
             int(state["n_buckets"]),
@@ -283,7 +323,7 @@ class BucketSet:
 
     def total_allocations(self) -> int:
         """Total number of block allocations across all buckets."""
-        return sum(bucket.n_allocations for bucket in self.buckets)
+        return sum(self[bucket_id].n_allocations for bucket_id in range(self.n_buckets))
 
     def memory_footprint(self) -> int:
         """Bytes allocated across all buckets."""
@@ -293,3 +333,95 @@ class BucketSet:
         """Release every bucket's blocks."""
         for bucket in self.buckets:
             bucket.clear()
+
+
+class ExactBucketSet(BucketSet):
+    """Buckets of known final sizes in one flat array (the *exact offsets*
+    kind of the module docstring).
+
+    Bucket ``b`` occupies ``data[starts[b] : starts[b + 1]]`` and holds
+    ``data[starts[b] : fill[b]]`` so far; :meth:`scatter_radix` advances the
+    ``fill`` cursors in place (:func:`repro.kernels.scatter_cursor`), and a
+    value that would pass its bucket's end raises.  The array is carved from
+    the ``arena`` under a memory budget, so it spills like every other
+    construction array.
+
+    Parameters
+    ----------
+    sizes:
+        The final size of every bucket (their number is the fan-out).
+    block_size, dtype, arena:
+        As for :class:`BucketSet`.
+    """
+
+    def __init__(self, sizes, block_size: int = DEFAULT_BLOCK_SIZE, dtype=np.int64, arena=None) -> None:
+        sizes = np.asarray(sizes, dtype=np.int64)
+        self.n_buckets = int(sizes.size)
+        self.block_size = int(block_size)
+        self.dtype = np.dtype(dtype)
+        self.starts = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=self.starts[1:])
+        self.fill = self.starts[:-1].copy()
+        self._limits = self.starts[1:]
+        total = int(self.starts[-1])
+        self.data = arena.allocate(total) if arena is not None else np.empty(total, dtype=self.dtype)
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, bucket_id: int) -> BlockList:
+        bucket = BlockList(self.block_size, self.dtype)
+        bucket.append_array(self.data[self.starts[bucket_id] : self.fill[bucket_id]], owned=True)
+        return bucket
+
+    @property
+    def full(self) -> bool:
+        """Whether every bucket holds its final size."""
+        return self._size == self.data.size
+
+    def scatter_radix(self, values: np.ndarray, base: int, shift: int) -> None:
+        """Write every value at its bucket's fill cursor (digit as in
+        :meth:`BucketSet.scatter_radix`)."""
+        values = np.asarray(values, dtype=self.dtype)
+        kernels.scatter_cursor(
+            values, base, shift, self.n_buckets - 1, self.fill, self._limits, self.data)
+        self._size += values.size
+
+    def sizes(self) -> np.ndarray:
+        return self.fill - self.starts[:-1]
+
+    def histogram(self, base: int, shift: int) -> np.ndarray:
+        if not self.full:
+            return super().histogram(base, shift)
+        return kernels.radix_histogram(self.data, base, shift, self.n_buckets - 1)
+
+    def read(self, start: int, count: int) -> Iterator[np.ndarray]:
+        if not self.full:
+            yield from super().read(start, count)
+        elif count > 0:
+            yield self.data[max(0, start) : start + count]
+
+    @property
+    def buckets(self) -> List[BlockList]:
+        return [self[bucket_id] for bucket_id in range(self.n_buckets)]
+
+    def restore(self, arrays) -> None:
+        """Refill every bucket from the arrays :meth:`state_dict` saved (a
+        prefix of each bucket when the set was caught mid-fill)."""
+        for bucket_id, values in enumerate(arrays):
+            start = int(self.starts[bucket_id])
+            if values.size > self.starts[bucket_id + 1] - start:
+                raise ValueError(f"bucket {bucket_id}: {values.size} values exceed its size")
+            self.data[start : start + values.size] = values
+            self.fill[bucket_id] = start + values.size
+        self._size = int(self.sizes().sum())
+
+    def memory_footprint(self) -> int:
+        return int(self.data.nbytes)
+
+    def clear(self) -> None:
+        self.data = np.empty(0, dtype=self.dtype)
+        self.starts[:] = 0
+        self.fill[:] = 0
+        self._size = 0

@@ -17,8 +17,15 @@ Refinement
     next ``log2(b)`` bits — a classic out-of-place LSD radix sort performed a
     bounded number of elements per query.  The number of passes is
     ``ceil(log2(max - min) / log2(b))`` in key space (the paper's formula).
-    After the final pass the buckets are drained, in order, into the fully
-    sorted index array.
+    A pass knows its buckets' final sizes before it moves anything: they
+    are the histogram of its digit over the generation it reads, counted
+    when the pass starts.  So every refinement generation is an
+    :class:`~repro.progressive.blocks.ExactBucketSet` — one flat array the
+    cursor scatter writes straight into — and, once full, it reads in bucket
+    order as one slice, so a step is one scatter call.  (The creation
+    buckets, filled from the base column, keep their pieces.)  After the
+    final pass the buckets are drained, in order, into the fully sorted index
+    array — one slice copy a step.
 
 Consolidation
     A B+-tree cascade is built over the sorted array by the shared
@@ -92,14 +99,13 @@ class ProgressiveRadixsortLSD(ProgressiveIndexBase):
         self.block_size = int(block_size)
         self._cost_model.block_size = self.block_size
         # Refinement state: ``_buckets`` is the generation being read, in
-        # bucket order from the cursor on; a pass scatters it into
-        # ``_next_set``, the merge drains it into ``_final_array``.
+        # bucket order, ``_moved`` elements of it already moved on; a pass
+        # scatters it into ``_next_set``, the merge drains it into
+        # ``_final_array``.
         self._current_pass = 0
         self._stage = _RefinementStage.PASSES
         self._next_set: BucketSet | None = None
-        self._bucket_cursor = 0
-        self._offset_cursor = 0
-        self._moved = 0             # elements this pass / the merge has moved
+        self._moved = 0
 
     # ------------------------------------------------------------------
     @property
@@ -134,8 +140,7 @@ class ProgressiveRadixsortLSD(ProgressiveIndexBase):
             if self._final_array is not None:
                 state["final_array"] = np.array(self._final_array)
             prefix, moved_key = "merge", "merge_position"
-        state[f"{prefix}_bucket_cursor"] = int(self._bucket_cursor)
-        state[f"{prefix}_offset_cursor"] = int(self._offset_cursor)
+        state[f"{prefix}_bucket_cursor"], state[f"{prefix}_offset_cursor"] = self._cursor()
         state[moved_key] = int(self._moved)
         return state
 
@@ -148,15 +153,24 @@ class ProgressiveRadixsortLSD(ProgressiveIndexBase):
             self._buckets = self._bucket_set(state["current_set"])
         if self._stage is _RefinementStage.PASSES:
             if "next_set" in state:
-                self._next_set = self._bucket_set(state["next_set"])
-            prefix, moved_key = "pass", "pass_moved"
+                self._next_set = self._generation(self._current_pass, state["next_set"])
+            moved_key = "pass_moved"
         else:
             if "final_array" in state:
                 self._final_array = np.asarray(state["final_array"])
-            prefix, moved_key = "merge", "merge_position"
-        self._bucket_cursor = int(state.get(f"{prefix}_bucket_cursor", 0))
-        self._offset_cursor = int(state.get(f"{prefix}_offset_cursor", 0))
+            moved_key = "merge_position"
+        # The bucket/offset cursors are derived from the moved count.
         self._moved = int(state.get(moved_key, 0))
+
+    def _cursor(self) -> tuple:
+        """``(bucket, offset)`` of the read cursor in the generation being
+        read: where a step leaves it, at the bucket of the last element moved
+        — ``(0, 0)`` before the first."""
+        if self._moved == 0:
+            return 0, 0
+        ends = np.cumsum(self._buckets.sizes())
+        bucket = int(np.searchsorted(ends, self._moved - 1, side="right"))
+        return bucket, self._moved - int(ends[bucket] - len(self._buckets[bucket]))
 
     # ------------------------------------------------------------------
     # Creation phase (pass 0)
@@ -205,48 +219,45 @@ class ProgressiveRadixsortLSD(ProgressiveIndexBase):
     def _start_pass(self, pass_number: int) -> None:
         self._current_pass = pass_number
         self._stage = _RefinementStage.PASSES
-        self._next_set = self._bucket_set()
-        self._bucket_cursor = self._offset_cursor = self._moved = 0
+        self._next_set = self._generation(pass_number)
+        self._moved = 0
+
+    def _generation(self, pass_number: int, state: dict | None = None) -> BucketSet:
+        """The exact-offset set pass ``pass_number`` fills (or the one
+        ``state`` saved, part filled): its sizes are the histogram of the
+        pass's digit over the generation it reads."""
+        sizes = self._buckets.histogram(self._keyspace.key_min, pass_number * self.bits_per_pass)
+        return self._bucket_set(state, sizes=sizes)
 
     def _start_merge(self) -> None:
         self._stage = _RefinementStage.MERGE
         self._final_array = self._scratch_allocate(len(self._column), self._column.dtype)
-        self._bucket_cursor = self._offset_cursor = self._moved = 0
+        self._moved = 0
 
     def _refine(self, element_budget: int, predicate: Predicate) -> int:
         """Move up to ``element_budget`` elements on from the cursor: into the
         next bucket generation, or, after the last pass, into the array."""
-        moved = 0
         n = len(self._column)
-        passing = self._stage is _RefinementStage.PASSES
-        while moved < element_budget and self._moved < n:
-            bucket = self._buckets[self._bucket_cursor]
-            take = min(element_budget - moved, len(bucket) - self._offset_cursor)
-            if take <= 0:
-                self._bucket_cursor += 1
-                self._offset_cursor = 0
-                continue
-            if passing:
-                chunk = bucket.slice_array(self._offset_cursor, take)
-                self._next_set.scatter_radix(
-                    chunk, self._keyspace.key_min, self._current_pass * self.bits_per_pass
-                )
-                done = chunk.size
-            else:
-                done = bucket.drain_into(
-                    self._final_array, self._moved, self._offset_cursor, take
-                )
-            self._offset_cursor += done
-            self._moved += done
-            moved += done
-        if passing and self._moved >= n:
+        take = min(element_budget, n - self._moved)
+        parts = self._buckets.read(self._moved, take)
+        if self._stage is _RefinementStage.PASSES:
+            shift = self._current_pass * self.bits_per_pass
+            for part in parts:
+                self._next_set.scatter_radix(part, self._keyspace.key_min, shift)
+        else:
+            at = self._moved
+            for part in parts:
+                self._final_array[at : at + part.size] = part
+                at += part.size
+        self._moved += take
+        if self._stage is _RefinementStage.PASSES and self._moved >= n:
             self._buckets.clear()
             self._buckets, self._next_set = self._next_set, None
             if self._current_pass + 1 < self.total_passes:
                 self._start_pass(self._current_pass + 1)
             else:
                 self._start_merge()
-        return moved
+        return take
 
     def _refinement_done(self) -> bool:
         return self._stage is _RefinementStage.MERGE and self._moved >= len(self._column)
@@ -271,11 +282,12 @@ class ProgressiveRadixsortLSD(ProgressiveIndexBase):
             unmoved_pass = self._current_pass  # the merge drains the last pass's buckets
         # Elements not yet moved live in the old set, beyond the cursor.
         bucket_id = self._keyspace.digit_scalar(predicate.low, unmoved_pass)
-        if bucket_id > self._bucket_cursor:
+        cursor_bucket, cursor_offset = self._cursor()
+        if bucket_id > cursor_bucket:
             result += self._buckets[bucket_id].scan(predicate.low, predicate.high)
-        elif bucket_id == self._bucket_cursor:
+        elif bucket_id == cursor_bucket:
             bucket = self._buckets[bucket_id]
-            remaining = bucket.slice_array(self._offset_cursor, len(bucket) - self._offset_cursor)
+            remaining = bucket.slice_array(cursor_offset, len(bucket) - cursor_offset)
             result += QueryResult.from_range(remaining, predicate.low, predicate.high)
         return result
 

@@ -14,11 +14,19 @@ Creation
 
 Refinement
     Each bucket is recursively re-partitioned by the next ``log2(b)`` bits.
-    Buckets that fit the cache threshold are instead sorted outright and
-    written into their final position of the sorted index array (their
-    position is known because the buckets are value-ordered).  A small tree
-    of radix nodes routes queries to the right buckets / final-array
-    segments while the refinement is in progress.
+    A node knows its children's sizes before it moves anything — the
+    histogram of the next digit over its source — so its children are an
+    :class:`~repro.progressive.blocks.ExactBucketSet`: one flat array, filled
+    in place by the cursor scatter, the children contiguous and in value
+    order.  Buckets that fit the cache threshold are instead sorted outright
+    and written into their final position of the sorted index array (their
+    position is known because the buckets are value-ordered).  Since sibling
+    leaves lie side by side in their parent's flat array and in the final
+    array alike, a run of them that fits the step's budget is drained with
+    one copy and sorted with one ``np.sort`` — the same array as sorting
+    them one by one, each leaf still charged its size.  A small tree of
+    radix nodes routes queries to the right buckets / final-array segments
+    while the refinement is in progress.
 
 Consolidation
     Identical to Progressive Quicksort: a B+-tree cascade is built over the
@@ -39,7 +47,7 @@ from repro.core.phase import IndexPhase
 from repro.core.policy import BudgetPolicy
 from repro.core.query import Predicate, QueryResult
 from repro.progressive.base import ProgressiveIndexBase
-from repro.progressive.blocks import BlockList, BucketSet
+from repro.progressive.blocks import BlockList, ExactBucketSet
 from repro.progressive.sorter import DEFAULT_SORT_THRESHOLD
 from repro.storage.column import Column
 
@@ -62,10 +70,11 @@ class _RadixNode:
     """One bucket of the (recursive) MSD radix partitioning.
 
     A node owns a contiguous segment ``[offset, offset + size)`` of the final
-    sorted array and the block list holding its (unsorted) values.  It covers
-    the *relative radix-key* range ``[value_low, value_low + 2^(shift +
-    bits_per_level))`` — biased keys, so the routing is exact for both
-    integer and float columns.
+    sorted array and the block list holding its (unsorted) values.  A child's
+    values lie in ``home``, its parent's exact-offset set, from
+    ``home_start`` on; its block list is a view made on first use.  It covers the *relative radix-key* range ``[value_low,
+    value_low + 2^(shift + bits_per_level))`` — biased keys, so the routing
+    is exact for both integer and float columns.
     """
 
     __slots__ = (
@@ -79,9 +88,13 @@ class _RadixNode:
         "moved",
         "children",
         "child_set",
+        "home",
+        "home_start",
     )
 
-    def __init__(self, source: BlockList, offset: int, size: int, value_low: int, shift: int) -> None:
+    def __init__(
+        self, source: Optional[BlockList], offset: int, size: int, value_low: int, shift: int
+    ) -> None:
         self.source = source
         self.offset = int(offset)
         self.size = int(size)
@@ -91,7 +104,9 @@ class _RadixNode:
         self.copied = 0
         self.moved = 0
         self.children: Optional[List["_RadixNode"]] = None
-        self.child_set: Optional[BucketSet] = None
+        self.child_set: Optional[ExactBucketSet] = None
+        self.home: Optional[ExactBucketSet] = None
+        self.home_start = 0
 
 
 class ProgressiveRadixsortMSD(ProgressiveIndexBase):
@@ -175,7 +190,7 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
                 if node.state in (
                     _NodeState.WAITING, _NodeState.COPYING, _NodeState.PARTITIONING
                 ):
-                    spec["source"] = node.source.to_array()
+                    spec["source"] = self._source(node).to_array()
                 if node.state is _NodeState.PARTITIONING and node.child_set is not None:
                     spec["child_set"] = node.child_set.state_dict()
                 nodes.append(spec)
@@ -214,7 +229,7 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
             node.copied = int(spec["copied"])
             node.moved = int(spec["moved"])
             if "child_set" in spec:
-                node.child_set = self._bucket_set(spec["child_set"])
+                node.child_set = self._child_set(node, spec["child_set"])
             built.append(node)
         for spec, node in zip(specs, built):
             if spec["children"] is not None:
@@ -279,6 +294,14 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
         """Small (or unsplittable) nodes are sorted outright into the array."""
         return node.size <= self.sort_threshold or node.shift <= 0 or self._shift == 0
 
+    def _child_set(self, node: _RadixNode, state: dict | None = None) -> ExactBucketSet:
+        """The exact-offset set ``node`` partitions into (or the one
+        ``state`` saved, part filled): its sizes are the histogram of the
+        next digit over the node's source."""
+        counts = np.zeros(self.n_buckets, dtype=np.int64)
+        self._source(node).histogram(self._keyspace.key_min + node.value_low, node.shift, counts)
+        return self._bucket_set(state, sizes=counts)
+
     def _refine(self, element_budget: int, predicate: Predicate) -> int:
         processed = 0
         budget = int(element_budget)
@@ -286,63 +309,118 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
             node = self._worklist[0]
             if node.state is _NodeState.WAITING:
                 if self._node_must_copy(node):
+                    run = self._leaf_run(budget)
+                    if run:
+                        drained = self._drain_leaves(run)
+                        processed += drained
+                        budget -= drained
+                        continue
                     node.state = _NodeState.COPYING
                 else:
                     node.state = _NodeState.PARTITIONING
-                    node.child_set = self._bucket_set()
+                    node.child_set = self._child_set(node)
             if node.state is _NodeState.COPYING:
                 take = min(budget, node.size - node.copied)
                 if take > 0:
-                    copied = node.source.drain_into(
+                    copied = self._source(node).drain_into(
                         self._final_array, node.offset + node.copied, node.copied, take
                     )
                     node.copied += copied
                     processed += copied
                     budget -= copied
                 if node.copied >= node.size:
-                    segment = self._final_array[node.offset : node.offset + node.size]
-                    segment.sort()
-                    node.source.clear()
-                    node.state = _NodeState.DONE
+                    self._final_array[node.offset : node.offset + node.size].sort()
+                    self._release(node, _NodeState.DONE)
                     self._worklist.popleft()
             else:  # PARTITIONING
                 take = min(budget, node.size - node.moved)
                 if take > 0:
-                    chunk = node.source.slice_array(node.moved, take)
-                    node.child_set.scatter_radix(
-                        chunk, self._keyspace.key_min + node.value_low, node.shift
-                    )
-                    node.moved += chunk.size
-                    processed += chunk.size
-                    budget -= chunk.size
+                    base = self._keyspace.key_min + node.value_low
+                    for part in self._source(node).read(node.moved, take):
+                        node.child_set.scatter_radix(part, base, node.shift)
+                    node.moved += take
+                    processed += take
+                    budget -= take
                 if node.moved >= node.size:
                     self._expand_node(node)
                     self._worklist.popleft()
         return processed
 
+    def _leaf_run(self, budget: int) -> int:
+        """How many nodes from the head of the worklist are waiting leaves
+        that lie side by side in one parent's flat array and fit ``budget``
+        whole, together (0 when the head is no such leaf)."""
+        head = self._worklist[0]
+        if head.home is None:
+            return 0
+        home, end, total, count = head.home, head.home_start, 0, 0
+        # Siblings share a shift, so their sizes alone decide which are leaves
+        # (all are when the shift leaves nothing to split).
+        largest = self.sort_threshold if head.shift > 0 and self._shift != 0 else budget
+        for node in self._worklist:
+            if (node.home is not home or node.home_start != end or node.size > largest
+                    or node.state is not _NodeState.WAITING or total + node.size > budget):
+                break
+            count += 1
+            end += node.size
+            total += node.size
+        return count
+
+    def _drain_leaves(self, count: int) -> int:
+        """Copy the ``count`` leaves at the head of the worklist into the
+        final array with one copy, sort them with one sort, and finish them;
+        returns the elements copied.  Sibling leaves are value-ordered and
+        adjacent in the final array too, so one sort of the run equals one
+        sort per leaf."""
+        worklist = self._worklist
+        head = worklist[0]
+        values, start, total = head.home.data, head.home_start, 0
+        for _ in range(count):
+            leaf = worklist.popleft()
+            leaf.copied = leaf.size
+            total += leaf.size
+            self._release(leaf, _NodeState.DONE)
+        segment = self._final_array[head.offset : head.offset + total]
+        segment[:] = values[start : start + total]
+        segment.sort()
+        return total
+
+    def _source(self, node: _RadixNode) -> BlockList:
+        """The block list holding ``node``'s values; a child's is a view of
+        its parent's flat array, made on first use."""
+        if node.source is None:
+            node.source = self._block_list(node.home.data[node.home_start : node.home_start + node.size])
+        return node.source
+
+    @staticmethod
+    def _release(node: _RadixNode, state: _NodeState) -> None:
+        """``node``'s values moved on (sorted, or partitioned into children)."""
+        if node.source is not None:
+            node.source.clear()
+        node.source = node.home = None
+        node.state = state
+
     def _expand_node(self, node: _RadixNode) -> None:
-        """Create child nodes once the re-partition of ``node`` completed."""
-        node.source.clear()
-        sizes = node.child_set.sizes()
-        offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]]) + node.offset
+        """Create child nodes once the re-partition of ``node`` completed;
+        their values stay in the node's flat child array."""
+        self._release(node, _NodeState.EXPANDED)
+        children = node.child_set
+        node.child_set = None
+        starts = children.starts.tolist()
         child_span = 1 << node.shift
+        child_shift = max(0, node.shift - self.bits_per_level)
         node.children = []
         for child_id in range(self.n_buckets):
-            size = int(sizes[child_id])
-            child = _RadixNode(
-                source=node.child_set[child_id],
-                offset=int(offsets[child_id]),
-                size=size,
-                value_low=node.value_low + child_id * child_span,
-                shift=max(0, node.shift - self.bits_per_level),
-            )
+            start = starts[child_id]
+            size = starts[child_id + 1] - start
+            child = _RadixNode(None, node.offset + start, size,
+                               node.value_low + child_id * child_span, child_shift)
             node.children.append(child)
             if size == 0:
                 child.state = _NodeState.DONE
             else:
+                child.home, child.home_start = children, start
                 self._worklist.append(child)
-        node.state = _NodeState.EXPANDED
-        node.child_set = None
 
     def _query_node(
         self, node: _RadixNode, predicate: Predicate, key_low: int, key_high: int
@@ -369,7 +447,7 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
             return result
         # WAITING / COPYING / PARTITIONING: the source block list still holds
         # the complete data of this node.
-        return node.source.scan(predicate.low, predicate.high)
+        return self._source(node).scan(predicate.low, predicate.high)
 
     def _relevant_node_size(
         self, node: _RadixNode, key_low: int, key_high: int

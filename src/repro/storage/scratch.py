@@ -219,7 +219,8 @@ class BlockArena:
     reach O(N) and — each below the spill threshold — could never leave RAM.
     An arena instead allocates large slabs through the
     :class:`ScratchAllocator` (which spills them once past budget) and hands
-    out views: the scatter kernel's per-chunk output buffer, or a copy target.
+    out views: the scatter kernel's per-chunk output buffer, a copy target, or
+    the flat array of an :class:`~repro.progressive.blocks.ExactBucketSet`.
     """
 
     def __init__(

@@ -22,7 +22,7 @@ from repro.progressive import (
     ProgressiveRadixsortLSD,
     ProgressiveRadixsortMSD,
 )
-from repro.progressive.blocks import BucketSet
+from repro.progressive.blocks import ExactBucketSet
 from repro.storage.column import Column
 from repro.storage.membudget import MemoryBudget
 
@@ -118,7 +118,7 @@ def test_exact_through_every_phase(index_class, make_data, rng):
 
 
 # ----------------------------------------------------------------------
-# Restored mid-construction under a memory budget
+# Radix refinement under a memory budget, fresh and restored
 # ----------------------------------------------------------------------
 ROWS = 20_000
 
@@ -136,39 +136,70 @@ def pmsd_mid_partition(family_state):
     return any(node["state"] == "partitioning" for node in family_state.get("nodes", []))
 
 
-@pytest.mark.parametrize(
-    "index_class, options, caught",
-    [
-        pytest.param(ProgressiveRadixsortLSD, {"n_buckets": 16}, plsd_mid_pass, id="PLSD-mid-pass"),
-        pytest.param(
-            ProgressiveRadixsortMSD, {"n_buckets": 8, "sort_threshold": 64},
-            pmsd_mid_partition, id="PMSD-mid-partition",
-        ),
-    ],
-)
-def test_restored_under_a_budget_scatters_through_the_arena(
-    index_class, options, caught, tmp_path, rng, monkeypatch
-):
-    data = rng.integers(0, 1 << 20, ROWS)
-    index = index_class(budgeted(data, tmp_path), budget=FixedBudget(0.05), **options)
+MID_REFINEMENT = [
+    pytest.param(ProgressiveRadixsortLSD, {"n_buckets": 16}, plsd_mid_pass, id="PLSD-mid-pass"),
+    pytest.param(
+        ProgressiveRadixsortMSD, {"n_buckets": 8, "sort_threshold": 64},
+        pmsd_mid_partition, id="PMSD-mid-partition",
+    ),
+]
+
+
+@pytest.fixture
+def flat_sets(monkeypatch):
+    """Every exact-offset set built from here on, with the type of its array
+    as it was allocated."""
+    built = []
+    initialise = ExactBucketSet.__init__
+
+    def spy(bucket_set, *args, **kwargs):
+        initialise(bucket_set, *args, **kwargs)
+        built.append(type(bucket_set.data))
+
+    monkeypatch.setattr(ExactBucketSet, "__init__", spy)
+    return built
+
+
+def drive_to(index, caught):
     queries = 0
     while not caught(index.state_dict()["family"]):
         index.query(Predicate(0, 1 << 19))
         queries += 1
-        assert queries < 400, "never caught mid-construction"
+        assert queries < 400, "never caught mid-refinement"
+
+
+def assert_spilled_and_exact(index, data, rng, flat_sets):
+    """Past the budget, every flat generation / child array came from the
+    arena's spilled slabs — none is an anonymous O(N) buffer — and the
+    answers stay exact through convergence."""
+    drive_to_convergence(index, data, rng)
+    assert flat_sets and all(kind is np.memmap for kind in flat_sets), flat_sets
+    point = data[17].item()
+    assert_exact(index, data, Predicate(point, point))
+
+
+@pytest.mark.parametrize("index_class, options, caught", MID_REFINEMENT)
+def test_fresh_under_a_budget_carves_flat_sets_from_the_arena(
+    index_class, options, caught, tmp_path, rng, flat_sets
+):
+    data = rng.integers(0, 1 << 20, ROWS)
+    index = index_class(budgeted(data, tmp_path), budget=FixedBudget(0.05), **options)
+    drive_to(index, caught)
+    assert flat_sets  # the set being filled mid-refinement is one of them
+    assert_spilled_and_exact(index, data, rng, flat_sets)
+
+
+@pytest.mark.parametrize("index_class, options, caught", MID_REFINEMENT)
+def test_restored_under_a_budget_scatters_through_the_arena(
+    index_class, options, caught, tmp_path, rng, flat_sets
+):
+    data = rng.integers(0, 1 << 20, ROWS)
+    index = index_class(budgeted(data, tmp_path), budget=FixedBudget(0.05), **options)
+    drive_to(index, caught)
     blob = pager.encode_state(index.state_dict())
 
     restored = index_class(budgeted(data, tmp_path), budget=FixedBudget(0.05), **options)
+    flat_sets.clear()
     restored.load_state(pager.decode_state(blob))
-    arena_backed = []
-    grouped_buffer = BucketSet._grouped_buffer
-
-    def spy(bucket_set, n_rows):
-        arena_backed.append(bucket_set._arena is not None)
-        return grouped_buffer(bucket_set, n_rows)
-
-    monkeypatch.setattr(BucketSet, "_grouped_buffer", spy)
-    drive_to_convergence(restored, data, rng)
-    assert arena_backed and all(arena_backed)
-    point = data[17].item()
-    assert_exact(restored, data, Predicate(point, point))
+    assert flat_sets  # the set caught mid-fill, rebuilt
+    assert_spilled_and_exact(restored, data, rng, flat_sets)

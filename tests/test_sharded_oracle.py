@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.policy import FixedDelta
 from repro.core.query import Predicate, QueryResult
+from repro.engine.batch import BatchExecutor
 from repro.engine.registry import ALGORITHMS, create_index
 from repro.shard.column import shard_column
 from repro.shard.index import build_sharded_index
@@ -331,27 +332,40 @@ def test_parallel_executor_answers_and_status_match_serial(oracle_data, rng):
         assert parallel == serial
 
 
+#: Enough for every family to converge, also four queries a batch.
+QUERIES = 600
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["query", "execute_batch"])
+@pytest.mark.parametrize("method", ["PQ", "PB", "PMSD", "PLSD"])
 @pytest.mark.parametrize("shards, parallel", [(1, False), (4, False), (4, True)])
-def test_int64_sums_wrap_without_warning(shards, parallel, rng):
+def test_int64_sums_wrap_without_warning(shards, parallel, method, batched, rng):
     """Values near 2**60: sums wrap modulo 2**64 (as the oracle's do) and no
-    scalar addition raises NumPy's overflow RuntimeWarning."""
+    scalar addition raises NumPy's overflow RuntimeWarning — in every phase of
+    every progressive family, one query at a time or a batch at a time."""
     values = rng.integers(2**60, 2**60 + 2**20, 8_000, dtype=np.int64)
     column = Column(values.copy(), name="v")
     if shards == 1:
-        index = create_index("PQ", column, budget=FixedDelta(0.25))
+        index = create_index(method, column, budget=FixedDelta(0.25))
     else:
         index = build_sharded_index(
-            shard_column(column, shards), "PQ", parallel=parallel, workers=2,
+            shard_column(column, shards), method, parallel=parallel, workers=2,
             budget=FixedDelta(0.25),
         )
+    lows = 2**60 + rng.integers(0, 2**19, QUERIES)
+    highs = lows + rng.integers(0, 2**19, QUERIES)
     wrapped = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for number in range(60):
-            low = 2**60 + int(rng.integers(0, 2**19))
-            high = low + int(rng.integers(0, 2**19))
+        if batched:
+            results = []
+            for start in range(0, QUERIES, 4):
+                batch = list(zip(lows[start : start + 4].tolist(), highs[start : start + 4].tolist()))
+                results += BatchExecutor().execute(index, batch).results
+        else:
+            results = [index.query(Predicate(int(low), int(high))) for low, high in zip(lows, highs)]
+        for number, (low, high, result) in enumerate(zip(lows, highs, results)):
             expected = _oracle(values, low, high)
-            result = index.query(Predicate(low, high))
             assert result.count == expected.count, f"query {number}"
             assert int(result.value_sum) == int(expected.value_sum), f"query {number}"
             wrapped += int(expected.value_sum) != expected.count * 2**60 + int(
