@@ -18,8 +18,7 @@ import sys
 
 import numpy as np
 
-from repro import Column
-from repro.core.budget import AdaptiveBudget
+from repro import Column, TimeAdaptive
 from repro.core.calibration import calibrate
 from repro.engine import ALGORITHMS, PROGRESSIVE_ALGORITHMS, WorkloadExecutor
 from repro.experiments.reporting import format_count, format_seconds, render_table
@@ -45,7 +44,7 @@ def main() -> None:
         column = Column(data, name="value")
         if name in PROGRESSIVE_ALGORITHMS:
             index = ALGORITHMS[name](
-                column, budget=AdaptiveBudget(scan_fraction=0.2), constants=constants
+                column, budget=TimeAdaptive(scan_fraction=0.2), constants=constants
             )
         else:
             index = ALGORITHMS[name](column, constants=constants)

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import Column, ProgressiveQuicksort, ProgressiveRadixsortMSD
-from repro.core.budget import AdaptiveBudget, FixedBudget
+from repro import Column, FixedDelta, ProgressiveQuicksort, ProgressiveRadixsortMSD, TimeAdaptive
 from repro.core.calibration import calibrate
 from repro.engine import WorkloadExecutor
 from repro.experiments.reporting import format_count, format_seconds, render_table
@@ -38,7 +37,7 @@ def main() -> None:
         ("PMSD", ProgressiveRadixsortMSD),
     ):
         for delta in deltas:
-            index = algorithm(Column(data, name="ra"), budget=FixedBudget(delta), constants=constants)
+            index = algorithm(Column(data, name="ra"), budget=FixedDelta(delta), constants=constants)
             metrics = executor.run(index, workload).metrics()
             rows.append(
                 [
@@ -51,7 +50,7 @@ def main() -> None:
             )
         index = algorithm(
             Column(data, name="ra"),
-            budget=AdaptiveBudget(scan_fraction=0.2),
+            budget=TimeAdaptive(scan_fraction=0.2),
             constants=constants,
         )
         metrics = executor.run(index, workload).metrics()

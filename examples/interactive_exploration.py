@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import Column, FullIndex, FullScan, ProgressiveQuicksort
-from repro.core.budget import AdaptiveBudget
+from repro import Column, FullIndex, FullScan, ProgressiveQuicksort, TimeAdaptive
 from repro.core.calibration import calibrate
 from repro.engine import WorkloadExecutor
 from repro.workloads import skyserver_data, skyserver_workload
@@ -42,7 +41,7 @@ def main() -> None:
         "full scan (no index)": lambda column: FullScan(column, constants=constants),
         "full index upfront": lambda column: FullIndex(column, constants=constants),
         "progressive quicksort": lambda column: ProgressiveQuicksort(
-            column, budget=AdaptiveBudget(scan_fraction=0.2), constants=constants
+            column, budget=TimeAdaptive(scan_fraction=0.2), constants=constants
         ),
     }
 

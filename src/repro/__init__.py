@@ -36,8 +36,6 @@ True
 from repro.baselines import FullIndex, FullScan
 from repro.btree import BPlusTree, CascadeTree
 from repro.core import (
-    AdaptiveBudget,
-    BatchBudget,
     BatchPool,
     BudgetController,
     BudgetPolicy,
@@ -46,7 +44,6 @@ from repro.core import (
     CostConstants,
     CostModel,
     CostModelGreedy,
-    FixedBudget,
     FixedDelta,
     FixedTime,
     IndexLifecycle,
@@ -112,9 +109,7 @@ __version__ = "1.0.0"
 __all__ = [
     "ALGORITHMS",
     "AdaptiveAdaptiveIndexing",
-    "AdaptiveBudget",
     "BPlusTree",
-    "BatchBudget",
     "BatchExecutor",
     "BatchPool",
     "BudgetController",
@@ -132,7 +127,6 @@ __all__ = [
     "DeltaStore",
     "CostModel",
     "Database",
-    "FixedBudget",
     "FixedDelta",
     "FixedTime",
     "FullIndex",

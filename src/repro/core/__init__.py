@@ -4,11 +4,12 @@ This package contains the query model, the three-phase life cycle of a
 progressive index (driven by the shared
 :class:`~repro.core.phase.IndexLifecycle`), the cost-model constants and
 formulas from Section 3 / Table 1 of the paper, and the budget-policy layer
-(:mod:`repro.core.policy`): fixed, time-adaptive and cost-model-greedy
-policies routed through one :class:`~repro.core.policy.BudgetController`.
+(:mod:`repro.core.policy`): fixed-delta, fixed-time, time-adaptive,
+cost-model-greedy and pooled batch policies, each answering one ``choose``,
+asked only by an index's :class:`~repro.core.policy.BudgetController` —
+which also holds the admission cap of a capped call.
 """
 
-from repro.core.budget import AdaptiveBudget, BatchBudget, FixedBudget, IndexingBudget
 from repro.core.calibration import CostConstants, calibrate, simulated_constants
 from repro.core.cost_model import CostBreakdown, CostModel
 from repro.core.index import BaseIndex, QueryStats
@@ -20,7 +21,6 @@ from repro.core.policy import (
     ManualClock,
     BudgetController,
     BudgetPolicy,
-    CappedBudget,
     CostModelGreedy,
     DeltaDecision,
     DeltaRequest,
@@ -40,13 +40,10 @@ from repro.core.query import (
 
 __all__ = [
     "MINIMUM_DELTA",
-    "AdaptiveBudget",
     "BaseIndex",
-    "BatchBudget",
     "BatchPool",
     "BudgetController",
     "BudgetPolicy",
-    "CappedBudget",
     "ConjunctionResult",
     "CostBreakdown",
     "CostConstants",
@@ -54,13 +51,11 @@ __all__ = [
     "CostModelGreedy",
     "DeltaDecision",
     "DeltaRequest",
-    "FixedBudget",
     "FixedDelta",
     "FixedTime",
     "FloatKeyCodec",
     "IndexLifecycle",
     "IndexPhase",
-    "IndexingBudget",
     "ManualClock",
     "TimeAdaptive",
     "IntKeyCodec",

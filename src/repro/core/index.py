@@ -37,7 +37,6 @@ import numpy as np
 
 from repro import obs
 
-from repro.core.budget import FixedBudget
 from repro.core.calibration import CostConstants
 from repro.core.cost_model import CostBreakdown, CostModel
 from repro.core.overlay import DeltaOverlay
@@ -47,6 +46,7 @@ from repro.core.policy import (
     BudgetPolicy,
     DeltaDecision,
     DeltaRequest,
+    FixedDelta,
     policy_from_state,
     policy_state_dict,
 )
@@ -148,8 +148,8 @@ class BaseIndex(DeltaOverlay, abc.ABC):
         :class:`~repro.storage.column.ColumnSnapshot` (immutable), or raw
         array-like data (wrapped into a live column).
     budget:
-        Budget policy (or legacy budget controller object); defaults to a
-        fixed ``delta = 0.1``.  Baselines ignore the budget.
+        Budget policy; defaults to a fixed ``delta = 0.1``.  Baselines
+        ignore the budget.
     constants:
         Machine constants for the cost model; defaults to the deterministic
         simulated constants.
@@ -191,7 +191,7 @@ class BaseIndex(DeltaOverlay, abc.ABC):
         #: use ``self._column`` exactly as they did when columns were
         #: immutable; writes after the pin are the overlay's concern.
         self._column = snapshot
-        self._controller = BudgetController(budget or FixedBudget(0.1))
+        self._controller = BudgetController(budget or FixedDelta(0.1))
         self._cost_model = CostModel(constants)
         self._lifecycle = IndexLifecycle()
         self._queries_executed = 0

@@ -8,11 +8,13 @@ that idea into the single execution-layer abstraction all engine paths
 share:
 
 :class:`BudgetPolicy`
-    Strategy object answering "how much of the remaining phase work should
-    this query perform?".  Three first-class flavours implement the paper's
-    spectrum:
+    Strategy object with one decision method, :meth:`~BudgetPolicy.choose`:
+    given the query's :class:`DeltaRequest`, how much of the remaining phase
+    work should it perform?  The flavours implement the paper's spectrum:
 
     * :class:`FixedDelta` — the fixed-``delta`` baseline (Figure 7 sweeps);
+    * :class:`FixedTime` — a fixed budget in seconds, turned into a
+      ``delta`` by the first query;
     * :class:`TimeAdaptive` — the time-based adaptive budget (Section 3,
       "adaptive indexing budget"), optionally correcting itself from
       *measured* query times through an injectable clock;
@@ -21,20 +23,25 @@ share:
       prediction as a function of ``delta`` and solves for the ``delta``
       that lands the query on the caller's ``interactivity_budget`` τ,
       backing off multiplicatively when measured times show the
-      predictions missed.
-
-:class:`BatchPool`
-    The pooled policy used by the batch executor: ``n`` queries' worth of
-    budget drained greedily so batches front-load convergence.
+      predictions missed;
+    * :class:`BatchPool` — the batch executor's pool: ``n`` queries' worth
+      of budget drained greedily so batches front-load convergence.
 
 :class:`BudgetController`
-    The one controller every budget decision routes through — single
-    queries, multi-column ``where()`` driving queries, batch execution,
-    and the mutable substrate's delta-merge decisions alike.  It builds
-    the per-query :class:`DeltaRequest` (base cost, remaining-work cost,
-    and a ``predict(delta)`` callable backed by the index's cost model),
-    clamps the policy's answer to the phase's feasible range, and feeds
-    measured wall-clock durations back into the policy.
+    The one place a ``delta`` is decided, for every engine path.  The index
+    builds the per-query :class:`DeltaRequest` (base cost, remaining-work
+    cost, and a ``predict(delta)`` callable backed by its cost model); the
+    controller asks the policy, clamps the answer to the phase's feasible
+    range, and feeds measured durations back.  For one call it may hold an
+    admission cap (:meth:`BudgetController.capped`) bounding each grant's
+    predicted indexing seconds — the serving scheduler's τ tickets and the
+    sharded executor's per-shard slices — with the index's policy still
+    installed.
+
+Checkpoints persist a policy through one codec table (``_CODEC``: per type
+the persisted keys, the constructor arguments and the dynamic fields);
+restores run the constructor's validation, and malformed state raises
+:class:`~repro.errors.InvalidBudgetError`.
 
 Merge work is priced through the same machinery: during the ``MERGE``
 life-cycle stage the ``predict(delta)`` callable reports the pending
@@ -53,11 +60,13 @@ the adaptive paths are deterministic under test.
 from __future__ import annotations
 
 import abc
-import time
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.core.cost_model import CostBreakdown
+from repro.core.phase import IndexPhase
 from repro.errors import InvalidBudgetError
 
 #: Smallest delta an adaptive policy will return while work remains.  A
@@ -79,13 +88,32 @@ MINIMUM_ELEMENTS = 1 << 15
 #: Type of the injectable clock: a zero-argument callable returning seconds.
 Clock = Callable[[], float]
 
+#: The smallest positive float: a range starting here excludes zero.
+_POSITIVE = math.nextafter(0.0, 1.0)
+
+
+def _number(name: str, value, low: float = 0.0, high: float = math.inf, optional: bool = False):
+    """``value`` as given, if it is a real number in ``[low, high]`` (or
+    ``None`` and ``optional``); else :class:`~repro.errors.InvalidBudgetError`.
+
+    The one check behind every policy argument and every restored field, so
+    a caller's arguments and a checkpoint meet the same validation.
+    """
+    if value is None and optional:
+        return None
+    valid = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        valid = valid and low <= float(value) <= high
+    except OverflowError:
+        valid = False
+    if not valid:
+        lower = "(0" if low == _POSITIVE else f"[{low:g}"
+        raise InvalidBudgetError(f"{name} must be a number in {lower}, {high:g}], got {value!r}")
+    return value
+
 
 def _updated_correction(
-    current: float,
-    elapsed_seconds: float,
-    predicted_seconds: float,
-    smoothing: float,
-    bounds: tuple,
+    current: float, elapsed_seconds: float, predicted_seconds: float, smoothing: float, bounds: tuple
 ) -> float:
     """One step of the shared measured/predicted feedback loop.
 
@@ -112,11 +140,10 @@ class DeltaRequest:
         Predicted cost of answering the query without any indexing work
         (``delta = 0``), split into scan / lookup components.
     predict:
-        Optional callable mapping a candidate ``delta`` to the full
-        predicted :class:`CostBreakdown` of the query.  Progressive indexes
-        provide their per-phase cost formulas here; policies that solve for
-        ``delta`` exactly (:class:`CostModelGreedy`) use it, slack-based
-        policies ignore it.
+        Optional callable mapping a candidate ``delta`` to the query's full
+        predicted :class:`CostBreakdown` (the index's per-phase formula);
+        :class:`CostModelGreedy` solves against it, slack-based policies
+        ignore it.
     max_delta:
         Upper bound on the feasible ``delta`` this query (e.g. the fraction
         of the column not yet copied during creation).
@@ -142,16 +169,8 @@ class DeltaRequest:
 
 @dataclass
 class DeltaDecision:
-    """The controller's answer for one query.
-
-    Attributes
-    ----------
-    delta:
-        The clamped fraction of the remaining phase work to perform.
-    predicted:
-        The cost-model prediction at the chosen ``delta`` (``None`` when the
-        request carried no ``predict`` callable).
-    """
+    """The controller's answer for one query: the clamped ``delta``, and the
+    cost-model prediction at it (``None`` without a ``predict`` callable)."""
 
     delta: float
     predicted: Optional[CostBreakdown] = None
@@ -165,9 +184,9 @@ class DeltaDecision:
 class BudgetPolicy(abc.ABC):
     """Strategy object deciding how much indexing work each query performs.
 
-    The legacy entry point is :meth:`next_delta`; richer policies override
-    :meth:`choose` to consult the full :class:`DeltaRequest`.  Policies with
-    a wall-clock feedback loop additionally implement :meth:`observe`.
+    A policy answers one question, :meth:`choose`, and only the
+    :class:`BudgetController` asks it.  Policies with a wall-clock feedback
+    loop additionally implement :meth:`observe`.
     """
 
     #: Whether the policy recomputes delta for every query.
@@ -190,22 +209,13 @@ class BudgetPolicy(abc.ABC):
         """
 
     @abc.abstractmethod
-    def next_delta(self, full_work_time: float, query_base_cost: float = 0.0) -> float:
+    def choose(self, request: DeltaRequest) -> float:
         """Return the fraction of the remaining phase work to perform now.
 
-        Parameters
-        ----------
-        full_work_time:
-            Predicted cost (seconds) of performing all remaining work of
-            the current phase at once.
-        query_base_cost:
-            Predicted cost (seconds) of answering the current query without
-            any indexing work.
+        ``request.full_work_time`` prices all of that work and
+        ``request.base_cost`` the query without any; the controller clamps
+        the answer to the phase's feasible range.
         """
-
-    def choose(self, request: DeltaRequest) -> float:
-        """Choose ``delta`` for ``request``; defaults to :meth:`next_delta`."""
-        return self.next_delta(request.full_work_time, request.base_total)
 
     def observe(self, elapsed_seconds: float, predicted_seconds: float | None = None) -> None:
         """Feed back the measured duration of the query just executed.
@@ -232,14 +242,10 @@ class FixedDelta(BudgetPolicy):
         the paper's ``delta = 0`` discussion.
     """
 
-    adaptive = False
-
     def __init__(self, delta: float) -> None:
-        if not 0.0 <= delta <= 1.0:
-            raise InvalidBudgetError(f"delta must be within [0, 1], got {delta}")
-        self.delta = float(delta)
+        self.delta = float(_number("delta", delta, 0.0, 1.0))
 
-    def next_delta(self, full_work_time: float, query_base_cost: float = 0.0) -> float:
+    def choose(self, request: DeltaRequest) -> float:
         return self.delta
 
     def describe(self) -> str:
@@ -254,22 +260,14 @@ class FixedTime(BudgetPolicy):
     the paper's "fixed indexing budget" flavour.
     """
 
-    adaptive = False
-
     def __init__(self, budget_seconds: float) -> None:
-        if budget_seconds <= 0:
-            raise InvalidBudgetError(
-                f"budget_seconds must be positive, got {budget_seconds}"
-            )
-        self.budget_seconds = float(budget_seconds)
+        self.budget_seconds = float(_number("budget_seconds", budget_seconds, _POSITIVE))
         self._delta: float | None = None
 
-    def next_delta(self, full_work_time: float, query_base_cost: float = 0.0) -> float:
+    def choose(self, request: DeltaRequest) -> float:
         if self._delta is None:
-            if full_work_time <= 0:
-                self._delta = 1.0
-            else:
-                self._delta = min(1.0, self.budget_seconds / full_work_time)
+            full = request.full_work_time
+            self._delta = 1.0 if full <= 0 else min(1.0, self.budget_seconds / full)
         return self._delta
 
     def describe(self) -> str:
@@ -298,13 +296,10 @@ class TimeAdaptive(BudgetPolicy):
         Floor on the returned delta while work remains, guaranteeing
         convergence even when the cost model predicts no slack.
     clock:
-        Optional clock enabling the wall-clock feedback loop: measured
-        query durations are compared against the cost-model predictions and
-        the slack is divided by the (clamped, exponentially smoothed)
-        measured/predicted ratio, so a machine running slower than the
-        model thinks indexes less per query.  ``None`` (the default) keeps
-        the policy purely model-driven; tests inject a fake clock to drive
-        the adaptive path deterministically.
+        Optional clock enabling the wall-clock feedback loop: the slack is
+        divided by the clamped, smoothed measured/predicted ratio, so a
+        machine slower than the model indexes less per query.  ``None``
+        keeps the policy purely model-driven.
     """
 
     adaptive = True
@@ -326,21 +321,9 @@ class TimeAdaptive(BudgetPolicy):
             raise InvalidBudgetError(
                 "provide exactly one of budget_seconds or scan_fraction"
             )
-        if budget_seconds is not None and budget_seconds <= 0:
-            raise InvalidBudgetError(
-                f"budget_seconds must be positive, got {budget_seconds}"
-            )
-        if scan_fraction is not None and scan_fraction <= 0:
-            raise InvalidBudgetError(
-                f"scan_fraction must be positive, got {scan_fraction}"
-            )
-        if minimum_delta < 0:
-            raise InvalidBudgetError(
-                f"minimum_delta must be non-negative, got {minimum_delta}"
-            )
-        self.budget_seconds = budget_seconds
-        self.scan_fraction = scan_fraction
-        self.minimum_delta = float(minimum_delta)
+        self.budget_seconds = _number("budget_seconds", budget_seconds, _POSITIVE, optional=True)
+        self.scan_fraction = _number("scan_fraction", scan_fraction, _POSITIVE, optional=True)
+        self.minimum_delta = float(_number("minimum_delta", minimum_delta))
         self.target_query_cost: float | None = None
         self.clock = clock
         self.correction = 1.0
@@ -352,28 +335,25 @@ class TimeAdaptive(BudgetPolicy):
             self.target_query_cost = scan_time + self.budget_seconds
 
     def choose(self, request: DeltaRequest) -> float:
-        delta = self.next_delta(request.full_work_time, request.base_total)
-        # minimum_delta == 0 asks for a policy that may stand still.
-        if request.n_elements and self.minimum_delta > 0:
-            delta = max(delta, min(1.0, MINIMUM_ELEMENTS / request.n_elements))
-        return delta
-
-    def next_delta(self, full_work_time: float, query_base_cost: float = 0.0) -> float:
         if self.budget_seconds is None:
             raise InvalidBudgetError(
                 "TimeAdaptive with scan_fraction requires register_scan_time() "
-                "before the first next_delta() call"
+                "before the first delta decision"
             )
+        full_work_time = request.full_work_time
         if full_work_time <= 0:
             return 1.0
         if self.target_query_cost is None:
             # First query: the budget itself is the indexing slack.
             slack = self.budget_seconds
         else:
-            slack = self.target_query_cost - query_base_cost
+            slack = self.target_query_cost - request.base_total
         slack /= self.correction
-        delta = slack / full_work_time
-        return float(min(1.0, max(self.minimum_delta, delta)))
+        delta = float(min(1.0, max(self.minimum_delta, slack / full_work_time)))
+        # minimum_delta == 0 asks for a policy that may stand still.
+        if request.n_elements and self.minimum_delta > 0:
+            delta = max(delta, min(1.0, MINIMUM_ELEMENTS / request.n_elements))
+        return delta
 
     def observe(self, elapsed_seconds: float, predicted_seconds: float | None = None) -> None:
         if self.clock is None or predicted_seconds is None or predicted_seconds <= 0:
@@ -401,18 +381,13 @@ class CostModelGreedy(BudgetPolicy):
     no slack fall back to ``minimum_delta`` so convergence stays
     deterministic.
 
-    When a ``clock`` is provided, the policy additionally implements the
-    paper's backoff for cost-model misses as a continuous feedback loop:
-    after every query it observes the measured / predicted time ratio and
-    keeps a clamped, exponentially smoothed *correction* per life-cycle
-    phase.  The solve then targets ``τ / correction`` — a phase whose
-    predictions miss low (queries overshoot τ) gets its indexing backed
-    off until the measured time lands back on τ.  With the default
-    ``correction_range`` the loop only ever backs off (corrections stay
-    ≥ 1); passing a lower bound below ``1`` additionally returns unused
-    slack when predictions miss high, trading per-query stability for
-    faster convergence.  Without a clock the corrections stay at ``1``
-    and the policy is purely model-driven and deterministic.
+    With a ``clock`` the policy implements the paper's backoff for
+    cost-model misses as a feedback loop: it keeps a clamped, smoothed
+    measured/predicted *correction* per life-cycle phase and solves for
+    ``τ / correction``, so a phase whose queries overshoot τ indexes less
+    until they land back on τ.  The default ``correction_range`` only backs
+    off; a lower bound below ``1`` also returns slack when predictions miss
+    high.  Without a clock the policy is purely model-driven.
 
     Parameters
     ----------
@@ -452,30 +427,21 @@ class CostModelGreedy(BudgetPolicy):
             raise InvalidBudgetError(
                 "provide exactly one of interactivity_budget or scan_fraction"
             )
-        if interactivity_budget is not None and interactivity_budget <= 0:
+        if not isinstance(correction_range, (tuple, list)) or len(correction_range) != 2:
             raise InvalidBudgetError(
-                f"interactivity_budget must be positive, got {interactivity_budget}"
+                f"correction_range must be a (low, high) pair, got {correction_range!r}"
             )
-        if scan_fraction is not None and scan_fraction <= 0:
-            raise InvalidBudgetError(
-                f"scan_fraction must be positive, got {scan_fraction}"
-            )
-        if not 0.0 < smoothing <= 1.0:
-            raise InvalidBudgetError(f"smoothing must be in (0, 1], got {smoothing}")
-        if minimum_delta < 0:
-            raise InvalidBudgetError(
-                f"minimum_delta must be non-negative, got {minimum_delta}"
-            )
-        low, high = correction_range
-        if not 0 < low <= 1.0 <= high:
-            raise InvalidBudgetError(
-                f"correction_range must bracket 1.0, got {correction_range}"
-            )
-        self.interactivity_budget = interactivity_budget
-        self.scan_fraction = scan_fraction
-        self.minimum_delta = float(minimum_delta)
-        self.smoothing = float(smoothing)
-        self.correction_range = (float(low), float(high))
+        self.interactivity_budget = _number(
+            "interactivity_budget", interactivity_budget, _POSITIVE, optional=True
+        )
+        self.scan_fraction = _number("scan_fraction", scan_fraction, _POSITIVE, optional=True)
+        self.minimum_delta = float(_number("minimum_delta", minimum_delta))
+        self.smoothing = float(_number("smoothing", smoothing, _POSITIVE, 1.0))
+        # The range must bracket 1.0: a correction of 1 means "no correction".
+        self.correction_range = (
+            float(_number("correction_range low", correction_range[0], _POSITIVE, 1.0)),
+            float(_number("correction_range high", correction_range[1], 1.0)),
+        )
         self.clock = clock
         self._corrections: dict = {}
         self._observe_phase = None
@@ -496,7 +462,12 @@ class CostModelGreedy(BudgetPolicy):
 
     # ------------------------------------------------------------------
     def choose(self, request: DeltaRequest) -> float:
-        tau = self._require_tau() / self.correction_for(request.phase)
+        if self.interactivity_budget is None:
+            raise InvalidBudgetError(
+                "CostModelGreedy with scan_fraction requires register_scan_time() "
+                "before the first delta decision"
+            )
+        tau = self.interactivity_budget / self.correction_for(request.phase)
         self._observe_phase = request.phase
         if request.full_work_time <= 0:
             return 1.0
@@ -512,23 +483,6 @@ class CostModelGreedy(BudgetPolicy):
         delta = (tau - base) / work_slope
         return float(min(1.0, max(self.minimum_delta, delta)))
 
-    def next_delta(self, full_work_time: float, query_base_cost: float = 0.0) -> float:
-        return self.choose(
-            DeltaRequest(
-                full_work_time=full_work_time,
-                base_cost=CostBreakdown(scan=query_base_cost, lookup=0.0, indexing=0.0),
-            )
-        )
-
-    def _require_tau(self) -> float:
-        if self.interactivity_budget is None:
-            raise InvalidBudgetError(
-                "CostModelGreedy with scan_fraction requires register_scan_time() "
-                "before the first delta decision"
-            )
-        return self.interactivity_budget
-
-    # ------------------------------------------------------------------
     def observe(self, elapsed_seconds: float, predicted_seconds: float | None = None) -> None:
         if self.clock is None or predicted_seconds is None or predicted_seconds <= 0:
             return
@@ -547,13 +501,10 @@ class CostModelGreedy(BudgetPolicy):
 class BatchPool(BudgetPolicy):
     """Shared indexing-budget pool for a batch of queries.
 
-    The batch executor answers a whole workload at once, so instead of
-    granting every query its individual slice of indexing time, the
-    per-query budget of ``n_queries`` queries is pooled into one reservoir
-    that is drained greedily: the first queries of the batch may perform far
-    more than their per-query share of indexing work (front-loading
-    convergence so the rest of the batch can be answered with vectorized
-    lookups), but the batch as a whole never spends more indexing time than
+    The per-query budget of ``n_queries`` queries is pooled into one
+    reservoir drained greedily: the first queries of a batch may do far more
+    than their share of indexing (front-loading convergence, so the rest is
+    answered with vectorized lookups), but the batch never spends more than
     the equivalent sequential execution would have.
 
     Parameters
@@ -584,8 +535,6 @@ class BatchPool(BudgetPolicy):
         scan_fraction: float | None = None,
         interactivity_budget: float | None = None,
     ) -> None:
-        if n_queries < 0:
-            raise InvalidBudgetError(f"n_queries must be non-negative, got {n_queries}")
         provided = [
             value
             for value in (per_query_seconds, scan_fraction, interactivity_budget)
@@ -596,21 +545,12 @@ class BatchPool(BudgetPolicy):
                 "provide at most one of per_query_seconds, scan_fraction or "
                 "interactivity_budget"
             )
-        if per_query_seconds is not None and per_query_seconds < 0:
-            raise InvalidBudgetError(
-                f"per_query_seconds must be non-negative, got {per_query_seconds}"
-            )
-        if scan_fraction is not None and scan_fraction < 0:
-            raise InvalidBudgetError(
-                f"scan_fraction must be non-negative, got {scan_fraction}"
-            )
-        if interactivity_budget is not None and interactivity_budget < 0:
-            raise InvalidBudgetError(
-                f"interactivity_budget must be non-negative, got {interactivity_budget}"
-            )
+        _number("per_query_seconds", per_query_seconds, optional=True)
+        _number("scan_fraction", scan_fraction, optional=True)
+        _number("interactivity_budget", interactivity_budget, optional=True)
         if not provided:
             scan_fraction = 0.2
-        self.n_queries = int(n_queries)
+        self.n_queries = int(_number("n_queries", n_queries, high=2.0**63))
         self.scan_fraction = scan_fraction
         self.interactivity_budget = interactivity_budget
         self.pool_seconds: float | None = (
@@ -629,31 +569,19 @@ class BatchPool(BudgetPolicy):
         interactivity budgets pool their per-query slack over the scan.
         """
         policy = index.budget
-        if isinstance(policy, cls):
-            per_query = None
-            if policy.pool_seconds is not None and policy.n_queries > 0:
-                per_query = policy.pool_seconds / policy.n_queries
-            if per_query is not None:
-                return cls(n_queries, per_query_seconds=per_query)
-            if policy.interactivity_budget is not None:
-                return cls(n_queries, interactivity_budget=policy.interactivity_budget)
-            return cls(n_queries, scan_fraction=policy.scan_fraction)
-        if isinstance(policy, CostModelGreedy):
-            if policy.interactivity_budget is not None:
-                return cls(n_queries, interactivity_budget=policy.interactivity_budget)
-            return cls(n_queries, scan_fraction=policy.scan_fraction)
-        if isinstance(policy, TimeAdaptive):
-            if policy.budget_seconds is not None:
-                return cls(n_queries, per_query_seconds=policy.budget_seconds)
-            return cls(n_queries, scan_fraction=policy.scan_fraction)
-        if isinstance(policy, FixedTime):
+        if isinstance(policy, cls) and policy.pool_seconds is not None and policy.n_queries > 0:
+            return cls(n_queries, per_query_seconds=policy.pool_seconds / policy.n_queries)
+        if isinstance(policy, (TimeAdaptive, FixedTime)) and policy.budget_seconds is not None:
             return cls(n_queries, per_query_seconds=policy.budget_seconds)
         if isinstance(policy, FixedDelta):
             # A fixed delta indexes `delta` of the phase work per query; one
             # unit of phase work costs on the order of one scan, so the
             # pooled equivalent is `delta` of the scan cost per query.
             return cls(n_queries, scan_fraction=policy.delta)
-        return cls(n_queries)
+        tau = getattr(policy, "interactivity_budget", None)
+        if tau is not None:
+            return cls(n_queries, interactivity_budget=tau)
+        return cls(n_queries, scan_fraction=getattr(policy, "scan_fraction", None))
 
     # ------------------------------------------------------------------
     @property
@@ -677,12 +605,13 @@ class BatchPool(BudgetPolicy):
             per_query = self.scan_fraction * scan_time
         self.pool_seconds = per_query * self.n_queries
 
-    def next_delta(self, full_work_time: float, query_base_cost: float = 0.0) -> float:
+    def choose(self, request: DeltaRequest) -> float:
         if self.pool_seconds is None:
             raise InvalidBudgetError(
                 "BatchPool with scan_fraction requires register_scan_time() "
-                "before the first next_delta() call"
+                "before the first delta decision"
             )
+        full_work_time = request.full_work_time
         if full_work_time <= 0:
             return 1.0
         remaining = self.remaining_seconds
@@ -694,133 +623,26 @@ class BatchPool(BudgetPolicy):
 
     def describe(self) -> str:
         if self.pool_seconds is not None:
-            return (
-                f"BatchPool(n_queries={self.n_queries}, "
-                f"pool={self.pool_seconds:.6f}s)"
-            )
+            return f"BatchPool(n_queries={self.n_queries}, pool={self.pool_seconds:.6f}s)"
         if self.interactivity_budget is not None:
-            return (
-                f"BatchPool(n_queries={self.n_queries}, "
-                f"tau={self.interactivity_budget:.6f}s)"
-            )
-        return (
-            f"BatchPool(n_queries={self.n_queries}, "
-            f"scan_fraction={self.scan_fraction})"
-        )
-
-
-class CappedBudget(BudgetPolicy):
-    """Admission wrapper clamping the inner policy's per-query grant.
-
-    The serving layer's :class:`~repro.serve.scheduler.ProgressiveScheduler`
-    turns a connection class's interactivity budget (tau) into an
-    *allowance* of indexing seconds for each admitted query.  This wrapper
-    is swapped in front of the index's own policy for the duration of that
-    query: the inner policy still chooses its preferred ``delta`` (so
-    adaptive policies keep learning from an undistorted stream), but the
-    grant is clamped so the predicted indexing work ``delta *
-    full_work_time`` never exceeds the allowance.  The seconds actually
-    granted accumulate in :attr:`granted_seconds`, which the scheduler
-    charges to the connection class's work account — budgets become a
-    fairness currency shared across clients rather than a per-session knob.
-
-    Parameters
-    ----------
-    inner:
-        The index's own policy; every decision and observation is
-        forwarded to it.
-    allowance_seconds:
-        Maximum predicted indexing seconds one query may spend.  Use
-        ``float("inf")`` for no cap (pass-through).
-    """
-
-    def __init__(self, inner: BudgetPolicy, allowance_seconds: float) -> None:
-        if not isinstance(inner, BudgetPolicy):
-            raise InvalidBudgetError(
-                f"CappedBudget expects a BudgetPolicy, got {type(inner).__name__}"
-            )
-        if allowance_seconds < 0:
-            raise InvalidBudgetError(
-                f"allowance_seconds must be >= 0, got {allowance_seconds}"
-            )
-        self.inner = inner
-        self.allowance_seconds = float(allowance_seconds)
-        #: Predicted indexing seconds granted through this wrapper so far.
-        self.granted_seconds = 0.0
-
-    # Delegate the capability flags so engine fast paths (pooled
-    # whole-phase shortcuts, wall-clock feedback) behave exactly as they
-    # would under the inner policy.
-    @property
-    def adaptive(self) -> bool:  # type: ignore[override]
-        return self.inner.adaptive
-
-    @property
-    def pooled(self) -> bool:  # type: ignore[override]
-        return self.inner.pooled
-
-    @property
-    def clock(self):  # type: ignore[override]
-        return self.inner.clock
-
-    def register_scan_time(self, scan_time: float) -> None:
-        self.inner.register_scan_time(scan_time)
-
-    def _cap(self, delta: float, full_work_time: float) -> float:
-        if full_work_time > 0.0 and self.allowance_seconds < float("inf"):
-            delta = min(delta, self.allowance_seconds / full_work_time)
-        delta = max(0.0, min(1.0, float(delta)))
-        self.granted_seconds += delta * max(full_work_time, 0.0)
-        return delta
-
-    def next_delta(self, full_work_time: float, query_base_cost: float = 0.0) -> float:
-        return self._cap(
-            self.inner.next_delta(full_work_time, query_base_cost), full_work_time
-        )
-
-    def choose(self, request: DeltaRequest) -> float:
-        return self._cap(self.inner.choose(request), request.full_work_time)
-
-    def observe(self, elapsed_seconds: float, predicted_seconds: float | None = None) -> None:
-        self.inner.observe(elapsed_seconds, predicted_seconds)
-
-    def describe(self) -> str:
-        if self.allowance_seconds == float("inf"):
-            return f"CappedBudget(uncapped, {self.inner.describe()})"
-        return (
-            f"CappedBudget(allowance={self.allowance_seconds:.2e}s, "
-            f"{self.inner.describe()})"
-        )
-
-    def __getattr__(self, name: str):
-        # Forward policy-specific attributes (``tau``, ``correction_for``,
-        # ``budget_seconds`` ...) so index code that introspects its policy
-        # keeps working while the wrapper is installed.
-        if name == "inner":  # guard half-constructed instances
-            raise AttributeError(name)
-        return getattr(self.inner, name)
+            return f"BatchPool(n_queries={self.n_queries}, tau={self.interactivity_budget:.6f}s)"
+        return f"BatchPool(n_queries={self.n_queries}, scan_fraction={self.scan_fraction})"
 
 
 class PooledBudgetController:
     """Splits one interactivity budget τ across the shards a query touches.
 
-    Sharded execution answers one logical query with up to K per-shard
-    queries.  Handing every shard the full τ would multiply the end-to-end
-    latency by the number of touched shards; this controller instead
-    derives a per-shard total-time target so the *logical* query still
-    lands on τ:
+    Handing each of a logical query's per-shard queries the full τ would
+    multiply its latency by the number of touched shards.  Instead
+    ``lanes = min(parallelism, touched)`` shards run concurrently, each lane
+    serving ``touched / lanes`` shards back to back, so the per-shard
+    target is ``τ_s = τ * lanes / touched`` (``τ / touched`` serially).
+    Shards the zone-map router prunes are not touched, so they donate their
+    slice to the survivors.
 
-    ``lanes = min(parallelism, touched)`` shards run concurrently, each
-    execution lane serves ``touched / lanes`` shards back to back, so the
-    per-shard target is ``τ_s = τ * lanes / touched``.  Serial execution
-    (``parallelism = 1``) degrades to the natural ``τ / touched`` split;
-    with enough workers every touched shard gets the full τ.  Because the
-    divisor is the number of *touched* shards, everything the zone-map
-    router prunes automatically donates its slice to the survivors.
-
-    Per shard the target is enforced by wrapping the shard index's own
-    policy in a :class:`CappedBudget` whose allowance is the slack
-    ``max(0, τ_s - predicted_base_cost)`` — the shard policy keeps
+    Per shard the target is enforced by capping the shard index's
+    controller for that one query (:meth:`BudgetController.capped`) at the
+    slack ``max(0, τ_s - predicted_base_cost)`` — the shard policy keeps
     choosing (and learning) freely, it just cannot overdraw the pool.
 
     Parameters
@@ -841,17 +663,11 @@ class PooledBudgetController:
         n_shards: int = 1,
         parallelism: int = 1,
     ) -> None:
-        if interactivity_budget is not None and interactivity_budget <= 0:
-            raise InvalidBudgetError(
-                f"interactivity_budget must be positive, got {interactivity_budget}"
-            )
-        if n_shards < 1:
-            raise InvalidBudgetError(f"n_shards must be >= 1, got {n_shards}")
-        if parallelism < 1:
-            raise InvalidBudgetError(f"parallelism must be >= 1, got {parallelism}")
-        self.interactivity_budget = interactivity_budget
-        self.n_shards = int(n_shards)
-        self.parallelism = int(parallelism)
+        self.interactivity_budget = _number(
+            "interactivity_budget", interactivity_budget, _POSITIVE, optional=True
+        )
+        self.n_shards = int(_number("n_shards", n_shards, 1.0, 2.0**63))
+        self.parallelism = int(_number("parallelism", parallelism, 1.0, 2.0**63))
         #: Logical queries routed through the pool.
         self.queries = 0
         #: Per-shard dispatches charged against the pool.
@@ -881,17 +697,13 @@ class PooledBudgetController:
         return self.interactivity_budget * self.lanes(touched) / touched
 
     def shard_allowance(self, touched: int, base_seconds: float | None) -> float:
-        """Indexing-seconds cap for one shard of a ``touched``-shard query.
-
-        ``base_seconds`` is the shard's predicted no-indexing cost
-        (``predict(0)``); shards without a cost model get the full τ_s.
-        """
+        """Indexing-seconds cap for one shard of a ``touched``-shard query:
+        τ_s less the shard's predicted no-indexing cost (all of τ_s for a
+        shard without a cost model)."""
         budget = self.shard_budget(touched)
         if budget is None:
-            return float("inf")
-        if base_seconds is None:
-            return budget
-        return max(0.0, budget - float(base_seconds))
+            return math.inf
+        return budget if base_seconds is None else max(0.0, budget - float(base_seconds))
 
     def charge(self, touched: int, granted_seconds: float, queries: int = 1) -> None:
         """Account the per-shard grants of one logical query — or of a
@@ -913,28 +725,58 @@ class PooledBudgetController:
         }
 
     def describe(self) -> str:
-        if self.interactivity_budget is None:
-            return (
-                f"PooledBudget(uncapped, shards={self.n_shards}, "
-                f"parallelism={self.parallelism})"
-            )
-        return (
-            f"PooledBudget(tau={self.interactivity_budget:.6f}s, "
-            f"shards={self.n_shards}, parallelism={self.parallelism})"
+        tau = "uncapped" if self.interactivity_budget is None else (
+            f"tau={self.interactivity_budget:.6f}s"
         )
+        return f"PooledBudget({tau}, shards={self.n_shards}, parallelism={self.parallelism})"
+
+
+class BudgetCap:
+    """An admission cap on every decision of one call.
+
+    Held by the controller while a :meth:`BudgetController.capped` block
+    runs: each decision clamps the policy's answer so the predicted indexing
+    work ``delta * full_work_time`` stays within :attr:`allowance_seconds`,
+    and adds the grant to :attr:`granted_seconds`.  The policy still chooses
+    freely (adaptive policies keep learning from an undistorted stream).
+    """
+
+    __slots__ = ("allowance_seconds", "granted_seconds", "_controller")
+
+    def __init__(self, controller: "BudgetController", allowance_seconds: float) -> None:
+        self.allowance_seconds = float(_number("allowance_seconds", allowance_seconds))
+        #: Predicted indexing seconds granted under this cap so far.
+        self.granted_seconds = 0.0
+        self._controller = controller
+
+    def __enter__(self) -> "BudgetCap":
+        if self._controller._cap is not None:
+            raise InvalidBudgetError("the budget controller is already capped")
+        self._controller._cap = self
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._controller._cap = None
+
+    def grant(self, delta: float, full_work_time: float) -> float:
+        """``delta`` clamped to the allowance; the grant is accounted."""
+        if full_work_time > 0.0 and self.allowance_seconds < math.inf:
+            delta = min(delta, self.allowance_seconds / full_work_time)
+        delta = max(0.0, min(1.0, delta))
+        self.granted_seconds += delta * max(full_work_time, 0.0)
+        return delta
 
 
 class BudgetController:
     """The single decision point every budget question routes through.
 
-    One controller is attached to every index.  The engine paths — a
-    sequential :meth:`~repro.core.index.BaseIndex.query`, the driving query
-    of a multi-column ``where()``, and the batch executor's pooled
-    execution — all end up in :meth:`decide`, which consults the installed
-    :class:`BudgetPolicy` with the full :class:`DeltaRequest` (including
-    the index's ``predict(delta)`` cost-model callable) and clamps the
-    answer to the feasible range.  Measured query durations flow back
-    through :meth:`observe` so self-correcting policies see reality.
+    One controller is attached to every index.  Every engine path — single
+    queries, ``where()`` driving queries, batches, delta merges and the
+    future-work extensions — ends in :meth:`decide`, which asks the installed
+    :class:`BudgetPolicy` with the full :class:`DeltaRequest`, applies the
+    call's admission cap if one is held, and clamps the answer to the
+    feasible range.  Measured durations flow back through
+    :meth:`query_finished`.
 
     Parameters
     ----------
@@ -943,12 +785,10 @@ class BudgetController:
     """
 
     def __init__(self, policy: BudgetPolicy) -> None:
-        if not isinstance(policy, BudgetPolicy):
-            raise InvalidBudgetError(
-                f"BudgetController expects a BudgetPolicy, got {type(policy).__name__}"
-            )
-        self._policy = policy
+        self._policy: BudgetPolicy | None = None
         self._scan_time: float | None = None
+        self._cap: BudgetCap | None = None
+        self.swap_policy(policy)
 
     # ------------------------------------------------------------------
     @property
@@ -965,9 +805,7 @@ class BudgetController:
         mid-run is resolved against the already-registered scan time.
         """
         if not isinstance(policy, BudgetPolicy):
-            raise InvalidBudgetError(
-                f"swap_policy() expects a BudgetPolicy, got {type(policy).__name__}"
-            )
+            raise InvalidBudgetError(f"expected a BudgetPolicy, got {type(policy).__name__}")
         previous = self._policy
         self._policy = policy
         if self._scan_time is not None:
@@ -979,15 +817,29 @@ class BudgetController:
         self._scan_time = float(scan_time)
         self._policy.register_scan_time(self._scan_time)
 
+    def capped(self, allowance_seconds: float) -> BudgetCap:
+        """An admission cap for one call: ``with controller.capped(a) as cap:``.
+
+        Each decision in the block grants at most ``allowance_seconds`` of
+        predicted indexing work (``float("inf")`` only counts) and
+        ``cap.granted_seconds`` adds the grants up.  The cap is released when
+        the block exits, by an exception too; the policy stays installed.
+        """
+        return BudgetCap(self, allowance_seconds)
+
     # ------------------------------------------------------------------
     def decide(self, request: DeltaRequest) -> DeltaDecision:
         """Choose the indexing fraction for one query.
 
-        The policy's raw answer is clamped to ``[0, request.max_delta]``
-        *after* the policy call, preserving pooled-reservoir accounting
-        (a pool spends what it granted, not what the phase could absorb).
+        The policy's raw answer is capped by the call's admission cap, then
+        clamped to ``[0, request.max_delta]`` — both *after* the policy call,
+        preserving pooled-reservoir accounting (a pool spends what it
+        chose, not what the phase could absorb) and charging a cap what it
+        granted.
         """
         delta = float(self._policy.choose(request))
+        if self._cap is not None:
+            delta = self._cap.grant(delta, request.full_work_time)
         delta = min(delta, float(request.max_delta))
         delta = max(0.0, min(1.0, delta))
         predicted = request.predict(delta) if request.predict is not None else None
@@ -1009,14 +861,77 @@ class BudgetController:
         self._policy.observe(clock() - started, predicted_seconds)
 
 
-def wall_clock() -> float:
-    """The default real clock for production use (``time.perf_counter``)."""
-    return time.perf_counter()
-
-
 # ----------------------------------------------------------------------
 # Persistence (checkpointing)
 # ----------------------------------------------------------------------
+#: The state codec, one row per policy type: the class; the persisted keys,
+#: in payload order; the constructor arguments (of an either-or group
+#: ``a|b``, the first one with a value); and the dynamic fields, set on the
+#: constructed policy.  A key that is missing or ``None`` keeps the
+#: constructor's value.
+_CODEC = {
+    "FixedDelta": (FixedDelta, "delta", "delta", ""),
+    "FixedTime": (FixedTime, "budget_seconds resolved_delta", "budget_seconds", "resolved_delta"),
+    "TimeAdaptive": (
+        TimeAdaptive,
+        "budget_seconds scan_fraction minimum_delta target_query_cost correction",
+        "scan_fraction|budget_seconds minimum_delta",
+        "budget_seconds target_query_cost correction",
+    ),
+    "CostModelGreedy": (
+        CostModelGreedy,
+        "interactivity_budget scan_fraction minimum_delta smoothing correction_range corrections",
+        "interactivity_budget|scan_fraction minimum_delta smoothing correction_range",
+        "scan_fraction corrections",
+    ),
+    "BatchPool": (
+        BatchPool,
+        "n_queries scan_fraction interactivity_budget pool_seconds spent_seconds",
+        "n_queries scan_fraction interactivity_budget",
+        "pool_seconds spent_seconds",
+    ),
+}
+
+#: Persisted keys held in an attribute of another name.
+_ATTRIBUTES = {"resolved_delta": "_delta", "corrections": "_corrections"}
+
+#: Range of a dynamic field; the others are in ``[0, inf]``.
+_RANGES = {
+    "resolved_delta": (0.0, 1.0),
+    "correction": TimeAdaptive.CORRECTION_RANGE,
+    "scan_fraction": (_POSITIVE, math.inf),
+}
+
+
+def _encode(key: str, value):
+    if key == "correction_range":
+        return list(value)
+    if key == "corrections":
+        return {
+            str(getattr(phase, "value", None) or "__none__"): float(ratio)
+            for phase, ratio in value.items()
+        }
+    return value
+
+
+def _decode(kind: str, key: str, value):
+    """A dynamic field's stored value, checked; per-phase corrections are
+    keyed by phase value (``"__none__"`` for decisions outside a phase)."""
+    if key != "corrections":
+        return _number(f"{kind} state {key}", value, *_RANGES.get(key, (0.0, math.inf)))
+    if not isinstance(value, dict):
+        raise InvalidBudgetError(f"{kind} state corrections must be a mapping, got {value!r}")
+    phases = {phase.value: phase for phase in IndexPhase}
+    phases["__none__"] = None
+    unknown = [name for name in value if name not in phases]
+    if unknown:
+        raise InvalidBudgetError(f"{kind} state corrections name unknown phases {unknown!r}")
+    return {
+        phases[name]: _number(f"{kind} correction of {name}", ratio, _POSITIVE)
+        for name, ratio in value.items()
+    }
+
+
 def policy_state_dict(policy: BudgetPolicy) -> dict:
     """Serializable snapshot of a budget policy (configuration + dynamics).
 
@@ -1025,115 +940,42 @@ def policy_state_dict(policy: BudgetPolicy) -> dict:
     one.  The learned corrections *are* persisted, so a restarted adaptive
     policy resumes from its calibrated state rather than from scratch.
     """
-    if isinstance(policy, FixedDelta):
-        return {"type": "FixedDelta", "delta": policy.delta}
-    if isinstance(policy, FixedTime):
-        return {
-            "type": "FixedTime",
-            "budget_seconds": policy.budget_seconds,
-            "resolved_delta": policy._delta,
-        }
-    if isinstance(policy, TimeAdaptive):
-        return {
-            "type": "TimeAdaptive",
-            "budget_seconds": policy.budget_seconds,
-            "scan_fraction": policy.scan_fraction,
-            "minimum_delta": policy.minimum_delta,
-            "target_query_cost": policy.target_query_cost,
-            "correction": policy.correction,
-        }
-    if isinstance(policy, CostModelGreedy):
-        corrections = {}
-        for phase, value in policy._corrections.items():
-            key = getattr(phase, "value", None) or "__none__"
-            corrections[str(key)] = float(value)
-        return {
-            "type": "CostModelGreedy",
-            "interactivity_budget": policy.interactivity_budget,
-            "scan_fraction": policy.scan_fraction,
-            "minimum_delta": policy.minimum_delta,
-            "smoothing": policy.smoothing,
-            "correction_range": list(policy.correction_range),
-            "corrections": corrections,
-        }
-    if isinstance(policy, BatchPool):
-        return {
-            "type": "BatchPool",
-            "n_queries": policy.n_queries,
-            "scan_fraction": policy.scan_fraction,
-            "interactivity_budget": policy.interactivity_budget,
-            "pool_seconds": policy.pool_seconds,
-            "spent_seconds": policy.spent_seconds,
-        }
+    for kind, (cls, keys, _, _) in _CODEC.items():
+        if isinstance(policy, cls):
+            state = {"type": kind}
+            for key in keys.split():
+                state[key] = _encode(key, getattr(policy, _ATTRIBUTES.get(key, key)))
+            return state
     raise InvalidBudgetError(
         f"cannot checkpoint budget policy of type {type(policy).__name__}"
     )
 
 
 def policy_from_state(state: dict) -> BudgetPolicy:
-    """Rebuild a budget policy from :func:`policy_state_dict` output."""
-    from repro.core.phase import IndexPhase
+    """Rebuild a budget policy from :func:`policy_state_dict` output.
 
-    kind = state.get("type")
-    if kind == "FixedDelta":
-        return FixedDelta(state["delta"])
-    if kind == "FixedTime":
-        policy = FixedTime(state["budget_seconds"])
-        policy._delta = state.get("resolved_delta")
-        return policy
-    if kind == "TimeAdaptive":
-        if state.get("budget_seconds") is not None and state.get("scan_fraction") is not None:
-            # Fraction policies resolve budget_seconds in place; rebuild from
-            # the fraction and restore the resolved seconds afterwards.
-            policy = TimeAdaptive(
-                scan_fraction=state["scan_fraction"],
-                minimum_delta=state.get("minimum_delta", MINIMUM_DELTA),
-            )
-            policy.budget_seconds = state["budget_seconds"]
-        elif state.get("budget_seconds") is not None:
-            policy = TimeAdaptive(
-                budget_seconds=state["budget_seconds"],
-                minimum_delta=state.get("minimum_delta", MINIMUM_DELTA),
-            )
-        else:
-            policy = TimeAdaptive(
-                scan_fraction=state["scan_fraction"],
-                minimum_delta=state.get("minimum_delta", MINIMUM_DELTA),
-            )
-        policy.target_query_cost = state.get("target_query_cost")
-        policy.correction = float(state.get("correction", 1.0))
-        return policy
-    if kind == "CostModelGreedy":
-        if state.get("interactivity_budget") is not None:
-            policy = CostModelGreedy(
-                interactivity_budget=state["interactivity_budget"],
-                minimum_delta=state.get("minimum_delta", MINIMUM_DELTA),
-                smoothing=state.get("smoothing", 0.4),
-                correction_range=tuple(state.get("correction_range", (1.0, 4.0))),
-            )
-            policy.scan_fraction = state.get("scan_fraction")
-        else:
-            policy = CostModelGreedy(
-                scan_fraction=state["scan_fraction"],
-                minimum_delta=state.get("minimum_delta", MINIMUM_DELTA),
-                smoothing=state.get("smoothing", 0.4),
-                correction_range=tuple(state.get("correction_range", (1.0, 4.0))),
-            )
-        for key, value in state.get("corrections", {}).items():
-            phase = None if key == "__none__" else IndexPhase(key)
-            policy._corrections[phase] = float(value)
-        return policy
-    if kind == "BatchPool":
-        policy = BatchPool(
-            int(state["n_queries"]),
-            scan_fraction=state.get("scan_fraction"),
-            interactivity_budget=state.get("interactivity_budget"),
-        )
-        if state.get("pool_seconds") is not None:
-            policy.pool_seconds = float(state["pool_seconds"])
-        policy.spent_seconds = float(state.get("spent_seconds", 0.0))
-        return policy
-    raise InvalidBudgetError(f"unknown budget-policy state type {kind!r}")
+    The constructor validates the arguments and :func:`_decode` checks the
+    dynamic fields, so a malformed state — an unknown type, a value of the wrong
+    type or range, a missing required argument — raises
+    :class:`~repro.errors.InvalidBudgetError`.
+    """
+    kind = state.get("type") if isinstance(state, dict) else None
+    if not isinstance(kind, str) or kind not in _CODEC:
+        raise InvalidBudgetError(f"unknown budget-policy state type {kind!r}")
+    cls, _, arguments, dynamic = _CODEC[kind]
+    passed = {}
+    for argument in arguments.split():
+        names = [name for name in argument.split("|") if state.get(name) is not None]
+        if names:
+            passed[names[0]] = state[names[0]]
+    try:
+        policy = cls(**passed)
+    except TypeError as exc:  # a required argument is missing
+        raise InvalidBudgetError(f"{kind} state is incomplete: {exc}") from None
+    for key in dynamic.split():
+        if state.get(key) is not None:
+            setattr(policy, _ATTRIBUTES.get(key, key), _decode(kind, key, state[key]))
+    return policy
 
 
 class ManualClock:

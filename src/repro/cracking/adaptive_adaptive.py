@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.budget import IndexingBudget
+from repro.core.policy import BudgetPolicy
 from repro.core.calibration import CostConstants
 from repro.core.query import Predicate, QueryResult
 from repro.cracking.base import CrackingIndexBase
@@ -54,7 +54,7 @@ class AdaptiveAdaptiveIndexing(CrackingIndexBase):
     def __init__(
         self,
         column: Column,
-        budget: IndexingBudget | None = None,
+        budget: BudgetPolicy | None = None,
         constants: CostConstants | None = None,
         rng=None,
         fanout: int = DEFAULT_FANOUT,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.budget import IndexingBudget
+from repro.core.policy import BudgetPolicy
 from repro.core.calibration import CostConstants
 from repro.core.query import Predicate, QueryResult
 from repro.cracking.base import CrackingIndexBase
@@ -41,7 +41,7 @@ class CoarseGranularIndex(CrackingIndexBase):
     def __init__(
         self,
         column: Column,
-        budget: IndexingBudget | None = None,
+        budget: BudgetPolicy | None = None,
         constants: CostConstants | None = None,
         rng=None,
         initial_partitions: int = DEFAULT_INITIAL_PARTITIONS,

@@ -20,7 +20,7 @@ effective.
 
 from __future__ import annotations
 
-from repro.core.budget import IndexingBudget
+from repro.core.policy import BudgetPolicy
 from repro.core.calibration import CostConstants
 from repro.core.query import Predicate, QueryResult
 from repro.cracking.base import CrackingIndexBase
@@ -52,7 +52,7 @@ class ProgressiveStochasticCracking(CrackingIndexBase):
     def __init__(
         self,
         column: Column,
-        budget: IndexingBudget | None = None,
+        budget: BudgetPolicy | None = None,
         constants: CostConstants | None = None,
         rng=None,
         allowed_swaps: float = DEFAULT_ALLOWED_SWAPS,

@@ -11,7 +11,7 @@ original paper).
 
 from __future__ import annotations
 
-from repro.core.budget import IndexingBudget
+from repro.core.policy import BudgetPolicy
 from repro.core.calibration import CostConstants
 from repro.core.query import Predicate, QueryResult
 from repro.cracking.base import CrackingIndexBase
@@ -40,7 +40,7 @@ class StochasticCracking(CrackingIndexBase):
     def __init__(
         self,
         column: Column,
-        budget: IndexingBudget | None = None,
+        budget: BudgetPolicy | None = None,
         constants: CostConstants | None = None,
         rng=None,
         minimum_piece: int = DEFAULT_MINIMUM_PIECE,

@@ -549,7 +549,7 @@ class IndexingSession:
         The batch is grouped per column/index and handed to the
         :class:`~repro.engine.batch.BatchExecutor`: per-query progressive
         refinement is interleaved across the batch under one pooled
-        :class:`~repro.core.budget.BatchBudget` (sized to what the same
+        :class:`~repro.core.policy.BatchPool` (sized to what the same
         queries would have spent sequentially) and, as soon as an index can,
         the remainder of its group is answered with NumPy-vectorized piece
         lookups.  Answers are exact at every point, so the returned results

@@ -21,8 +21,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.budget import AdaptiveBudget, FixedBudget
-from repro.core.policy import CostModelGreedy
+from repro.core.policy import CostModelGreedy, FixedDelta, TimeAdaptive
 from repro.engine.executor import ExecutionResult, WorkloadExecutor
 from repro.engine.metrics import robustness
 from repro.engine.registry import PROGRESSIVE_ALGORITHMS
@@ -123,9 +122,9 @@ def run_cost_model_validation(
         index_class = PROGRESSIVE_ALGORITHMS[algorithm]
         column = Column(data, name="ra")
         if adaptive:
-            budget = AdaptiveBudget(scan_fraction=config.budget_fraction)
+            budget = TimeAdaptive(scan_fraction=config.budget_fraction)
         else:
-            budget = FixedBudget(fixed_delta)
+            budget = FixedDelta(fixed_delta)
         index = index_class(column, budget=budget, constants=constants)
         execution = executor.run(index, workload)
         result.series[algorithm] = _series_from_execution(execution, budget_label)
@@ -229,7 +228,7 @@ def run_greedy_vs_fixed(
         index_class = PROGRESSIVE_ALGORITHMS[algorithm]
 
         fixed_index = index_class(
-            Column(data, name="ra"), budget=FixedBudget(fixed_delta), constants=constants
+            Column(data, name="ra"), budget=FixedDelta(fixed_delta), constants=constants
         )
         fixed_run = executor.run(fixed_index, workload)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.core.budget import FixedBudget
+from repro.core.policy import FixedDelta
 from repro.engine.executor import WorkloadExecutor
 from repro.engine.registry import PROGRESSIVE_ALGORITHMS
 from repro.experiments.config import ExperimentConfig
@@ -102,7 +102,7 @@ def run_delta_impact(
         index_class = PROGRESSIVE_ALGORITHMS[algorithm]
         for delta in deltas:
             column = Column(data, name="ra")
-            index = index_class(column, budget=FixedBudget(delta), constants=constants)
+            index = index_class(column, budget=FixedDelta(delta), constants=constants)
             execution = executor.run(index, workload)
             metrics = execution.metrics()
             result.rows.append(

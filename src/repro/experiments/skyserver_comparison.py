@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.core.budget import AdaptiveBudget
+from repro.core.policy import TimeAdaptive
 from repro.engine.executor import ExecutionResult, WorkloadExecutor
 from repro.engine.registry import ALGORITHMS, PROGRESSIVE_ALGORITHMS
 from repro.experiments.config import ExperimentConfig
@@ -76,7 +76,7 @@ class SkyServerComparisonResult:
 def _build_index(name: str, column: Column, config: ExperimentConfig):
     constants = config.constants()
     if name in PROGRESSIVE_ALGORITHMS:
-        budget = AdaptiveBudget(scan_fraction=config.budget_fraction)
+        budget = TimeAdaptive(scan_fraction=config.budget_fraction)
         return ALGORITHMS[name](column, budget=budget, constants=constants)
     return ALGORITHMS[name](column, constants=constants)
 

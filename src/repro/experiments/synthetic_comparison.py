@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.budget import AdaptiveBudget
+from repro.core.policy import TimeAdaptive
 from repro.engine.executor import WorkloadExecutor
 from repro.engine.registry import ALGORITHMS, PROGRESSIVE_ALGORITHMS
 from repro.experiments.config import ExperimentConfig
@@ -105,7 +105,7 @@ def _patterns_for_block(block: str, patterns: Iterable[str] | None) -> List[str]
 def _build_index(name: str, column: Column, config: ExperimentConfig):
     constants = config.constants()
     if name in PROGRESSIVE_ALGORITHMS:
-        budget = AdaptiveBudget(scan_fraction=config.budget_fraction)
+        budget = TimeAdaptive(scan_fraction=config.budget_fraction)
         return ALGORITHMS[name](column, budget=budget, constants=constants)
     return ALGORITHMS[name](column, constants=constants)
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.policy import BudgetPolicy
 from repro.core.calibration import CostConstants
+from repro.core.cost_model import CostBreakdown
 from repro.core.index import BaseIndex
 from repro.core.phase import IndexPhase
 from repro.core.query import Predicate, QueryResult
@@ -152,16 +153,17 @@ class ProgressiveColumnImprints(BaseIndex):
         build_time = self._cost_model.write_time(n)
         rho = self._blocks_imprinted / max(1, self._n_blocks)
         base_cost = scan_time  # pessimistic: pruning factor is data dependent
-        delta = self.budget.next_delta(build_time, base_cost)
-        delta = min(delta, 1.0 - rho)
+        delta = self._decide(
+            build_time,
+            lambda delta: CostBreakdown(scan=base_cost, lookup=0.0, indexing=delta * build_time),
+            max_delta=1.0 - rho,
+        ).delta
         block_budget = int(np.ceil(delta * self._n_blocks)) if delta > 0 else 0
         built = self._imprint_blocks(block_budget) if block_budget > 0 else 0
 
         result = self._answer(predicate)
 
-        self.last_stats.delta = delta
         self.last_stats.elements_indexed = built * self.block_elements
-        self.last_stats.predicted_cost = base_cost + delta * build_time
 
         if self._blocks_imprinted >= self._n_blocks and self.phase is IndexPhase.CREATION:
             self._advance_phase(IndexPhase.CONVERGED)

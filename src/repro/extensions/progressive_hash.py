@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.core.policy import BudgetPolicy
 from repro.core.calibration import CostConstants
+from repro.core.cost_model import CostBreakdown
 from repro.core.index import BaseIndex
 from repro.core.phase import IndexPhase
 from repro.core.query import Predicate, QueryResult
@@ -109,8 +110,11 @@ class ProgressiveHashIndex(BaseIndex):
             base_cost = (1.0 - rho) * scan_time + self._cost_model.constants.phi
         else:
             base_cost = scan_time
-        delta = self.budget.next_delta(build_time, base_cost)
-        delta = min(delta, 1.0 - rho)
+        delta = self._decide(
+            build_time,
+            lambda delta: CostBreakdown(scan=base_cost, lookup=0.0, indexing=delta * build_time),
+            max_delta=1.0 - rho,
+        ).delta
         to_insert = min(n - self._elements_inserted, int(np.ceil(delta * n))) if delta > 0 else 0
 
         if to_insert > 0:
@@ -123,9 +127,7 @@ class ProgressiveHashIndex(BaseIndex):
         else:
             result = self._scan_column(predicate)
 
-        self.last_stats.delta = delta
         self.last_stats.elements_indexed = to_insert
-        self.last_stats.predicted_cost = base_cost + delta * build_time
 
         if self._elements_inserted >= n and self.phase is IndexPhase.CREATION:
             self._advance_phase(IndexPhase.CONVERGED)

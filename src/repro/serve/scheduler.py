@@ -21,9 +21,9 @@ The :class:`ProgressiveScheduler` turns it back into a feature:
   corruption.  The concurrency test harness leans on this.
 * **Admission tickets.**  Each serialized query is admitted with an
   *allowance* of indexing seconds derived from its connection class's
-  interactivity budget τ: the index's own policy is wrapped in a
-  :class:`~repro.core.policy.CappedBudget` for the duration of the query,
-  so no single query exceeds its class's τ no matter what the underlying
+  interactivity budget τ: the index's budget controller is capped at it for
+  the duration of the query (:meth:`~repro.core.policy.BudgetController.capped`),
+  so no single query exceeds its class's τ no matter what the index's
   policy wants.  Granted seconds are charged to the class's
   :class:`WorkAccount` (a τ-refilled token bucket) and to a per
   ``(class, column)`` fairness ledger; a class consuming more than its
@@ -45,7 +45,6 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro import obs
 from repro.core.phase import IndexPhase
-from repro.core.policy import CappedBudget
 from repro.errors import ConcurrencyError
 from repro.serve.connection import DEFAULT_CLASSES, ConnectionClass
 from repro.serve.sync import RWLock
@@ -289,11 +288,10 @@ class ProgressiveScheduler:
     ):
         """Run ``fn`` in the index's work queue under an admission ticket.
 
-        The index's budget policy is wrapped in a
-        :class:`~repro.core.policy.CappedBudget` clamped to the admitted
-        allowance for the duration of the call; the indexing seconds the
-        query actually granted are charged to the class's work account and
-        the fairness ledger afterwards.
+        The index's budget controller is capped at the admitted allowance
+        for the duration of the call; the indexing seconds the query
+        actually granted are charged to the class's work account and the
+        fairness ledger afterwards.
         """
         allowance = self._admit(cls, column_name)
         tracer = obs.tracer()
@@ -308,14 +306,10 @@ class ProgressiveScheduler:
         granted = 0.0
         try:
             with lane.exclusive():
-                capped = CappedBudget(index.budget, allowance)
-                index.swap_budget(capped)
-                try:
+                with index.controller.capped(allowance) as cap:
                     result = fn()
-                finally:
-                    index.swap_budget(capped.inner)
                 lane.serialized_ops += 1
-                granted = capped.granted_seconds
+                granted = cap.granted_seconds
         finally:
             if span is not None:
                 span.set(granted=granted).end()

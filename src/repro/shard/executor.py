@@ -18,15 +18,15 @@ its ``shard.query`` span (and the ``kernel_us`` the kernels charge to it)
 nests under the caller's ``shard.route`` span as it would inline.  Partial
 answers are added in shard order after the join, so answers — float sums
 included — are bit-identical to the serial loop.  A shard's index, its
-:class:`~repro.core.policy.CappedBudget` swap and its overlay are touched by
-that shard's task alone.
+budget controller's cap and its overlay are touched by that shard's task
+alone.
 
 The per-shard interactivity cap is enforced here, where the index's cost
 model lives: :func:`execute_shard_query` turns the pooled controller's
-per-shard total-time target ``τ_s`` into a
-:class:`~repro.core.policy.CappedBudget` allowance ``max(0, τ_s -
-predicted_base_cost)`` wrapped around the shard's own policy for the
-duration of one query.
+per-shard total-time target ``τ_s`` into an allowance ``max(0, τ_s -
+predicted_base_cost)`` and caps the shard's budget controller at it for
+the duration of one query
+(:meth:`~repro.core.policy.BudgetController.capped`).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import numpy as np
 
 from repro import obs
 from repro.core.index import BaseIndex
-from repro.core.policy import CappedBudget
 from repro.core.query import Predicate, _wrap64
 
 #: The process-wide tracer (a stable singleton, cached for the read path).
@@ -52,10 +51,10 @@ def execute_shard_query(
     """Run one capped query against a shard index.
 
     ``shard_budget`` is the pooled controller's per-shard total-time target
-    ``τ_s`` (``None`` = uncapped).  The cap is expressed as a
-    :class:`~repro.core.policy.CappedBudget` allowance of indexing seconds
-    — the shard's own policy keeps choosing (and learning) freely, it just
-    cannot overdraw the pool.  Returns ``(result, granted_seconds)``.
+    ``τ_s`` (``None`` = uncapped).  The cap is an allowance of indexing
+    seconds on the shard's budget controller — the shard's own policy keeps
+    choosing (and learning) freely, it just cannot overdraw the pool.
+    Returns ``(result, granted_seconds)``.
 
     A converged shard with no merge due makes no budget decision at all, so
     it takes the index's steady read as is: nothing to cap, nothing granted.
@@ -71,13 +70,9 @@ def execute_shard_query(
         if base is None
         else max(0.0, float(shard_budget) - float(base))
     )
-    cap = CappedBudget(index.budget, allowance)
-    previous = index.swap_budget(cap)
-    try:
+    with index.controller.capped(allowance) as cap:
         result = index.query(predicate)
-    finally:
-        index.swap_budget(previous)
-    return result, float(cap.granted_seconds)
+    return result, cap.granted_seconds
 
 
 def shard_status(index: BaseIndex) -> dict:

@@ -330,8 +330,8 @@ class ShardedIndex:
 
     def swap_budget(self, budget: BudgetPolicy):
         raise ExperimentError(
-            "sharded indexes pool their budget internally (per-shard "
-            "CappedBudget under the PooledBudgetController); install the "
+            "sharded indexes pool their budget internally (each shard's "
+            "controller capped under the PooledBudgetController); install the "
             "policy on the per-shard indexes at creation time instead"
         )
 

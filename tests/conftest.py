@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro import kernels
+from repro.core.cost_model import CostBreakdown
+from repro.core.policy import DeltaRequest
 from repro.core.query import Predicate, QueryResult
 from repro.storage.column import Column
 
@@ -89,6 +91,13 @@ def uniform_column(uniform_data) -> Column:
 def skewed_column(skewed_data) -> Column:
     """A column over the skewed test data."""
     return Column(skewed_data, name="value")
+
+
+def delta_request(full_work_time: float, query_base_cost: float = 0.0) -> DeltaRequest:
+    """A policy question with no cost model behind it: all remaining phase
+    work costs ``full_work_time`` and the query alone ``query_base_cost``
+    seconds."""
+    return DeltaRequest(full_work_time, CostBreakdown(query_base_cost, 0.0, 0.0))
 
 
 def brute_force(data: np.ndarray, predicate: Predicate) -> QueryResult:

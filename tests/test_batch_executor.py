@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.budget import AdaptiveBudget, BatchBudget, FixedBudget, FixedTimeBudget
+from repro.core.policy import BatchPool, FixedDelta, FixedTime, TimeAdaptive
 from repro.core.query import ConjunctionResult, Predicate, PredicateVector, QueryResult
 from repro.cracking.cracker_column import CrackerColumn
 from repro.engine.batch import BatchExecutor, BatchResult, scan_many
@@ -24,7 +24,7 @@ from repro.storage.table import Table
 from repro.workloads.batch import conjunctive_queries, iter_batches, predicate_vector
 from repro.workloads.patterns import random_workload
 
-from tests.conftest import random_range_predicates
+from tests.conftest import delta_request, random_range_predicates
 
 
 @pytest.fixture
@@ -64,41 +64,41 @@ class TestPredicateVector:
 
 class TestBatchBudget:
     def test_pool_is_n_queries_times_per_query(self):
-        budget = BatchBudget(10, per_query_seconds=0.5)
+        budget = BatchPool(10, per_query_seconds=0.5)
         assert budget.pool_seconds == pytest.approx(5.0)
         assert not budget.exhausted
 
     def test_greedy_drain_and_exhaustion(self):
-        budget = BatchBudget(4, per_query_seconds=1.0)
+        budget = BatchPool(4, per_query_seconds=1.0)
         # Pool (4s) covers the 2s of work entirely.
-        assert budget.next_delta(2.0) == 1.0
+        assert budget.choose(delta_request(2.0)) == 1.0
         # 2s remain for 8s of work.
-        assert budget.next_delta(8.0) == pytest.approx(0.25)
+        assert budget.choose(delta_request(8.0)) == pytest.approx(0.25)
         assert budget.exhausted
-        assert budget.next_delta(8.0) == 0.0
+        assert budget.choose(delta_request(8.0)) == 0.0
 
     def test_scan_fraction_resolution(self):
-        budget = BatchBudget(100, scan_fraction=0.2)
+        budget = BatchPool(100, scan_fraction=0.2)
         with pytest.raises(Exception):
-            budget.next_delta(1.0)
+            budget.choose(delta_request(1.0))
         budget.register_scan_time(0.01)
         assert budget.pool_seconds == pytest.approx(0.2)
         budget.register_scan_time(5.0)  # idempotent
         assert budget.pool_seconds == pytest.approx(0.2)
 
     def test_zero_pool_is_exhausted_immediately(self):
-        budget = BatchBudget(100, per_query_seconds=0.0)
+        budget = BatchPool(100, per_query_seconds=0.0)
         assert budget.exhausted
-        assert budget.next_delta(1.0) == 0.0
+        assert budget.choose(delta_request(1.0)) == 0.0
 
     def test_for_index_mappings(self):
         column = Column(np.arange(10))
-        index = ProgressiveQuicksort(column, budget=FixedTimeBudget(0.25))
-        assert BatchBudget.for_index(index, 8).pool_seconds == pytest.approx(2.0)
-        index = ProgressiveQuicksort(column, budget=AdaptiveBudget(scan_fraction=0.4))
-        assert BatchBudget.for_index(index, 8).scan_fraction == pytest.approx(0.4)
-        index = ProgressiveQuicksort(column, budget=FixedBudget(0.3))
-        assert BatchBudget.for_index(index, 8).scan_fraction == pytest.approx(0.3)
+        index = ProgressiveQuicksort(column, budget=FixedTime(0.25))
+        assert BatchPool.for_index(index, 8).pool_seconds == pytest.approx(2.0)
+        index = ProgressiveQuicksort(column, budget=TimeAdaptive(scan_fraction=0.4))
+        assert BatchPool.for_index(index, 8).scan_fraction == pytest.approx(0.4)
+        index = ProgressiveQuicksort(column, budget=FixedDelta(0.3))
+        assert BatchPool.for_index(index, 8).scan_fraction == pytest.approx(0.3)
 
 
 class TestBatchMatchesSequential:
@@ -121,7 +121,7 @@ class TestBatchMatchesSequential:
         assert index.converged
 
     def test_original_budget_restored(self, data, predicates):
-        original = FixedBudget(0.1)
+        original = FixedDelta(0.1)
         index = ProgressiveQuicksort(Column(data), budget=original)
         BatchExecutor().execute(index, predicates)
         assert index.budget is original
@@ -131,7 +131,7 @@ class TestBatchMatchesSequential:
         restored per-query budget resolvable (regression: an adaptive
         scan-fraction budget missed its one-time register_scan_time)."""
         index = ProgressiveQuicksort(
-            Column(data), budget=AdaptiveBudget(scan_fraction=0.2)
+            Column(data), budget=TimeAdaptive(scan_fraction=0.2)
         )
         BatchExecutor().execute(index, [Predicate(0, 500)])
         follow_up = index.query(Predicate(0, 500))
@@ -172,9 +172,9 @@ class TestBatchMatchesSequential:
         """
         data = rng.normal(0.0, 1.0, size=4_000)
         predicates = [Predicate(float(lo), float(lo) + 0.5) for lo in rng.uniform(-3, 2.5, size=60)]
-        sequential = create_index(name, Column(data, name="value"), budget=FixedBudget(0.5))
+        sequential = create_index(name, Column(data, name="value"), budget=FixedDelta(0.5))
         expected = [sequential.query(p) for p in predicates]
-        batch_index = create_index(name, Column(data, name="value"), budget=FixedBudget(0.5))
+        batch_index = create_index(name, Column(data, name="value"), budget=FixedDelta(0.5))
         batch = BatchExecutor().execute(batch_index, predicates)
         for query_number, (want, got) in enumerate(zip(expected, batch.results)):
             assert got.count == want.count, f"{name} float query {query_number}"
@@ -252,7 +252,7 @@ class TestSearchManyEntryPoints:
         codecs close it — the converged cascade leaves must be exactly the
         sorted column."""
         data = rng.normal(0.0, 1.0, size=3_000)
-        index = create_index("PLSD", Column(data, name="value"), budget=FixedBudget(0.5))
+        index = create_index("PLSD", Column(data, name="value"), budget=FixedDelta(0.5))
         iterations = 0
         while not index.converged and iterations < 300:
             index.query(Predicate(-0.25, 0.25))

@@ -7,60 +7,66 @@ read anywhere in this module.
 
 import pytest
 
-from repro.core.budget import AdaptiveBudget, FixedBudget, FixedTimeBudget, MINIMUM_DELTA
-from repro.core.policy import ManualClock, TimeAdaptive
+from repro.core.policy import MINIMUM_DELTA, FixedDelta, FixedTime, ManualClock, TimeAdaptive
 from repro.errors import InvalidBudgetError
+
+from tests.conftest import delta_request
 
 
 class TestFixedBudget:
     def test_returns_constant_delta(self):
-        budget = FixedBudget(0.25)
-        assert budget.next_delta(1.0) == 0.25
-        assert budget.next_delta(100.0) == 0.25
+        budget = FixedDelta(0.25)
+        assert budget.choose(delta_request(1.0)) == 0.25
+        assert budget.choose(delta_request(100.0)) == 0.25
 
     def test_zero_delta_allowed(self):
-        assert FixedBudget(0.0).next_delta(1.0) == 0.0
+        assert FixedDelta(0.0).choose(delta_request(1.0)) == 0.0
 
     def test_full_delta_allowed(self):
-        assert FixedBudget(1.0).next_delta(1.0) == 1.0
+        assert FixedDelta(1.0).choose(delta_request(1.0)) == 1.0
 
     @pytest.mark.parametrize("delta", [-0.1, 1.5])
     def test_rejects_out_of_range(self, delta):
         with pytest.raises(InvalidBudgetError):
-            FixedBudget(delta)
+            FixedDelta(delta)
 
     def test_not_adaptive(self):
-        assert FixedBudget(0.5).adaptive is False
+        assert FixedDelta(0.5).adaptive is False
 
     def test_describe(self):
-        assert "0.5" in FixedBudget(0.5).describe()
+        assert "0.5" in FixedDelta(0.5).describe()
 
 
 class TestFixedTimeBudget:
     def test_delta_computed_once(self):
-        budget = FixedTimeBudget(budget_seconds=0.5)
-        first = budget.next_delta(full_work_time=2.0)
+        budget = FixedTime(budget_seconds=0.5)
+        first = budget.choose(delta_request(full_work_time=2.0))
         assert first == pytest.approx(0.25)
         # Later calls keep the same delta even when the work estimate changes.
-        assert budget.next_delta(full_work_time=100.0) == pytest.approx(0.25)
+        assert budget.choose(delta_request(full_work_time=100.0)) == pytest.approx(0.25)
 
     def test_caps_at_one(self):
-        budget = FixedTimeBudget(budget_seconds=10.0)
-        assert budget.next_delta(full_work_time=1.0) == 1.0
+        budget = FixedTime(budget_seconds=10.0)
+        assert budget.choose(delta_request(full_work_time=1.0)) == 1.0
 
     def test_zero_work_means_full_delta(self):
-        assert FixedTimeBudget(1.0).next_delta(0.0) == 1.0
+        assert FixedTime(1.0).choose(delta_request(0.0)) == 1.0
 
     def test_rejects_non_positive(self):
         with pytest.raises(InvalidBudgetError):
-            FixedTimeBudget(0.0)
+            FixedTime(0.0)
 
 
 class TestTimeAdaptive:
-    """The time-adaptive policy (legacy name: ``AdaptiveBudget``)."""
+    """The time-adaptive policy."""
 
     def test_alias_is_the_policy_class(self):
-        assert AdaptiveBudget is TimeAdaptive
+        """The package exports the policy class itself, under one name."""
+        import repro
+        import repro.core
+
+        assert repro.TimeAdaptive is repro.core.TimeAdaptive is TimeAdaptive
+        assert not hasattr(repro, "AdaptiveBudget")
 
     def test_requires_exactly_one_parameter(self):
         with pytest.raises(InvalidBudgetError):
@@ -77,7 +83,7 @@ class TestTimeAdaptive:
     def test_scan_fraction_requires_registration(self):
         budget = TimeAdaptive(scan_fraction=0.2)
         with pytest.raises(InvalidBudgetError):
-            budget.next_delta(1.0)
+            budget.choose(delta_request(1.0))
 
     def test_scan_fraction_resolution(self):
         budget = TimeAdaptive(scan_fraction=0.2)
@@ -88,33 +94,33 @@ class TestTimeAdaptive:
     def test_first_query_uses_raw_budget(self):
         budget = TimeAdaptive(budget_seconds=0.2)
         # Without a registered scan time the slack is the raw budget.
-        assert budget.next_delta(full_work_time=1.0) == pytest.approx(0.2)
+        assert budget.choose(delta_request(full_work_time=1.0)) == pytest.approx(0.2)
 
     def test_keeps_total_cost_constant(self):
         budget = TimeAdaptive(scan_fraction=0.2)
         budget.register_scan_time(1.0)
         # Query that would cost 0.4 on its own leaves 0.8 of slack.
-        delta = budget.next_delta(full_work_time=2.0, query_base_cost=0.4)
+        delta = budget.choose(delta_request(full_work_time=2.0, query_base_cost=0.4))
         assert delta == pytest.approx(0.4)
 
     def test_cheap_queries_get_more_indexing(self):
         budget = TimeAdaptive(scan_fraction=0.2)
         budget.register_scan_time(1.0)
-        expensive = budget.next_delta(2.0, query_base_cost=1.0)
-        cheap = budget.next_delta(2.0, query_base_cost=0.1)
+        expensive = budget.choose(delta_request(2.0, query_base_cost=1.0))
+        cheap = budget.choose(delta_request(2.0, query_base_cost=0.1))
         assert cheap > expensive
 
     def test_minimum_delta_floor(self):
         budget = TimeAdaptive(scan_fraction=0.2)
         budget.register_scan_time(1.0)
         # The query alone already exceeds the target: fall back to the floor.
-        delta = budget.next_delta(full_work_time=10.0, query_base_cost=5.0)
+        delta = budget.choose(delta_request(full_work_time=10.0, query_base_cost=5.0))
         assert delta == pytest.approx(MINIMUM_DELTA)
 
     def test_delta_capped_at_one(self):
         budget = TimeAdaptive(budget_seconds=100.0)
         budget.register_scan_time(1.0)
-        assert budget.next_delta(full_work_time=1.0, query_base_cost=0.0) == 1.0
+        assert budget.choose(delta_request(full_work_time=1.0, query_base_cost=0.0)) == 1.0
 
     def test_is_adaptive(self):
         assert TimeAdaptive(scan_fraction=0.2).adaptive is True
@@ -136,11 +142,11 @@ class TestTimeAdaptiveClockFeedback:
         clock = ManualClock()
         budget = TimeAdaptive(budget_seconds=0.2, clock=clock)
         budget.register_scan_time(1.0)
-        baseline = budget.next_delta(2.0, query_base_cost=0.4)
+        baseline = budget.choose(delta_request(2.0, query_base_cost=0.4))
         # Queries keep measuring 2x their prediction.
         for _ in range(20):
             budget.observe(elapsed_seconds=2.0, predicted_seconds=1.0)
-        corrected = budget.next_delta(2.0, query_base_cost=0.4)
+        corrected = budget.choose(delta_request(2.0, query_base_cost=0.4))
         assert budget.correction > 1.0
         assert corrected < baseline
 
@@ -150,10 +156,10 @@ class TestTimeAdaptiveClockFeedback:
         budget.register_scan_time(1.0)
         for _ in range(20):
             budget.observe(elapsed_seconds=2.0, predicted_seconds=1.0)
-        slowed = budget.next_delta(2.0, query_base_cost=0.4)
+        slowed = budget.choose(delta_request(2.0, query_base_cost=0.4))
         for _ in range(40):
             budget.observe(elapsed_seconds=0.5, predicted_seconds=1.0)
-        recovered = budget.next_delta(2.0, query_base_cost=0.4)
+        recovered = budget.choose(delta_request(2.0, query_base_cost=0.4))
         assert recovered > slowed
 
     def test_correction_is_clamped(self):

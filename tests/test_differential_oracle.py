@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.baselines.full_scan import FullScan
-from repro.core.budget import FixedBudget
 from repro.core.phase import IndexPhase
 from repro.core.policy import CostModelGreedy, FixedDelta, TimeAdaptive
 from repro.core.query import Predicate, QueryResult
@@ -176,7 +175,7 @@ def test_algorithm_matches_full_scan_oracle_on_float64(name, distribution):
     rng = np.random.default_rng(20_260_731)
     data = FLOAT_DISTRIBUTIONS[distribution](rng)
     oracle = FullScan(Column(data, name="value"))
-    index = create_index(name, Column(data, name="value"), budget=FixedBudget(0.5))
+    index = create_index(name, Column(data, name="value"), budget=FixedDelta(0.5))
     converged_queries = 0
     for query_number, predicate in enumerate(seeded_float_workload(data, rng)):
         expected = oracle.query(predicate)
@@ -205,7 +204,7 @@ def test_batch_execution_matches_oracle_on_float64(name):
     oracle = FullScan(Column(data, name="value"))
     predicates = seeded_float_workload(data, rng, n_queries=40)
     expected = [oracle.query(predicate) for predicate in predicates]
-    index = create_index(name, Column(data, name="value"), budget=FixedBudget(0.5))
+    index = create_index(name, Column(data, name="value"), budget=FixedDelta(0.5))
     batch = BatchExecutor().execute(index, predicates)
     for query_number, (want, got) in enumerate(zip(expected, batch.results)):
         assert got.count == want.count, f"{name}: float batch query {query_number}"

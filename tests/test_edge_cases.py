@@ -8,7 +8,7 @@ with all of them.
 import numpy as np
 import pytest
 
-from repro.core.budget import MINIMUM_DELTA, AdaptiveBudget, BatchBudget, FixedBudget
+from repro.core.policy import MINIMUM_DELTA, BatchPool, FixedDelta, TimeAdaptive
 from repro.core.phase import IndexPhase
 from repro.core.query import Predicate
 from repro.engine.registry import ALGORITHMS, PROGRESSIVE_ALGORITHMS
@@ -18,13 +18,15 @@ from repro.progressive.quicksort import ProgressiveQuicksort
 from repro.storage.column import Column
 from repro.storage.table import Table
 
+from tests.conftest import delta_request
+
 ALL_NAMES = sorted(ALGORITHMS)
 
 
 def build(name: str, data: np.ndarray):
     column = Column(data)
     if name in PROGRESSIVE_ALGORITHMS:
-        return ALGORITHMS[name](column, budget=FixedBudget(0.5))
+        return ALGORITHMS[name](column, budget=FixedDelta(0.5))
     return ALGORITHMS[name](column)
 
 
@@ -104,7 +106,7 @@ class TestBudgetEdgeCases:
 
     def test_zero_fixed_budget_answers_exactly_without_advancing(self, rng):
         data = rng.integers(0, 1_000, size=2_000)
-        index = ProgressiveQuicksort(Column(data), budget=FixedBudget(0.0))
+        index = ProgressiveQuicksort(Column(data), budget=FixedDelta(0.0))
         expected = int(((data >= 100) & (data <= 300)).sum())
         for _ in range(10):
             assert index.query(Predicate(100, 300)).count == expected
@@ -114,31 +116,31 @@ class TestBudgetEdgeCases:
         assert not index.converged
 
     def test_adaptive_budget_exhausted_slack_floors_at_minimum_delta(self):
-        budget = AdaptiveBudget(budget_seconds=0.01)
+        budget = TimeAdaptive(budget_seconds=0.01)
         budget.register_scan_time(1.0)
         # The query alone already exceeds the target cost: no slack remains,
         # yet the returned delta must stay at the convergence floor.
-        delta = budget.next_delta(full_work_time=10.0, query_base_cost=100.0)
+        delta = budget.choose(delta_request(full_work_time=10.0, query_base_cost=100.0))
         assert delta == MINIMUM_DELTA
 
     def test_adaptive_budget_with_zero_minimum_delta_can_return_zero(self):
-        budget = AdaptiveBudget(budget_seconds=0.01, minimum_delta=0.0)
+        budget = TimeAdaptive(budget_seconds=0.01, minimum_delta=0.0)
         budget.register_scan_time(1.0)
-        delta = budget.next_delta(full_work_time=10.0, query_base_cost=100.0)
+        delta = budget.choose(delta_request(full_work_time=10.0, query_base_cost=100.0))
         assert delta == 0.0
 
     def test_adaptive_budget_rejects_non_positive_configuration(self):
         with pytest.raises(InvalidBudgetError):
-            AdaptiveBudget(budget_seconds=0.0)
+            TimeAdaptive(budget_seconds=0.0)
         with pytest.raises(InvalidBudgetError):
-            AdaptiveBudget(scan_fraction=-0.1)
+            TimeAdaptive(scan_fraction=-0.1)
         with pytest.raises(InvalidBudgetError):
-            AdaptiveBudget()
+            TimeAdaptive()
 
     def test_exhausted_adaptive_budget_still_converges_index(self, rng):
         data = rng.integers(0, 1_000, size=1_000)
         index = ProgressiveQuicksort(
-            Column(data), budget=AdaptiveBudget(budget_seconds=1e-12)
+            Column(data), budget=TimeAdaptive(budget_seconds=1e-12)
         )
         expected = int(((data >= 0) & (data <= 999)).sum())
         for _ in range(20_000):
@@ -150,13 +152,13 @@ class TestBudgetEdgeCases:
         assert index.converged
 
     def test_batch_budget_zero_and_exhausted(self):
-        zero = BatchBudget(50, per_query_seconds=0.0)
+        zero = BatchPool(50, per_query_seconds=0.0)
         assert zero.exhausted
-        assert zero.next_delta(1.0) == 0.0
-        pool = BatchBudget(2, per_query_seconds=1.0)
-        assert pool.next_delta(2.0) == 1.0  # drains the pool entirely
+        assert zero.choose(delta_request(1.0)) == 0.0
+        pool = BatchPool(2, per_query_seconds=1.0)
+        assert pool.choose(delta_request(2.0)) == 1.0  # drains the pool entirely
         assert pool.exhausted
-        assert pool.next_delta(2.0) == 0.0
+        assert pool.choose(delta_request(2.0)) == 0.0
 
 
 class TestSessionQueryEdgeCases:

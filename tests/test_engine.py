@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.budget import FixedBudget
+from repro.core.policy import FixedDelta
 from repro.core.phase import IndexPhase
 from repro.engine import (
     ALGORITHMS,
@@ -44,7 +44,7 @@ class TestRegistry:
         assert set(BASELINE_ALGORITHMS) == {"FS", "FI"}
 
     def test_create_index_by_name(self, uniform_column):
-        index = create_index("pq", uniform_column, budget=FixedBudget(0.1))
+        index = create_index("pq", uniform_column, budget=FixedDelta(0.1))
         assert index.name == "PQ"
 
     def test_create_index_unknown_name(self, uniform_column):
@@ -106,7 +106,7 @@ class TestExecutor:
 
     def test_run_records_every_query(self, uniform_column, workload):
         executor = WorkloadExecutor()
-        index = create_index("PQ", uniform_column, budget=FixedBudget(0.25))
+        index = create_index("PQ", uniform_column, budget=FixedDelta(0.25))
         result = executor.run(index, workload)
         assert result.n_queries == len(workload)
         assert result.scan_seconds > 0
@@ -115,19 +115,19 @@ class TestExecutor:
 
     def test_verification_mode_accepts_correct_indexes(self, uniform_column, workload):
         executor = WorkloadExecutor(verify=True)
-        index = create_index("PMSD", uniform_column, budget=FixedBudget(0.25))
+        index = create_index("PMSD", uniform_column, budget=FixedDelta(0.25))
         executor.run(index, workload)  # must not raise
 
     def test_phase_transitions_are_monotone(self, uniform_column, workload):
         executor = WorkloadExecutor()
-        index = create_index("PQ", uniform_column, budget=FixedBudget(0.5))
+        index = create_index("PQ", uniform_column, budget=FixedDelta(0.5))
         result = executor.run(index, workload)
         orders = [phase.order for _, phase in result.phase_transitions()]
         assert orders == sorted(orders)
 
     def test_metrics_from_execution(self, uniform_column, workload):
         executor = WorkloadExecutor()
-        index = create_index("PB", uniform_column, budget=FixedBudget(0.5))
+        index = create_index("PB", uniform_column, budget=FixedDelta(0.5))
         result = executor.run(index, workload)
         metrics = result.metrics()
         assert metrics.n_queries == len(workload)
@@ -135,14 +135,14 @@ class TestExecutor:
 
     def test_predicted_times_present_for_progressive(self, uniform_column, workload):
         executor = WorkloadExecutor()
-        index = create_index("PQ", uniform_column, budget=FixedBudget(0.25))
+        index = create_index("PQ", uniform_column, budget=FixedDelta(0.25))
         result = executor.run(index, workload)
         predictions = result.predicted_times()
         assert np.isfinite(predictions).all()
 
     def test_phase_breakdown_accounts_every_query(self, uniform_column, workload):
         executor = WorkloadExecutor()
-        index = create_index("PQ", uniform_column, budget=FixedBudget(0.5))
+        index = create_index("PQ", uniform_column, budget=FixedDelta(0.5))
         result = executor.run(index, workload)
         breakdown = result.phase_breakdown()
         assert sum(stats.queries for stats in breakdown.values()) == len(workload)
@@ -156,7 +156,7 @@ class TestExecutor:
 
     def test_phase_breakdown_matches_lifecycle_accounting(self, uniform_column, workload):
         executor = WorkloadExecutor()
-        index = create_index("PMSD", uniform_column, budget=FixedBudget(0.5))
+        index = create_index("PMSD", uniform_column, budget=FixedDelta(0.5))
         result = executor.run(index, workload)
         breakdown = result.phase_breakdown()
         for phase, stats in breakdown.items():
@@ -213,5 +213,5 @@ class TestDecisionTree:
 
     def test_recommendation_creates_index(self, uniform_column):
         recommendation = recommend_index()
-        index = recommendation.create(uniform_column, budget=FixedBudget(0.1))
+        index = recommendation.create(uniform_column, budget=FixedDelta(0.1))
         assert index.name == recommendation.acronym

@@ -133,7 +133,7 @@ class TestGreedyVsFixed:
         assert "tau" in text and "PMSD" in text
 
     def test_phase_breakdown_rendering(self, quick_config):
-        from repro.core.budget import FixedBudget
+        from repro.core.policy import FixedDelta
         from repro.engine import WorkloadExecutor, create_index
         from repro.experiments.reporting import render_phase_breakdown
         from repro.storage.column import Column
@@ -143,7 +143,7 @@ class TestGreedyVsFixed:
         data = rng.integers(0, 10_000, size=8_000)
         workload = generate_pattern("Random", 0, 10_000, 25, rng=rng)
         execution = WorkloadExecutor().run(
-            create_index("PQ", Column(data, name="v"), budget=FixedBudget(0.5)),
+            create_index("PQ", Column(data, name="v"), budget=FixedDelta(0.5)),
             workload,
         )
         text = render_phase_breakdown(execution.phase_breakdown())

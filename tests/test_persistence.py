@@ -11,6 +11,9 @@ and the vectorized batch path — while resuming in the same life-cycle phase
 
 from __future__ import annotations
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from repro.core.phase import IndexPhase
 from repro.core.policy import CostModelGreedy, FixedDelta, TimeAdaptive
 from repro.core.query import Predicate
 from repro.engine.registry import ALGORITHMS
-from repro.errors import PersistenceError
+from repro.errors import InvalidBudgetError, PersistenceError
 from repro.extensions.column_imprints import ProgressiveColumnImprints
 from repro.extensions.progressive_hash import ProgressiveHashIndex
 from repro.persist.checkpoint import CheckpointManager
@@ -426,6 +429,34 @@ def test_database_recreates_unchekpointed_index_fresh(tmp_path):
         index = db.index_for("v")
         assert index.name == "PB"
         assert index.phase is IndexPhase.INACTIVE  # fresh, not recovered
+        assert db.between("v", 10, 20).count == 11
+    finally:
+        db.close(checkpoint=False)
+
+
+def test_database_open_rejects_a_damaged_catalog_policy(tmp_path):
+    """catalog.json is outside input: a damaged policy entry is a typed
+    error, and the failed open releases the directory lock."""
+    directory = str(tmp_path / "db")
+    db = Database.create(directory, {"v": np.arange(3000, dtype=np.int64)})
+    db.create_index("v", method="PB", budget_fraction=0.2)
+    db.close(checkpoint=False)
+    catalog_path = os.path.join(directory, "catalog.json")
+    with open(catalog_path, encoding="utf-8") as handle:
+        catalog = json.load(handle)
+    entry = catalog["indexes"]["v"]["policy"]
+    assert entry["scan_fraction"] == 0.2
+    entry["scan_fraction"] = "0.2"
+    with open(catalog_path, "w", encoding="utf-8") as handle:
+        json.dump(catalog, handle)
+    with pytest.raises(InvalidBudgetError, match="scan_fraction"):
+        Database.open(directory)
+
+    entry["scan_fraction"] = 0.2
+    with open(catalog_path, "w", encoding="utf-8") as handle:
+        json.dump(catalog, handle)
+    db = Database.open(directory)
+    try:
         assert db.between("v", 10, 20).count == 11
     finally:
         db.close(checkpoint=False)

@@ -2,15 +2,21 @@
 
 Covers the cost-model-greedy solve (exact, against a linear ``predict``),
 the deterministic clock-driven feedback loops, the pooled batch policy's
-mapping from per-query policies, the controller's clamping contract, and
-the convergence / interactivity properties of every registry algorithm
-under each policy flavour.
+mapping from per-query policies, the controller's clamping contract, the
+state codec (pinned payloads, typed errors on damaged state), and the
+convergence / interactivity properties of every registry algorithm under
+each policy flavour.
 """
 
 from __future__ import annotations
 
+import copy
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cost_model import CostBreakdown
 from repro.core.phase import IndexPhase
@@ -19,18 +25,21 @@ from repro.core.policy import (
     ManualClock,
     BatchPool,
     BudgetController,
-    BudgetPolicy,
     CostModelGreedy,
     DeltaRequest,
     FixedDelta,
     FixedTime,
     TimeAdaptive,
+    policy_from_state,
+    policy_state_dict,
 )
 from repro.core.query import Predicate
 from repro.engine.registry import ALGORITHMS, PROGRESSIVE_ALGORITHMS, create_index
 from repro.errors import InvalidBudgetError
 from repro.storage.column import Column
 from repro.workloads.distributions import uniform_data
+
+from tests.conftest import delta_request
 
 
 def linear_predict(base: float, slope: float):
@@ -57,7 +66,7 @@ class TestCostModelGreedy:
     def test_scan_fraction_requires_registration(self):
         policy = CostModelGreedy(scan_fraction=0.2)
         with pytest.raises(InvalidBudgetError):
-            policy.next_delta(1.0)
+            policy.choose(delta_request(1.0))
 
     def test_tau_resolution_from_scan_fraction(self):
         policy = CostModelGreedy(scan_fraction=0.2)
@@ -86,9 +95,9 @@ class TestCostModelGreedy:
         request = DeltaRequest(full_work_time=4.0, base_cost=predict(0.0), predict=predict)
         assert policy.choose(request) == 1.0
 
-    def test_next_delta_matches_slack_formula(self):
+    def test_choose_without_predict_matches_slack_formula(self):
         policy = CostModelGreedy(interactivity_budget=2.0)
-        assert policy.next_delta(4.0, query_base_cost=1.0) == pytest.approx(0.25)
+        assert policy.choose(delta_request(4.0, query_base_cost=1.0)) == pytest.approx(0.25)
 
     def test_no_clock_means_no_correction(self):
         policy = CostModelGreedy(interactivity_budget=2.0)
@@ -208,7 +217,7 @@ class TestBudgetController:
         assert previous.delta == 0.5
         # The swapped-in policy was resolved immediately.
         assert incoming.budget_seconds == pytest.approx(0.2)
-        assert incoming.next_delta(1.0, query_base_cost=0.4) == pytest.approx(0.8)
+        assert incoming.choose(delta_request(1.0, query_base_cost=0.4)) == pytest.approx(0.8)
 
     def test_swap_policy_rejects_non_policy(self):
         controller = BudgetController(FixedDelta(0.5))
@@ -270,10 +279,10 @@ class TestBatchPool:
 
     def test_reservoir_drains_and_exhausts(self):
         pool = BatchPool(2, per_query_seconds=1.0)
-        assert pool.next_delta(4.0) == pytest.approx(0.5)
+        assert pool.choose(delta_request(4.0)) == pytest.approx(0.5)
         assert pool.remaining_seconds == pytest.approx(0.0)
         assert pool.exhausted
-        assert pool.next_delta(4.0) == 0.0
+        assert pool.choose(delta_request(4.0)) == 0.0
 
     def test_interactivity_budget_below_scan_yields_empty_pool(self):
         pool = BatchPool(5, interactivity_budget=0.5)
@@ -360,11 +369,166 @@ def test_greedy_keeps_predicted_totals_within_tau(name):
         )
 
 
-def test_legacy_budget_aliases_point_at_policy_classes():
-    from repro.core import budget as legacy
+# ----------------------------------------------------------------------
+# State codec
+# ----------------------------------------------------------------------
+def _fixed_time():
+    policy = FixedTime(0.5)
+    policy.choose(delta_request(2.0))
+    return policy
 
-    assert legacy.IndexingBudget is BudgetPolicy
-    assert legacy.FixedBudget is FixedDelta
-    assert legacy.FixedTimeBudget is FixedTime
-    assert legacy.AdaptiveBudget is TimeAdaptive
-    assert legacy.BatchBudget is BatchPool
+
+def _adaptive_fraction():
+    policy = TimeAdaptive(scan_fraction=0.2, clock=ManualClock())
+    policy.register_scan_time(1.5)
+    policy.choose(delta_request(2.0, 0.4))
+    policy.observe(0.9, 0.6)
+    return policy
+
+
+def _adaptive_seconds():
+    policy = TimeAdaptive(budget_seconds=0.25, clock=ManualClock())
+    policy.register_scan_time(1.0)
+    policy.choose(delta_request(1.0, 0.5))
+    policy.observe(0.5, 1.0)
+    return policy
+
+
+def _greedy():
+    policy = CostModelGreedy(scan_fraction=0.5, correction_range=(0.5, 4.0), clock=ManualClock())
+    policy.register_scan_time(2.0)
+    for phase, elapsed in ((IndexPhase.CREATION, 4.0), (IndexPhase.REFINEMENT, 1.0), (None, 3.0)):
+        policy.choose(DeltaRequest(4.0, CostBreakdown(1.0, 0.0, 0.0), phase=phase))
+        policy.observe(elapsed, 2.0)
+    return policy
+
+
+def _pool_fraction():
+    policy = BatchPool(5, scan_fraction=0.2)
+    policy.register_scan_time(1.0)
+    policy.choose(delta_request(0.25))
+    return policy
+
+
+def _pool_seconds():
+    policy = BatchPool(4, per_query_seconds=0.5)
+    policy.choose(delta_request(0.75))
+    return policy
+
+
+#: ``policy_state_dict`` output of each policy flavour, recorded from the
+#: per-class codec the table replaced: checkpoints and catalogs written
+#: before keep loading, and new ones are byte-for-byte the same.
+PINNED_PAYLOADS = {
+    "fixed_delta": (lambda: FixedDelta(0.25), {"type": "FixedDelta", "delta": 0.25}),
+    "fixed_time": (_fixed_time, {
+        "type": "FixedTime", "budget_seconds": 0.5, "resolved_delta": 0.25,
+    }),
+    "adaptive_fraction": (_adaptive_fraction, {
+        "type": "TimeAdaptive", "budget_seconds": 0.30000000000000004, "scan_fraction": 0.2,
+        "minimum_delta": 0.0001, "target_query_cost": 1.8, "correction": 1.15,
+    }),
+    "adaptive_seconds": (_adaptive_seconds, {
+        "type": "TimeAdaptive", "budget_seconds": 0.25, "scan_fraction": None,
+        "minimum_delta": 0.0001, "target_query_cost": 1.25, "correction": 0.85,
+    }),
+    "greedy": (_greedy, {
+        "type": "CostModelGreedy", "interactivity_budget": 3.0, "scan_fraction": 0.5,
+        "minimum_delta": 0.0001, "smoothing": 0.4, "correction_range": [0.5, 4.0],
+        "corrections": {"creation": 1.4, "refinement": 0.8, "__none__": 1.2},
+    }),
+    "pool_fraction": (_pool_fraction, {
+        "type": "BatchPool", "n_queries": 5, "scan_fraction": 0.2, "interactivity_budget": None,
+        "pool_seconds": 1.0, "spent_seconds": 0.25,
+    }),
+    "pool_seconds": (_pool_seconds, {
+        "type": "BatchPool", "n_queries": 4, "scan_fraction": None, "interactivity_budget": None,
+        "pool_seconds": 2.0, "spent_seconds": 0.75,
+    }),
+}
+
+
+def decision_stream(count: int = 20):
+    """Requests of every shape: with and without ``predict``, per phase,
+    with and without a column size."""
+    rng = np.random.default_rng(5)
+    phases = (IndexPhase.CREATION, IndexPhase.REFINEMENT, None)
+    requests = []
+    for number in range(count):
+        full = float(rng.uniform(0.05, 4.0))
+        predict = linear_predict(base=float(rng.uniform(0.0, 2.0)), slope=full)
+        requests.append(DeltaRequest(
+            full, predict(0.0), predict=predict if number % 2 else None,
+            n_elements=(0, 100_000, 10_000_000)[number % 3], phase=phases[number % 3],
+        ))
+    return requests
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PAYLOADS))
+def test_codec_emits_the_pinned_payloads(name):
+    build, payload = PINNED_PAYLOADS[name]
+    assert json.dumps(policy_state_dict(build())) == json.dumps(payload)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PAYLOADS))
+def test_pinned_payloads_restore_to_the_same_decisions(name):
+    build, payload = PINNED_PAYLOADS[name]
+    original, restored = build(), policy_from_state(copy.deepcopy(payload))
+    assert type(restored) is type(original)
+    for request in decision_stream():
+        assert restored.choose(request) == original.choose(request)
+
+
+@pytest.mark.parametrize("state", [
+    {"type": "FixedDelta"},
+    {"type": "FixedDelta", "delta": "x"},
+    {**PINNED_PAYLOADS["greedy"][1], "corrections": {"bogus": 1.0}},
+    {**PINNED_PAYLOADS["greedy"][1], "correction_range": [1.0]},
+    {key: value for key, value in PINNED_PAYLOADS["pool_fraction"][1].items() if key != "n_queries"},
+    {"type": "Nope"},
+    {"type": ["FixedDelta"]},
+    "FixedDelta",
+], ids=["no-delta", "delta-str", "bogus-phase", "one-element-range", "no-n-queries",
+        "unknown-type", "unhashable-type", "not-a-mapping"])
+def test_malformed_policy_state_is_a_typed_error(state):
+    with pytest.raises(InvalidBudgetError):
+        policy_from_state(state)
+
+
+#: Values a damaged or hand-edited state may carry instead of the right one.
+DAMAGED_VALUES = st.sampled_from([
+    "x", None, True, [], {}, [1.0], [0.5, 2.0, 3.0], [0.0, 4.0], -1.0, 0.0, 3, 1e308,
+    float("nan"), float("inf"), 10**400, {"creation": 0.0}, {"creation": "x"},
+    {"refinement": 2.0}, "FixedTime", "BatchPool",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(PINNED_PAYLOADS)),
+    damage=st.lists(st.tuples(st.booleans(), st.integers(0, 7), DAMAGED_VALUES), min_size=1, max_size=3),
+)
+def test_damaged_policy_state_restores_correctly_or_raises_typed(name, damage):
+    """Drop, retype and corrupt keys of valid states: the restore either
+    raises :class:`InvalidBudgetError` or yields a policy that decides in
+    ``[0, 1]`` and round-trips through the codec."""
+    state = copy.deepcopy(PINNED_PAYLOADS[name][1])
+    for drop, position, value in damage:
+        keys = list(state)
+        if not keys:
+            break
+        key = keys[position % len(keys)]
+        if drop:
+            del state[key]
+        else:
+            state[key] = value
+    try:
+        policy = policy_from_state(state)
+    except InvalidBudgetError:
+        return
+    policy.register_scan_time(1.0)
+    for request in decision_stream(6):
+        delta = policy.choose(request)
+        assert 0.0 <= delta <= 1.0
+    payload = policy_state_dict(policy)
+    assert policy_state_dict(policy_from_state(payload)) == payload

@@ -12,7 +12,7 @@ the power-of-two rule) stay in ``test_progressive_<family>.py``.
 import numpy as np
 import pytest
 
-from repro.core.budget import FixedBudget
+from repro.core.policy import FixedDelta
 from repro.core.phase import IndexPhase
 from repro.core.query import Predicate
 from repro.persist import pager
@@ -59,12 +59,12 @@ def drive_to_convergence(index, data, rng, limit=600):
 @pytest.mark.parametrize("index_class", ALL_PROGRESSIVE)
 class TestSharedLifecycle:
     def test_starts_inactive(self, index_class, uniform_column):
-        index = index_class(uniform_column, budget=FixedBudget(0.25))
+        index = index_class(uniform_column, budget=FixedDelta(0.25))
         assert index.phase is IndexPhase.INACTIVE
         assert index.predicted_cost(Predicate(0, 10)) is None
 
     def test_zero_delta_stays_in_creation_and_stays_exact(self, index_class, uniform_column, uniform_data, rng):
-        index = index_class(uniform_column, budget=FixedBudget(0.0))
+        index = index_class(uniform_column, budget=FixedDelta(0.0))
         for _ in range(10):
             low = int(rng.integers(0, 50_000))
             assert_exact(index, uniform_data, Predicate(low, low + 5_000))
@@ -72,13 +72,13 @@ class TestSharedLifecycle:
         assert index.phase is IndexPhase.CREATION
 
     def test_delta_one_ingests_everything_on_the_first_query(self, index_class, uniform_column, uniform_data):
-        index = index_class(uniform_column, budget=FixedBudget(1.0))
+        index = index_class(uniform_column, budget=FixedDelta(1.0))
         assert_exact(index, uniform_data, Predicate(100, 20_000))
         assert index.last_stats.elements_indexed == uniform_data.size
         assert index.phase.order >= IndexPhase.REFINEMENT.order
 
     def test_footprint_in_every_phase(self, index_class, uniform_column, uniform_data, rng):
-        index = index_class(uniform_column, budget=FixedBudget(0.2))
+        index = index_class(uniform_column, budget=FixedDelta(0.2))
         seen = set()
         while not index.converged:
             low = int(rng.integers(0, 50_000))
@@ -90,7 +90,7 @@ class TestSharedLifecycle:
         assert index.memory_footprint() >= uniform_data.nbytes
 
     def test_bounds_outside_the_domain_and_the_whole_domain(self, index_class, uniform_column, uniform_data):
-        index = index_class(uniform_column, budget=FixedBudget(0.2))
+        index = index_class(uniform_column, budget=FixedDelta(0.2))
         low, high = int(uniform_data.min()), int(uniform_data.max())
         for _ in range(60):
             assert index.query(Predicate(high + 1, high + 100)).count == 0
@@ -111,7 +111,7 @@ class TestSharedLifecycle:
 )
 def test_exact_through_every_phase(index_class, make_data, rng):
     data = make_data(rng)
-    index = index_class(Column(data), budget=FixedBudget(0.15))
+    index = index_class(Column(data), budget=FixedDelta(0.15))
     drive_to_convergence(index, data, rng)
     value = data[0].item()
     assert_exact(index, data, Predicate(value, value))
@@ -183,7 +183,7 @@ def test_fresh_under_a_budget_carves_flat_sets_from_the_arena(
     index_class, options, caught, tmp_path, rng, flat_sets
 ):
     data = rng.integers(0, 1 << 20, ROWS)
-    index = index_class(budgeted(data, tmp_path), budget=FixedBudget(0.05), **options)
+    index = index_class(budgeted(data, tmp_path), budget=FixedDelta(0.05), **options)
     drive_to(index, caught)
     assert flat_sets  # the set being filled mid-refinement is one of them
     assert_spilled_and_exact(index, data, rng, flat_sets)
@@ -194,11 +194,11 @@ def test_restored_under_a_budget_scatters_through_the_arena(
     index_class, options, caught, tmp_path, rng, flat_sets
 ):
     data = rng.integers(0, 1 << 20, ROWS)
-    index = index_class(budgeted(data, tmp_path), budget=FixedBudget(0.05), **options)
+    index = index_class(budgeted(data, tmp_path), budget=FixedDelta(0.05), **options)
     drive_to(index, caught)
     blob = pager.encode_state(index.state_dict())
 
-    restored = index_class(budgeted(data, tmp_path), budget=FixedBudget(0.05), **options)
+    restored = index_class(budgeted(data, tmp_path), budget=FixedDelta(0.05), **options)
     flat_sets.clear()
     restored.load_state(pager.decode_state(blob))
     assert flat_sets  # the set caught mid-fill, rebuilt

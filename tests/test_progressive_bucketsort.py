@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import kernels
-from repro.core.budget import AdaptiveBudget, FixedBudget
+from repro.core.policy import FixedDelta, TimeAdaptive
 from repro.core.phase import IndexPhase
 from repro.core.query import Predicate
 from repro.progressive.bucketsort import ProgressiveBucketsort
@@ -60,7 +60,7 @@ class TestBucketsortLifecycle:
             ProgressiveBucketsort(uniform_column, n_buckets=1)
 
     def test_bounds_are_established_on_first_query(self, uniform_column):
-        index = ProgressiveBucketsort(uniform_column, budget=FixedBudget(0.25), n_buckets=16)
+        index = ProgressiveBucketsort(uniform_column, budget=FixedDelta(0.25), n_buckets=16)
         assert index.bounds is None
         index.query(Predicate(0, 100))
         assert index.bounds is not None
@@ -70,7 +70,7 @@ class TestBucketsortLifecycle:
     def test_equi_height_buckets_on_skewed_data(self, skewed_column, skewed_data):
         # The defining property versus radix clustering: bucket sizes stay
         # balanced even when the data is heavily skewed.
-        index = ProgressiveBucketsort(skewed_column, budget=FixedBudget(1.0), n_buckets=16)
+        index = ProgressiveBucketsort(skewed_column, budget=FixedDelta(1.0), n_buckets=16)
         index.query(Predicate(0, 100))  # finishes the creation phase (delta=1)
         sizes = index._buckets.sizes() if index._buckets is not None else None
         if sizes is None:
@@ -80,7 +80,7 @@ class TestBucketsortLifecycle:
         assert largest < 4 * expected
 
     def test_phase_progression(self, uniform_column, uniform_data, rng):
-        index = ProgressiveBucketsort(uniform_column, budget=FixedBudget(0.5))
+        index = ProgressiveBucketsort(uniform_column, budget=FixedDelta(0.5))
         seen = []
         for predicate in random_range_predicates(uniform_data, 80, rng):
             index.query(predicate)
@@ -91,7 +91,7 @@ class TestBucketsortLifecycle:
         assert index.converged
 
     def test_final_array_sorted(self, skewed_column, skewed_data):
-        index = ProgressiveBucketsort(skewed_column, budget=FixedBudget(0.5))
+        index = ProgressiveBucketsort(skewed_column, budget=FixedDelta(0.5))
         iterations = 0
         while not index.converged and iterations < 300:
             index.query(Predicate(0, 1_000))
@@ -102,20 +102,20 @@ class TestBucketsortLifecycle:
 
 class TestBucketsortCorrectness:
     def test_exact_answers_uniform(self, uniform_column, uniform_data, rng):
-        index = ProgressiveBucketsort(uniform_column, budget=FixedBudget(0.2))
+        index = ProgressiveBucketsort(uniform_column, budget=FixedDelta(0.2))
         predicates = random_range_predicates(uniform_data, 80, rng)
         assert_matches_brute_force(index, uniform_data, predicates)
         assert index.converged
 
     def test_exact_answers_skewed(self, skewed_column, skewed_data, rng):
-        index = ProgressiveBucketsort(skewed_column, budget=FixedBudget(0.25))
+        index = ProgressiveBucketsort(skewed_column, budget=FixedDelta(0.25))
         predicates = random_range_predicates(skewed_data, 80, rng, selectivity=0.05)
         assert_matches_brute_force(index, skewed_data, predicates)
         assert index.converged
 
     def test_adaptive_budget(self, skewed_column, skewed_data, rng):
         index = ProgressiveBucketsort(
-            skewed_column, budget=AdaptiveBudget(scan_fraction=0.5)
+            skewed_column, budget=TimeAdaptive(scan_fraction=0.5)
         )
         predicates = random_range_predicates(skewed_data, 250, rng)
         assert_matches_brute_force(index, skewed_data, predicates)
@@ -123,7 +123,7 @@ class TestBucketsortCorrectness:
 
     def test_all_equal_values(self):
         data = np.full(4_000, 5, dtype=np.int64)
-        index = ProgressiveBucketsort(Column(data), budget=FixedBudget(0.5))
+        index = ProgressiveBucketsort(Column(data), budget=FixedDelta(0.5))
         for _ in range(30):
             assert index.query(Predicate(5, 5)).count == 4_000
             assert index.query(Predicate(6, 10)).count == 0
@@ -131,7 +131,7 @@ class TestBucketsortCorrectness:
 
     def test_float_column(self, rng):
         data = rng.uniform(0.0, 1_000.0, size=8_000)
-        index = ProgressiveBucketsort(Column(data), budget=FixedBudget(0.3))
+        index = ProgressiveBucketsort(Column(data), budget=FixedDelta(0.3))
         for _ in range(40):
             low = float(rng.uniform(0, 900))
             predicate = Predicate(low, low + 100.0)
@@ -142,7 +142,7 @@ class TestBucketsortCorrectness:
         assert index.converged
 
     def test_stats_report_prediction(self, uniform_column):
-        index = ProgressiveBucketsort(uniform_column, budget=FixedBudget(0.25))
+        index = ProgressiveBucketsort(uniform_column, budget=FixedDelta(0.25))
         index.query(Predicate(0, 5_000))
         assert index.last_stats.predicted_cost is not None
         assert index.last_stats.delta == pytest.approx(0.25)

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.budget import FixedBudget
+from repro.core.policy import FixedDelta
 from repro.core.query import Predicate
 from repro.persist import pager
 from repro.progressive import (
@@ -103,7 +103,7 @@ def query_trace(data: np.ndarray, count: int):
 
 def build(family: str, delta: float, data: np.ndarray):
     index_class, options = FAMILIES[family]
-    return index_class(Column(data.copy()), budget=FixedBudget(delta), **options)
+    return index_class(Column(data.copy()), budget=FixedDelta(delta), **options)
 
 
 def record(index, low, high) -> list:

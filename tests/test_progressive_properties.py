@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.budget import FixedBudget
+from repro.core.policy import FixedDelta
 from repro.core.query import Predicate
 from repro.progressive import (
     ProgressiveBucketsort,
@@ -50,7 +50,7 @@ class TestSharedInvariants:
     ):
         array = np.array(data, dtype=np.int64)
         rng = np.random.default_rng(seed)
-        index = index_class(Column(array), budget=FixedBudget(delta))
+        index = index_class(Column(array), budget=FixedDelta(delta))
         domain_low, domain_high = int(array.min()), int(array.max())
         previous_order = -1
         for _ in range(150):
@@ -70,7 +70,7 @@ class TestSharedInvariants:
     def test_converged_state_is_stable(self, index_class, seed):
         rng = np.random.default_rng(seed)
         array = rng.integers(0, 10_000, size=2_000)
-        index = index_class(Column(array), budget=FixedBudget(1.0))
+        index = index_class(Column(array), budget=FixedDelta(1.0))
         for _ in range(40):
             index.query(Predicate(0, 10_000))
             if index.converged:
@@ -83,7 +83,7 @@ class TestSharedInvariants:
 
     def test_point_queries_on_every_distinct_value(self, index_class, rng):
         array = rng.integers(0, 300, size=3_000)
-        index = index_class(Column(array), budget=FixedBudget(0.3))
+        index = index_class(Column(array), budget=FixedDelta(0.3))
         values, counts = np.unique(array, return_counts=True)
         probe = rng.permutation(len(values))[:60]
         for position in probe:
@@ -94,7 +94,7 @@ class TestSharedInvariants:
 
     def test_sum_of_two_halves_equals_whole(self, index_class, rng):
         array = rng.integers(0, 100_000, size=5_000)
-        index = index_class(Column(array), budget=FixedBudget(0.25))
+        index = index_class(Column(array), budget=FixedDelta(0.25))
         middle = 50_000
         for _ in range(20):
             left = index.query(Predicate(0, middle))
@@ -104,7 +104,7 @@ class TestSharedInvariants:
 
     def test_memory_footprint_reported(self, index_class, rng):
         array = rng.integers(0, 10_000, size=4_000)
-        index = index_class(Column(array), budget=FixedBudget(0.5))
+        index = index_class(Column(array), budget=FixedDelta(0.5))
         assert index.memory_footprint() == 0
         index.query(Predicate(0, 100))
         assert index.memory_footprint() > 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.budget import AdaptiveBudget, FixedBudget
+from repro.core.policy import FixedDelta, TimeAdaptive
 from repro.core.phase import IndexPhase
 from repro.core.query import Predicate
 from repro.progressive.quicksort import ProgressiveQuicksort
@@ -14,13 +14,13 @@ from tests.conftest import assert_matches_brute_force, brute_force, random_range
 
 class TestProgressiveQuicksortLifecycle:
     def test_starts_inactive(self, uniform_column):
-        index = ProgressiveQuicksort(uniform_column, budget=FixedBudget(0.25))
+        index = ProgressiveQuicksort(uniform_column, budget=FixedDelta(0.25))
         assert index.phase is IndexPhase.INACTIVE
         assert not index.converged
         assert index.memory_footprint() == 0
 
     def test_first_query_enters_creation(self, uniform_column, uniform_data):
-        index = ProgressiveQuicksort(uniform_column, budget=FixedBudget(0.25))
+        index = ProgressiveQuicksort(uniform_column, budget=FixedDelta(0.25))
         index.query(Predicate(0, 1_000))
         assert index.phase in (IndexPhase.CREATION, IndexPhase.REFINEMENT)
         assert index.pivot == pytest.approx(
@@ -29,7 +29,7 @@ class TestProgressiveQuicksortLifecycle:
         assert index.memory_footprint() >= uniform_data.nbytes
 
     def test_phases_progress_in_order(self, uniform_column, uniform_data, rng):
-        index = ProgressiveQuicksort(uniform_column, budget=FixedBudget(0.5))
+        index = ProgressiveQuicksort(uniform_column, budget=FixedDelta(0.5))
         seen = []
         for predicate in random_range_predicates(uniform_data, 60, rng):
             index.query(predicate)
@@ -40,7 +40,7 @@ class TestProgressiveQuicksortLifecycle:
         assert index.phase is IndexPhase.CONVERGED
 
     def test_creation_takes_about_one_over_delta_queries(self, uniform_column, uniform_data, rng):
-        index = ProgressiveQuicksort(uniform_column, budget=FixedBudget(0.25))
+        index = ProgressiveQuicksort(uniform_column, budget=FixedDelta(0.25))
         predicates = random_range_predicates(uniform_data, 10, rng)
         creation_queries = 0
         for predicate in predicates:
@@ -52,32 +52,32 @@ class TestProgressiveQuicksortLifecycle:
         assert creation_queries == pytest.approx(4, abs=1)
 
     def test_zero_delta_never_converges(self, uniform_column, uniform_data, rng):
-        index = ProgressiveQuicksort(uniform_column, budget=FixedBudget(0.0))
+        index = ProgressiveQuicksort(uniform_column, budget=FixedDelta(0.0))
         for predicate in random_range_predicates(uniform_data, 20, rng):
             index.query(predicate)
         assert index.phase is IndexPhase.CREATION
         assert not index.converged
 
     def test_delta_one_finishes_creation_first_query(self, uniform_column, uniform_data, rng):
-        index = ProgressiveQuicksort(uniform_column, budget=FixedBudget(1.0))
+        index = ProgressiveQuicksort(uniform_column, budget=FixedDelta(1.0))
         index.query(Predicate(0, 100))
         assert index.phase.order >= IndexPhase.REFINEMENT.order
 
 
 class TestProgressiveQuicksortCorrectness:
     def test_exact_answers_throughout_convergence(self, uniform_column, uniform_data, rng):
-        index = ProgressiveQuicksort(uniform_column, budget=FixedBudget(0.2))
+        index = ProgressiveQuicksort(uniform_column, budget=FixedDelta(0.2))
         predicates = random_range_predicates(uniform_data, 80, rng)
         assert_matches_brute_force(index, uniform_data, predicates)
         assert index.converged
 
     def test_exact_answers_on_skewed_data(self, skewed_column, skewed_data, rng):
-        index = ProgressiveQuicksort(skewed_column, budget=FixedBudget(0.3))
+        index = ProgressiveQuicksort(skewed_column, budget=FixedDelta(0.3))
         predicates = random_range_predicates(skewed_data, 60, rng, selectivity=0.05)
         assert_matches_brute_force(index, skewed_data, predicates)
 
     def test_point_queries(self, uniform_column, uniform_data, rng):
-        index = ProgressiveQuicksort(uniform_column, budget=FixedBudget(0.25))
+        index = ProgressiveQuicksort(uniform_column, budget=FixedDelta(0.25))
         values = uniform_data[rng.integers(0, uniform_data.size, size=50)]
         for value in values:
             predicate = Predicate(int(value), int(value))
@@ -86,14 +86,14 @@ class TestProgressiveQuicksortCorrectness:
             assert result.count == expected.count
 
     def test_queries_outside_domain(self, uniform_column, uniform_data):
-        index = ProgressiveQuicksort(uniform_column, budget=FixedBudget(0.25))
+        index = ProgressiveQuicksort(uniform_column, budget=FixedDelta(0.25))
         domain_max = int(uniform_data.max())
         for _ in range(10):
             assert index.query(Predicate(domain_max + 10, domain_max + 20)).count == 0
             assert index.query(Predicate(-100, -1)).count == 0
 
     def test_whole_domain_query(self, uniform_column, uniform_data):
-        index = ProgressiveQuicksort(uniform_column, budget=FixedBudget(0.5))
+        index = ProgressiveQuicksort(uniform_column, budget=FixedDelta(0.5))
         predicate = Predicate(int(uniform_data.min()), int(uniform_data.max()))
         for _ in range(5):
             result = index.query(predicate)
@@ -101,7 +101,7 @@ class TestProgressiveQuicksortCorrectness:
             assert result.value_sum == uniform_data.sum()
 
     def test_converged_answers_from_cascade(self, uniform_column, uniform_data, rng):
-        index = ProgressiveQuicksort(uniform_column, budget=FixedBudget(1.0))
+        index = ProgressiveQuicksort(uniform_column, budget=FixedDelta(1.0))
         for predicate in random_range_predicates(uniform_data, 30, rng):
             index.query(predicate)
         assert index.converged
@@ -112,14 +112,14 @@ class TestProgressiveQuicksortCorrectness:
 class TestProgressiveQuicksortBudgets:
     def test_adaptive_budget_converges(self, uniform_column, uniform_data, rng):
         index = ProgressiveQuicksort(
-            uniform_column, budget=AdaptiveBudget(scan_fraction=0.5)
+            uniform_column, budget=TimeAdaptive(scan_fraction=0.5)
         )
         predicates = random_range_predicates(uniform_data, 300, rng)
         assert_matches_brute_force(index, uniform_data, predicates)
         assert index.converged
 
     def test_stats_track_delta_and_phase(self, uniform_column):
-        index = ProgressiveQuicksort(uniform_column, budget=FixedBudget(0.25))
+        index = ProgressiveQuicksort(uniform_column, budget=FixedDelta(0.25))
         index.query(Predicate(0, 100))
         stats = index.last_stats
         assert stats.query_number == 1
@@ -128,7 +128,7 @@ class TestProgressiveQuicksortBudgets:
         assert stats.elements_indexed > 0
 
     def test_converged_stats_have_no_delta(self, uniform_column, uniform_data, rng):
-        index = ProgressiveQuicksort(uniform_column, budget=FixedBudget(1.0))
+        index = ProgressiveQuicksort(uniform_column, budget=FixedDelta(1.0))
         for predicate in random_range_predicates(uniform_data, 40, rng):
             index.query(predicate)
         assert index.converged
@@ -137,7 +137,7 @@ class TestProgressiveQuicksortBudgets:
         assert index.last_stats.elements_indexed == 0
 
     def test_queries_executed_counter(self, uniform_column):
-        index = ProgressiveQuicksort(uniform_column, budget=FixedBudget(0.25))
+        index = ProgressiveQuicksort(uniform_column, budget=FixedDelta(0.25))
         for _ in range(5):
             index.query(Predicate(0, 10))
         assert index.queries_executed == 5
@@ -145,6 +145,6 @@ class TestProgressiveQuicksortBudgets:
     def test_rejects_non_predicate(self, uniform_column):
         from repro.errors import IndexStateError
 
-        index = ProgressiveQuicksort(uniform_column, budget=FixedBudget(0.25))
+        index = ProgressiveQuicksort(uniform_column, budget=FixedDelta(0.25))
         with pytest.raises(IndexStateError):
             index.query((0, 10))

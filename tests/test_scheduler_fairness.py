@@ -9,11 +9,12 @@ Three properties of :class:`~repro.serve.scheduler.ProgressiveScheduler`:
   — turns any unserialized advance into a :class:`~repro.errors.
   ConcurrencyError`; an in-flight probe proves at most one serialized query
   runs at a time under an 8-thread hammer.
-* **τ admission.**  Every serialized query runs under a
-  :class:`~repro.core.policy.CappedBudget` clamped to its class's admission
-  allowance, so per-query granted indexing work never exceeds τ and the
-  per-class p99 stays within the interactivity budget (all in
-  deterministic model seconds).
+* **τ admission.**  Every serialized query runs with the index's budget
+  controller capped at its class's admission allowance
+  (:meth:`~repro.core.policy.BudgetController.capped`), so per-query granted
+  indexing work never exceeds τ and the per-class p99 stays within the
+  interactivity budget (all in deterministic model seconds).  The cap grants
+  exactly what the swapped-in wrapper policy it replaced granted.
 * **Fairness.**  A class that consumed more than its weight-proportional
   share of a hot column's work sees its next allowance scaled down, while
   an under-served class keeps its full τ.
@@ -27,16 +28,23 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.cost_model import CostBreakdown
 from repro.core.phase import IndexPhase
-from repro.core.policy import CappedBudget, FixedDelta
+from repro.core.policy import BatchPool, BudgetController, CostModelGreedy, DeltaRequest, FixedDelta
 from repro.core.query import Predicate
+from repro.engine.registry import create_index
 from repro.engine.session import IndexingSession
 from repro.engine.shared import SharedEngine
-from repro.errors import ConcurrencyError
+from repro.errors import ConcurrencyError, InvalidBudgetError
 from repro.serve.connection import ConnectionClass
 from repro.serve.scheduler import ProgressiveScheduler
+from repro.shard.executor import execute_shard_query
 from repro.storage.column import Column
+
+from tests.conftest import delta_request
 
 ROWS = 4_000
 DOMAIN = 1_000_000
@@ -164,13 +172,151 @@ class TestMutationGuard:
 # ----------------------------------------------------------------------
 class TestAdmission:
     def test_capped_budget_clamps_each_grant(self):
-        """Unit contract: a CappedBudget never grants past its allowance."""
-        inner = FixedDelta(1.0)  # wants the whole column every query
-        capped = CappedBudget(inner, allowance_seconds=0.004)
+        """Unit contract: a capped controller never grants past its allowance."""
+        controller = BudgetController(FixedDelta(1.0))  # wants the whole column every query
         full_work_time = 0.1
-        delta = capped.next_delta(full_work_time=full_work_time, query_base_cost=0.01)
+        with controller.capped(0.004) as cap:
+            delta = controller.decide(delta_request(full_work_time, query_base_cost=0.01)).delta
         assert delta * full_work_time <= 0.004 + 1e-12
-        assert capped.granted_seconds == pytest.approx(delta * full_work_time)
+        assert cap.granted_seconds == pytest.approx(delta * full_work_time)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        allowance=st.one_of(st.just(0.0), st.floats(1e-9, 2.0)),
+        policy_kind=st.sampled_from(["fixed", "greedy", "pool"]),
+        decisions=st.lists(
+            st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 2.0), st.floats(0.0, 1.0)),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_a_grant_never_exceeds_the_allowance(self, allowance, policy_kind, decisions):
+        policy = {
+            "fixed": lambda: FixedDelta(1.0),
+            "greedy": lambda: CostModelGreedy(interactivity_budget=3.0),
+            "pool": lambda: BatchPool(4, per_query_seconds=1.5),
+        }[policy_kind]()
+        controller = BudgetController(policy)
+        granted = 0.0
+        with controller.capped(allowance) as cap:
+            for full_work_time, base, max_delta in decisions:
+                def predict(delta, base=base, slope=full_work_time):
+                    return CostBreakdown(scan=base, lookup=0.0, indexing=delta * slope)
+
+                decision = controller.decide(DeltaRequest(
+                    full_work_time, predict(0.0), predict=predict, max_delta=max_delta,
+                ))
+                assert decision.delta * full_work_time <= allowance * (1 + 1e-12)
+                granted += decision.delta * full_work_time
+        # The cap counts what it granted before the phase's max_delta clamp,
+        # as the wrapper policy did: never less than what the phase took.
+        assert cap.granted_seconds >= granted * (1 - 1e-12)
+        assert cap.granted_seconds <= allowance * len(decisions) * (1 + 1e-12)
+
+    def test_grants_equal_the_wrapper_policy_it_replaced(self):
+        """Recorded from the swapped-in wrapper policy the controller cap
+        replaced: the same scheduler and shard runs grant the same seconds
+        and decide the same deltas, bit for bit."""
+        data = np.random.default_rng(3).integers(0, DOMAIN, size=ROWS, dtype=np.int64)
+        session = IndexingSession(Column(data, name="ra"))
+        session.create_index("ra", method="PMSD", budget=CostModelGreedy(scan_fraction=0.5))
+        index = session.index_for("ra")
+        classes = (ConnectionClass("interactive", tau=5e-7, weight=4.0),
+                   ConnectionClass("batch", tau=3e-6, weight=1.0))
+        scheduler = ProgressiveScheduler(classes=classes)
+        grants, deltas = [], []
+        charge = scheduler._charge
+        scheduler._charge = lambda cls, column, granted: (grants.append(granted), charge(cls, column, granted))
+        rng = np.random.default_rng(17)
+        for number in range(16):
+            scheduler.run_serialized(
+                index, classes[number % 2], "ra", lambda: index.query(_predicate(rng))
+            )
+            deltas.append(index.last_stats.delta)
+        assert grants == [
+            5e-07, 2.8736807215186755e-06, 5e-07, 8.087914622898377e-07,
+            5e-07, 8.444010314476281e-07, 5e-07, 8.650836334350709e-07,
+            5e-07, 8.78192137306161e-07, 5e-07, 8.870745183280011e-07,
+            5e-07, 8.934098674899413e-07, 5e-07, 8.981131904978092e-07,
+        ]
+        assert deltas == [
+            0.03657142857142857, 0.2101892184882231, 0.03657142857142857, 0.05915731838462813,
+            0.03657142857142857, 0.06176190401445508, 0.03657142857142857, 0.06327468861696518,
+            0.03657142857142857, 0.06423348204296492, 0.03657142857142857, 0.06488316476913379,
+            0.03657142857142857, 0.0653465503078357, 0.03657142857142857, 0.0656905647906969,
+        ]
+
+        index = create_index("PLSD", Column(data, name="ra"), budget=FixedDelta(0.5))
+        rng = np.random.default_rng(31)
+        grants, deltas = [], []
+        for _ in range(16):
+            grants.append(execute_shard_query(index, _predicate(rng), 6e-6)[1])
+            deltas.append(index.last_stats.delta)
+        assert grants == [6e-06] + [2.09375e-06] * 15
+        assert deltas == [0.43885714285714283] + [0.15314285714285714] * 3 + [
+            0.10124999999999995] + [0.15314285714285714] * 11
+
+    def test_cap_is_released_when_the_wrapped_call_raises(self):
+        controller = BudgetController(FixedDelta(1.0))
+        with pytest.raises(RuntimeError):
+            with controller.capped(0.0):
+                raise RuntimeError("query failed")
+        assert controller.decide(delta_request(1.0)).delta == 1.0
+        with controller.capped(0.25) as cap:  # a new cap may be taken
+            assert controller.decide(delta_request(1.0)).delta == 0.25
+        assert cap.granted_seconds == 0.25
+
+        # Through the scheduler: after a failed serialized call, the next
+        # uncapped one runs the policy's own delta.
+        tight = ConnectionClass("tight", tau=1e-9, weight=1.0)
+        admin = ConnectionClass("admin", tau=None, weight=1.0)
+        scheduler = ProgressiveScheduler(classes=(tight, admin))
+        session = _session(delta=0.25)
+        index = session.index_for("ra")
+
+        def failing():
+            index.query(Predicate(1_000, 100_000))
+            raise RuntimeError("client went away")
+
+        with pytest.raises(RuntimeError):
+            scheduler.run_serialized(index, tight, "ra", failing)
+        assert index.last_stats.delta < 0.25
+        scheduler.run_serialized(index, admin, "ra", lambda: index.query(Predicate(1_000, 100_000)))
+        assert index.last_stats.delta == 0.25
+
+    def test_nested_caps_are_refused(self):
+        controller = BudgetController(FixedDelta(1.0))
+        with controller.capped(1.0):
+            with pytest.raises(InvalidBudgetError, match="already capped"):
+                with controller.capped(0.5):
+                    pass
+            assert controller.decide(delta_request(4.0)).delta == 0.25
+        with pytest.raises(InvalidBudgetError):
+            controller.capped(-1.0)
+
+    def test_index_budget_is_the_real_policy_inside_a_capped_call(self):
+        policy = FixedDelta(1.0)
+        data = np.random.default_rng(3).integers(0, DOMAIN, size=ROWS, dtype=np.int64)
+        session = IndexingSession(Column(data, name="ra"))
+        session.create_index("ra", method="PQ", budget=policy)
+        index = session.index_for("ra")
+        cls = ConnectionClass("tight", tau=2e-6, weight=1.0)
+        scheduler = ProgressiveScheduler(classes=(cls,))
+        seen = []
+
+        def query():
+            seen.append((index.budget, index.budget.describe(), index.budget.pooled,
+                         BatchPool.for_index(index, 4).scan_fraction))
+            return index.query(Predicate(1_000, 100_000))
+
+        scheduler.run_serialized(index, cls, "ra", query)
+        assert seen == [(policy, "FixedDelta(delta=1.0)", False, 1.0)]
+        assert index.last_stats.delta < 1.0  # ... and the cap still bound
+
+        shard = create_index("PB", Column(data, name="ra"), budget=policy)
+        shard_query = shard.query
+        shard.query = lambda predicate: (seen.append(shard.budget), shard_query(predicate))[1]
+        execute_shard_query(shard, Predicate(1_000, 100_000), 1e-6)
+        assert seen[-1] is policy
 
     def test_per_query_grant_never_exceeds_tau(self):
         """The scheduler's admission ticket caps a greedy policy at τ."""

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.budget import AdaptiveBudget
-from repro.core.policy import CostModelGreedy
+from repro.core.policy import CostModelGreedy, TimeAdaptive
 from repro.engine import IndexingSession
 from repro.errors import ExperimentError, IndexStateError
 from repro.storage import Column, Table
@@ -44,7 +43,7 @@ class TestSessionIndexing:
     def test_create_index_defaults_to_adaptive_budget(self, table):
         session = IndexingSession(table)
         index = session.create_index("uniform", method="PQ")
-        assert isinstance(index.budget, AdaptiveBudget)
+        assert isinstance(index.budget, TimeAdaptive)
 
     def test_duplicate_index_rejected(self, table):
         session = IndexingSession(table)
