@@ -153,7 +153,7 @@ class ProgressiveIndexBase(BaseIndex):
         if phase is IndexPhase.CREATION:
             return self._creation_cost(predicate, delta)
         if phase is IndexPhase.REFINEMENT:
-            return self._refinement_cost(predicate, delta)
+            return self._refinement_pricing(predicate)(delta)
         if phase is IndexPhase.CONSOLIDATION:
             return self._consolidation_cost(predicate, delta)
         if phase is IndexPhase.CONVERGED:
@@ -354,19 +354,18 @@ class ProgressiveIndexBase(BaseIndex):
     def _refinement_done(self) -> bool:
         """Whether the final array is fully sorted."""
 
-    def _refinement_cost(self, predicate: Predicate, delta: float) -> CostBreakdown:
-        """Refinement-phase cost at ``delta`` (state read-only)."""
+    def _refinement_pricing(self, predicate: Predicate):
+        """The refinement-phase cost as a function of δ (state read-only);
+        the α walk is taken once, however many δ the policy prices."""
         alpha, indexed_scan_time = self._refinement_scan(predicate)
-        return self._cost_model.refinement_phase_cost(
-            alpha, delta, self._refinement_lookup_time(), indexed_scan_time,
-            self._refinement_work_time(),
+        lookup_time, work_time = self._refinement_lookup_time(), self._refinement_work_time()
+        return lambda delta: self._cost_model.refinement_phase_cost(
+            alpha, delta, lookup_time, indexed_scan_time, work_time
         )
 
     def _execute_refinement(self, predicate: Predicate) -> QueryResult:
         n = len(self._column)
-        decision = self._decide(
-            self._refinement_work_time(), lambda d: self._refinement_cost(predicate, d)
-        )
+        decision = self._decide(self._refinement_work_time(), self._refinement_pricing(predicate))
         element_budget = int(np.ceil(decision.delta * n)) if decision.delta > 0 else 0
         refined = self._refine(element_budget, predicate) if element_budget > 0 else 0
         result = self._refinement_answer(predicate)

@@ -391,11 +391,6 @@ class ExactBucketSet(BucketSet):
     def sizes(self) -> np.ndarray:
         return self.fill - self.starts[:-1]
 
-    def histogram(self, base: int, shift: int) -> np.ndarray:
-        if not self.full:
-            return super().histogram(base, shift)
-        return kernels.radix_histogram(self.data, base, shift, self.n_buckets - 1)
-
     def read(self, start: int, count: int) -> Iterator[np.ndarray]:
         if not self.full:
             yield from super().read(start, count)

@@ -69,6 +69,7 @@ class PivotNode:
         "low_fill",
         "high_fill",
         "scanned",
+        "rank",
     )
 
     def __init__(
@@ -95,6 +96,8 @@ class PivotNode:
         self.low_fill = 0
         self.high_fill = 0
         self.scanned = 0
+        #: Position key in the owning sorter's worklist (smaller is sooner).
+        self.rank = 0
 
     # ------------------------------------------------------------------
     @property
@@ -193,3 +196,22 @@ class PivotTree:
                 relevant.append(node)
         relevant.sort(key=lambda n: n.start)
         return relevant
+
+    def overlapping(self, low, high) -> List[PivotNode]:
+        """Every node whose value bounds overlap ``[low, high]``, in any order.
+
+        A child's bounds lie within its parent's, so the descent stops at the
+        first node that does not overlap: it visits the overlapping nodes
+        and at most two more per overlapping node.
+        """
+        found: List[PivotNode] = []
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if low <= node.value_high and high >= node.value_low:
+                found.append(node)
+                if node.left is not None:
+                    stack.append(node.left)
+                if node.right is not None:
+                    stack.append(node.right)
+        return found

@@ -18,14 +18,17 @@ Refinement
     bounded number of elements per query.  The number of passes is
     ``ceil(log2(max - min) / log2(b))`` in key space (the paper's formula).
     A pass knows its buckets' final sizes before it moves anything: they
-    are the histogram of its digit over the generation it reads, counted
-    when the pass starts.  So every refinement generation is an
+    are the histogram of its digit over all ``N`` values, which does not
+    depend on their order, so it is counted while the previous pass (or the
+    creation phase) moves each chunk.  So every refinement generation is an
     :class:`~repro.progressive.blocks.ExactBucketSet` — one flat array the
     cursor scatter writes straight into — and, once full, it reads in bucket
     order as one slice, so a step is one scatter call.  (The creation
-    buckets, filled from the base column, keep their pieces.)  After the
-    final pass the buckets are drained, in order, into the fully sorted index
-    array — one slice copy a step.
+    buckets, filled from the base column, keep their pieces.)  The last
+    pass leaves the data sorted in its generation's flat array, which
+    becomes the index array as it stands.  A one-digit domain takes one pass
+    over the digit above it — zero for every value, so a stable copy into
+    one flat array.
 
 Consolidation
     A B+-tree cascade is built over the sorted array by the shared
@@ -34,10 +37,9 @@ Consolidation
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
+from repro import kernels
 from repro.btree.cascade import DEFAULT_FANOUT
 from repro.core.calibration import DEFAULT_BLOCK_SIZE, CostConstants
 from repro.core.cost_model import CostBreakdown
@@ -50,13 +52,6 @@ from repro.storage.column import Column
 
 #: Default number of radix buckets (paper: 64).
 DEFAULT_BUCKET_COUNT = 64
-
-
-class _RefinementStage(enum.Enum):
-    """Sub-stage of the LSD refinement phase."""
-
-    PASSES = "passes"   # moving elements between bucket generations
-    MERGE = "merge"     # draining the final bucket generation into the array
 
 
 class ProgressiveRadixsortLSD(ProgressiveIndexBase):
@@ -99,12 +94,12 @@ class ProgressiveRadixsortLSD(ProgressiveIndexBase):
         self.block_size = int(block_size)
         self._cost_model.block_size = self.block_size
         # Refinement state: ``_buckets`` is the generation being read, in
-        # bucket order, ``_moved`` elements of it already moved on; a pass
-        # scatters it into ``_next_set``, the merge drains it into
-        # ``_final_array``.
+        # bucket order, ``_moved`` elements of it already scattered into
+        # ``_next_set``; ``_next_counts`` is the histogram of the next pass's
+        # digit over the elements moved (ingested) so far.
         self._current_pass = 0
-        self._stage = _RefinementStage.PASSES
         self._next_set: BucketSet | None = None
+        self._next_counts: np.ndarray | None = None
         self._moved = 0
 
     # ------------------------------------------------------------------
@@ -118,6 +113,11 @@ class ProgressiveRadixsortLSD(ProgressiveIndexBase):
         """Zero-based index of the pass currently in progress."""
         return self._current_pass
 
+    @property
+    def _last_pass(self) -> int:
+        """The pass whose generation ends sorted (pass 1 on a one-digit domain)."""
+        return max(1, self.total_passes - 1)
+
     def _bucket_sets(self) -> tuple:
         return self._buckets, self._next_set
 
@@ -128,39 +128,37 @@ class ProgressiveRadixsortLSD(ProgressiveIndexBase):
         state = {
             "initialized": self.phase is not IndexPhase.INACTIVE,
             "current_pass": int(self._current_pass),
-            "stage": self._stage.value,
+            "stage": "passes",
         }
         if self._buckets is not None:
             state["current_set"] = self._buckets.state_dict()
-        if self._stage is _RefinementStage.PASSES:
-            if self._next_set is not None:
-                state["next_set"] = self._next_set.state_dict()
-            prefix, moved_key = "pass", "pass_moved"
-        else:
-            if self._final_array is not None:
-                state["final_array"] = np.array(self._final_array)
-            prefix, moved_key = "merge", "merge_position"
-        state[f"{prefix}_bucket_cursor"], state[f"{prefix}_offset_cursor"] = self._cursor()
-        state[moved_key] = int(self._moved)
+        if self._next_set is not None:
+            state["next_set"] = self._next_set.state_dict()
+        state["pass_bucket_cursor"], state["pass_offset_cursor"] = self._cursor()
+        state["pass_moved"] = int(self._moved)
         return state
 
     def _load_construction_state(self, state: dict) -> None:
         if not state.get("initialized"):
             return
         self._current_pass = int(state["current_pass"])
-        self._stage = _RefinementStage(state["stage"])
-        if "current_set" in state:
-            self._buckets = self._bucket_set(state["current_set"])
-        if self._stage is _RefinementStage.PASSES:
-            if "next_set" in state:
-                self._next_set = self._generation(self._current_pass, state["next_set"])
-            moved_key = "pass_moved"
-        else:
-            if "final_array" in state:
-                self._final_array = np.asarray(state["final_array"])
-            moved_key = "merge_position"
+        if state["stage"] == "merge":
+            # Checkpoints of older versions may stop in a merge stage that
+            # drained the last generation into the index array.  That
+            # generation is sorted and complete: adopt it and consolidate.
+            self._final_array = np.concatenate(state["current_set"]["buckets"])
+            self._finish_refinement()
+            return
+        self._buckets = self._bucket_set(state["current_set"])
         # The bucket/offset cursors are derived from the moved count.
-        self._moved = int(state.get(moved_key, 0))
+        self._moved = int(state["pass_moved"])
+        if "next_set" in state:
+            sizes = self._buckets.histogram(self._keyspace.key_min, self._current_pass * self.bits_per_pass)
+            self._next_set = self._bucket_set(state["next_set"], sizes=sizes)
+        if self._current_pass < self._last_pass:
+            # Recount what the moves (or the ingest) have counted so far.
+            moved = self._buckets if self._next_set is None else self._next_set
+            self._next_counts = moved.histogram(self._keyspace.key_min, self._next_shift)
 
     def _cursor(self) -> tuple:
         """``(bucket, offset)`` of the read cursor in the generation being
@@ -177,9 +175,11 @@ class ProgressiveRadixsortLSD(ProgressiveIndexBase):
     # ------------------------------------------------------------------
     def _initialize(self) -> None:
         self._buckets = self._bucket_set()
+        self._next_counts = np.zeros(self.n_buckets, dtype=np.int64)
 
     def _ingest(self, chunk: np.ndarray) -> None:
         self._buckets.scatter_radix(chunk, self._keyspace.key_min, 0)
+        self._count_next(chunk)
 
     def _creation_work_time(self) -> float:
         return self._cost_model.bucket_write_time(len(self._column))
@@ -208,80 +208,65 @@ class ProgressiveRadixsortLSD(ProgressiveIndexBase):
         return self._scan_column(predicate)
 
     # ------------------------------------------------------------------
-    # Refinement phase (passes 1 .. total_passes-1, then the merge)
+    # Refinement phase (passes 1 .. the last)
     # ------------------------------------------------------------------
+    @property
+    def _next_shift(self) -> int:
+        """Shift of the digit the pass after the current one reads."""
+        return (self._current_pass + 1) * self.bits_per_pass
+
+    def _count_next(self, values: np.ndarray) -> None:
+        """Add ``values`` to the next pass's histogram (none after the last)."""
+        if self._current_pass < self._last_pass:
+            kernels.radix_histogram(
+                values, self._keyspace.key_min, self._next_shift, self.n_buckets - 1, self._next_counts)
+
     def _start_refinement(self) -> None:
-        if self.total_passes == 1:
-            self._start_merge()
-        else:
-            self._start_pass(1)
+        self._start_pass(1)
 
     def _start_pass(self, pass_number: int) -> None:
+        """Pass ``pass_number`` fills an exact-offset set whose sizes were
+        counted while its input was moved."""
+        self._next_set = self._bucket_set(sizes=self._next_counts)
         self._current_pass = pass_number
-        self._stage = _RefinementStage.PASSES
-        self._next_set = self._generation(pass_number)
-        self._moved = 0
-
-    def _generation(self, pass_number: int, state: dict | None = None) -> BucketSet:
-        """The exact-offset set pass ``pass_number`` fills (or the one
-        ``state`` saved, part filled): its sizes are the histogram of the
-        pass's digit over the generation it reads."""
-        sizes = self._buckets.histogram(self._keyspace.key_min, pass_number * self.bits_per_pass)
-        return self._bucket_set(state, sizes=sizes)
-
-    def _start_merge(self) -> None:
-        self._stage = _RefinementStage.MERGE
-        self._final_array = self._scratch_allocate(len(self._column), self._column.dtype)
+        self._next_counts = np.zeros(self.n_buckets, dtype=np.int64)
         self._moved = 0
 
     def _refine(self, element_budget: int, predicate: Predicate) -> int:
-        """Move up to ``element_budget`` elements on from the cursor: into the
-        next bucket generation, or, after the last pass, into the array."""
+        """Move up to ``element_budget`` elements on from the cursor into the
+        next bucket generation; the last generation, once full, is the
+        sorted index array."""
         n = len(self._column)
         take = min(element_budget, n - self._moved)
-        parts = self._buckets.read(self._moved, take)
-        if self._stage is _RefinementStage.PASSES:
-            shift = self._current_pass * self.bits_per_pass
-            for part in parts:
-                self._next_set.scatter_radix(part, self._keyspace.key_min, shift)
-        else:
-            at = self._moved
-            for part in parts:
-                self._final_array[at : at + part.size] = part
-                at += part.size
+        shift = self._current_pass * self.bits_per_pass
+        for part in self._buckets.read(self._moved, take):
+            self._next_set.scatter_radix(part, self._keyspace.key_min, shift)
+            self._count_next(part)
         self._moved += take
-        if self._stage is _RefinementStage.PASSES and self._moved >= n:
+        if self._moved >= n:
             self._buckets.clear()
-            self._buckets, self._next_set = self._next_set, None
-            if self._current_pass + 1 < self.total_passes:
+            if self._current_pass < self._last_pass:
+                self._buckets = self._next_set
                 self._start_pass(self._current_pass + 1)
             else:
-                self._start_merge()
+                self._final_array = self._next_set.data
+                self._buckets = self._next_set = None
         return take
 
     def _refinement_done(self) -> bool:
-        return self._stage is _RefinementStage.MERGE and self._moved >= len(self._column)
+        return self._final_array is not None
 
     def _refinement_answer(self, predicate: Predicate) -> QueryResult:
         if self._refinement_done():
-            # Merged: the array is sorted, answer the way consolidation does.
+            # The last pass is complete: the array is sorted.
             return QueryResult.from_sorted(self._final_array, predicate.low, predicate.high)
         if not predicate.is_point:
             return self._scan_column(predicate)
-        # A point query reads the moved part and the unmoved rest of its bucket.
-        result = QueryResult.empty()
-        if self._stage is _RefinementStage.PASSES:
-            # Elements already moved live in the new set.
-            new_id = self._keyspace.digit_scalar(predicate.low, self._current_pass)
-            result += self._next_set[new_id].scan(predicate.low, predicate.high)
-            unmoved_pass = self._current_pass - 1
-        else:
-            # Already merged elements live in the sorted prefix of the array.
-            prefix = self._final_array[: self._moved]
-            result += QueryResult.from_range(prefix, predicate.low, predicate.high)
-            unmoved_pass = self._current_pass  # the merge drains the last pass's buckets
-        # Elements not yet moved live in the old set, beyond the cursor.
-        bucket_id = self._keyspace.digit_scalar(predicate.low, unmoved_pass)
+        # A point query reads the moved part, which lives in the new set, and
+        # the unmoved rest of its bucket in the old set, beyond the cursor.
+        new_id = self._keyspace.digit_scalar(predicate.low, self._current_pass)
+        result = self._next_set[new_id].scan(predicate.low, predicate.high)
+        bucket_id = self._keyspace.digit_scalar(predicate.low, self._current_pass - 1)
         cursor_bucket, cursor_offset = self._cursor()
         if bucket_id > cursor_bucket:
             result += self._buckets[bucket_id].scan(predicate.low, predicate.high)
@@ -292,10 +277,7 @@ class ProgressiveRadixsortLSD(ProgressiveIndexBase):
         return result
 
     def _refinement_work_time(self) -> float:
-        n = len(self._column)
-        if self._stage is _RefinementStage.PASSES:
-            return self._cost_model.bucket_write_time(n)
-        return self._cost_model.write_time(n)
+        return self._cost_model.bucket_write_time(len(self._column))
 
     def _refinement_scan(self, predicate: Predicate) -> tuple:
         n = len(self._column)

@@ -96,10 +96,10 @@ class _RadixNode:
         self, source: Optional[BlockList], offset: int, size: int, value_low: int, shift: int
     ) -> None:
         self.source = source
-        self.offset = int(offset)
-        self.size = int(size)
-        self.value_low = int(value_low)
-        self.shift = int(shift)
+        self.offset = offset
+        self.size = size
+        self.value_low = value_low
+        self.shift = shift
         self.state = _NodeState.WAITING
         self.copied = 0
         self.moved = 0
@@ -404,68 +404,44 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
         """Create child nodes once the re-partition of ``node`` completed;
         their values stay in the node's flat child array."""
         self._release(node, _NodeState.EXPANDED)
-        children = node.child_set
-        node.child_set = None
+        children, node.child_set = node.child_set, None
         starts = children.starts.tolist()
-        child_span = 1 << node.shift
+        offset, low, child_span = node.offset, node.value_low, 1 << node.shift
         child_shift = max(0, node.shift - self.bits_per_level)
+        queue = self._worklist.append
         node.children = []
-        for child_id in range(self.n_buckets):
-            start = starts[child_id]
-            size = starts[child_id + 1] - start
-            child = _RadixNode(None, node.offset + start, size,
-                               node.value_low + child_id * child_span, child_shift)
+        for child_id, (start, stop) in enumerate(zip(starts, starts[1:])):
+            child = _RadixNode(None, offset + start, stop - start, low + child_id * child_span, child_shift)
             node.children.append(child)
-            if size == 0:
+            if stop == start:
                 child.state = _NodeState.DONE
             else:
                 child.home, child.home_start = children, start
-                self._worklist.append(child)
+                queue(child)
 
-    def _query_node(
-        self, node: _RadixNode, predicate: Predicate, key_low: int, key_high: int
-    ) -> QueryResult:
-        """Answer ``predicate`` below ``node``.
+    def _leaves(self, predicate: Predicate) -> list:
+        """The non-empty unexpanded nodes that can hold values matching
+        ``predicate``, in value order.
 
-        ``key_low``/``key_high`` are the predicate bounds as relative radix
-        keys; child pruning happens in key space, which is exact for floats
-        (the seed compared float predicates against truncated integer child
-        bounds and could skip a matching child).
+        An expanded node's relevant children are found by arithmetic on the
+        predicate bounds as relative radix keys — pruning in key space is
+        exact for floats too — so the walk touches only them.
         """
-        if node.size == 0:
-            return QueryResult.empty()
-        if node.state is _NodeState.DONE:
-            segment = self._final_array[node.offset : node.offset + node.size]
-            return QueryResult.from_sorted(segment, predicate.low, predicate.high)
-        if node.state is _NodeState.EXPANDED:
-            result = QueryResult.empty()
-            child_span = 1 << node.shift
-            for child_id, child in enumerate(node.children):
-                child_low = node.value_low + child_id * child_span
-                if key_high >= child_low and key_low < child_low + child_span:
-                    result += self._query_node(child, predicate, key_low, key_high)
-            return result
-        # WAITING / COPYING / PARTITIONING: the source block list still holds
-        # the complete data of this node.
-        return self._source(node).scan(predicate.low, predicate.high)
+        key_low = self._keyspace.relative_key(predicate.low)
+        key_high = self._keyspace.relative_key(predicate.high)
+        leaves: list = []
 
-    def _relevant_node_size(
-        self, node: _RadixNode, key_low: int, key_high: int
-    ) -> int:
-        """Number of elements a query would scan below ``node`` (for α)."""
-        if node.size == 0:
-            return 0
-        if node.state is _NodeState.DONE:
-            return 0
-        if node.state is _NodeState.EXPANDED:
-            total = 0
-            child_span = 1 << node.shift
-            for child_id, child in enumerate(node.children):
-                child_low = node.value_low + child_id * child_span
-                if key_high >= child_low and key_low < child_low + child_span:
-                    total += self._relevant_node_size(child, key_low, key_high)
-            return total
-        return node.size
+        def visit(nodes, first, last):
+            for node in nodes[first : last + 1]:
+                if node.state is _NodeState.EXPANDED:
+                    low, shift = node.value_low, node.shift
+                    visit(node.children, max(0, (key_low - low) >> shift), (key_high - low) >> shift)
+                elif node.size:
+                    leaves.append(node)
+
+        relevant = self._relevant_buckets(predicate)
+        visit(self._roots, relevant.start, relevant.stop - 1)
+        return leaves
 
     def _refinement_work_time(self) -> float:
         """Cost of performing the entire remaining refinement at once.
@@ -487,21 +463,49 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
 
     def _refinement_scan(self, predicate: Predicate) -> tuple:
         n = len(self._column)
-        key_low = self._keyspace.relative_key(predicate.low)
-        key_high = self._keyspace.relative_key(predicate.high)
         relevant = sum(
-            self._relevant_node_size(self._roots[i], key_low, key_high)
-            for i in self._relevant_buckets(predicate)
+            node.size for node in self._leaves(predicate) if node.state is not _NodeState.DONE
         )
         return relevant / n, self._cost_model.bucket_scan_time(n)
 
     def _refinement_answer(self, predicate: Predicate) -> QueryResult:
-        key_low = self._keyspace.relative_key(predicate.low)
-        key_high = self._keyspace.relative_key(predicate.high)
+        """One seam call per run of relevant leaves in one array: sorted
+        leaves lie side by side in the final array, unsorted siblings in
+        their parent's flat child array.  A leaf with a block list of its own
+        (a root, or any node after a restore) is read on its own.
+
+        Leaves come in value order, so two in a row that share an array are
+        adjacent in it: a leaf between them would come between them.
+        """
+        low, high = predicate.low, predicate.high
         result = QueryResult.empty()
-        for bucket_id in self._relevant_buckets(predicate):
-            result += self._query_node(self._roots[bucket_id], predicate, key_low, key_high)
+        run = None  # [array, start, stop]
+        for node in self._leaves(predicate):
+            if node.state is _NodeState.DONE:
+                array, start = self._final_array, node.offset
+            elif node.home is not None:
+                array, start = node.home.data, node.home_start
+            else:
+                array = start = None
+            if run is not None and run[0] is array:
+                run[2] += node.size
+                continue
+            if run is not None:
+                result += self._read_run(*run, low, high)
+            if array is None:
+                run = None
+                result += node.source.scan(low, high)
+            else:
+                run = [array, start, start + node.size]
+        if run is not None:
+            result += self._read_run(*run, low, high)
         return result
+
+    def _read_run(self, array: np.ndarray, start: int, stop: int, low, high) -> QueryResult:
+        """The answer from ``array[start:stop]``: sorted in the final array."""
+        if array is self._final_array:
+            return QueryResult.from_sorted(array[start:stop], low, high)
+        return QueryResult.from_range(array[start:stop], low, high)
 
     def _refinement_done(self) -> bool:
         return not self._worklist

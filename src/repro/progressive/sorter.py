@@ -28,8 +28,9 @@ node scan the still intact original range, so answers stay exact.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional
+from collections import OrderedDict
+from operator import attrgetter
+from typing import Optional
 
 import numpy as np
 
@@ -94,9 +95,9 @@ class ProgressiveSorter:
             value_high = float(segment.max()) if segment.size else 0.0
         root = PivotNode(self.start, self.end, value_low, value_high, depth=0)
         self.tree = PivotTree(root)
-        self._worklist: Deque[PivotNode] = deque()
+        self._reset_worklist()
         if not root.is_sorted:
-            self._worklist.append(root)
+            self._enqueue(root)
 
     # ------------------------------------------------------------------
     # Alternative constructor used by Progressive Quicksort
@@ -134,13 +135,13 @@ class ProgressiveSorter:
         if root.is_sorted:
             return sorter
         root.pivot = pivot
-        sorter._worklist.clear()
+        sorter._reset_worklist()
         sorter._create_children(root, int(boundary))
         if not root.is_sorted and not root.children():
             # Degenerate split (everything on one missing side): fall back to
             # treating the root as an unpartitioned pending node.
             root.state = NodeState.PENDING
-            sorter._worklist.append(root)
+            sorter._enqueue(root)
         return sorter
 
     # ------------------------------------------------------------------
@@ -183,14 +184,15 @@ class ProgressiveSorter:
         """
         processed = 0
         budget = int(element_budget)
-        while budget > 0 and self._worklist:
-            node = self._worklist[0]
+        worklist = self._worklist
+        while budget > 0 and worklist:
+            node = next(iter(worklist))
             if node.is_sorted:
-                self._worklist.popleft()
+                worklist.popitem(last=False)
                 continue
             if self._should_sort_directly(node):
                 self._direct_sort(node)
-                self._worklist.popleft()
+                worklist.popitem(last=False)
                 processed += node.size
                 budget -= node.size
                 continue
@@ -198,7 +200,7 @@ class ProgressiveSorter:
             processed += step
             budget -= step
             if node.state is NodeState.PARTITIONED or node.is_sorted:
-                self._worklist.popleft()
+                worklist.popitem(last=False)
         return processed
 
     def finish(self) -> int:
@@ -216,7 +218,7 @@ class ProgressiveSorter:
         """
         processed = 0
         while self._worklist:
-            node = self._worklist.popleft()
+            node, _ = self._worklist.popitem(last=False)
             if node.is_sorted:
                 continue
             processed += node.size
@@ -228,17 +230,22 @@ class ProgressiveSorter:
 
         Mirrors the paper's "we focus on refining parts of the index that are
         required for query processing"; the remaining order is untouched so
-        neighbouring parts are processed next.
+        neighbouring parts are processed next.  The overlapping nodes come
+        from a descent of the pivot tree and keep their relative order, so
+        the cost is ``O(k log k)`` for the ``k`` nodes the predicate touches,
+        whatever the worklist's length.
         """
-        if not self._worklist:
+        worklist = self._worklist
+        if not worklist:
             return
-        preferred = []
-        others = []
-        for node in self._worklist:
-            overlaps = predicate.low <= node.value_high and predicate.high >= node.value_low
-            (preferred if overlaps else others).append(node)
-        if preferred:
-            self._worklist = deque(preferred + others)
+        preferred = [
+            node for node in self.tree.overlapping(predicate.low, predicate.high) if node in worklist
+        ]
+        preferred.sort(key=attrgetter("rank"), reverse=True)
+        for node in preferred:
+            self._front -= 1
+            node.rank = self._front
+            worklist.move_to_end(node, last=False)
 
     # ------------------------------------------------------------------
     # Querying
@@ -361,12 +368,26 @@ class ProgressiveSorter:
         sorter.tree = PivotTree(built[0])
         sorter.tree.height = int(state.get("height", 1))
         sorter.tree._n_nodes = int(state.get("n_nodes", len(built)))
-        sorter._worklist = deque(built[int(i)] for i in state.get("worklist", []))
+        sorter._reset_worklist()
+        for number in state.get("worklist", []):
+            sorter._enqueue(built[int(number)])
         return sorter
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _reset_worklist(self) -> None:
+        """An empty worklist: the unfinished nodes in the order they are
+        refined, each node's ``rank`` increasing along it."""
+        self._worklist: OrderedDict = OrderedDict()
+        self._front = self._back = 0
+
+    def _enqueue(self, node: PivotNode) -> None:
+        """Queue ``node`` last."""
+        node.rank = self._back
+        self._back += 1
+        self._worklist[node] = None
+
     def _should_sort_directly(self, node: PivotNode) -> bool:
         if node.state is NodeState.PARTITIONING:
             return False
@@ -444,7 +465,7 @@ class ProgressiveSorter:
             if child.is_sorted:
                 self.tree.mark_sorted(child)
             else:
-                self._worklist.append(child)
+                self._enqueue(child)
             return
         left = PivotNode(
             node.start, boundary, node.value_low, node.pivot, node.depth + 1, parent=node
@@ -460,4 +481,4 @@ class ProgressiveSorter:
             if child.is_sorted:
                 self.tree.mark_sorted(child)
             else:
-                self._worklist.append(child)
+                self._enqueue(child)

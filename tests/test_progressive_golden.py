@@ -16,6 +16,10 @@ The replay checks three things on the current code:
 * every recorded checkpoint loads into a fresh index, and the rest of the
   trace from there matches too.
 
+Separately, PLSD checkpoints taken in the merge stage that PLSD had before
+its last generation became the index array must still restore, and answer
+the rest of their trace exactly.
+
 Unfilled slots of a construction array hold whatever ``np.empty`` left there,
 and they are persisted as they are; recording and replay both allocate those
 arrays zeroed, so checkpoints compare exactly.  Nothing reads those slots.
@@ -50,6 +54,10 @@ from repro.progressive.base import ProgressiveIndexBase
 from repro.storage.column import Column
 
 FIXTURE = Path(__file__).parent / "data" / "progressive_golden.json.xz"
+#: PLSD checkpoints taken mid-way through the merge stage that used to drain
+#: its last generation into the index array (int64 and float64, δ = 0.1),
+#: recorded by that code: ``{"checkpoints": [{dtype, delta, after, state}]}``.
+MID_MERGE = Path(__file__).parent / "data" / "plsd_mid_merge.json.xz"
 
 ROWS = 4_096
 DELTAS = (0.1, 0.25)
@@ -148,7 +156,7 @@ def run_case(family: str, dtype: str, delta: float) -> dict:
                 break
     assert index.converged, f"{family}/{dtype}/{delta} did not converge in {MAX_QUERIES} queries"
     # Every phase entry, the middle of creation, and the middle and the last
-    # query of refinement (mid-merge for PLSD).
+    # query of refinement (mid-way through the last pass for PLSD).
     chosen = {n for n in range(len(phases)) if n == 0 or phases[n] != phases[n - 1]}
     for phase in ("creation", "refinement"):
         numbers = [n for n, value in enumerate(phases) if value == phase]
@@ -253,6 +261,29 @@ def test_recorded_checkpoints_resume_the_trace(case):
         expected = checkpoint.get("resume", case["records"][start:])
         for number, (actual, want) in enumerate(zip(resume(case, checkpoint), expected), start + 1):
             assert_same_record(actual, want, f"query {number} after the checkpoint of query {start}")
+
+
+def test_mid_merge_plsd_checkpoints_still_restore():
+    """The last generation such a checkpoint holds is sorted and complete: the
+    restore adopts it and consolidates, and the rest of the trace is exact."""
+    checkpoints = json.loads(lzma.decompress(MID_MERGE.read_bytes()))["checkpoints"]
+    assert {c["dtype"] for c in checkpoints} == set(DTYPES)
+    for checkpoint in checkpoints:
+        data = column_data(checkpoint["dtype"])
+        state = pager.decode_state(base64.b64decode(checkpoint["state"]))
+        assert state["family"]["stage"] == "merge" and 0 < state["family"]["merge_position"] < ROWS
+        index = build("PLSD", checkpoint["delta"], data)
+        index.load_state(state)
+        assert index.phase.value == "consolidation"
+        for low, high in query_trace(data, MAX_QUERIES)[checkpoint["after"]:]:
+            result = index.query(Predicate(low, high))
+            matched = data[(data >= low) & (data <= high)]
+            assert result.count == matched.size
+            if data.dtype.kind == "f":
+                assert float(result.value_sum) == pytest.approx(float(matched.sum()), rel=REL_TOL, abs=1e-9)
+            else:
+                assert int(result.value_sum) == int(matched.sum())
+        assert index.converged
 
 
 if __name__ == "__main__":

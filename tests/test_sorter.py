@@ -157,7 +157,7 @@ class TestProgressiveSorter:
         sorter.refine(8_000)  # finish the root partition, creating children
         predicate = Predicate(0, 100)
         sorter.prioritize(predicate)
-        front = sorter._worklist[0]
+        front = next(iter(sorter._worklist))
         assert front.value_low <= predicate.high and front.value_high >= predicate.low
 
     def test_remaining_work_decreases(self):
