@@ -696,15 +696,6 @@ class PooledBudgetController:
         touched = max(1, int(touched))
         return self.interactivity_budget * self.lanes(touched) / touched
 
-    def shard_allowance(self, touched: int, base_seconds: float | None) -> float:
-        """Indexing-seconds cap for one shard of a ``touched``-shard query:
-        τ_s less the shard's predicted no-indexing cost (all of τ_s for a
-        shard without a cost model)."""
-        budget = self.shard_budget(touched)
-        if budget is None:
-            return math.inf
-        return budget if base_seconds is None else max(0.0, budget - float(base_seconds))
-
     def charge(self, touched: int, granted_seconds: float, queries: int = 1) -> None:
         """Account the per-shard grants of one logical query — or of a
         batch of ``queries`` that touched ``touched`` shards between them."""

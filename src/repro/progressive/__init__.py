@@ -5,10 +5,10 @@ shared machinery they are built from:
 
 * :mod:`repro.progressive.blocks` — linked lists of fixed-size blocks used by
   the bucket-based algorithms.
-* :mod:`repro.progressive.pivot_tree` — the binary tree of pivots tracking
-  partially partitioned ranges during Quicksort-style refinement.
-* :mod:`repro.progressive.sorter` — a reusable, budget-bounded progressive
-  range sorter (creation-phase mechanics applied to refinement).
+* :mod:`repro.progressive.pieces` — the piece table PQ, PMSD and PB refine:
+  worklist, lookup, answer, α walk and checkpoint codec written once.
+* :mod:`repro.progressive.sorter` — PQ's rule on one array range (a
+  one-root piece table), for callers that sort one array.
 * :mod:`repro.progressive.consolidation` — progressive construction of the
   B+-tree cascade from a sorted array.
 * :mod:`repro.progressive.base` — the shared life-cycle driver: phase

@@ -21,7 +21,12 @@ all of it:
   :meth:`~repro.core.cost_model.CostModel.refinement_phase_cost`;
 * the consolidation phase (progressively copying the sorted array into
   cascade levels), the converged path, the memory footprint, and the
-  construction of every bucket set, block list and radix key space.
+  construction of every bucket set and radix key space;
+* for PQ, PMSD and PB, the refinement's
+  :class:`~repro.progressive.pieces.PieceTable` — its lookup, answer, α walk
+  and checkpoint codec (``_construction_state`` /
+  ``_load_construction_state``: the creation buckets, the final array and
+  the table's arrays, layout 1 payloads migrated through ``_migrate_v1``).
 
 Each algorithm is reduced to its partition rule, as hooks:
 
@@ -31,20 +36,20 @@ Each algorithm is reduced to its partition rule, as hooks:
 ``_creation_work_time``   ``t_work`` of ingesting the whole column
 ``_creation_scan``        α and ``t_indexed_scan`` of the ingested part
 ``_scan_ingested``        the answer from the ingested part
-``_start_refinement``     the refinement structures, once all is ingested
+``_start_refinement``     the pieces' roots, once all is ingested
 ``_refinement_work_time`` ``t_work`` of the whole refinement
-``_refinement_scan``      α and ``t_indexed_scan`` of the partly refined index
-``_refine``               one budgeted step; returns the elements it spent
-``_refinement_answer``    the answer from the partly refined index
-``_refinement_done``      whether the final array is sorted
+``_refine``               one budgeted step of the split rule; returns the
+                          elements it spent
+``_route``                the predicate as the piece table's keys
 ========================  ==================================================
 
 The bucket families (PMSD, PB, PLSD) name the buckets a query reads
 (``_relevant_buckets``) and inherit ``_creation_scan``/``_scan_ingested``;
-PQ's two creation pieces override them.  PLSD's range fallback (a full
-column scan, whatever ρ and δ are) is the one override of
-``_creation_cost``, with ``_creation_answer``.  The checkpoint payloads
-(``_construction_state`` / ``_load_construction_state``) stay per family.
+PQ's two creation pieces override them.  PLSD refines whole-array
+generations, not pieces: it overrides ``_refinement_scan``,
+``_refinement_answer``, ``_refinement_done`` and the checkpoint payload,
+and its range fallback (a full column scan, whatever ρ and δ are) is the
+one override of ``_creation_cost``, with ``_creation_answer``.
 
 Mutable columns ride on the shared :class:`~repro.core.overlay.DeltaOverlay`
 mixin (inherited through :class:`~repro.core.index.BaseIndex`): structures
@@ -59,6 +64,7 @@ budget decisions the same way creation/refinement/consolidation work was.
 from __future__ import annotations
 
 import abc
+import math
 from functools import cached_property
 
 import numpy as np
@@ -71,8 +77,10 @@ from repro.core.keys import RadixKeySpace
 from repro.core.phase import IndexPhase
 from repro.core.policy import BudgetPolicy
 from repro.core.query import Predicate, QueryResult, SortedLeaf
-from repro.progressive.blocks import BlockList, BucketSet, ExactBucketSet
+from repro.errors import IndexStateError
+from repro.progressive.blocks import BucketSet, ExactBucketSet
 from repro.progressive.consolidation import ProgressiveConsolidator
+from repro.progressive.pieces import LAYOUT, PieceTable
 from repro.storage.column import Column
 from repro.storage.delta import merge_sorted_with_delta
 from repro.storage.lazy import array_chunks
@@ -122,6 +130,8 @@ class ProgressiveIndexBase(BaseIndex):
         self._final_array: np.ndarray | None = None
         #: Slab arena of the bucket storage under a memory budget.
         self._arena = None
+        #: The refinement's pieces (PQ, PMSD, PB; PLSD has generations).
+        self._pieces: PieceTable | None = None
 
     # ------------------------------------------------------------------
     # Phase dispatch
@@ -236,13 +246,6 @@ class ProgressiveIndexBase(BaseIndex):
             return BucketSet.from_state(state, arena=arena)
         return BucketSet(self.n_buckets, block_size=self.block_size, dtype=self._column.dtype, arena=arena)
 
-    def _block_list(self, values: np.ndarray | None = None) -> BlockList:
-        """A block list holding ``values``, under the column's arena."""
-        blocks = BlockList(self.block_size, self._column.dtype, arena=self._block_arena())
-        if values is not None:
-            blocks.append_array(values, owned=True)
-        return blocks
-
     @cached_property
     def _keyspace(self) -> RadixKeySpace:
         """The column's radix key space, ``log2(n_buckets)`` bits a digit (a
@@ -333,9 +336,19 @@ class ProgressiveIndexBase(BaseIndex):
     def _refinement_work_time(self) -> float:
         """Time to perform the entire remaining refinement at once."""
 
-    @abc.abstractmethod
+    #: Whether the pieces follow PQ's rule (value bounds and pivots); α then
+    #: counts the matches of the sorted pieces, which it binary-searches.
+    _pq_rule = False
+
+    def _route(self, predicate: Predicate):
+        """The predicate as the piece table's keys (``None``: no piece)."""
+        return predicate.low, predicate.high
+
     def _refinement_scan(self, predicate: Predicate) -> tuple:
         """``(α, t_indexed_scan)`` of the partly refined index."""
+        n = len(self._column)
+        touched = self._pieces.touched(predicate.low, predicate.high, self._route(predicate), self._pq_rule)
+        return touched / n, self._cost_model.bucket_scan_time(n)
 
     def _refinement_lookup_time(self) -> float:
         """Traversal time of the refinement's lookup structure."""
@@ -346,13 +359,17 @@ class ProgressiveIndexBase(BaseIndex):
         """Spend up to ``element_budget`` elements of refinement work; return
         the elements processed."""
 
-    @abc.abstractmethod
     def _refinement_answer(self, predicate: Predicate) -> QueryResult:
         """The exact answer from the partly refined index."""
+        return self._pieces.answer(predicate.low, predicate.high, self._route(predicate))
 
-    @abc.abstractmethod
     def _refinement_done(self) -> bool:
         """Whether the final array is fully sorted."""
+        return self._pieces.done
+
+    def _piece_table(self, sources=None) -> PieceTable:
+        """An empty piece table over the final array."""
+        return PieceTable(self._final_array, sources, self.sort_threshold, scratch=self._scratch_pool())
 
     def _refinement_pricing(self, predicate: Predicate):
         """The refinement-phase cost as a function of δ (state read-only);
@@ -376,7 +393,7 @@ class ProgressiveIndexBase(BaseIndex):
 
     def _finish_refinement(self) -> None:
         """The final array is sorted: release the buckets and consolidate."""
-        self._buckets = None
+        self._buckets = self._pieces = None
         self._enter_consolidation(self._final_array)
 
     # ------------------------------------------------------------------
@@ -521,10 +538,48 @@ class ProgressiveIndexBase(BaseIndex):
             self._ingested = int(state.get(self._ingested_key, 0))
             self._load_construction_state(state)
 
-    @abc.abstractmethod
-    def _construction_state(self) -> dict:
-        """Creation/refinement payload (subclass hook)."""
+    #: Routing bounds the piece table's roots span together.
+    _outer_keys = (-math.inf, math.inf)
 
-    @abc.abstractmethod
+    def _construction_state(self) -> dict:
+        """Creation/refinement payload: the creation buckets, the final array
+        and the piece table, as arrays."""
+        state = {"layout": LAYOUT, "initialized": self.phase is not IndexPhase.INACTIVE}
+        if self._final_array is not None:
+            state["final_array"] = np.array(self._final_array)
+        if self._buckets is not None:
+            state["buckets"] = self._buckets.state_dict()
+        if self._pieces is not None:
+            state["pieces"] = self._pieces.state_dict()
+        return state
+
     def _load_construction_state(self, state: dict) -> None:
-        """Restore a creation/refinement payload (subclass hook)."""
+        """Restore :meth:`_construction_state` output; a layout-1 payload
+        (one tree per family) is migrated first."""
+        if "layout" not in state:
+            state = self._migrate_v1(state)
+        if state["layout"] != LAYOUT:
+            raise IndexStateError(f"construction layout {state['layout']!r}, expected {LAYOUT}")
+        if not state["initialized"]:
+            return
+        try:
+            if "final_array" in state:
+                self._final_array = np.asarray(state["final_array"], dtype=self._column.dtype)
+                if self._final_array.shape != (len(self._column),):
+                    raise IndexStateError("the final array does not match the column")
+            if "buckets" in state:
+                self._buckets = self._bucket_set(state["buckets"])
+        except (KeyError, TypeError, ValueError) as error:
+            raise IndexStateError(f"damaged construction payload: {error!r}") from error
+        if "pieces" in state:
+            self._pieces = PieceTable.from_state(
+                state["pieces"], self._final_array, self._buckets, self._child_set, self._outer_keys,
+                self._pq_rule, sort_threshold=self.sort_threshold, scratch=self._scratch_pool())
+
+    def _child_set(self, table: PieceTable, piece: int, sizes) -> ExactBucketSet:
+        """The exact-offset set holding ``piece``'s children (PMSD only)."""
+        raise IndexStateError(f"{self.name} pieces hold no child arrays")
+
+    def _migrate_v1(self, state: dict) -> dict:
+        """The layout-2 payload of a layout-1 one (families that had one)."""
+        raise IndexStateError(f"{self.name}: construction payload without a layout")

@@ -18,12 +18,11 @@ Creation
     not-yet-bucketed column tail.
 
 Refinement
-    The buckets are merged in value order into the final sorted array.  Each
-    bucket is first drained into its (pre-computed) segment of the array and
-    then sorted progressively with the shared
-    :class:`~repro.progressive.sorter.ProgressiveSorter` (whose whole-node
-    partitions route through the cracking-kernel decision tree) — the paper's
-    "sort the individual buckets into the final sorted list using Progressive
+    The buckets are the roots of a :class:`~repro.progressive.pieces.PieceTable`,
+    refined one after another in value order.  PB's split rule: K ways on
+    the sample bounds at the root; each bucket is drained into its segment of
+    the final array, then refined by PQ's rule inside it — the paper's "sort
+    the individual buckets into the final sorted list using Progressive
     Quicksort", which avoids a latency spike when a large bucket is merged.
 
 Consolidation
@@ -33,9 +32,7 @@ Consolidation
 
 from __future__ import annotations
 
-import enum
-from collections import deque
-from typing import Deque, List, Optional
+import math
 
 import numpy as np
 
@@ -43,9 +40,11 @@ from repro import kernels
 from repro.btree.cascade import DEFAULT_FANOUT
 from repro.core.calibration import DEFAULT_BLOCK_SIZE, CostConstants
 from repro.core.policy import BudgetPolicy
-from repro.core.query import Predicate, QueryResult
+from repro.core.query import Predicate
 from repro.progressive.base import ProgressiveIndexBase
-from repro.progressive.sorter import DEFAULT_SORT_THRESHOLD, ProgressiveSorter
+from repro.progressive.pieces import (
+    COPYING, DEFAULT_SORT_THRESHOLD, LAYOUT, PENDING, SORTED, V1_STATES, WAITING, PieceTable, attach_pivot_tree,
+)
 from repro.storage.column import Column
 
 #: Default number of equi-height buckets (matches the radix variants).
@@ -56,27 +55,6 @@ DEFAULT_BUCKET_COUNT = 64
 #: from existing statistics"; a fixed-size sample keeps the first-query
 #: overhead bounded while producing near-equal bucket sizes.
 DEFAULT_BOUNDS_SAMPLE = 65536
-
-
-class _BucketState(enum.Enum):
-    WAITING = "waiting"    # data lives in the bucket's block list
-    COPYING = "copying"    # draining the block list into the final array
-    SORTING = "sorting"    # progressive quicksort of the array segment
-    DONE = "done"
-
-
-class _MergeBucket:
-    """Per-bucket refinement state."""
-
-    __slots__ = ("bucket_id", "offset", "size", "state", "copied", "sorter")
-
-    def __init__(self, bucket_id: int, offset: int, size: int) -> None:
-        self.bucket_id = bucket_id
-        self.offset = int(offset)
-        self.size = int(size)
-        self.state = _BucketState.WAITING if size else _BucketState.DONE
-        self.copied = 0
-        self.sorter: Optional[ProgressiveSorter] = None
 
 
 class ProgressiveBucketsort(ProgressiveIndexBase):
@@ -105,6 +83,7 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
 
     name = "PB"
     description = "Progressive Bucketsort (Equi-Height)"
+    _pq_rule = True
 
     def __init__(
         self,
@@ -126,10 +105,6 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
         self.bounds_sample = int(bounds_sample)
         self._cost_model.block_size = self.block_size
         self._bounds: np.ndarray | None = None
-        # Refinement state: one merge bucket per bucket, the unfinished ones
-        # queued in value order.
-        self._merge_buckets: List[_MergeBucket] | None = None
-        self._worklist: Deque[_MergeBucket] = deque()
 
     # ------------------------------------------------------------------
     @property
@@ -154,50 +129,41 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
         super()._load_family_state(state)
 
     def _construction_state(self) -> dict:
-        state = {"initialized": self._bounds is not None}
+        state = super()._construction_state()
         if self._bounds is not None:
             state["bounds"] = np.asarray(self._bounds, dtype=np.float64)
-        if self._buckets is not None:
-            state["buckets"] = self._buckets.state_dict()
-        if self._merge_buckets is not None:
-            state["final_array"] = np.array(self._final_array)
-            state["merge"] = [
-                {
-                    "state": merge.state.value,
-                    "offset": merge.offset,
-                    "size": merge.size,
-                    "copied": merge.copied,
-                    **(
-                        {"sorter": merge.sorter.state_dict()}
-                        if merge.sorter is not None and merge.state is _BucketState.SORTING
-                        else {}
-                    ),
-                }
-                for merge in self._merge_buckets
-            ]
         return state
 
     def _load_construction_state(self, state: dict) -> None:
-        if not state.get("initialized"):
-            return
-        self._bounds = np.asarray(state["bounds"], dtype=np.float64)
-        if "buckets" in state:
-            self._buckets = self._bucket_set(state["buckets"])
+        if "layout" not in state:
+            state = self._migrate_v1(state)
+        if state["initialized"]:
+            self._bounds = np.asarray(state["bounds"], dtype=np.float64)
+        super()._load_construction_state(state)
+
+    def _migrate_v1(self, state: dict) -> dict:
+        """A layout-1 payload (the creation buckets, then one merge state and
+        pivot tree per bucket) as layout 2: the buckets are the roots."""
+        migrated = {key: state[key] for key in ("initialized", "bounds", "buckets") if key in state}
+        migrated["layout"] = LAYOUT
         if "merge" not in state:
-            return
-        self._final_array = np.asarray(state["final_array"])
-        self._merge_buckets = []
-        self._worklist = deque()
-        for bucket_id, spec in enumerate(state["merge"]):
-            merge = _MergeBucket(bucket_id, int(spec["offset"]), int(spec["size"]))
-            merge.state = _BucketState(spec["state"])
-            merge.copied = int(spec["copied"])
-            if "sorter" in spec:
-                merge.sorter = ProgressiveSorter.from_state(self._final_array, spec["sorter"])
-                merge.sorter.scratch_allocator = self._scratch_pool()
-            self._merge_buckets.append(merge)
-            if merge.state is not _BucketState.DONE:
-                self._worklist.append(merge)
+            return migrated
+        migrated["final_array"] = state["final_array"]
+        self._bounds = np.asarray(state["bounds"], dtype=np.float64)
+        table = PieceTable(np.asarray(state["final_array"]))
+        self._add_roots(table, [int(spec["size"]) for spec in state["merge"]])
+        for row, spec in enumerate(state["merge"]):  # one bucket at most is under way
+            if spec["state"] == "sorting":
+                attach_pivot_tree(table, row, spec["sorter"])
+                continue
+            table.state[row] = V1_STATES[spec["state"]]
+            if table.state[row] == COPYING:
+                table.progress[row] = int(spec["copied"])
+                table.enqueue(row)
+            elif table.state[row] == WAITING:
+                table.queue.append(row)
+        migrated["pieces"] = table.state_dict()
+        return migrated
 
     # ------------------------------------------------------------------
     # Creation phase
@@ -237,100 +203,49 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
     # Refinement phase
     # ------------------------------------------------------------------
     def _start_refinement(self) -> None:
+        """The buckets are the roots, refined one after another in value
+        order."""
         self._final_array = self._scratch_allocate(len(self._column), self._column.dtype)
-        sizes = self._buckets.sizes()
-        offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        self._merge_buckets = []
-        for bucket_id in range(self.n_buckets):
-            merge = _MergeBucket(bucket_id, int(offsets[bucket_id]), int(sizes[bucket_id]))
-            self._merge_buckets.append(merge)
-            if merge.state is not _BucketState.DONE:
-                self._worklist.append(merge)
+        self._pieces = table = self._piece_table(self._buckets)
+        self._add_roots(table, self._buckets.sizes().tolist())
+        table.queue.extend(row for row in range(self.n_buckets) if table.state[row] == WAITING)
 
-    def _bucket_value_bounds(self, bucket_id: int) -> tuple:
-        low = float(self._column.min()) if bucket_id == 0 else float(self._bounds[bucket_id - 1])
-        high = (
-            float(self._column.max())
-            if bucket_id == self.n_buckets - 1
-            else float(self._bounds[bucket_id])
-        )
-        return low, high
+    def _add_roots(self, table: PieceTable, sizes: list) -> None:
+        """One root per bucket: routed by the bounds, its pivot the middle of
+        its values' bounds (the column's at the two ends)."""
+        keys = [-math.inf, *self._bounds.tolist(), math.inf]
+        values = [float(self._column.min()), *self._bounds.tolist(), float(self._column.max())]
+        ends = np.cumsum(sizes).tolist()
+        table.add(len(sizes), start=[end - size for end, size in zip(ends, sizes)], end=ends,
+                  lo=keys[:-1], hi=keys[1:], vlo=values[:-1], vhi=values[1:],
+                  split=[low + (high - low) / 2.0 for low, high in zip(values, values[1:])],
+                  state=[WAITING if size else SORTED for size in sizes])
+
+    def _route(self, predicate: Predicate):
+        # The creation scatter routed every value as a float64 (as
+        # ``np.searchsorted`` over the bounds does): so are the roots.
+        return predicate.low, predicate.high, float(predicate.low), float(predicate.high)
 
     def _refine(self, element_budget: int, predicate: Predicate) -> int:
-        processed = 0
-        budget = int(element_budget)
-        while budget > 0 and self._worklist:
-            merge = self._worklist[0]
-            if merge.state is _BucketState.WAITING:
-                merge.state = _BucketState.COPYING
-            if merge.state is _BucketState.COPYING:
-                take = min(budget, merge.size - merge.copied)
-                if take > 0:
-                    copied = self._buckets[merge.bucket_id].drain_into(
-                        self._final_array, merge.offset + merge.copied, merge.copied, take
-                    )
-                    merge.copied += copied
-                    processed += copied
-                    budget -= copied
-                if merge.copied >= merge.size:
-                    self._buckets[merge.bucket_id].clear()
-                    value_low, value_high = self._bucket_value_bounds(merge.bucket_id)
-                    merge.sorter = ProgressiveSorter(
-                        self._final_array,
-                        start=merge.offset,
-                        end=merge.offset + merge.size,
-                        value_low=value_low,
-                        value_high=value_high,
-                        sort_threshold=self.sort_threshold,
-                    )
-                    merge.sorter.scratch_allocator = self._scratch_pool()
-                    merge.state = _BucketState.SORTING
-            else:  # SORTING
-                if self.budget.pooled and budget >= merge.sorter.remaining_work():
-                    done = merge.sorter.finish()
-                else:
-                    done = merge.sorter.refine(budget)
-                processed += done
-                budget -= done
-                if merge.sorter.is_sorted:
-                    merge.state = _BucketState.DONE
-                    self._worklist.popleft()
+        """Copy the head bucket into its segment of the final array, then
+        refine it with PQ's rule (completing it at once when a pooled budget
+        covers it) before the next bucket starts."""
+        table, processed, budget = self._pieces, 0, int(element_budget)
+        while budget > 0 and not table.done:
+            if not table.worklist:
+                table.enqueue(table.queue.popleft())
+            head = table.head()
+            if table.state[head] < PENDING:
+                spent = table.copy(head, budget)
+                if table.state[head] == SORTED:
+                    table.worklist.popitem(last=False)
+            elif self.budget.pooled and budget >= table.remaining():
+                spent = table.finish()
+            else:
+                spent = table.refine(budget, table.sort_step)
+            processed += spent
+            budget -= spent
         return processed
-
-    def _query_merge_bucket(self, merge: _MergeBucket, predicate: Predicate) -> QueryResult:
-        if merge.size == 0:
-            return QueryResult.empty()
-        if merge.state in (_BucketState.WAITING, _BucketState.COPYING):
-            # The block list still holds the bucket's complete data.
-            return self._buckets[merge.bucket_id].scan(predicate.low, predicate.high)
-        if merge.state is _BucketState.SORTING:
-            return merge.sorter.query(predicate)
-        segment = self._final_array[merge.offset : merge.offset + merge.size]
-        return QueryResult.from_sorted(segment, predicate.low, predicate.high)
-
-    def _relevant_refinement_size(self, merge: _MergeBucket, predicate: Predicate) -> int:
-        if merge.size == 0 or merge.state is _BucketState.DONE:
-            return 0
-        if merge.state is _BucketState.SORTING:
-            return int(merge.sorter.scanned_fraction(predicate) * merge.size)
-        return merge.size
 
     def _refinement_work_time(self) -> float:
         return self._cost_model.swap_time(len(self._column))
-
-    def _refinement_scan(self, predicate: Predicate) -> tuple:
-        n = len(self._column)
-        relevant = sum(
-            self._relevant_refinement_size(self._merge_buckets[i], predicate)
-            for i in self._relevant_buckets(predicate)
-        )
-        return relevant / n, self._cost_model.bucket_scan_time(n)
-
-    def _refinement_answer(self, predicate: Predicate) -> QueryResult:
-        result = QueryResult.empty()
-        for bucket_id in self._relevant_buckets(predicate):
-            result += self._query_merge_bucket(self._merge_buckets[bucket_id], predicate)
-        return result
-
-    def _refinement_done(self) -> bool:
-        return not self._worklist

@@ -12,11 +12,12 @@ Creation
     not-yet-copied tail of the base column.
 
 Refinement
-    The two initial pieces are recursively partitioned in place around new
-    pivots (midpoints of the piece's value bounds), a bounded number of
-    elements per query, driven by the shared
-    :class:`~repro.progressive.sorter.ProgressiveSorter`.  A binary tree of
-    pivots routes lookups to the pieces that can contain matching values.
+    The two creation pieces are the children of the root of a
+    :class:`~repro.progressive.pieces.PieceTable`.  PQ's split rule: a piece
+    is partitioned in place around its pivot (the midpoint of its value
+    bounds), a bounded number of elements per query, and splits two ways; a
+    piece that fits the cache threshold is sorted outright.  The pieces a
+    query overlaps are refined first, and it reads the pieces it reaches.
 
 Consolidation
     Once the array is fully sorted, a B+-tree cascade is built on top of it
@@ -28,6 +29,8 @@ PQ's α (the pieces a query scans), ``t_pivot`` and ``t_swap``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro import kernels
@@ -36,7 +39,7 @@ from repro.core.calibration import CostConstants
 from repro.core.policy import BudgetPolicy
 from repro.core.query import Predicate, QueryResult
 from repro.progressive.base import ProgressiveIndexBase
-from repro.progressive.sorter import DEFAULT_SORT_THRESHOLD, ProgressiveSorter
+from repro.progressive.pieces import DEFAULT_SORT_THRESHOLD, LAYOUT, SORTED, PieceTable, attach_pivot_tree
 from repro.storage.column import Column
 
 
@@ -61,6 +64,7 @@ class ProgressiveQuicksort(ProgressiveIndexBase):
     name = "PQ"
     description = "Progressive Quicksort"
     _ingested_key = "elements_copied"
+    _pq_rule = True
 
     def __init__(
         self,
@@ -77,8 +81,6 @@ class ProgressiveQuicksort(ProgressiveIndexBase):
         self._pivot: float | None = None
         self._low_fill = 0          # next free slot at the top of the array
         self._high_fill = 0         # one past the last free slot at the bottom
-        # Refinement state -----------------------------------------------------
-        self._sorter: ProgressiveSorter | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -90,33 +92,40 @@ class ProgressiveQuicksort(ProgressiveIndexBase):
     # Persistence (checkpointing)
     # ------------------------------------------------------------------
     def _construction_state(self) -> dict:
-        state = {
+        return {
+            **super()._construction_state(),
             "sort_threshold": self.sort_threshold,
             "pivot": self._pivot,
+            "low_fill": int(self._low_fill),
+            "high_fill": int(self._high_fill),
         }
-        if self._final_array is not None:
-            state["index_array"] = np.array(self._final_array)
-        if self._sorter is not None:
-            state["sorter"] = self._sorter.state_dict()
-        else:
-            state["low_fill"] = int(self._low_fill)
-            state["high_fill"] = int(self._high_fill)
-        return state
 
     def _load_construction_state(self, state: dict) -> None:
+        if "layout" not in state:
+            state = self._migrate_v1(state)
         self.sort_threshold = int(state.get("sort_threshold", self.sort_threshold))
         self._pivot = state.get("pivot")
-        array = state.get("index_array")
-        if array is None:
-            return  # INACTIVE: nothing was allocated yet
-        self._final_array = np.asarray(array)
-        sorter_state = state.get("sorter")
-        if sorter_state is not None:
-            self._sorter = ProgressiveSorter.from_state(self._final_array, sorter_state)
-            self._sorter.scratch_allocator = self._scratch_pool()
-        else:
-            self._low_fill = int(state["low_fill"])
-            self._high_fill = int(state["high_fill"])
+        self._low_fill, self._high_fill = int(state["low_fill"]), int(state["high_fill"])
+        super()._load_construction_state(state)
+
+    def _migrate_v1(self, state: dict) -> dict:
+        """A layout-1 payload (the index array, then a pivot tree) as layout 2."""
+        migrated = {
+            "layout": LAYOUT,
+            "initialized": "index_array" in state,
+            "sort_threshold": state["sort_threshold"],
+            "pivot": state["pivot"],
+            "low_fill": state.get("low_fill", 0),
+            "high_fill": state.get("high_fill", 0),
+        }
+        if "index_array" in state:
+            migrated["final_array"] = state["index_array"]
+        if "sorter" in state:
+            table = PieceTable(np.asarray(state["index_array"]))
+            root = table.add(start=0, end=len(self._column), lo=-math.inf, hi=math.inf)
+            attach_pivot_tree(table, root, state["sorter"])
+            migrated["pieces"] = table.state_dict()
+        return migrated
 
     # ------------------------------------------------------------------
     # Creation phase
@@ -164,36 +173,28 @@ class ProgressiveQuicksort(ProgressiveIndexBase):
     # Refinement phase
     # ------------------------------------------------------------------
     def _start_refinement(self) -> None:
-        self._sorter = ProgressiveSorter.from_partitioned(
-            self._final_array,
-            boundary=self._low_fill,
-            pivot=self._pivot,
-            value_low=float(self._column.min()),
-            value_high=float(self._column.max()),
-            sort_threshold=self.sort_threshold,
-        )
-        self._sorter.scratch_allocator = self._scratch_pool()
+        """The two creation pieces are the root's children."""
+        self._pieces = table = self._piece_table()
+        root = table.add_pq(0, len(self._column), -math.inf, math.inf, float(self._column.min()),
+                            float(self._column.max()), pivot=self._pivot)
+        if table.state[root] != SORTED:
+            table.split_two(root, self._low_fill)
 
     def _refinement_work_time(self) -> float:
         return self._cost_model.swap_time(len(self._column))
 
     def _refinement_scan(self, predicate: Predicate) -> tuple:
-        return self._sorter.scanned_fraction(predicate), self._cost_model.scan_time(len(self._column))
+        return super()._refinement_scan(predicate)[0], self._cost_model.scan_time(len(self._column))
 
     def _refinement_lookup_time(self) -> float:
-        return self._cost_model.tree_lookup_time(self._sorter.height)
+        return self._cost_model.tree_lookup_time(self._pieces.height)
 
     def _refine(self, element_budget: int, predicate: Predicate) -> int:
+        table = self._pieces
         if self.last_stats.delta >= 1.0 and self.budget.pooled:
             # A pooled batch budget granting the entire remaining phase:
             # complete it outright.  Per-query budgets keep the paper's
             # incremental refinement even at delta = 1.
-            return self._sorter.finish()
-        self._sorter.prioritize(predicate)
-        return self._sorter.refine(element_budget)
-
-    def _refinement_answer(self, predicate: Predicate) -> QueryResult:
-        return self._sorter.query(predicate)
-
-    def _refinement_done(self) -> bool:
-        return self._sorter.is_sorted
+            return table.finish()
+        table.prioritize(predicate.low, predicate.high)
+        return table.refine(element_budget, table.sort_step)

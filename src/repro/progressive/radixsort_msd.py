@@ -13,20 +13,17 @@ Creation
     column.
 
 Refinement
-    Each bucket is recursively re-partitioned by the next ``log2(b)`` bits.
-    A node knows its children's sizes before it moves anything — the
-    histogram of the next digit over its source — so its children are an
-    :class:`~repro.progressive.blocks.ExactBucketSet`: one flat array, filled
-    in place by the cursor scatter, the children contiguous and in value
-    order.  Buckets that fit the cache threshold are instead sorted outright
-    and written into their final position of the sorted index array (their
-    position is known because the buckets are value-ordered).  Since sibling
-    leaves lie side by side in their parent's flat array and in the final
-    array alike, a run of them that fits the step's budget is drained with
-    one copy and sorted with one ``np.sort`` — the same array as sorting
-    them one by one, each leaf still charged its size.  A small tree of
-    radix nodes routes queries to the right buckets / final-array segments
-    while the refinement is in progress.
+    The buckets are the roots of a :class:`~repro.progressive.pieces.PieceTable`
+    keyed by relative radix key.  PMSD's split rule: a piece splits 64 ways
+    on its next ``log2(b)`` bits.  It knows its children's sizes before it
+    moves anything — the histogram of that digit over its values — so they
+    are an :class:`~repro.progressive.blocks.ExactBucketSet`: one flat array,
+    filled in place by the cursor scatter, the children side by side and in
+    value order.  A piece that fits the cache threshold is instead copied
+    into its segment of the final array and sorted; a run of waiting sibling
+    leaves that fits the step's budget is drained with one copy and sorted
+    with one ``np.sort`` (the same array as one sort per leaf, each leaf
+    still charged its size).
 
 Consolidation
     Identical to Progressive Quicksort: a B+-tree cascade is built over the
@@ -35,78 +32,27 @@ Consolidation
 
 from __future__ import annotations
 
-import enum
 from collections import deque
-from typing import Deque, List, Optional
 
 import numpy as np
 
 from repro.btree.cascade import DEFAULT_FANOUT
 from repro.core.calibration import DEFAULT_BLOCK_SIZE, CostConstants
-from repro.core.phase import IndexPhase
 from repro.core.policy import BudgetPolicy
-from repro.core.query import Predicate, QueryResult
+from repro.core.query import Predicate
 from repro.progressive.base import ProgressiveIndexBase
-from repro.progressive.blocks import BlockList, ExactBucketSet
-from repro.progressive.sorter import DEFAULT_SORT_THRESHOLD
+from repro.progressive.blocks import ExactBucketSet
+from repro.progressive.pieces import (
+    DEFAULT_SORT_THRESHOLD, LAYOUT, PENDING, SCATTERING, SORTED, V1_STATES, WAITING, PieceTable,
+)
 from repro.storage.column import Column
+
+#: Layout-1 node states whose values were on their way out of their source.
+MOVING_V1 = ("copying", "partitioning")
 
 #: Default number of radix buckets.  The paper uses 64 so that all bucket
 #: write positions fit the L1 cache lines / TLB entries of their machine.
 DEFAULT_BUCKET_COUNT = 64
-
-
-class _NodeState(enum.Enum):
-    """Refinement state of a radix node."""
-
-    WAITING = "waiting"          # data still in the node's source block list
-    COPYING = "copying"          # small node: moving data into the final array
-    PARTITIONING = "partitioning"  # large node: scattering into child buckets
-    EXPANDED = "expanded"        # children created; node itself holds no data
-    DONE = "done"                # final array segment sorted
-
-
-class _RadixNode:
-    """One bucket of the (recursive) MSD radix partitioning.
-
-    A node owns a contiguous segment ``[offset, offset + size)`` of the final
-    sorted array and the block list holding its (unsorted) values.  A child's
-    values lie in ``home``, its parent's exact-offset set, from
-    ``home_start`` on; its block list is a view made on first use.  It covers the *relative radix-key* range ``[value_low,
-    value_low + 2^(shift + bits_per_level))`` — biased keys, so the routing
-    is exact for both integer and float columns.
-    """
-
-    __slots__ = (
-        "source",
-        "offset",
-        "size",
-        "value_low",
-        "shift",
-        "state",
-        "copied",
-        "moved",
-        "children",
-        "child_set",
-        "home",
-        "home_start",
-    )
-
-    def __init__(
-        self, source: Optional[BlockList], offset: int, size: int, value_low: int, shift: int
-    ) -> None:
-        self.source = source
-        self.offset = offset
-        self.size = size
-        self.value_low = value_low
-        self.shift = shift
-        self.state = _NodeState.WAITING
-        self.copied = 0
-        self.moved = 0
-        self.children: Optional[List["_RadixNode"]] = None
-        self.child_set: Optional[ExactBucketSet] = None
-        self.home: Optional[ExactBucketSet] = None
-        self.home_start = 0
 
 
 class ProgressiveRadixsortMSD(ProgressiveIndexBase):
@@ -153,90 +99,71 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
         self.block_size = int(block_size)
         self.sort_threshold = int(sort_threshold)
         self._cost_model.block_size = self.block_size
-        # Refinement state: the radix node forest, its unfinished nodes
-        # queued breadth first.
-        self._roots: List[_RadixNode] | None = None
-        self._worklist: Deque[_RadixNode] = deque()
 
     @property
     def _shift(self) -> int:
         """Shift of the creation buckets' (most significant) digit."""
         return self._keyspace.top_shift
 
+    @property
+    def _outer_keys(self) -> tuple:
+        return 0, self.n_buckets << self._shift
+
+    def _piece_shift(self, table: PieceTable, piece: int) -> int:
+        """Shift of the digit that splits ``piece`` (one digit per level)."""
+        return max(0, self._shift - self.bits_per_level * (table.depth[piece] + 1))
+
     # ------------------------------------------------------------------
     # Persistence (checkpointing)
     # ------------------------------------------------------------------
-    def _construction_state(self) -> dict:
-        state = {"initialized": self.phase is not IndexPhase.INACTIVE}
-        if self._buckets is not None and self._roots is None:
-            state["buckets"] = self._buckets.state_dict()
-        if self._roots is not None:
-            nodes: list = []
-            ids: dict = {}
-
-            def visit(node: _RadixNode) -> int:
-                number = len(nodes)
-                ids[id(node)] = number
-                spec = {
-                    "offset": node.offset,
-                    "size": node.size,
-                    "value_low": node.value_low,
-                    "shift": node.shift,
-                    "state": node.state.value,
-                    "copied": node.copied,
-                    "moved": node.moved,
-                    "children": None,
-                }
-                if node.state in (
-                    _NodeState.WAITING, _NodeState.COPYING, _NodeState.PARTITIONING
-                ):
-                    spec["source"] = self._source(node).to_array()
-                if node.state is _NodeState.PARTITIONING and node.child_set is not None:
-                    spec["child_set"] = node.child_set.state_dict()
-                nodes.append(spec)
-                if node.children is not None:
-                    spec["children"] = [visit(child) for child in node.children]
-                return number
-
-            state["roots"] = [visit(root) for root in self._roots]
-            state["nodes"] = nodes
-            state["worklist"] = [ids[id(node)] for node in self._worklist]
-            state["unfinished"] = len(self._worklist)
-            if self._final_array is not None:
-                state["final_array"] = np.array(self._final_array)
-        return state
-
-    def _load_construction_state(self, state: dict) -> None:
-        if not state.get("initialized"):
-            return
+    def _migrate_v1(self, state: dict) -> dict:
+        """A layout-1 payload (the creation buckets, then a radix node forest
+        whose unsplit nodes each held their values) as layout 2: the nodes
+        become rows, their values their creation bucket or their parent's
+        child array."""
+        migrated = {"layout": LAYOUT, "initialized": state["initialized"]}
         if "buckets" in state:
-            self._buckets = self._bucket_set(state["buckets"])
+            migrated["buckets"] = state["buckets"]
         if "nodes" not in state:
-            return
-        if "final_array" in state:
-            self._final_array = np.asarray(state["final_array"])
-        specs = state["nodes"]
-        built: List[_RadixNode] = []
-        for spec in specs:
-            node = _RadixNode(
-                source=self._block_list(spec.get("source")),
-                offset=int(spec["offset"]),
-                size=int(spec["size"]),
-                value_low=int(spec["value_low"]),
-                shift=int(spec["shift"]),
-            )
-            node.state = _NodeState(spec["state"])
-            node.copied = int(spec["copied"])
-            node.moved = int(spec["moved"])
-            if "child_set" in spec:
-                node.child_set = self._child_set(node, spec["child_set"])
-            built.append(node)
-        for spec, node in zip(specs, built):
+            return migrated
+        migrated["final_array"] = state["final_array"]
+        nodes, empty = state["nodes"], np.empty(0, dtype=self._column.dtype)
+        table, rows, sets = PieceTable(np.asarray(state["final_array"])), {}, []
+
+        def add(number, span, parent=-1):
+            spec = nodes[number]
+            start, low, moving = int(spec["offset"]), int(spec["value_low"]), spec["state"] in MOVING_V1
+            kind = SCATTERING if spec["state"] == "partitioning" else V1_STATES[spec["state"]]
+            rows[number] = table.add(start=start, end=start + int(spec["size"]), lo=low, hi=low + span,
+                                     parent=parent, depth=0 if parent < 0 else table.depth[parent] + 1, state=kind,
+                                     progress=int(spec["moved"]) + int(spec["copied"]) if moving else 0)
+
+        for number in state["roots"]:
+            add(number, 1 << self._shift)
+        queue = deque(state["roots"])
+        while queue:
+            spec, row = nodes[queue[0]], rows[queue.popleft()]
+            if spec["state"] == "partitioning":
+                sets.append({"piece": row, "buckets": spec["child_set"]["buckets"]})
             if spec["children"] is not None:
-                node.children = [built[int(i)] for i in spec["children"]]
-        self._roots = [built[int(i)] for i in state["roots"]]
-        # The unfinished nodes are exactly the queued ones.
-        self._worklist = deque(built[int(i)] for i in state.get("worklist", []))
+                table.first[row], table.fanout[row] = len(table.start), len(spec["children"])
+                for child in spec["children"]:
+                    add(child, 1 << int(spec["shift"]), row)
+                    queue.append(child)
+                sets.append({"piece": row, "buckets": [nodes[child].get("source", empty)
+                                                       if nodes[child]["state"] in MOVING_V1 + ("waiting",)
+                                                       else empty for child in spec["children"]]})
+        for number in state["worklist"]:
+            table.enqueue(rows[number])
+        migrated["pieces"] = {**table.state_dict(), "child_sets": sorted(
+            (s for s in sets if any(len(b) for b in s["buckets"]) or table.state[s["piece"]] == SCATTERING),
+            key=lambda s: s["piece"])}
+        migrated["buckets"] = {
+            "n_buckets": self.n_buckets, "block_size": self.block_size, "dtype": self._column.dtype.name,
+            "buckets": [nodes[number].get("source", empty) if table.state[rows[number]] < PENDING else empty
+                        for number in state["roots"]],
+        }
+        return migrated
 
     # ------------------------------------------------------------------
     # Creation phase
@@ -269,179 +196,114 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
     # Refinement phase
     # ------------------------------------------------------------------
     def _start_refinement(self) -> None:
-        n = len(self._column)
-        self._final_array = self._scratch_allocate(n, self._column.dtype)
-        sizes = self._buckets.sizes()
-        offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        bucket_span = 1 << self._shift
-        self._roots = []
+        """The creation buckets are the roots, in value order."""
+        self._final_array = self._scratch_allocate(len(self._column), self._column.dtype)
+        self._pieces = table = self._piece_table(self._buckets)
+        span, sizes = 1 << self._shift, self._buckets.sizes().tolist()
+        ends = np.cumsum(sizes).tolist()
+        table.add(self.n_buckets, start=[end - size for end, size in zip(ends, sizes)], end=ends,
+                  lo=[bucket_id * span for bucket_id in range(self.n_buckets)],
+                  hi=[bucket_id * span for bucket_id in range(1, self.n_buckets + 1)],
+                  state=[WAITING if size else SORTED for size in sizes])
         for bucket_id in range(self.n_buckets):
-            size = int(sizes[bucket_id])
-            node = _RadixNode(
-                source=self._buckets[bucket_id],
-                offset=int(offsets[bucket_id]),
-                size=size,
-                value_low=bucket_id * bucket_span,
-                shift=max(0, self._shift - self.bits_per_level),
-            )
-            self._roots.append(node)
-            if size == 0:
-                node.state = _NodeState.DONE
-            else:
-                self._worklist.append(node)
+            if table.state[bucket_id] == WAITING:
+                table.enqueue(bucket_id)
 
-    def _node_must_copy(self, node: _RadixNode) -> bool:
-        """Small (or unsplittable) nodes are sorted outright into the array."""
-        return node.size <= self.sort_threshold or node.shift <= 0 or self._shift == 0
+    def _must_copy(self, table: PieceTable, piece: int) -> bool:
+        """Small (or unsplittable) pieces are sorted outright into the array."""
+        return (table.size(piece) <= self.sort_threshold or self._piece_shift(table, piece) <= 0
+                or self._shift == 0)
 
-    def _child_set(self, node: _RadixNode, state: dict | None = None) -> ExactBucketSet:
-        """The exact-offset set ``node`` partitions into (or the one
-        ``state`` saved, part filled): its sizes are the histogram of the
-        next digit over the node's source."""
-        counts = np.zeros(self.n_buckets, dtype=np.int64)
-        self._source(node).histogram(self._keyspace.key_min + node.value_low, node.shift, counts)
-        return self._bucket_set(state, sizes=counts)
+    def _child_set(self, table: PieceTable, piece: int, sizes=None) -> ExactBucketSet:
+        """The exact-offset set ``piece`` partitions into: its sizes are the
+        histogram of the next digit over the piece's values."""
+        if sizes is None:
+            sizes = np.zeros(self.n_buckets, dtype=np.int64)
+            table.source(piece).histogram(
+                self._keyspace.key_min + table.lo[piece], self._piece_shift(table, piece), sizes)
+        return self._bucket_set(sizes=sizes)
 
     def _refine(self, element_budget: int, predicate: Predicate) -> int:
-        processed = 0
-        budget = int(element_budget)
-        while budget > 0 and self._worklist:
-            node = self._worklist[0]
-            if node.state is _NodeState.WAITING:
-                if self._node_must_copy(node):
-                    run = self._leaf_run(budget)
-                    if run:
-                        drained = self._drain_leaves(run)
-                        processed += drained
-                        budget -= drained
-                        continue
-                    node.state = _NodeState.COPYING
-                else:
-                    node.state = _NodeState.PARTITIONING
-                    node.child_set = self._child_set(node)
-            if node.state is _NodeState.COPYING:
-                take = min(budget, node.size - node.copied)
-                if take > 0:
-                    copied = self._source(node).drain_into(
-                        self._final_array, node.offset + node.copied, node.copied, take
-                    )
-                    node.copied += copied
-                    processed += copied
-                    budget -= copied
-                if node.copied >= node.size:
-                    self._final_array[node.offset : node.offset + node.size].sort()
-                    self._release(node, _NodeState.DONE)
-                    self._worklist.popleft()
-            else:  # PARTITIONING
-                take = min(budget, node.size - node.moved)
-                if take > 0:
-                    base = self._keyspace.key_min + node.value_low
-                    for part in self._source(node).read(node.moved, take):
-                        node.child_set.scatter_radix(part, base, node.shift)
-                    node.moved += take
-                    processed += take
-                    budget -= take
-                if node.moved >= node.size:
-                    self._expand_node(node)
-                    self._worklist.popleft()
-        return processed
+        return self._pieces.refine(element_budget, self._step)
 
-    def _leaf_run(self, budget: int) -> int:
-        """How many nodes from the head of the worklist are waiting leaves
-        that lie side by side in one parent's flat array and fit ``budget``
-        whole, together (0 when the head is no such leaf)."""
-        head = self._worklist[0]
-        if head.home is None:
-            return 0
-        home, end, total, count = head.home, head.home_start, 0, 0
+    def _step(self, piece: int, budget: int) -> int:
+        """PMSD's split rule on the head piece: copy and sort a small one
+        (with the waiting siblings behind it that fit the budget, at once),
+        scatter a large one on its next digit into a child array."""
+        table = self._pieces
+        state = table.state[piece]
+        if state != SCATTERING and self._must_copy(table, piece):
+            if state == WAITING:
+                run = self._leaf_run(budget)
+                if run:
+                    return self._drain(run)
+            copied = table.copy(piece, budget)
+            if table.state[piece] == PENDING:
+                table.final[table.start[piece]:table.end[piece]].sort()
+                table.mark_sorted(piece)
+            return copied
+        if state != SCATTERING:
+            table.state[piece], table.progress[piece] = SCATTERING, 0
+            table.child_sets[piece] = self._child_set(table, piece)
+        done = table.progress[piece]
+        take = min(budget, table.size(piece) - done)
+        base, shift = self._keyspace.key_min + table.lo[piece], self._piece_shift(table, piece)
+        for part in table.source(piece).read(done, take):
+            table.child_sets[piece].scatter_radix(part, base, shift)
+        table.progress[piece] = done + take
+        if done + take >= table.size(piece):
+            self._expand(piece)
+        return take
+
+    def _leaf_run(self, budget: int) -> list:
+        """The waiting pieces from the head of the worklist that lie side by
+        side in one parent's child array, are leaves, and fit ``budget``
+        whole, together (none when the head is a root)."""
+        table = self._pieces
+        head = table.head()
+        parent = table.parent[head]
+        if parent < 0:
+            return []
         # Siblings share a shift, so their sizes alone decide which are leaves
         # (all are when the shift leaves nothing to split).
-        largest = self.sort_threshold if head.shift > 0 and self._shift != 0 else budget
-        for node in self._worklist:
-            if (node.home is not home or node.home_start != end or node.size > largest
-                    or node.state is not _NodeState.WAITING or total + node.size > budget):
+        largest = self.sort_threshold if self._piece_shift(table, head) > 0 and self._shift != 0 else budget
+        starts, ends, parents, states = table.start, table.end, table.parent, table.state
+        run, end = [], starts[head]
+        for piece in table.worklist:
+            if (parents[piece] != parent or starts[piece] != end or ends[piece] - end > largest
+                    or states[piece] != WAITING or ends[piece] - starts[head] > budget):
                 break
-            count += 1
-            end += node.size
-            total += node.size
-        return count
+            run.append(piece)
+            end = ends[piece]
+        return run
 
-    def _drain_leaves(self, count: int) -> int:
-        """Copy the ``count`` leaves at the head of the worklist into the
-        final array with one copy, sort them with one sort, and finish them;
-        returns the elements copied.  Sibling leaves are value-ordered and
-        adjacent in the final array too, so one sort of the run equals one
-        sort per leaf."""
-        worklist = self._worklist
-        head = worklist[0]
-        values, start, total = head.home.data, head.home_start, 0
-        for _ in range(count):
-            leaf = worklist.popleft()
-            leaf.copied = leaf.size
-            total += leaf.size
-            self._release(leaf, _NodeState.DONE)
-        segment = self._final_array[head.offset : head.offset + total]
-        segment[:] = values[start : start + total]
+    def _drain(self, run: list) -> int:
+        """Copy a run of sibling leaves into the final array with one copy,
+        sort them with one sort (sibling leaves are value-ordered and side by
+        side in both arrays, so that equals one sort per leaf), finish them;
+        returns the elements copied."""
+        table = self._pieces
+        parent = table.parent[run[0]]
+        begin, stop, offset = table.start[run[0]], table.end[run[-1]], table.start[parent]
+        segment = table.final[begin:stop]
+        segment[:] = table.child_sets[parent].data[begin - offset:stop - offset]
         segment.sort()
-        return total
+        table.leave_source(run[-1])
+        table.mark_sorted(*run)
+        return stop - begin
 
-    def _source(self, node: _RadixNode) -> BlockList:
-        """The block list holding ``node``'s values; a child's is a view of
-        its parent's flat array, made on first use."""
-        if node.source is None:
-            node.source = self._block_list(node.home.data[node.home_start : node.home_start + node.size])
-        return node.source
-
-    @staticmethod
-    def _release(node: _RadixNode, state: _NodeState) -> None:
-        """``node``'s values moved on (sorted, or partitioned into children)."""
-        if node.source is not None:
-            node.source.clear()
-        node.source = node.home = None
-        node.state = state
-
-    def _expand_node(self, node: _RadixNode) -> None:
-        """Create child nodes once the re-partition of ``node`` completed;
-        their values stay in the node's flat child array."""
-        self._release(node, _NodeState.EXPANDED)
-        children, node.child_set = node.child_set, None
-        starts = children.starts.tolist()
-        offset, low, child_span = node.offset, node.value_low, 1 << node.shift
-        child_shift = max(0, node.shift - self.bits_per_level)
-        queue = self._worklist.append
-        node.children = []
-        for child_id, (start, stop) in enumerate(zip(starts, starts[1:])):
-            child = _RadixNode(None, offset + start, stop - start, low + child_id * child_span, child_shift)
-            node.children.append(child)
-            if stop == start:
-                child.state = _NodeState.DONE
-            else:
-                child.home, child.home_start = children, start
-                queue(child)
-
-    def _leaves(self, predicate: Predicate) -> list:
-        """The non-empty unexpanded nodes that can hold values matching
-        ``predicate``, in value order.
-
-        An expanded node's relevant children are found by arithmetic on the
-        predicate bounds as relative radix keys — pruning in key space is
-        exact for floats too — so the walk touches only them.
-        """
-        key_low = self._keyspace.relative_key(predicate.low)
-        key_high = self._keyspace.relative_key(predicate.high)
-        leaves: list = []
-
-        def visit(nodes, first, last):
-            for node in nodes[first : last + 1]:
-                if node.state is _NodeState.EXPANDED:
-                    low, shift = node.value_low, node.shift
-                    visit(node.children, max(0, (key_low - low) >> shift), (key_high - low) >> shift)
-                elif node.size:
-                    leaves.append(node)
-
-        relevant = self._relevant_buckets(predicate)
-        visit(self._roots, relevant.start, relevant.stop - 1)
-        return leaves
+    def _expand(self, piece: int) -> None:
+        """Children once the scatter of ``piece`` completed; their values
+        stay in its child array."""
+        table = self._pieces
+        table.leave_source(piece)
+        starts = (table.child_sets[piece].starts + table.start[piece]).tolist()
+        span, low, count = 1 << self._piece_shift(table, piece), table.lo[piece], len(starts) - 1
+        first = table.add(count, piece, table.depth[piece] + 1, start=starts[:-1], end=starts[1:],
+                          lo=[low + child_id * span for child_id in range(count)],
+                          hi=[low + child_id * span for child_id in range(1, count + 1)],
+                          state=[WAITING if stop > start else SORTED for start, stop in zip(starts, starts[1:])])
+        table.set_children(piece, first)
 
     def _refinement_work_time(self) -> float:
         """Cost of performing the entire remaining refinement at once.
@@ -461,51 +323,7 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
             + self._cost_model.segment_sort_time(n)
         )
 
-    def _refinement_scan(self, predicate: Predicate) -> tuple:
-        n = len(self._column)
-        relevant = sum(
-            node.size for node in self._leaves(predicate) if node.state is not _NodeState.DONE
-        )
-        return relevant / n, self._cost_model.bucket_scan_time(n)
-
-    def _refinement_answer(self, predicate: Predicate) -> QueryResult:
-        """One seam call per run of relevant leaves in one array: sorted
-        leaves lie side by side in the final array, unsorted siblings in
-        their parent's flat child array.  A leaf with a block list of its own
-        (a root, or any node after a restore) is read on its own.
-
-        Leaves come in value order, so two in a row that share an array are
-        adjacent in it: a leaf between them would come between them.
-        """
-        low, high = predicate.low, predicate.high
-        result = QueryResult.empty()
-        run = None  # [array, start, stop]
-        for node in self._leaves(predicate):
-            if node.state is _NodeState.DONE:
-                array, start = self._final_array, node.offset
-            elif node.home is not None:
-                array, start = node.home.data, node.home_start
-            else:
-                array = start = None
-            if run is not None and run[0] is array:
-                run[2] += node.size
-                continue
-            if run is not None:
-                result += self._read_run(*run, low, high)
-            if array is None:
-                run = None
-                result += node.source.scan(low, high)
-            else:
-                run = [array, start, start + node.size]
-        if run is not None:
-            result += self._read_run(*run, low, high)
-        return result
-
-    def _read_run(self, array: np.ndarray, start: int, stop: int, low, high) -> QueryResult:
-        """The answer from ``array[start:stop]``: sorted in the final array."""
-        if array is self._final_array:
-            return QueryResult.from_sorted(array[start:stop], low, high)
-        return QueryResult.from_range(array[start:stop], low, high)
-
-    def _refinement_done(self) -> bool:
-        return not self._worklist
+    def _route(self, predicate: Predicate):
+        if predicate.high < self._column.min():
+            return None
+        return self._keyspace.relative_key(predicate.low), self._keyspace.relative_key(predicate.high)

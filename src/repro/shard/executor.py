@@ -32,6 +32,7 @@ the duration of one query
 from __future__ import annotations
 
 import contextvars
+import math
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -64,15 +65,18 @@ def execute_shard_query(
     if shard_budget is None or shard_budget == float("inf"):
         result = index.query(predicate)
         return result, float(index.last_stats.indexing_seconds)
-    base = index.predict_cost(predicate)
-    allowance = (
-        float(shard_budget)
-        if base is None
-        else max(0.0, float(shard_budget) - float(base))
-    )
-    with index.controller.capped(allowance) as cap:
+    with index.controller.capped(shard_allowance(shard_budget, index.predict_cost(predicate))) as cap:
         result = index.query(predicate)
     return result, cap.granted_seconds
+
+
+def shard_allowance(shard_budget: Optional[float], base_seconds: Optional[float]) -> float:
+    """Indexing-seconds cap for one shard: ``τ_s`` less the shard's predicted
+    no-indexing cost (all of ``τ_s`` for a shard without a cost model;
+    uncapped without ``τ_s``)."""
+    if shard_budget is None:
+        return math.inf
+    return float(shard_budget) if base_seconds is None else max(0.0, float(shard_budget) - float(base_seconds))
 
 
 def shard_status(index: BaseIndex) -> dict:

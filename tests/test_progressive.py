@@ -4,17 +4,23 @@ Every case runs on Progressive Quicksort, Radixsort (MSD), Bucketsort and
 Radixsort (LSD) alike: the life cycle, exact answers on columns the
 per-family suites cover for some families only (floats, negatives, a single
 value, bounds outside the domain), the memory footprint in every phase, and
-indexes restored mid-construction under a memory budget.  The per-family
+indexes restored mid-construction under a memory budget, and damaged
+piece-table checkpoints (a typed error or exact answers).  The per-family
 checks (PQ's pivot, PB's bounds, MSD's top-digit routing, LSD's pass count and
 the power-of-two rule) stay in ``test_progressive_<family>.py``.
 """
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.policy import FixedDelta
 from repro.core.phase import IndexPhase
 from repro.core.query import Predicate
+from repro.errors import IndexStateError
 from repro.persist import pager
 from repro.progressive import (
     ProgressiveBucketsort,
@@ -23,6 +29,7 @@ from repro.progressive import (
     ProgressiveRadixsortMSD,
 )
 from repro.progressive.blocks import ExactBucketSet
+from repro.progressive.pieces import SCATTERING
 from repro.storage.column import Column
 from repro.storage.membudget import MemoryBudget
 
@@ -133,7 +140,8 @@ def plsd_mid_pass(family_state):
 
 
 def pmsd_mid_partition(family_state):
-    return any(node["state"] == "partitioning" for node in family_state.get("nodes", []))
+    pieces = family_state.get("pieces")
+    return pieces is not None and bool((pieces["state"] == SCATTERING).any())
 
 
 MID_REFINEMENT = [
@@ -203,3 +211,89 @@ def test_restored_under_a_budget_scatters_through_the_arena(
     restored.load_state(pager.decode_state(blob))
     assert flat_sets  # the set caught mid-fill, rebuilt
     assert_spilled_and_exact(restored, data, rng, flat_sets)
+
+
+# ----------------------------------------------------------------------
+# Damaged piece tables: a typed error or a correct restore
+# ----------------------------------------------------------------------
+PIECE_FAMILIES = {
+    "PQ": (ProgressiveQuicksort, {"sort_threshold": 64}),
+    "PMSD": (ProgressiveRadixsortMSD, {"n_buckets": 8, "sort_threshold": 64}),
+    "PB": (ProgressiveBucketsort, {"n_buckets": 8, "sort_threshold": 64}),
+}
+PIECE_DATA = np.random.default_rng(29).integers(-3_000, 3_000, 3_000)
+
+
+def mid_refinement_payload(family: str, queries: int) -> dict:
+    """``state_dict`` of a ``family`` index ``queries`` into refinement."""
+    index_class, options = PIECE_FAMILIES[family]
+    index = index_class(Column(PIECE_DATA.copy()), budget=FixedDelta(0.06), **options)
+    rng = np.random.default_rng(queries)
+    while index.phase is not IndexPhase.REFINEMENT:
+        index.query(Predicate(0, 100))
+    for _ in range(queries):
+        low = int(rng.integers(-3_000, 3_000))
+        index.query(Predicate(low, low + 400))
+    assert index.phase is IndexPhase.REFINEMENT
+    return pager.decode_state(pager.encode_state(index.state_dict()))
+
+
+PIECE_PAYLOADS = {(family, queries): mid_refinement_payload(family, queries)
+                  for family in PIECE_FAMILIES for queries in (1, 4, 9)}
+
+#: What a damaged entry may carry instead of the right one.
+PIECE_DAMAGE = st.sampled_from(["x", None, True, 1.5, [], {}, -1, 0, 10**20, float("nan")])
+
+
+def damage_payload(pieces: dict, kind: str, position: int, entry: int, change, value) -> None:
+    """Drop or retype the ``position``-th key (sorted) of a piece-table
+    payload, or shift one ``entry`` of it by ``change``."""
+    keys = sorted(pieces)
+    key = keys[position % len(keys)]
+    column = pieces[key]
+    if kind == "drop":
+        del pieces[key]
+    elif kind == "retype":
+        pieces[key] = value
+    elif isinstance(column, np.ndarray) and column.size:
+        column = pieces[key] = column.copy()
+        if column.dtype == np.int64:
+            column[entry % column.size] += change
+        else:
+            column[entry % column.size] = value if isinstance(value, float) else column[0]
+    elif isinstance(column, list) and column:
+        column[entry % len(column)] = value
+    elif isinstance(column, int) and not isinstance(column, bool):
+        pieces[key] = column + change
+
+
+@settings(max_examples=500, deadline=None)
+# Shifts that once got through: progress on a waiting piece (PMSD, PB), a
+# pending piece saved as mid-partition (PQ), a large waiting root saved as
+# copying (PMSD).
+@example(source=("PMSD", 4), damage=[("shift", 10, 3, 1, None)])
+@example(source=("PB", 1), damage=[("shift", 10, 2, 1, None)])
+@example(source=("PQ", 1), damage=[("shift", 15, 1, 1, None)])
+@example(source=("PMSD", 4), damage=[("shift", 15, 3, 1, None)])
+@given(
+    source=st.sampled_from(sorted(PIECE_PAYLOADS)),
+    damage=st.lists(
+        st.tuples(st.sampled_from(["drop", "retype", "shift"]), st.integers(0, 40),
+                  st.integers(0, 10_000), st.sampled_from([-2, -1, 1, 2, 64]), PIECE_DAMAGE),
+        min_size=1, max_size=2),
+)
+def test_damaged_piece_table_restores_correctly_or_raises_typed(source, damage):
+    """Drop, retype or shift entries of a mid-refinement piece table: the
+    restore raises :class:`IndexStateError` or answers every query exactly
+    to convergence — never an ``IndexError``/``KeyError``, never a silent
+    wrong count."""
+    state = copy.deepcopy(PIECE_PAYLOADS[source])
+    for kind, position, entry, change, value in damage:
+        damage_payload(state["family"]["pieces"], kind, position, entry, change, value)
+    index_class, options = PIECE_FAMILIES[source[0]]
+    index = index_class(Column(PIECE_DATA.copy()), budget=FixedDelta(0.06), **options)
+    try:
+        index.load_state(state)
+    except IndexStateError:
+        return
+    drive_to_convergence(index, PIECE_DATA, np.random.default_rng(1))

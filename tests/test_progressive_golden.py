@@ -16,6 +16,14 @@ The replay checks three things on the current code:
 * every recorded checkpoint loads into a fresh index, and the rest of the
   trace from there matches too.
 
+The records were taken one seam call per piece; PQ, PMSD and PB now read a
+run of pieces with one call, so their float64 sums may differ from the
+recorded ones within ``REL_TOL`` (everything else, and PLSD entirely, is
+exact).  Their checkpoints are the piece table's (layout 2); the layout-1
+checkpoints the code before it took at the same queries live in
+``progressive_pieces_v1.json.xz`` and must migrate and resume to the
+recorded continuation.
+
 Separately, PLSD checkpoints taken in the merge stage that PLSD had before
 its last generation became the index array must still restore, and answer
 the rest of their trace exactly.
@@ -58,6 +66,15 @@ FIXTURE = Path(__file__).parent / "data" / "progressive_golden.json.xz"
 #: its last generation into the index array (int64 and float64, δ = 0.1),
 #: recorded by that code: ``{"checkpoints": [{dtype, delta, after, state}]}``.
 MID_MERGE = Path(__file__).parent / "data" / "plsd_mid_merge.json.xz"
+
+#: Checkpoints of PQ, PMSD and PB in layout 1 (one tree per family: pivot
+#: trees, a radix node forest, merge buckets), recorded by the code before
+#: the piece table at the golden cases' checkpoints, each with the
+#: continuation it resumed to (``resume``, or the case's ``records``).  An xz
+#: of ``u32 header length | JSON header | state blobs``, the header
+#: ``{"cases": [{family, dtype, delta, checkpoints: [{after, phase, length,
+#: resume?}]}]}`` and the blobs in its order.
+LAYOUT_1 = Path(__file__).parent / "data" / "progressive_pieces_v1.json.xz"
 
 ROWS = 4_096
 DELTAS = (0.1, 0.25)
@@ -202,8 +219,16 @@ def case_id(case) -> str:
     return f"{case['family']}-{case['dtype']}-{case['delta']}"
 
 
-def assert_same_record(actual, expected, where):
-    assert actual[:5] == expected[:5], where
+def assert_same_record(actual, expected, where, family="PLSD"):
+    """Equal records; only the float64 sums of the families that answer
+    through the piece table may differ, within ``REL_TOL`` of the recorded
+    one — it reads runs of pieces with one seam call each, and the trace was
+    recorded one call per piece."""
+    if family != "PLSD" and isinstance(expected[4], str):
+        assert actual[:4] == expected[:4], where
+        assert float.fromhex(actual[4]) == pytest.approx(float.fromhex(expected[4]), rel=REL_TOL, abs=0.0), where
+    else:
+        assert actual[:5] == expected[:5], where
     if expected[5] is None:
         assert actual[5] is None, where
     else:
@@ -244,7 +269,7 @@ def test_trace_and_checkpoints_match_the_recording(case):
     index = build(case["family"], case["delta"], data)
     checkpoints = {c["after"]: c for c in case["checkpoints"]}
     for number, ((low, high), expected) in enumerate(zip(case["trace"], case["records"]), 1):
-        assert_same_record(record(index, low, high), expected, f"query {number}")
+        assert_same_record(record(index, low, high), expected, f"query {number}", case["family"])
         if number in checkpoints:
             assert index.phase.value == checkpoints[number]["phase"]
             recorded = pager.decode_state(base64.b64decode(checkpoints[number]["state"]))
@@ -260,7 +285,45 @@ def test_recorded_checkpoints_resume_the_trace(case):
         start = checkpoint["after"]
         expected = checkpoint.get("resume", case["records"][start:])
         for number, (actual, want) in enumerate(zip(resume(case, checkpoint), expected), start + 1):
-            assert_same_record(actual, want, f"query {number} after the checkpoint of query {start}")
+            where = f"query {number} after the checkpoint of query {start}"
+            assert_same_record(actual, want, where, case["family"])
+
+
+def layout_1_checkpoints() -> dict:
+    raw = lzma.decompress(LAYOUT_1.read_bytes())
+    at = 4 + int.from_bytes(raw[:4], "little")
+    found = {}
+    for case in json.loads(raw[4:at])["cases"]:
+        for checkpoint in case["checkpoints"]:
+            checkpoint["state"] = pager.decode_state(raw[at:at + checkpoint["length"]])
+            at += checkpoint["length"]
+        found[(case["family"], case["dtype"], case["delta"])] = case["checkpoints"]
+    return found
+
+
+LAYOUT_1_CHECKPOINTS = layout_1_checkpoints() if LAYOUT_1.exists() else {}
+
+
+@pytest.mark.usefixtures("zeroed")
+@pytest.mark.parametrize("case", [c for c in CASES if c["family"] != "PLSD"], ids=case_id)
+def test_layout_1_checkpoints_migrate_and_resume(case):
+    """Every layout-1 checkpoint loads through the one-way migration into
+    piece-table rows and resumes to the continuation recorded for it."""
+    checkpoints = LAYOUT_1_CHECKPOINTS[(case["family"], case["dtype"], case["delta"])]
+    assert {c["phase"] for c in checkpoints} >= {"creation", "refinement", "consolidation", "converged"}
+    data = column_data(case["dtype"])
+    for checkpoint in checkpoints:
+        family = checkpoint["state"]["family"]
+        assert "layout" not in family and "pieces" not in family
+        index = build(case["family"], case["delta"], data)
+        index.load_state(checkpoint["state"])
+        assert index.phase.value == checkpoint["phase"]
+        start = checkpoint["after"]
+        expected = checkpoint.get("resume", case["records"][start:])
+        for number, ((low, high), want) in enumerate(zip(case["trace"][start:], expected), start + 1):
+            assert_same_record(record(index, low, high), want, f"query {number} after layout-1 query {start}",
+                               case["family"])
+        assert len(expected) == len(case["trace"]) - start and index.converged
 
 
 def test_mid_merge_plsd_checkpoints_still_restore():

@@ -4,9 +4,10 @@ Deterministic counts, no timing, on both kernel backends:
 
 * a PMSD refinement-phase answer makes one ``range_sum_count`` per
   contiguous run of unsorted leaves it reads, not one per leaf;
-* PQ's ``prioritize`` descends the pivot tree to the ``k`` worklist nodes
+* PQ's ``prioritize`` descends the piece table to the ``k`` queued pieces
   the predicate overlaps instead of walking the whole worklist, and leaves
-  the worklist in exactly the order of a stable partition;
+  the worklist in exactly the order of a stable partition (also across a
+  checkpoint);
 * PLSD counts each pass's digit histogram while the previous pass (or the
   creation phase) moves the values, so no query histograms more values than
   it moves.
@@ -17,6 +18,8 @@ answer checked against a scan at every phase.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -31,8 +34,8 @@ from repro.progressive import (
     ProgressiveRadixsortLSD,
     ProgressiveRadixsortMSD,
 )
-from repro.progressive.pivot_tree import PivotNode, PivotTree
-from repro.progressive.radixsort_msd import _NodeState
+from repro.persist import pager
+from repro.progressive.pieces import SPLIT, PieceTable
 from repro.progressive.sorter import ProgressiveSorter
 from repro.storage.column import Column
 
@@ -89,38 +92,45 @@ def test_pmsd_answers_one_seam_call_per_run(uniform_million, monkeypatch):
     assert max(answered[0.1]) <= 8
 
 
+class CountingReads(list):
+    """A piece-table column that counts its reads while ``active``."""
+
+    active = False
+    reads = 0
+
+    def __getitem__(self, index):
+        CountingReads.reads += CountingReads.active
+        return list.__getitem__(self, index)
+
+
 def test_pq_prioritize_visits_only_the_overlapping_nodes(uniform_million, monkeypatch):
-    # The descent tests the bounds of every node it visits: count those reads
-    # while it runs.
-    tested = {"active": False, "nodes": 0}
-    slot = PivotNode.__dict__["value_high"]
+    # The descent tests the bounds of every piece it visits: count the reads
+    # of one bound column while it runs.
+    descend = PieceTable.prioritize
 
-    def read_bound(node):
-        tested["nodes"] += tested["active"]
-        return slot.__get__(node, PivotNode)
-
-    descend = PivotTree.overlapping
-
-    def counted(tree, low, high):
-        tested["active"] = True
+    def counted(table, low, high):
+        CountingReads.active = True
         try:
-            return descend(tree, low, high)
+            return descend(table, low, high)
         finally:
-            tested["active"] = False
+            CountingReads.active = False
 
-    monkeypatch.setattr(PivotNode, "value_high", property(read_bound, slot.__set__))
-    monkeypatch.setattr(PivotTree, "overlapping", counted)
+    monkeypatch.setattr(PieceTable, "prioritize", counted)
     index = ProgressiveQuicksort(Column(uniform_million.copy()), budget=FixedDelta(0.05))
     walked = queued = 0
     for _, predicate in mixed_ranges(400, seed=3):
-        sorter = index._sorter
-        waiting = list(sorter._worklist) if sorter is not None else []
-        k = sum(predicate.low <= node.value_high and predicate.high >= node.value_low for node in waiting)
-        tested["nodes"] = 0
+        table = index._pieces
+        waiting = []
+        if table is not None:
+            if not isinstance(table.vhi, CountingReads):
+                table.vhi = CountingReads(table.vhi)
+            waiting = list(table.worklist)
+        k = sum(overlaps(table, piece, predicate) for piece in waiting)
+        CountingReads.reads = 0
         index.query(predicate)
         if waiting:
-            visited = tested["nodes"]
-            assert visited <= 3 * (k + index._sorter.height), (visited, k, len(waiting))
+            visited = CountingReads.reads
+            assert visited <= 3 * (k + table.height), (visited, k, len(waiting))
             walked += visited
             queued += len(waiting)
         if index.converged:
@@ -128,12 +138,15 @@ def test_pq_prioritize_visits_only_the_overlapping_nodes(uniform_million, monkey
     assert index.converged and walked < queued / 2
 
 
-def reference_prioritize(worklist: list, predicate: Predicate) -> list:
-    """The specification: overlapping nodes first, each side in its order."""
-    def overlaps(node):
-        return predicate.low <= node.value_high and predicate.high >= node.value_low
+def overlaps(table, piece: int, predicate: Predicate) -> bool:
+    return predicate.low <= list.__getitem__(table.vhi, piece) and predicate.high >= table.vlo[piece]
 
-    return [n for n in worklist if overlaps(n)] + [n for n in worklist if not overlaps(n)]
+
+def reference_prioritize(table, predicate: Predicate) -> list:
+    """The specification: overlapping pieces first, each side in its order."""
+    worklist = list(table.worklist)
+    return ([p for p in worklist if overlaps(table, p, predicate)]
+            + [p for p in worklist if not overlaps(table, p, predicate)])
 
 
 @pytest.mark.parametrize("dtype", ["int64", "float64"])
@@ -147,16 +160,19 @@ def test_pq_prioritize_order_equals_the_stable_partition(dtype):
     while not sorter.is_sorted:
         low = float(rng.uniform(low_end - 10, high_end))
         predicate = Predicate(low, low + (high_end - low_end) * float(rng.choice([0.0, 0.01, 0.2])))
-        expected = reference_prioritize(list(sorter._worklist), predicate)
+        expected = reference_prioritize(sorter.pieces, predicate)
         sorter.prioritize(predicate)
-        assert list(sorter._worklist) == expected
+        assert list(sorter.pieces.worklist) == expected
         checked += len(expected) > 1
         sorter.refine(int(rng.integers(50, 2_000)))
         if rng.random() < 0.1:
             # The order survives a checkpoint.
-            restored = ProgressiveSorter.from_state(sorter.array, sorter.state_dict())
-            assert [n.start for n in restored._worklist] == [n.start for n in sorter._worklist]
-            sorter = restored
+            table = sorter.pieces
+            blob = pager.encode_state(table.state_dict())
+            restored = PieceTable.from_state(
+                pager.decode_state(blob), table.final, None, None, (-math.inf, math.inf), sort_threshold=32)
+            assert list(restored.worklist) == list(table.worklist)
+            sorter.pieces = restored
     assert checked > 50
 
 
@@ -211,17 +227,14 @@ def value_of(index, relative_key: int):
 
 def edge_predicates(index, rng, count: int) -> tuple:
     """``count`` points and ranges picked from those on the child edges of
-    every expanded node, and how many there were to pick from."""
+    every split piece, and how many there were to pick from."""
     keys = []
-    stack = list(index._roots)
-    while stack:
-        node = stack.pop()
-        if node.state is not _NodeState.EXPANDED:
+    table = index._pieces
+    for piece in range(len(table.start)):
+        if table.state[piece] != SPLIT:
             continue
-        span = 1 << node.shift
-        for child in node.children:
-            stack.append(child)
-            first, last = child.value_low, child.value_low + span - 1
+        for child in range(table.first[piece], table.first[piece] + table.fanout[piece]):
+            first, last = table.lo[child], table.hi[child] - 1
             keys += [
                 (first, first), (first - 1, first - 1), (last, last),
                 (first - 1, first), (first, last), (first - 1, last + 1),
@@ -262,7 +275,7 @@ def test_pmsd_runs_answer_exactly_on_child_edges(name, delta):
     edges_seen = 0
     for _ in range(200):
         picked = []
-        if index._roots is not None and not index.converged:
+        if index._pieces is not None and not index.converged:
             picked, available = edge_predicates(index, rng, 24)
             edges_seen += available
         for predicate in fixed + picked:

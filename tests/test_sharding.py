@@ -12,6 +12,7 @@ from repro.engine.session import IndexingSession
 from repro.errors import ExperimentError, InvalidColumnError
 from repro.shard import zonemaps
 from repro.shard.column import ShardedColumn, shard_column, shard_table
+from repro.shard.executor import shard_allowance
 from repro.shard.index import build_sharded_index, merge_phase
 from repro.shard.partition import build_layout, rebalance_empty_shards
 from repro.shard.router import ShardRouter
@@ -266,12 +267,13 @@ class TestPooledBudget:
     def test_uncapped_when_no_tau(self):
         pool = PooledBudgetController(None, n_shards=4)
         assert pool.shard_budget(4) is None
-        assert pool.shard_allowance(4, 0.001) == float("inf")
+        assert shard_allowance(pool.shard_budget(4), 0.001) == float("inf")
 
     def test_allowance_subtracts_base_cost(self):
         pool = PooledBudgetController(0.01, n_shards=2, parallelism=1)
-        assert pool.shard_allowance(2, 0.001) == pytest.approx(0.004)
-        assert pool.shard_allowance(2, 1.0) == 0.0
+        assert shard_allowance(pool.shard_budget(2), 0.001) == pytest.approx(0.004)
+        assert shard_allowance(pool.shard_budget(2), 1.0) == 0.0
+        assert shard_allowance(pool.shard_budget(2), None) == pytest.approx(0.005)
 
     def test_charge_accounting(self):
         pool = PooledBudgetController(0.01, n_shards=4)

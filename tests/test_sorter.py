@@ -1,4 +1,6 @@
-"""Tests for the pivot tree and the budget-bounded progressive sorter."""
+"""Tests for PQ's rule on the piece table and the progressive sorter."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,64 +8,65 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.query import Predicate
-from repro.progressive.pivot_tree import NodeState, PivotNode, PivotTree
+from repro.progressive.pieces import PENDING, SORTED, SPLIT, PieceTable
 from repro.progressive.sorter import ProgressiveSorter
 
 from tests.conftest import brute_force
 
 
+def table_over(values, pivot=50):
+    """A piece table whose one root covers ``values`` (bounds 0..100)."""
+    table = PieceTable(np.array(values, dtype=np.int64))
+    table.add_pq(0, len(values), -math.inf, math.inf, 0.0, 100.0, pivot=pivot)
+    return table
+
+
 class TestPivotNode:
+    """A piece under PQ's rule (the pivot tree's nodes are table rows)."""
+
     def test_trivial_ranges_are_sorted(self):
-        assert PivotNode(0, 0, 0, 10).is_sorted
-        assert PivotNode(0, 1, 0, 10).is_sorted
-        assert not PivotNode(0, 2, 0, 10).is_sorted
+        table = PieceTable(np.arange(10))
+        states = [table.state[table.add_pq(0, end, -math.inf, math.inf, 0.0, 10.0)] for end in (0, 1, 2)]
+        assert states == [SORTED, SORTED, PENDING]
 
     def test_pivot_is_midpoint(self):
-        node = PivotNode(0, 10, 0, 100)
-        assert node.pivot == pytest.approx(50)
+        table = PieceTable(np.arange(10))
+        assert table.split[table.add_pq(0, 10, -math.inf, math.inf, 0.0, 100.0)] == pytest.approx(50)
 
     def test_children_listing(self):
-        node = PivotNode(0, 10, 0, 100)
-        assert node.children() == []
-        node.left = PivotNode(0, 5, 0, 50, depth=1, parent=node)
-        assert len(node.children()) == 1
+        table = table_over([70, 10, 90, 20])
+        assert table.fanout[0] == 0
+        table.split_two(0, 2)
+        assert table.fanout[0] == 2 and [table.parent[c] for c in range(table.first[0], 3)] == [0, 0]
+        lonely = table_over([70, 80, 90, 95])
+        lonely.split_two(0, 0)  # nothing below the pivot: one child, narrowed bounds
+        assert lonely.fanout[0] == 1 and (lonely.vlo[1], lonely.vhi[1]) == (50, 100.0)
 
 
 class TestPivotTree:
     def test_mark_sorted_propagates_and_prunes(self):
-        root = PivotNode(0, 10, 0, 100)
-        tree = PivotTree(root)
-        left = PivotNode(0, 5, 0, 50, depth=1, parent=root)
-        right = PivotNode(5, 10, 50, 100, depth=1, parent=root)
-        root.left, root.right = left, right
-        root.state = NodeState.PARTITIONED
-        tree.register_child(left)
-        tree.register_child(right)
-        tree.mark_sorted(left)
-        assert not tree.is_sorted
-        tree.mark_sorted(right)
-        assert tree.is_sorted
-        assert root.left is None and root.right is None
+        table = table_over([10, 20, 30, 40, 45, 60, 70, 80, 90, 95])
+        table.split_two(0, 5)
+        left, right = table.first[0], table.first[0] + 1
+        table.mark_sorted(left)
+        assert table.state[0] == SPLIT
+        table.mark_sorted(right)
+        assert table.state[0] == SORTED
+        assert table.leaves(0, 100) == [0]  # the children are pruned from the walk
 
     def test_lookup_routes_through_pivot(self):
-        root = PivotNode(0, 10, 0, 100)
-        tree = PivotTree(root)
-        left = PivotNode(0, 5, 0, 50, depth=1, parent=root)
-        right = PivotNode(5, 10, 50, 100, depth=1, parent=root)
-        root.left, root.right = left, right
-        root.state = NodeState.PARTITIONED
-        root.pivot = 50
-        assert tree.lookup_nodes(0, 10) == [left]
-        assert tree.lookup_nodes(60, 70) == [right]
-        assert tree.lookup_nodes(40, 60) == [left, right]
+        table = table_over([10, 20, 30, 40, 45, 60, 70, 80, 90, 95])
+        table.split_two(0, 5)
+        left, right = table.first[0], table.first[0] + 1
+        assert table.leaves(0, 10) == [left]
+        assert table.leaves(60, 70) == [right]
+        assert table.leaves(40, 60) == [left, right]
 
     def test_height_tracking(self):
-        root = PivotNode(0, 100, 0, 100)
-        tree = PivotTree(root)
-        child = PivotNode(0, 50, 0, 50, depth=1, parent=root)
-        tree.register_child(child)
-        assert tree.height == 2
-        assert tree.n_nodes == 2
+        table = table_over(list(range(100)))
+        table.add_pq(0, 50, -math.inf, 50.0, 0.0, 50.0, parent=0, depth=1)
+        assert table.height == 2
+        assert len(table.start) == 2
 
 
 class TestProgressiveSorter:
@@ -157,8 +160,8 @@ class TestProgressiveSorter:
         sorter.refine(8_000)  # finish the root partition, creating children
         predicate = Predicate(0, 100)
         sorter.prioritize(predicate)
-        front = next(iter(sorter._worklist))
-        assert front.value_low <= predicate.high and front.value_high >= predicate.low
+        front = sorter.pieces.head()
+        assert sorter.pieces.vlo[front] <= predicate.high and sorter.pieces.vhi[front] >= predicate.low
 
     def test_remaining_work_decreases(self):
         rng = np.random.default_rng(5)
