@@ -51,7 +51,7 @@ from repro.core.policy import (
     policy_state_dict,
 )
 from repro.core.query import Predicate, QueryResult, SortedLeaf
-from repro.errors import IndexStateError
+from repro.errors import PAYLOAD_ERRORS, IndexStateError
 from repro.storage.column import Column, ColumnSnapshot
 from repro.storage.lazy import ChainArray, is_lazy
 
@@ -642,7 +642,10 @@ class BaseIndex(DeltaOverlay, abc.ABC):
         if scan_time is not None:
             self._controller.register_scan_time(float(scan_time))
         self._load_overlay_state(overlay)
-        self._load_family_state(state.get("family", {}))
+        try:
+            self._load_family_state(state.get("family", {}))
+        except PAYLOAD_ERRORS as error:
+            raise IndexStateError(f"damaged {self.name} payload: {error!r}") from error
         self.last_stats = QueryStats()
 
     def _family_state(self) -> dict:

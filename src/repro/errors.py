@@ -63,8 +63,14 @@ class IndexStateError(ProgressiveIndexError):
     """Raised when an index is driven through an illegal state transition.
 
     For example, asking a consolidated index to perform further refinement
-    work, or querying an index after its backing column has been released.
+    work, querying an index after its backing column has been released, or
+    restoring a damaged checkpoint payload.
     """
+
+
+#: What reading a damaged checkpoint payload raises before a check names the
+#: damage; index loaders turn these into :class:`IndexStateError`.
+PAYLOAD_ERRORS = (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError)
 
 
 class PersistenceError(ProgressiveIndexError):

@@ -26,7 +26,10 @@ all of it:
   :class:`~repro.progressive.pieces.PieceTable` — its lookup, answer, α walk
   and checkpoint codec (``_construction_state`` /
   ``_load_construction_state``: the creation buckets, the final array and
-  the table's arrays, layout 1 payloads migrated through ``_migrate_v1``).
+  the table's arrays, a family's own fields through ``_load_fields``,
+  layout 1 payloads migrated through ``_migrate_v1``; a damaged payload
+  raises :class:`~repro.errors.IndexStateError`, as
+  :meth:`~repro.core.index.BaseIndex.load_state` makes every loader do).
 
 Each algorithm is reduced to its partition rule, as hooks:
 
@@ -521,6 +524,8 @@ class ProgressiveIndexBase(BaseIndex):
         self.__dict__.pop("_keyspace", None)
         stage = state.get("stage")
         self.fanout = int(state.get("fanout", self.fanout))
+        if self.fanout < 2:
+            raise IndexStateError(f"cascade fanout {self.fanout}")
         if stage == "converged":
             self._final_array = np.asarray(state["leaf_values"])
             self._cascade = CascadeTree(self._sorted_leaf(self._final_array), fanout=self.fanout)
@@ -560,21 +565,25 @@ class ProgressiveIndexBase(BaseIndex):
             state = self._migrate_v1(state)
         if state["layout"] != LAYOUT:
             raise IndexStateError(f"construction layout {state['layout']!r}, expected {LAYOUT}")
-        if not state["initialized"]:
-            return
-        try:
+        self._load_fields(state)
+        if state["initialized"]:
             if "final_array" in state:
                 self._final_array = np.asarray(state["final_array"], dtype=self._column.dtype)
                 if self._final_array.shape != (len(self._column),):
                     raise IndexStateError("the final array does not match the column")
             if "buckets" in state:
                 self._buckets = self._bucket_set(state["buckets"])
-        except (KeyError, TypeError, ValueError) as error:
-            raise IndexStateError(f"damaged construction payload: {error!r}") from error
-        if "pieces" in state:
-            self._pieces = PieceTable.from_state(
-                state["pieces"], self._final_array, self._buckets, self._child_set, self._outer_keys,
-                self._pq_rule, sort_threshold=self.sort_threshold, scratch=self._scratch_pool())
+            if "pieces" in state:
+                self._pieces = PieceTable.from_state(
+                    state["pieces"], self._final_array, self._buckets, self._child_set, self._outer_keys,
+                    self._pq_rule, sort_threshold=self.sort_threshold, scratch=self._scratch_pool())
+        if ((self.phase is IndexPhase.REFINEMENT) != (self._pieces is not None)
+                or (self.phase is IndexPhase.CREATION and self._buckets is None and self._final_array is None)):
+            raise IndexStateError(f"construction payload without the structures of phase {self.phase.name}")
+
+    def _load_fields(self, state: dict) -> None:
+        """Restore the family's own construction fields (PQ's fill, PB's
+        bounds)."""
 
     def _child_set(self, table: PieceTable, piece: int, sizes) -> ExactBucketSet:
         """The exact-offset set holding ``piece``'s children (PMSD only)."""

@@ -24,6 +24,10 @@ Refinement
     the final array, then refined by PQ's rule inside it — the paper's "sort
     the individual buckets into the final sorted list using Progressive
     Quicksort", which avoids a latency spike when a large bucket is merged.
+    A root's keys are the values the scatter routed to it: the bounds for a
+    float column, for an integer one the least integers whose float64 is at
+    least each bound (the scatter compares as float64), so one exact rule
+    routes a predicate through the roots and the pivots below them.
 
 Consolidation
     Identical to the other algorithms: a B+-tree cascade over the sorted
@@ -41,6 +45,7 @@ from repro.btree.cascade import DEFAULT_FANOUT
 from repro.core.calibration import DEFAULT_BLOCK_SIZE, CostConstants
 from repro.core.policy import BudgetPolicy
 from repro.core.query import Predicate
+from repro.errors import IndexStateError
 from repro.progressive.base import ProgressiveIndexBase
 from repro.progressive.pieces import (
     COPYING, DEFAULT_SORT_THRESHOLD, LAYOUT, PENDING, SORTED, V1_STATES, WAITING, PieceTable, attach_pivot_tree,
@@ -134,12 +139,11 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
             state["bounds"] = np.asarray(self._bounds, dtype=np.float64)
         return state
 
-    def _load_construction_state(self, state: dict) -> None:
-        if "layout" not in state:
-            state = self._migrate_v1(state)
+    def _load_fields(self, state: dict) -> None:
         if state["initialized"]:
             self._bounds = np.asarray(state["bounds"], dtype=np.float64)
-        super()._load_construction_state(state)
+            if self._bounds.shape != (self.n_buckets - 1,):
+                raise IndexStateError(f"{self._bounds.size} bucket bounds for {self.n_buckets} buckets")
 
     def _migrate_v1(self, state: dict) -> dict:
         """A layout-1 payload (the creation buckets, then one merge state and
@@ -160,8 +164,6 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
             if table.state[row] == COPYING:
                 table.progress[row] = int(spec["copied"])
                 table.enqueue(row)
-            elif table.state[row] == WAITING:
-                table.queue.append(row)
         migrated["pieces"] = table.state_dict()
         return migrated
 
@@ -208,12 +210,15 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
         self._final_array = self._scratch_allocate(len(self._column), self._column.dtype)
         self._pieces = table = self._piece_table(self._buckets)
         self._add_roots(table, self._buckets.sizes().tolist())
-        table.queue.extend(row for row in range(self.n_buckets) if table.state[row] == WAITING)
 
     def _add_roots(self, table: PieceTable, sizes: list) -> None:
-        """One root per bucket: routed by the bounds, its pivot the middle of
-        its values' bounds (the column's at the two ends)."""
-        keys = [-math.inf, *self._bounds.tolist(), math.inf]
+        """One root per bucket, waiting for its turn: keyed by the values
+        routed to it, its pivot the middle of its values' bounds (the
+        column's at the two ends)."""
+        bounds = self._bounds.tolist()
+        if self._column.dtype.kind in "iu":
+            bounds = [_least_integer_at(bound) for bound in bounds]
+        keys = [-math.inf, *bounds, math.inf]
         values = [float(self._column.min()), *self._bounds.tolist(), float(self._column.max())]
         ends = np.cumsum(sizes).tolist()
         table.add(len(sizes), start=[end - size for end, size in zip(ends, sizes)], end=ends,
@@ -221,19 +226,12 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
                   split=[low + (high - low) / 2.0 for low, high in zip(values, values[1:])],
                   state=[WAITING if size else SORTED for size in sizes])
 
-    def _route(self, predicate: Predicate):
-        # The creation scatter routed every value as a float64 (as
-        # ``np.searchsorted`` over the bounds does): so are the roots.
-        return predicate.low, predicate.high, float(predicate.low), float(predicate.high)
-
     def _refine(self, element_budget: int, predicate: Predicate) -> int:
         """Copy the head bucket into its segment of the final array, then
         refine it with PQ's rule (completing it at once when a pooled budget
         covers it) before the next bucket starts."""
         table, processed, budget = self._pieces, 0, int(element_budget)
-        while budget > 0 and not table.done:
-            if not table.worklist:
-                table.enqueue(table.queue.popleft())
+        while budget > 0 and table.has_work():
             head = table.head()
             if table.state[head] < PENDING:
                 spent = table.copy(head, budget)
@@ -249,3 +247,12 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
 
     def _refinement_work_time(self) -> float:
         return self._cost_model.swap_time(len(self._column))
+
+
+def _least_integer_at(bound: float) -> int:
+    """The least integer whose float64 is ``>= bound``."""
+    low, high = math.ceil(bound) - 2 * max(1, int(math.ulp(bound))), math.ceil(bound)
+    while high - low > 1:  # float(low) < bound <= float(high)
+        middle = (low + high) // 2
+        low, high = (low, middle) if float(middle) >= bound else (middle, high)
+    return high

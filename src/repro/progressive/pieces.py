@@ -28,11 +28,12 @@ reading only the pieces its predicate overlaps (Sections 3.1–3.3).
     Elements copied or scattered (partitioned, in memory) so far.
 
 The table owns what the families share: the worklist (an ordered dict with
-a rank per piece; PB's roots wait in ``queue`` and are refined one after
-another), PQ's prioritisation, the lookup, the answer (one seam call per run
-of pieces side by side in one array), the α walk, the copy out of a source,
-PQ's two-way split (which PB runs inside each bucket) and the checkpoint
-codec.  A family keeps its split rule.
+a rank per piece; a waiting root off it is queued, in row order, when it
+runs dry — PB refines its buckets one after another so), PQ's
+prioritisation, the lookup, the answer (one seam call per run of pieces side
+by side in one array), the α walk, the copy out of a source, PQ's two-way
+split (which PB runs inside each bucket) and the checkpoint codec.  A family
+keeps its split rule.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ class PieceTable:
             setattr(self, name, [])
         self.child_sets: dict = {}
         self.worklist: OrderedDict = OrderedDict()
-        self.queue: deque = deque()
         self.roots = self._front = self._back = 0
         self.height = 1
         self._partial: dict = {}  # piece -> [scratch, low_fill, high_fill]
@@ -149,7 +149,14 @@ class PieceTable:
     @property
     def done(self) -> bool:
         """Whether every piece is sorted."""
-        return not self.worklist and not self.queue
+        return not self.worklist and WAITING not in self.state[:self.roots]
+
+    def has_work(self) -> bool:
+        """Whether work is queued; a dry worklist queues the first waiting
+        root."""
+        if not self.worklist and WAITING in self.state[:self.roots]:
+            self.enqueue(self.state.index(WAITING, 0, self.roots))
+        return bool(self.worklist)
 
     def size(self, piece: int) -> int:
         return self.end[piece] - self.start[piece]
@@ -162,21 +169,19 @@ class PieceTable:
     # ------------------------------------------------------------------
     # Lookup, answer, α, prioritisation
     # ------------------------------------------------------------------
-    def leaves(self, low, high, root_low=None, root_high=None) -> list:
+    def leaves(self, low, high) -> list:
         """The non-empty unsplit pieces the keys ``[low, high]`` reach, in
-        value order (the roots may route them as ``[root_low, root_high]``)."""
+        value order."""
         found: list = []
-        self._visit(0, self.roots, low, high, found,
-                    low if root_low is None else root_low, high if root_high is None else root_high)
+        self._visit(0, self.roots, low, high, found)
         return found
 
-    def _visit(self, first: int, stop: int, low, high, found: list, key_low, key_high) -> None:
+    def _visit(self, first: int, stop: int, low, high, found: list) -> None:
         state, start, end = self.state, self.start, self.end
-        reached = range(bisect_right(self.hi, key_low, first, stop), bisect_right(self.lo, key_high, first, stop))
-        for piece in reached:
+        for piece in range(bisect_right(self.hi, low, first, stop), bisect_right(self.lo, high, first, stop)):
             if state[piece] == SPLIT:
                 child = self.first[piece]
-                self._visit(child, child + self.fanout[piece], low, high, found, low, high)
+                self._visit(child, child + self.fanout[piece], low, high, found)
             elif end[piece] > start[piece]:
                 found.append(piece)
 
@@ -252,9 +257,11 @@ class PieceTable:
     # ------------------------------------------------------------------
     def refine(self, budget: int, step) -> int:
         """Apply ``step(piece, budget) -> elements`` to the head of the
-        worklist until ``budget`` is spent or the worklist is empty."""
+        worklist until ``budget`` is spent or the worklist is empty (a dry
+        one takes a waiting root first)."""
         processed = 0
         worklist, state = self.worklist, self.state
+        self.has_work()
         while budget > 0 and worklist:
             spent = step(next(iter(worklist)), budget)
             processed += spent
@@ -372,7 +379,6 @@ class PieceTable:
         state.update(
             layout=LAYOUT, roots=self.roots, height=self.height,
             worklist=np.array(list(self.worklist), dtype=np.int64),
-            queue=np.array(list(self.queue), dtype=np.int64),
             child_sets=[{"piece": piece, "buckets": self._reading(piece)} for piece in sorted(self.child_sets)],
         )
         return state
@@ -394,15 +400,12 @@ class PieceTable:
         Whatever is inconsistent — a column of another type or length, a
         piece outside its parent or not meeting its sibling, a link one way
         only, a state never saved, values not where the state says, a sorted
-        piece that is not, a worklist that is not the unsorted pieces —
-        raises :class:`~repro.errors.IndexStateError`."""
+        piece that is not, an unsorted piece off the worklist but a waiting root —
+        raises :class:`~repro.errors.IndexStateError` (a key missing or of
+        another type one of :data:`~repro.errors.PAYLOAD_ERRORS`, which
+        :meth:`~repro.core.index.BaseIndex.load_state` turns into one)."""
         table = cls(final, sources, **options)
-        try:
-            table._load(state, child_set, pq_rule)
-        except IndexStateError:
-            raise
-        except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as error:
-            raise IndexStateError(f"damaged piece table: {error!r}") from error
+        table._load(state, child_set, pq_rule)
         if table.lo[0] != outer[0] or table.hi[table.roots - 1] != outer[1]:
             raise IndexStateError("the roots do not span the key space")
         return table
@@ -410,7 +413,7 @@ class PieceTable:
     def _load(self, state: dict, child_set, pq_rule: bool) -> None:
         if state["layout"] != LAYOUT:
             raise IndexStateError(f"piece table layout {state['layout']!r}, expected {LAYOUT}")
-        for name in _INT_COLUMNS + ("worklist", "queue"):
+        for name in _INT_COLUMNS + ("worklist",):
             if not isinstance(state[name], np.ndarray) or state[name].dtype != np.int64:
                 raise IndexStateError(f"piece column {name!r} is not an int64 array")
         for name in _BOUND_COLUMNS:
@@ -442,13 +445,13 @@ class PieceTable:
                 raise IndexStateError(f"child array of piece {piece}: wrong fan-out")
             children.restore(spec["buckets"])
         self._check_sources(rows)
-        worklist, queue = state["worklist"].tolist(), state["queue"].tolist()
-        unsorted = [p for p in range(rows) if self.state[p] not in (SPLIT, SORTED) and self._reachable(p)]
-        if sorted(worklist + queue) != unsorted or any(self.parent[p] >= 0 or self.state[p] for p in queue):
-            raise IndexStateError("the worklist is not the unsorted pieces (and the queue waiting roots)")
+        worklist = state["worklist"].tolist()
+        unsorted = {p for p in range(rows) if self.state[p] not in (SPLIT, SORTED) and self._reachable(p)}
+        if len(set(worklist)) != len(worklist) or not unsorted >= set(worklist) or any(
+                self.parent[p] >= 0 or self.state[p] != WAITING for p in unsorted.difference(worklist)):
+            raise IndexStateError("the worklist is not the unsorted pieces (but waiting roots)")
         for piece in worklist:
             self.enqueue(piece)
-        self.queue.extend(queue)
 
     def _reachable(self, piece: int) -> bool:
         while self.parent[piece] >= 0:

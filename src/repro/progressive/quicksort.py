@@ -100,13 +100,10 @@ class ProgressiveQuicksort(ProgressiveIndexBase):
             "high_fill": int(self._high_fill),
         }
 
-    def _load_construction_state(self, state: dict) -> None:
-        if "layout" not in state:
-            state = self._migrate_v1(state)
+    def _load_fields(self, state: dict) -> None:
         self.sort_threshold = int(state.get("sort_threshold", self.sort_threshold))
         self._pivot = state.get("pivot")
         self._low_fill, self._high_fill = int(state["low_fill"]), int(state["high_fill"])
-        super()._load_construction_state(state)
 
     def _migrate_v1(self, state: dict) -> dict:
         """A layout-1 payload (the index array, then a pivot tree) as layout 2."""

@@ -3,10 +3,9 @@
 :class:`ProgressiveSorter` is PQ's split rule on a one-root
 :class:`~repro.progressive.pieces.PieceTable` over ``array[start:end)``:
 every :meth:`refine` does at most about ``element_budget`` elements of
-partitioning (a piece that fits the sort threshold is sorted outright), and
-every :meth:`query` is exact however far the refinement has come.  The
+partitioning (a piece that fits the sort threshold is sorted outright).  The
 indexes use the piece table directly; this facade serves callers that sort
-one array — ``calibrate()`` times σ with it.
+one array — ``calibrate()`` times σ with it.  Its table is ``pieces``.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.query import Predicate, QueryResult
 from repro.progressive.pieces import DEFAULT_MAX_DEPTH, DEFAULT_SORT_THRESHOLD, SORTED, PieceTable
 
 
@@ -37,7 +35,6 @@ class ProgressiveSorter:
         value_high=None,
         sort_threshold: int = DEFAULT_SORT_THRESHOLD,
         max_depth: int = DEFAULT_MAX_DEPTH,
-        pivot=None,
     ) -> None:
         end = array.size if end is None else int(end)
         if end < start:
@@ -48,7 +45,7 @@ class ProgressiveSorter:
         if value_high is None:
             value_high = float(segment.max()) if segment.size else 0.0
         self.pieces = PieceTable(array, sort_threshold=sort_threshold, max_depth=max_depth)
-        self.pieces.add_pq(int(start), end, -math.inf, math.inf, value_low, value_high, pivot=pivot)
+        self.pieces.add_pq(int(start), end, -math.inf, math.inf, value_low, value_high)
         if self.pieces.state[0] != SORTED:
             self.pieces.enqueue(0)
 
@@ -60,9 +57,10 @@ class ProgressiveSorter:
         """A sorter whose range is already partitioned at ``boundary``:
         values ``< pivot`` before it, the rest after it (PQ's creation
         phase leaves its array so)."""
-        sorter = cls(array, start, end, value_low, value_high, sort_threshold, max_depth, pivot=pivot)
+        sorter = cls(array, start, end, value_low, value_high, sort_threshold, max_depth)
         if sorter.pieces.worklist:
             sorter.pieces.worklist.clear()
+            sorter.pieces.split[0] = pivot
             sorter.pieces.split_two(0, int(boundary))
         return sorter
 
@@ -70,22 +68,7 @@ class ProgressiveSorter:
     def is_sorted(self) -> bool:
         return self.pieces.done
 
-    def remaining_work(self) -> int:
-        return self.pieces.remaining()
-
     def refine(self, element_budget: int) -> int:
         """Up to ``element_budget`` elements of work; returns the elements
         processed (a piece sorted outright may overshoot by its size)."""
         return self.pieces.refine(int(element_budget), self.pieces.sort_step)
-
-    def prioritize(self, predicate: Predicate) -> None:
-        """Refine the pieces ``predicate`` overlaps first."""
-        self.pieces.prioritize(predicate.low, predicate.high)
-
-    def query(self, predicate: Predicate) -> QueryResult:
-        return self.pieces.answer(predicate.low, predicate.high, (predicate.low, predicate.high))
-
-    def scanned_fraction(self, predicate: Predicate) -> float:
-        """The share of the range a query scans (the paper's α)."""
-        touched = self.pieces.touched(predicate.low, predicate.high, (predicate.low, predicate.high), True)
-        return min(1.0, touched / self.pieces.size(0)) if self.pieces.size(0) else 0.0

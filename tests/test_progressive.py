@@ -267,6 +267,10 @@ def damage_payload(pieces: dict, kind: str, position: int, entry: int, change, v
         pieces[key] = column + change
 
 
+#: Damage kinds; ``family ...`` ones hit the family payload's own keys.
+DAMAGE_KINDS = ["drop", "retype", "shift", "family drop", "family retype"]
+
+
 @settings(max_examples=500, deadline=None)
 # Shifts that once got through: progress on a waiting piece (PMSD, PB), a
 # pending piece saved as mid-partition (PQ), a large waiting root saved as
@@ -278,18 +282,20 @@ def damage_payload(pieces: dict, kind: str, position: int, entry: int, change, v
 @given(
     source=st.sampled_from(sorted(PIECE_PAYLOADS)),
     damage=st.lists(
-        st.tuples(st.sampled_from(["drop", "retype", "shift"]), st.integers(0, 40),
+        st.tuples(st.sampled_from(DAMAGE_KINDS), st.integers(0, 40),
                   st.integers(0, 10_000), st.sampled_from([-2, -1, 1, 2, 64]), PIECE_DAMAGE),
         min_size=1, max_size=2),
 )
 def test_damaged_piece_table_restores_correctly_or_raises_typed(source, damage):
-    """Drop, retype or shift entries of a mid-refinement piece table: the
-    restore raises :class:`IndexStateError` or answers every query exactly
-    to convergence — never an ``IndexError``/``KeyError``, never a silent
-    wrong count."""
+    """Drop, retype or shift entries of a mid-refinement piece table, or
+    drop or retype a key of the family payload around it: the restore raises
+    :class:`IndexStateError` or answers every query exactly to convergence —
+    never an ``IndexError``/``KeyError``, never a silent wrong count."""
     state = copy.deepcopy(PIECE_PAYLOADS[source])
     for kind, position, entry, change, value in damage:
-        damage_payload(state["family"]["pieces"], kind, position, entry, change, value)
+        target = state["family"] if kind.startswith("family ") else state["family"].get("pieces")
+        if isinstance(target, dict) and target:
+            damage_payload(target, kind.removeprefix("family "), position, entry, change, value)
     index_class, options = PIECE_FAMILIES[source[0]]
     index = index_class(Column(PIECE_DATA.copy()), budget=FixedDelta(0.06), **options)
     try:
@@ -297,3 +303,25 @@ def test_damaged_piece_table_restores_correctly_or_raises_typed(source, damage):
     except IndexStateError:
         return
     drive_to_convergence(index, PIECE_DATA, np.random.default_rng(1))
+
+
+def test_pb_routes_integers_past_2_53_as_its_scatter_did():
+    """Dense int64 values near 2**60 share a float64 per 256 of them, and the
+    scatter routes them as float64: a value just below a bound that rounds
+    onto it lands in the bucket above.  Queries ending on such values find
+    them in every phase, also once the buckets (past the sort threshold)
+    have split."""
+    data = 2**60 + np.random.default_rng(31).permutation(400_000).astype(np.int64)
+    index = ProgressiveBucketsort(Column(data.copy()), budget=FixedDelta(0.02))
+    assert_exact(index, data, Predicate(int(data.min()), int(data.min()) + 1_000))
+    edges = [int(bound) - 1 for bound in index.bounds]
+    assert all(float(edge) == bound for edge, bound in zip(edges, index.bounds))
+    phases, split = set(), False
+    for turn in range(10_000):
+        if index.converged:
+            break
+        edge = edges[turn % len(edges)]
+        assert_exact(index, data, Predicate(edge - 300 * (turn % 3), edge))
+        phases.add(index.phase)
+        split |= index._pieces is not None and any(index._pieces.fanout)
+    assert index.converged and split and IndexPhase.REFINEMENT in phases

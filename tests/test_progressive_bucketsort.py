@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro import kernels
 from repro.core.policy import FixedDelta, TimeAdaptive
 from repro.core.phase import IndexPhase
 from repro.core.query import Predicate
-from repro.progressive.bucketsort import ProgressiveBucketsort
+from repro.progressive.bucketsort import ProgressiveBucketsort, _least_integer_at
 from repro.storage.column import Column
 
 from tests.conftest import assert_matches_brute_force, random_range_predicates
@@ -146,3 +148,15 @@ class TestBucketsortCorrectness:
         index.query(Predicate(0, 5_000))
         assert index.last_stats.predicted_cost is not None
         assert index.last_stats.delta == pytest.approx(0.25)
+
+
+@given(st.floats(min_value=-(2.0**63), max_value=2.0**63, allow_nan=False))
+@example(2.0**60)
+@example(-(2.0**60))
+@example(2.0**60 + 256)
+@example(2.5)
+def test_root_key_is_the_least_integer_routed_at_or_above_a_bound(bound):
+    """An integer reaches bucket ``b`` exactly when it is at least the root
+    key of ``bounds[b - 1]``: the least integer whose float64 is ``>=`` it."""
+    key = _least_integer_at(bound)
+    assert float(key) >= bound > float(key - 1)

@@ -161,7 +161,7 @@ def test_pq_prioritize_order_equals_the_stable_partition(dtype):
         low = float(rng.uniform(low_end - 10, high_end))
         predicate = Predicate(low, low + (high_end - low_end) * float(rng.choice([0.0, 0.01, 0.2])))
         expected = reference_prioritize(sorter.pieces, predicate)
-        sorter.prioritize(predicate)
+        sorter.pieces.prioritize(predicate.low, predicate.high)
         assert list(sorter.pieces.worklist) == expected
         checked += len(expected) > 1
         sorter.refine(int(rng.integers(50, 2_000)))

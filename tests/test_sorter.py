@@ -14,6 +14,11 @@ from repro.progressive.sorter import ProgressiveSorter
 from tests.conftest import brute_force
 
 
+def answer(sorter, predicate):
+    """The sorter's table answering ``predicate`` (keys are values)."""
+    return sorter.pieces.answer(predicate.low, predicate.high, (predicate.low, predicate.high))
+
+
 def table_over(values, pivot=50):
     """A piece table whose one root covers ``values`` (bounds 0..100)."""
     table = PieceTable(np.array(values, dtype=np.int64))
@@ -110,7 +115,7 @@ class TestProgressiveSorter:
             sorter.refine(150)
             low = int(rng.integers(0, 4_500))
             predicate = Predicate(low, low + 500)
-            result = sorter.query(predicate)
+            result = answer(sorter, predicate)
             expected = brute_force(original, predicate)
             assert result.count == expected.count
             assert result.value_sum == expected.value_sum
@@ -118,7 +123,7 @@ class TestProgressiveSorter:
     def test_query_on_sorted_leaf_uses_binary_search(self):
         array, sorter = self.make_sorter(list(range(100)), threshold=128)
         sorter.refine(1_000)
-        result = sorter.query(Predicate(10, 19))
+        result = answer(sorter, Predicate(10, 19))
         assert result.count == 10
         assert result.value_sum == sum(range(10, 20))
 
@@ -130,7 +135,7 @@ class TestProgressiveSorter:
             sorter.refine(400)
             iterations += 1
             assert iterations < 1_000
-        assert sorter.query(Predicate(7, 7)).count == 2_000
+        assert answer(sorter, Predicate(7, 7)).count == 2_000
 
     def test_from_partitioned_continues_creation_state(self):
         rng = np.random.default_rng(3)
@@ -148,7 +153,7 @@ class TestProgressiveSorter:
             sort_threshold=64,
         )
         # Queries entirely below the pivot only touch the low side.
-        assert sorter.query(Predicate(0, 499)).count == lows.size
+        assert answer(sorter, Predicate(0, 499)).count == lows.size
         while not sorter.is_sorted:
             sorter.refine(500)
         assert np.all(array[:-1] <= array[1:])
@@ -159,7 +164,7 @@ class TestProgressiveSorter:
         sorter = ProgressiveSorter(array, sort_threshold=64)
         sorter.refine(8_000)  # finish the root partition, creating children
         predicate = Predicate(0, 100)
-        sorter.prioritize(predicate)
+        sorter.pieces.prioritize(predicate.low, predicate.high)
         front = sorter.pieces.head()
         assert sorter.pieces.vlo[front] <= predicate.high and sorter.pieces.vhi[front] >= predicate.low
 
@@ -167,19 +172,20 @@ class TestProgressiveSorter:
         rng = np.random.default_rng(5)
         array = rng.integers(0, 10_000, size=4_000)
         sorter = ProgressiveSorter(array, sort_threshold=64)
-        before = sorter.remaining_work()
+        before = sorter.pieces.remaining()
         sorter.refine(1_000)
-        assert sorter.remaining_work() <= before
+        assert sorter.pieces.remaining() <= before
 
     def test_scanned_fraction_shrinks_as_sorting_progresses(self):
         rng = np.random.default_rng(6)
         array = rng.integers(0, 10_000, size=6_000)
         sorter = ProgressiveSorter(array, sort_threshold=64)
         predicate = Predicate(100, 1_100)
-        initial = sorter.scanned_fraction(predicate)
+        keys = (predicate.low, predicate.high)
+        initial = sorter.pieces.touched(predicate.low, predicate.high, keys, True)
         while not sorter.is_sorted:
             sorter.refine(2_000)
-        final = sorter.scanned_fraction(predicate)
+        final = sorter.pieces.touched(predicate.low, predicate.high, keys, True)
         assert final <= initial
 
     def test_invalid_range_rejected(self):
