@@ -9,7 +9,7 @@ Data Analysis" (PVLDB 12(13), 2019) as a stand-alone Python library:
 * the adaptive-indexing comparators from the database-cracking family
   (:mod:`repro.cracking`) and the full-scan / full-index baselines
   (:mod:`repro.baselines`);
-* the B+-tree substrate (:mod:`repro.btree`);
+* the sorted-array read structure (:mod:`repro.btree`);
 * the mutable column substrate — delta-store writes with snapshot-versioned
   reads and budget-priced progressive merging (:mod:`repro.storage`,
   :mod:`repro.core.overlay`);
@@ -34,7 +34,7 @@ True
 """
 
 from repro.baselines import FullIndex, FullScan
-from repro.btree import BPlusTree, CascadeTree
+from repro.btree import CascadeTree
 from repro.core import (
     BatchPool,
     BudgetController,
@@ -109,7 +109,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ALGORITHMS",
     "AdaptiveAdaptiveIndexing",
-    "BPlusTree",
     "BatchExecutor",
     "BatchPool",
     "BudgetController",

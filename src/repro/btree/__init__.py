@@ -1,16 +1,12 @@
-"""B+-tree substrate.
+"""The sorted-array read structure.
 
-Two flavours are provided:
-
-* :class:`~repro.btree.bplus_tree.BPlusTree` — a node-based B+-tree with bulk
-  loading, point/range lookups and single-value inserts.  The full-index
-  baseline bulk loads the column into this structure on its first query.
-* :class:`~repro.btree.cascade.CascadeTree` — the implicit "copy every β-th
-  element to a parent level" structure that the consolidation phase of the
-  progressive indexes builds on top of their fully sorted array.
+:class:`~repro.btree.cascade.CascadeTree` answers range and point queries
+from one :class:`~repro.core.query.SortedLeaf`: two binary searches and a
+prefix-sum difference.  The paper puts a B+-tree over the sorted array; a
+lookup through its levels never beats one binary search over the whole
+array here, so none is built.
 """
 
-from repro.btree.bplus_tree import BPlusTree
 from repro.btree.cascade import CascadeTree
 
-__all__ = ["BPlusTree", "CascadeTree"]
+__all__ = ["CascadeTree"]

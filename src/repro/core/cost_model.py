@@ -2,8 +2,8 @@
 
 Each progressive indexing algorithm combines a small set of primitive cost
 terms: sequentially scanning pages, sequentially writing pages, random
-accesses while traversing auxiliary structures, appending to linked bucket
-blocks, and copying elements into B+-tree levels.  :class:`CostModel` exposes
+accesses while traversing auxiliary structures, and appending to linked
+bucket blocks.  :class:`CostModel` exposes
 those primitives (parameterised by the calibrated
 :class:`~repro.core.calibration.CostConstants`) so that the per-algorithm
 cost models in the index implementations stay short, readable transcriptions
@@ -12,9 +12,12 @@ of the paper's formulas:
 * creation phase of Progressive Quicksort:
   ``t_total = (1 - rho + alpha - delta) * t_scan + delta * t_pivot``
 * refinement phase: ``t_total = t_lookup + alpha * t_scan + delta * t_swap``
-* consolidation phase: ``t_total = t_lookup + alpha * t_scan + delta * t_copy``
 * radix/bucket creation:
   ``t_total = (1 - rho - delta) * t_scan + alpha * t_bscan + delta * t_bucket``
+* converged (FI and every converged progressive index):
+  ``t_total = log2(N) * phi + t_scan(matches)`` — a binary search over the
+  sorted array.  The paper's consolidation phase (``delta * t_copy`` into
+  B+-tree levels) has no counterpart: no levels are built.
 
 The progressive index base class prices the creation and refinement phases of
 all four algorithms through :meth:`CostModel.creation_phase_cost` and
@@ -42,7 +45,7 @@ class CostBreakdown:
         Time spent scanning base-column or index data to answer the query.
     lookup:
         Time spent traversing auxiliary structures (pivot tree, bucket tree,
-        binary search, B+-tree descent).
+        binary search).
     indexing:
         Time spent on index construction or refinement (the indexing budget).
     merge:
@@ -200,37 +203,13 @@ class CostModel:
     def delta_fold_time(self, n_base: int, n_delta: int) -> float:
         """Fold ``n_delta`` sorted delta rows into a structure of ``n_base``.
 
-        A merge is one read-write pass over both inputs plus rebuilding the
-        sampled cascade levels on top (a ``1/fanout`` fraction of the data,
-        priced as one more strided copy of the merged size for simplicity).
+        A merge is one read-write pass over both inputs plus one random
+        access per block of the merged size.
         """
         merged = n_base + n_delta
         return self.scan_time(merged) + self.write_time(merged) + self.constants.phi * (
             merged / DEFAULT_BLOCK_SIZE
         )
-
-    # Consolidation -----------------------------------------------------
-    def btree_copy_count(self, n_elements: int, fanout: int) -> int:
-        """Number of elements copied into upper B+-tree levels.
-
-        Paper: ``N_copy = sum_{i=1..log_beta(n)} n / beta^i``.
-        """
-        if n_elements <= 1 or fanout <= 1:
-            return 0
-        total = 0
-        level = n_elements
-        while level > 1:
-            level = level // fanout
-            total += level
-        return total
-
-    def consolidation_copy_time(self, n_copy_elements: int) -> float:
-        """Copy ``n_copy_elements`` into B+-tree levels.
-
-        Each copied element is read with a random (strided) access from the
-        level below and written sequentially to the level above.
-        """
-        return n_copy_elements * self.constants.phi + self.write_time(n_copy_elements)
 
     # ------------------------------------------------------------------
     # Composite helpers used by several algorithms

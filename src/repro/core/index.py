@@ -168,7 +168,7 @@ class BaseIndex(DeltaOverlay, abc.ABC):
     #: (:meth:`_search_many`) are safe to run from concurrent reader threads
     #: without serialization.  True for families whose converged read path
     #: only consults frozen structures plus idempotent caches (progressive
-    #: sort/cascade families, the full-scan/full-index baselines); False for
+    #: sort families, the full-scan/full-index baselines); False for
     #: families that reorganise data *on every read* (cracking), which the
     #: serving scheduler always routes through the exclusive work lane.
     concurrent_reads: bool = False
@@ -196,8 +196,8 @@ class BaseIndex(DeltaOverlay, abc.ABC):
         self._lifecycle = IndexLifecycle()
         self._queries_executed = 0
         self.last_stats = QueryStats()
-        #: The sorted structural base once the family owns one (progressive
-        #: indexes from consolidation onwards, the built full index): what
+        #: The sorted structural base once the family owns one (converged
+        #: progressive indexes, the built full index): what
         #: :meth:`_search_one` and :meth:`_search_many` read.
         self._leaf: SortedLeaf | None = None
         #: Match count of the last steady-state read (see :attr:`last_stats`).
@@ -314,7 +314,7 @@ class BaseIndex(DeltaOverlay, abc.ABC):
             stats = self._last_stats = QueryStats(
                 query_number=self._queries_executed,
                 phase=IndexPhase.CONVERGED,
-                predicted_cost=None if breakdown is None else breakdown.total,
+                predicted_cost=breakdown.total,
                 predicted_breakdown=breakdown,
             )
         return stats
@@ -536,10 +536,18 @@ class BaseIndex(DeltaOverlay, abc.ABC):
             return None
         return answered, state.absorbed_seq
 
-    def _converged_count_cost(self, match_count: int) -> CostBreakdown | None:
-        """Predicted cost of a converged read matching ``match_count`` rows
-        (``None`` for families without a cost model)."""
-        return None
+    def _fold_base_size(self) -> int:
+        """The sorted leaf's size once there is one (a fold grows it)."""
+        return len(self._column) if self._leaf is None else int(self._leaf.values.size)
+
+    def _converged_count_cost(self, match_count: int) -> CostBreakdown:
+        """Predicted cost of a sorted-leaf read matching ``match_count`` rows:
+        a binary search over the column plus a scan of the matches."""
+        return CostBreakdown(
+            scan=self._cost_model.scan_time(match_count),
+            lookup=self._cost_model.binary_search_time(len(self._column)),
+            indexing=0.0,
+        )
 
     def _execute_converged(self, predicate: Predicate) -> QueryResult:
         """The leaf read with its stats recorded: what :meth:`_execute` runs

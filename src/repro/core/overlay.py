@@ -25,7 +25,7 @@ rewrites:
    fraction of the predicted full merge cost (the ``merge`` component of the
    :class:`~repro.core.cost_model.CostBreakdown`), and the granted credit
    accumulates until it covers the family-specific *fold* — rebuilding the
-   sorted leaf / B+-tree cascade with the buffered rows merged in — after
+   sorted leaf with the buffered rows merged in — after
    which the lifecycle returns to ``CONVERGED``.  Families without a
    cheap fold (cracking keeps refining forever) simply keep the sorted
    buffers: correctness is identical, queries stay logarithmic in the
@@ -325,7 +325,7 @@ class DeltaOverlay:
     def _fold_delta(self, inserts_sorted: np.ndarray, tombstones_sorted: np.ndarray) -> bool:
         """Fold the sorted buffers into the structural base.
 
-        Families with a sorted backbone (progressive cascades, the full
+        Families with a sorted backbone (converged progressive indexes, the full
         index) override this and return ``True``; the default keeps the
         buffers (cracking and the scan baseline stay overlay-resident).
         """

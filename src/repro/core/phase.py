@@ -1,6 +1,6 @@
 """The canonical phases of a progressive index.
 
-Section 3 of the paper defines three phases every progressive indexing
+Section 3 of the paper defines the phases every progressive indexing
 algorithm moves through:
 
 ``CREATION``
@@ -9,10 +9,13 @@ algorithm moves through:
 ``REFINEMENT``
     All data lives in the index; queries only touch the index while it is
     progressively reorganised towards a fully sorted array.
-``CONSOLIDATION``
-    The sorted array is progressively turned into a B+-tree.
 ``CONVERGED``
-    The B+-tree is complete; no further construction work is performed.
+    The index array is sorted; no further construction work is performed.
+    The paper's consolidation phase, which builds a B+-tree over the sorted
+    array, has no counterpart: every converged read is a binary search over
+    the sorted array itself, so an index converges on the query that
+    finishes sorting.  Checkpoints taken in a ``consolidation`` phase load
+    as ``CONVERGED``.
 ``MERGE``
     The mutable-substrate extension of the paper's life cycle: writes have
     landed in the column's delta store after the index converged, and
@@ -40,19 +43,13 @@ class IndexPhase(enum.Enum):
     INACTIVE = "inactive"
     CREATION = "creation"
     REFINEMENT = "refinement"
-    CONSOLIDATION = "consolidation"
     CONVERGED = "converged"
     MERGE = "merge"
 
     @property
     def does_indexing_work(self) -> bool:
         """Whether queries in this phase still spend budget on indexing."""
-        return self in (
-            IndexPhase.CREATION,
-            IndexPhase.REFINEMENT,
-            IndexPhase.CONSOLIDATION,
-            IndexPhase.MERGE,
-        )
+        return self in (IndexPhase.CREATION, IndexPhase.REFINEMENT, IndexPhase.MERGE)
 
     @property
     def order(self) -> int:
@@ -74,10 +71,17 @@ _PHASE_ORDER = {
     IndexPhase.INACTIVE: 0,
     IndexPhase.CREATION: 1,
     IndexPhase.REFINEMENT: 2,
-    IndexPhase.CONSOLIDATION: 3,
+    # 3 was the paper's consolidation phase; the exported ordinals keep
+    # their values.
     IndexPhase.CONVERGED: 4,
     IndexPhase.MERGE: 5,
 }
+
+
+def _stored_phase(value: str) -> IndexPhase:
+    """The phase a checkpointed name stands for: older checkpoints name a
+    ``consolidation`` phase, whose index was already sorted."""
+    return IndexPhase.CONVERGED if value == "consolidation" else IndexPhase(value)
 
 
 class IndexLifecycle:
@@ -227,16 +231,19 @@ class IndexLifecycle:
         guards *transitions*, not restores: a recovered index legitimately
         wakes up mid-``REFINEMENT`` or mid-``MERGE``.
         """
-        self._phase = IndexPhase(state["phase"])
-        self.transitions = [
-            (int(q), IndexPhase(value)) for q, value in state.get("transitions", [])
-        ]
+        self._phase = _stored_phase(state["phase"])
+        self.transitions = []
+        for q, value in state.get("transitions", []):
+            phase = _stored_phase(value)
+            # consolidation -> converged reads as one entry into CONVERGED.
+            if not self.transitions or self.transitions[-1][1] is not phase:
+                self.transitions.append((int(q), phase))
         self._queries = {phase: 0 for phase in IndexPhase}
         for value, count in state.get("queries", {}).items():
-            self._queries[IndexPhase(value)] = int(count)
+            self._queries[_stored_phase(value)] += int(count)
         self._indexing_seconds = {phase: 0.0 for phase in IndexPhase}
         for value, seconds in state.get("indexing_seconds", {}).items():
-            self._indexing_seconds[IndexPhase(value)] = float(seconds)
+            self._indexing_seconds[_stored_phase(value)] += float(seconds)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"IndexLifecycle(phase={self._phase.value!r}, transitions={len(self.transitions)})"

@@ -12,7 +12,6 @@ implementations can be cross-checked for exactness.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence
 
@@ -326,15 +325,15 @@ def _wrap64(value_sum: int, sum_floor: int) -> int:
     return (value_sum - sum_floor) % (1 << 64) + sum_floor
 
 
-#: Entries per block sum of a budgeted leaf (the cascade's default fanout β).
+#: Entries per block sum of a budgeted leaf.
 SUM_BLOCK = 64
 
 
 class SortedLeaf:
     """A sorted array and its exclusive prefix sums: the one read primitive.
 
-    Every structure that ends in a sorted array — the progressive cascades
-    from consolidation onwards, the full index — answers scalar reads
+    Every structure that ends in a sorted array — the converged progressive
+    indexes, the full index — answers scalar reads
     (:meth:`range_one`) and batches (:meth:`range_many`) from here, over
     the same two arrays.  The prefix array is built on first use and is
     counted by :meth:`prefix_bytes`.

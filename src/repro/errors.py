@@ -62,7 +62,7 @@ class InvalidBudgetError(ProgressiveIndexError):
 class IndexStateError(ProgressiveIndexError):
     """Raised when an index is driven through an illegal state transition.
 
-    For example, asking a consolidated index to perform further refinement
+    For example, asking a converged index to perform further refinement
     work, querying an index after its backing column has been released, or
     restoring a damaged checkpoint payload.
     """

@@ -102,9 +102,6 @@ class ProgressiveColumnImprints(BaseIndex):
         self._register_scan_time()
         self._advance_phase(IndexPhase.CREATION)
 
-    def _bins_of(self, values: np.ndarray) -> np.ndarray:
-        return zonemaps.bins_of(self._bin_edges, values)
-
     # ------------------------------------------------------------------
     # Persistence (checkpointing)
     # ------------------------------------------------------------------

@@ -318,15 +318,6 @@ def write_compressed_column(
     }
 
 
-def is_compressed_column(path: str) -> bool:
-    """Whether ``path`` carries the v2 compressed-column magic."""
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(len(COLUMN2_MAGIC)) == COLUMN2_MAGIC
-    except OSError:
-        return False
-
-
 # ----------------------------------------------------------------------
 # Reader
 # ----------------------------------------------------------------------
@@ -418,10 +409,6 @@ class CompressedColumnReader:
             )
         except PersistenceError as error:
             raise PersistenceError(f"column file {self.path!r} block {i}: {error}") from None
-
-    def block_bounds(self, block_id: int) -> Tuple[int, int]:
-        """Row range ``[start, stop)`` the block covers."""
-        return int(self.block_starts[block_id]), int(self.block_starts[block_id + 1])
 
     def block_minmax(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-block ``(mins, maxs)`` — zone-map food, no decompression."""
@@ -545,13 +532,6 @@ class BlockCache:
                 self._pins.pop(key, None)
             else:
                 self._pins[key] = count - 1
-
-    def drop_reader(self, reader: CompressedColumnReader) -> None:
-        """Forget every cached block of ``reader`` (reader closed)."""
-        with self._lock:
-            for key in [k for k in self._entries if k[0] == reader.cache_token]:
-                self._bytes -= self._entries.pop(key).nbytes
-                self._pins.pop(key, None)
 
     # ------------------------------------------------------------------
     @property

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
@@ -428,10 +428,6 @@ class Database:
             engine = SharedEngine.for_database(self)
             self._engine = engine
         return engine
-
-    def reader_view(self, connection_class: str = "interactive"):
-        """A new MVCC reader pinned at the current committed versions."""
-        return self.shared_engine().reader(connection_class)
 
     def serve(self, address=None, **kwargs):
         """Build (without starting) a query server over this database."""

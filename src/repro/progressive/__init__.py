@@ -9,12 +9,12 @@ shared machinery they are built from:
   worklist, lookup, answer, α walk and checkpoint codec written once.
 * :mod:`repro.progressive.sorter` — PQ's rule on one array range (a
   one-root piece table), for callers that sort one array.
-* :mod:`repro.progressive.consolidation` — progressive construction of the
-  B+-tree cascade from a sorted array.
 * :mod:`repro.progressive.base` — the shared life-cycle driver: phase
   dispatch, budget-controller routing, and every phase — creation,
-  refinement, consolidation, converged — implemented once for all four
-  algorithms, which supply their partition rule as hooks.
+  refinement, converged — implemented once for all four algorithms, which
+  supply their partition rule as hooks.  An index converges on the query
+  that finishes sorting: the sorted array is what converged reads search,
+  so the paper's consolidation phase has no B+-tree to build.
 * :mod:`repro.progressive.quicksort` — Progressive Quicksort.
 * :mod:`repro.progressive.radixsort_msd` — Progressive Radixsort (MSD).
 * :mod:`repro.progressive.radixsort_lsd` — Progressive Radixsort (LSD).

@@ -1,7 +1,7 @@
 """Shared life-cycle driver of the four progressive indexes.
 
 Every progressive indexing algorithm of the paper moves through the same
-phases — creation, refinement, consolidation, converged — and prices every
+phases — creation, refinement, converged — and prices every construction
 phase with the same formula shape, ``(1-ρ-δ)·t_scan + α·t_indexed_scan +
 δ·t_work``.  :class:`ProgressiveIndexBase` is the template method that owns
 all of it:
@@ -19,9 +19,10 @@ all of it:
   ``δ·N`` elements of work, answer from the partly refined index), priced
   through :meth:`~repro.core.cost_model.CostModel.creation_phase_cost` and
   :meth:`~repro.core.cost_model.CostModel.refinement_phase_cost`;
-* the consolidation phase (progressively copying the sorted array into
-  cascade levels), the converged path, the memory footprint, and the
-  construction of every bucket set and radix key space;
+* convergence on the query that finishes sorting (the final array becomes
+  the :class:`~repro.core.query.SortedLeaf` every converged read uses — the
+  paper's consolidation phase has no tree to build here), the memory
+  footprint, and the construction of every bucket set and radix key space;
 * for PQ, PMSD and PB, the refinement's
   :class:`~repro.progressive.pieces.PieceTable` — its lookup, answer, α walk
   and checkpoint codec (``_construction_state`` /
@@ -44,6 +45,8 @@ Each algorithm is reduced to its partition rule, as hooks:
 ``_refine``               one budgeted step of the split rule; returns the
                           elements it spent
 ``_route``                the predicate as the piece table's keys
+``_load_fields``          the family's own checkpoint fields
+``_migrate_v1``           a layout-1 checkpoint as piece-table rows
 ========================  ==================================================
 
 The bucket families (PMSD, PB, PLSD) name the buckets a query reads
@@ -58,10 +61,10 @@ Mutable columns ride on the shared :class:`~repro.core.overlay.DeltaOverlay`
 mixin (inherited through :class:`~repro.core.index.BaseIndex`): structures
 are built over the snapshot pinned at creation, answers are corrected with
 the pending delta, and — because every progressive index converges to a
-sorted array under a B+-tree cascade — the converged family implements the
-overlay's *fold*: the buffered inserts/tombstones are merged into the leaf
-array and the cascade levels are resampled, paid for by the ``MERGE``-phase
-budget decisions the same way creation/refinement/consolidation work was.
+sorted array — the converged family implements the overlay's *fold*: the
+buffered inserts/tombstones are merged into the sorted array, which becomes
+a new leaf, paid for by the ``MERGE``-phase budget decisions the same way
+creation and refinement work was.
 """
 
 from __future__ import annotations
@@ -72,7 +75,6 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.btree.cascade import DEFAULT_FANOUT, CascadeTree
 from repro.core.calibration import CostConstants
 from repro.core.cost_model import CostBreakdown
 from repro.core.index import BaseIndex
@@ -82,7 +84,6 @@ from repro.core.policy import BudgetPolicy
 from repro.core.query import Predicate, QueryResult, SortedLeaf
 from repro.errors import IndexStateError
 from repro.progressive.blocks import BucketSet, ExactBucketSet
-from repro.progressive.consolidation import ProgressiveConsolidator
 from repro.progressive.pieces import LAYOUT, PieceTable
 from repro.storage.column import Column
 from repro.storage.delta import merge_sorted_with_delta
@@ -102,8 +103,6 @@ class ProgressiveIndexBase(BaseIndex):
         pooled batch reservoir).
     constants:
         Cost-model constants.
-    fanout:
-        β of the consolidation-phase B+-tree cascade.
     """
 
     #: Once converged, the sorted-leaf lookups of this family are pure reads
@@ -119,17 +118,13 @@ class ProgressiveIndexBase(BaseIndex):
         column: Column,
         budget: BudgetPolicy | None = None,
         constants: CostConstants | None = None,
-        fanout: int = DEFAULT_FANOUT,
     ) -> None:
         super().__init__(column, budget=budget, constants=constants)
-        self.fanout = int(fanout)
-        self._consolidator: ProgressiveConsolidator | None = None
-        self._cascade = None
         #: Base-column rows the creation phase has ingested (``ρ·N``).
         self._ingested = 0
         #: The creation phase's buckets (bucket families).
         self._buckets: BucketSet | None = None
-        #: The array that ends sorted and becomes the cascade's leaf.
+        #: The array that ends sorted and becomes the sorted leaf.
         self._final_array: np.ndarray | None = None
         #: Slab arena of the bucket storage under a memory budget.
         self._arena = None
@@ -149,8 +144,6 @@ class ProgressiveIndexBase(BaseIndex):
             return self._execute_creation(predicate)
         if phase is IndexPhase.REFINEMENT:
             return self._execute_refinement(predicate)
-        if phase is IndexPhase.CONSOLIDATION:
-            return self._execute_consolidation(predicate)
         return self._execute_converged(predicate)
 
     # ------------------------------------------------------------------
@@ -167,8 +160,6 @@ class ProgressiveIndexBase(BaseIndex):
             return self._creation_cost(predicate, delta)
         if phase is IndexPhase.REFINEMENT:
             return self._refinement_pricing(predicate)(delta)
-        if phase is IndexPhase.CONSOLIDATION:
-            return self._consolidation_cost(predicate, delta)
         if phase is IndexPhase.CONVERGED:
             return self._converged_cost(predicate)
         if phase is IndexPhase.MERGE:
@@ -176,16 +167,15 @@ class ProgressiveIndexBase(BaseIndex):
         return None
 
     def memory_footprint(self) -> int:
-        """Bytes held by the bucket blocks, the index array and the cascade."""
+        """Bytes held by the bucket blocks, the index array and, once built,
+        its prefix sums."""
         total = sum(
             buckets.memory_footprint() for buckets in self._bucket_sets() if buckets is not None
         )
         if self._final_array is not None:
             total += self._final_array.nbytes
-        if self._cascade is not None:
-            total += self._cascade.memory_footprint()
-        elif self._consolidator is not None:
-            total += sum(level.nbytes for level in self._consolidator.levels)
+        if self._leaf is not None:
+            total += self._leaf.prefix_bytes()
         return total
 
     def _bucket_sets(self) -> tuple:
@@ -395,61 +385,20 @@ class ProgressiveIndexBase(BaseIndex):
         return result
 
     def _finish_refinement(self) -> None:
-        """The final array is sorted: release the buckets and consolidate."""
+        """The final array is sorted: release the buckets and converge on it."""
         self._buckets = self._pieces = None
-        self._enter_consolidation(self._final_array)
-
-    # ------------------------------------------------------------------
-    # Consolidation phase (shared by all four algorithms)
-    # ------------------------------------------------------------------
-    def _sorted_leaf(self, sorted_array: np.ndarray) -> SortedLeaf:
-        """The read primitive over ``sorted_array``; its prefix sums go
-        through the column's memory budget when one is attached."""
-        pool = self._scratch_pool()
-        self._leaf = SortedLeaf(sorted_array, None if pool is None else pool.allocate)
-        return self._leaf
-
-    def _enter_consolidation(self, sorted_array: np.ndarray) -> None:
-        """Start consolidating ``sorted_array`` into the cascade."""
-        self._consolidator = ProgressiveConsolidator(
-            self._sorted_leaf(sorted_array), fanout=self.fanout
-        )
-        self._advance_phase(IndexPhase.CONSOLIDATION)
-        if self._consolidator.done:
-            self._enter_converged()
-
-    def _consolidation_cost(self, predicate: Predicate, delta: float) -> CostBreakdown:
-        n = len(self._column)
-        total_copy = max(1, self._consolidator.total_elements)
-        alpha = self._consolidator.matching_fraction(predicate)
-        return CostBreakdown(
-            scan=alpha * self._cost_model.scan_time(n),
-            lookup=self._cost_model.binary_search_time(n),
-            indexing=delta * self._cost_model.consolidation_copy_time(total_copy),
-        )
-
-    def _execute_consolidation(self, predicate: Predicate) -> QueryResult:
-        total_copy = max(1, self._consolidator.total_elements)
-        copy_time = self._cost_model.consolidation_copy_time(total_copy)
-        decision = self._decide(
-            copy_time, lambda d: self._consolidation_cost(predicate, d)
-        )
-        element_budget = (
-            int(np.ceil(decision.delta * total_copy)) if decision.delta > 0 else 0
-        )
-        copied = self._consolidator.step(element_budget) if element_budget > 0 else 0
-        result = self._consolidator.query(predicate)
-        self.last_stats.elements_indexed = copied
-        if self._consolidator.done:
-            self._enter_converged()
-        return result
+        self._sorted_leaf(self._final_array)
+        self._advance_phase(IndexPhase.CONVERGED)
 
     # ------------------------------------------------------------------
     # Converged (shared)
     # ------------------------------------------------------------------
-    def _enter_converged(self) -> None:
-        self._cascade = self._consolidator.result()
-        self._advance_phase(IndexPhase.CONVERGED)
+    def _sorted_leaf(self, sorted_array: np.ndarray) -> None:
+        """Read through ``sorted_array`` from now on; its prefix sums go
+        through the column's memory budget when one is attached."""
+        pool = self._scratch_pool()
+        self._final_array = sorted_array
+        self._leaf = SortedLeaf(sorted_array, None if pool is None else pool.allocate)
 
     def _converged_cost(self, predicate: Predicate) -> CostBreakdown:
         # Estimate the match count from the predicate's selectivity rather
@@ -460,13 +409,6 @@ class ProgressiveIndexBase(BaseIndex):
             float(self._column.min()), float(self._column.max())
         )
         return self._converged_count_cost(int(selectivity * n))
-
-    def _converged_count_cost(self, match_count: int) -> CostBreakdown:
-        return CostBreakdown(
-            scan=self._cost_model.scan_time(match_count),
-            lookup=self._cost_model.tree_lookup_time(self._cascade.height),
-            indexing=0.0,
-        )
 
     # ------------------------------------------------------------------
     # Merge phase (mutable substrate; shared by all four algorithms)
@@ -487,58 +429,29 @@ class ProgressiveIndexBase(BaseIndex):
         )
 
     def _fold_delta(self, inserts_sorted: np.ndarray, tombstones_sorted: np.ndarray) -> bool:
-        """Merge the buffered delta into the leaf array, resample the cascade."""
-        if self._cascade is None:
+        """Merge the buffered delta into the sorted array and read the merge."""
+        if self._leaf is None:
             return False
-        merged = merge_sorted_with_delta(
-            self._cascade.leaf_values, inserts_sorted, tombstones_sorted
-        )
-        self._cascade = CascadeTree(self._sorted_leaf(merged), fanout=self.fanout)
+        self._sorted_leaf(merge_sorted_with_delta(self._leaf.values, inserts_sorted, tombstones_sorted))
         return True
 
-    def _fold_base_size(self) -> int:
-        if self._cascade is None:
-            return len(self._column)
-        return int(self._cascade.leaf_values.size)
-
     # ------------------------------------------------------------------
-    # Persistence (checkpointing; shared consolidation/converged stages)
+    # Persistence (checkpointing; the shared converged stage)
     # ------------------------------------------------------------------
     def _family_state(self) -> dict:
-        state = {"fanout": self.fanout}
-        if self._cascade is not None:
-            state["stage"] = "converged"
-            state["leaf_values"] = np.array(self._cascade.leaf_values)
-        elif self._consolidator is not None:
-            state["stage"] = "consolidation"
-            state["leaf_values"] = np.array(self._consolidator.leaf_values)
-            state["copied"] = int(self._consolidator.copied_elements)
-        else:
-            state["stage"] = "construction"
-            state[self._ingested_key] = int(self._ingested)
-            state.update(self._construction_state())
+        if self._leaf is not None:
+            return {"stage": "converged", "leaf_values": np.array(self._leaf.values)}
+        state = {"stage": "construction", self._ingested_key: int(self._ingested)}
+        state.update(self._construction_state())
         return state
 
     def _load_family_state(self, state: dict) -> None:
         # load_state may have re-pinned the snapshot the key space derives from.
         self.__dict__.pop("_keyspace", None)
-        stage = state.get("stage")
-        self.fanout = int(state.get("fanout", self.fanout))
-        if self.fanout < 2:
-            raise IndexStateError(f"cascade fanout {self.fanout}")
-        if stage == "converged":
-            self._final_array = np.asarray(state["leaf_values"])
-            self._cascade = CascadeTree(self._sorted_leaf(self._final_array), fanout=self.fanout)
-        elif stage == "consolidation":
-            self._final_array = np.asarray(state["leaf_values"])
-            self._consolidator = ProgressiveConsolidator(
-                self._sorted_leaf(self._final_array), fanout=self.fanout
-            )
-            # Replaying the copy counter is deterministic and costs exactly
-            # the elements already paid for before the checkpoint.
-            copied = int(state["copied"])
-            if copied:
-                self._consolidator.step(copied)
+        # A consolidation stage (older checkpoints) holds the sorted array
+        # too; its cascade levels and any ``fanout`` key are not read.
+        if state.get("stage") in ("converged", "consolidation"):
+            self._sorted_leaf(np.asarray(state["leaf_values"]))
         else:
             self._ingested = int(state.get(self._ingested_key, 0))
             self._load_construction_state(state)

@@ -29,9 +29,10 @@ Refinement
     least each bound (the scatter compares as float64), so one exact rule
     routes a predicate through the roots and the pivots below them.
 
-Consolidation
-    Identical to the other algorithms: a B+-tree cascade over the sorted
-    array.
+Converged
+    The query that finishes sorting converges the index: the final array is
+    the sorted leaf every later read searches (shared through
+    :class:`~repro.progressive.base.ProgressiveIndexBase`).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ import math
 import numpy as np
 
 from repro import kernels
-from repro.btree.cascade import DEFAULT_FANOUT
 from repro.core.calibration import DEFAULT_BLOCK_SIZE, CostConstants
 from repro.core.policy import BudgetPolicy
 from repro.core.query import Predicate
@@ -82,8 +82,6 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
         piece outright.
     bounds_sample:
         Number of elements sampled to estimate the bucket boundaries.
-    fanout:
-        β of the consolidation-phase B+-tree cascade.
     """
 
     name = "PB"
@@ -99,9 +97,8 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
         block_size: int = DEFAULT_BLOCK_SIZE,
         sort_threshold: int = DEFAULT_SORT_THRESHOLD,
         bounds_sample: int = DEFAULT_BOUNDS_SAMPLE,
-        fanout: int = DEFAULT_FANOUT,
     ) -> None:
-        super().__init__(column, budget=budget, constants=constants, fanout=fanout)
+        super().__init__(column, budget=budget, constants=constants)
         if n_buckets < 2:
             raise ValueError(f"n_buckets must be at least 2, got {n_buckets}")
         self.n_buckets = int(n_buckets)
@@ -123,15 +120,24 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
     def _family_state(self) -> dict:
         state = super()._family_state()
         if state.get("stage") != "construction" and self._bounds is not None:
-            # Consolidated/converged checkpoints keep the bounds too, so a
-            # restore does not re-pay the quantile sampling pass.
+            # Converged checkpoints keep the bounds too, so a restore does
+            # not re-pay the quantile sampling pass.
             state["pb_bounds"] = np.asarray(self._bounds, dtype=np.float64)
         return state
 
     def _load_family_state(self, state: dict) -> None:
         if "pb_bounds" in state:
-            self._bounds = np.asarray(state["pb_bounds"], dtype=np.float64)
+            self._bounds = self._checked_bounds(state["pb_bounds"])
         super()._load_family_state(state)
+
+    def _checked_bounds(self, values) -> np.ndarray:
+        """Saved bucket bounds: ``n_buckets - 1`` of them, in order, no NaN."""
+        bounds = np.asarray(values, dtype=np.float64)
+        if bounds.shape != (self.n_buckets - 1,):
+            raise IndexStateError(f"{bounds.size} bucket bounds for {self.n_buckets} buckets")
+        if np.isnan(bounds).any() or (bounds[1:] < bounds[:-1]).any():
+            raise IndexStateError("bucket bounds hold a NaN or are out of order")
+        return bounds
 
     def _construction_state(self) -> dict:
         state = super()._construction_state()
@@ -141,9 +147,7 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
 
     def _load_fields(self, state: dict) -> None:
         if state["initialized"]:
-            self._bounds = np.asarray(state["bounds"], dtype=np.float64)
-            if self._bounds.shape != (self.n_buckets - 1,):
-                raise IndexStateError(f"{self._bounds.size} bucket bounds for {self.n_buckets} buckets")
+            self._bounds = self._checked_bounds(state["bounds"])
 
     def _migrate_v1(self, state: dict) -> dict:
         """A layout-1 payload (the creation buckets, then one merge state and
@@ -185,7 +189,14 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
         position = np.linspace(0.0, 1.0, self.n_buckets + 1)[1:-1] * (ordered.size - 1)
         lower = position.astype(np.int64)
         upper = np.minimum(lower + 1, ordered.size - 1)
-        self._bounds = ordered[lower] + (position - lower) * (ordered[upper] - ordered[lower])
+        low, high, fraction = ordered[lower], ordered[upper], position - lower
+        with np.errstate(over="ignore", invalid="ignore"):
+            bounds = low + fraction * (high - low)
+            # Neighbours more than the largest float64 apart: the weighted
+            # mean of the two, which cannot overflow and stays between them.
+            spill = ~np.isfinite(high - low)
+            bounds[spill] = (1.0 - fraction[spill]) * low[spill] + fraction[spill] * high[spill]
+        self._bounds = bounds
         self._buckets = self._bucket_set()
 
     def _ingest(self, chunk: np.ndarray) -> None:

@@ -19,9 +19,10 @@ Refinement
     piece that fits the cache threshold is sorted outright.  The pieces a
     query overlaps are refined first, and it reads the pieces it reaches.
 
-Consolidation
-    Once the array is fully sorted, a B+-tree cascade is built on top of it
-    (shared :class:`~repro.progressive.base.ProgressiveIndexBase` driver).
+Converged
+    The query that finishes sorting converges the index: the final array is
+    the sorted leaf every later read searches (shared through
+    :class:`~repro.progressive.base.ProgressiveIndexBase`).
 
 The shared base class prices both phases with the formulas of Section 3.1, from
 PQ's α (the pieces a query scans), ``t_pivot`` and ``t_swap``.
@@ -34,7 +35,6 @@ import math
 import numpy as np
 
 from repro import kernels
-from repro.btree.cascade import DEFAULT_FANOUT
 from repro.core.calibration import CostConstants
 from repro.core.policy import BudgetPolicy
 from repro.core.query import Predicate, QueryResult
@@ -57,8 +57,6 @@ class ProgressiveQuicksort(ProgressiveIndexBase):
     sort_threshold:
         Pieces of at most this many elements are sorted outright during
         refinement (the paper's L1-cache-sized pieces).
-    fanout:
-        β of the consolidation-phase B+-tree cascade.
     """
 
     name = "PQ"
@@ -72,9 +70,8 @@ class ProgressiveQuicksort(ProgressiveIndexBase):
         budget: BudgetPolicy | None = None,
         constants: CostConstants | None = None,
         sort_threshold: int = DEFAULT_SORT_THRESHOLD,
-        fanout: int = DEFAULT_FANOUT,
     ) -> None:
-        super().__init__(column, budget=budget, constants=constants, fanout=fanout)
+        super().__init__(column, budget=budget, constants=constants)
         self.sort_threshold = int(sort_threshold)
         # Creation-phase state: the index array (``_final_array``) fills from
         # both ends around the pivot.

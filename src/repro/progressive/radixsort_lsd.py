@@ -30,9 +30,10 @@ Refinement
     over the digit above it — zero for every value, so a stable copy into
     one flat array.
 
-Consolidation
-    A B+-tree cascade is built over the sorted array by the shared
-    :class:`~repro.progressive.base.ProgressiveIndexBase` driver.
+Converged
+    The query that finishes sorting converges the index: the final array is
+    the sorted leaf every later read searches (shared through
+    :class:`~repro.progressive.base.ProgressiveIndexBase`).
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import kernels
-from repro.btree.cascade import DEFAULT_FANOUT
 from repro.core.calibration import DEFAULT_BLOCK_SIZE, CostConstants
 from repro.core.cost_model import CostBreakdown
 from repro.core.phase import IndexPhase
@@ -70,8 +70,6 @@ class ProgressiveRadixsortLSD(ProgressiveIndexBase):
         Radix fan-out ``b`` (a power of two).
     block_size:
         Elements per linked block (paper: ``sb``).
-    fanout:
-        β of the consolidation-phase B+-tree cascade.
     """
 
     name = "PLSD"
@@ -84,9 +82,8 @@ class ProgressiveRadixsortLSD(ProgressiveIndexBase):
         constants: CostConstants | None = None,
         n_buckets: int = DEFAULT_BUCKET_COUNT,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        fanout: int = DEFAULT_FANOUT,
     ) -> None:
-        super().__init__(column, budget=budget, constants=constants, fanout=fanout)
+        super().__init__(column, budget=budget, constants=constants)
         if n_buckets < 2 or (n_buckets & (n_buckets - 1)) != 0:
             raise ValueError(f"n_buckets must be a power of two >= 2, got {n_buckets}")
         self.n_buckets = int(n_buckets)
@@ -145,7 +142,7 @@ class ProgressiveRadixsortLSD(ProgressiveIndexBase):
         if state["stage"] == "merge":
             # Checkpoints of older versions may stop in a merge stage that
             # drained the last generation into the index array.  That
-            # generation is sorted and complete: adopt it and consolidate.
+            # generation is sorted and complete: adopt it and converge.
             self._final_array = np.concatenate(state["current_set"]["buckets"])
             self._finish_refinement()
             return

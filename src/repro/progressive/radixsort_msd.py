@@ -25,9 +25,10 @@ Refinement
     with one ``np.sort`` (the same array as one sort per leaf, each leaf
     still charged its size).
 
-Consolidation
-    Identical to Progressive Quicksort: a B+-tree cascade is built over the
-    final sorted array.
+Converged
+    The query that finishes sorting converges the index: the final array is
+    the sorted leaf every later read searches (shared through
+    :class:`~repro.progressive.base.ProgressiveIndexBase`).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from collections import deque
 
 import numpy as np
 
-from repro.btree.cascade import DEFAULT_FANOUT
 from repro.core.calibration import DEFAULT_BLOCK_SIZE, CostConstants
 from repro.core.policy import BudgetPolicy
 from repro.core.query import Predicate
@@ -74,8 +74,6 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
     sort_threshold:
         Buckets of at most this many elements are sorted outright instead of
         being re-partitioned (the paper's L1-cache rule).
-    fanout:
-        β of the consolidation-phase B+-tree cascade.
     """
 
     name = "PMSD"
@@ -89,9 +87,8 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
         n_buckets: int = DEFAULT_BUCKET_COUNT,
         block_size: int = DEFAULT_BLOCK_SIZE,
         sort_threshold: int = DEFAULT_SORT_THRESHOLD,
-        fanout: int = DEFAULT_FANOUT,
     ) -> None:
-        super().__init__(column, budget=budget, constants=constants, fanout=fanout)
+        super().__init__(column, budget=budget, constants=constants)
         if n_buckets < 2 or (n_buckets & (n_buckets - 1)) != 0:
             raise ValueError(f"n_buckets must be a power of two >= 2, got {n_buckets}")
         self.n_buckets = int(n_buckets)

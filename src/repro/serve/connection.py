@@ -114,10 +114,13 @@ class ClientConnection:
         finally:
             self._teardown()
 
-    def _teardown(self) -> None:
+    def _release_writer(self) -> None:
         if self._writer is not None:
             self._writer.release()
             self._writer = None
+
+    def _teardown(self) -> None:
+        self._release_writer()
         try:
             self._sock.close()
         except OSError:
@@ -129,6 +132,9 @@ class ClientConnection:
         framed = type(request) is bytes
         op = None if framed else request.get("op")
         if op == "bye":
+            # Free the writer slot before the ack: a client that re-attaches
+            # as the writer on receiving it must find the slot free.
+            self._release_writer()
             self._sock.sendall(encode_message({"ok": True, "op": "bye"}))
             return False
         try:

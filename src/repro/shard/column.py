@@ -121,11 +121,6 @@ class ShardedColumn(_ReadableColumn):
         return self._layout.total_base_rows
 
     @property
-    def n_inserted(self) -> int:
-        """Rows inserted since the column was sharded (alive or deleted)."""
-        return len(self._ins_shard)
-
-    @property
     def version(self) -> int:
         """Monotone write version (sum of the shard versions)."""
         return sum(shard.version for shard in self._shards)
@@ -299,10 +294,6 @@ class ShardedColumn(_ReadableColumn):
 
     def add_write_listener(self, listener: Callable[[dict], None]) -> None:
         self._write_listeners.append(listener)
-
-    def remove_write_listener(self, listener: Callable[[dict], None]) -> None:
-        if listener in self._write_listeners:
-            self._write_listeners.remove(listener)
 
     def insert(self, values, handle=None, shard_ids=None) -> np.ndarray:
         """Append rows; returns their stable *global* rids.

@@ -227,6 +227,12 @@ def _coerce(values: ArrayLike, dtype: Optional[np.dtype] = None, name: str = "va
         raise InvalidColumnError(
             f"column data must be one-dimensional, got shape {array.shape}"
         )
+    if (array.dtype == np.uint64 and (dtype is None or np.dtype(dtype).kind == "i")
+            and array.size and array.max() > np.iinfo(np.int64).max):
+        # The int64 cast would wrap them to negative values.
+        raise InvalidColumnError(
+            f"column {name!r}: uint64 values of 2**63 or more do not fit an int64 column"
+        )
     if dtype is not None:
         if array.dtype.kind not in ("i", "u", "b", "f"):
             raise InvalidColumnError(
@@ -586,11 +592,6 @@ class Column(_ReadableColumn):
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    @classmethod
-    def from_numpy(cls, array: np.ndarray, name: str = "value") -> "Column":
-        """Build a column that wraps ``array`` (copying only when required)."""
-        return cls(array, name=name)
-
     @classmethod
     def from_file(
         cls,

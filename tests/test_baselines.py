@@ -43,16 +43,15 @@ class TestFullIndex:
         index.query(Predicate(0, 100))
         assert index.phase is IndexPhase.CONVERGED
         assert index.converged
-        assert index.tree is not None
-        assert len(index.tree) == uniform_data.size
+        assert np.array_equal(index._leaf.values, np.sort(uniform_data))
         assert index.last_stats.elements_indexed == uniform_data.size
 
     def test_tree_reused_for_later_queries(self, uniform_column):
         index = FullIndex(uniform_column)
         index.query(Predicate(0, 100))
-        tree = index.tree
+        leaf = index._leaf
         index.query(Predicate(200, 300))
-        assert index.tree is tree
+        assert index._leaf is leaf
 
     def test_point_queries_with_duplicates(self, skewed_column, skewed_data, rng):
         index = FullIndex(skewed_column)
@@ -64,3 +63,16 @@ class TestFullIndex:
         index = FullIndex(uniform_column)
         index.query(Predicate(0, 100))
         assert index.memory_footprint() >= uniform_data.nbytes * 0.9
+
+    def test_a_checkpoint_with_a_btree_fanout_still_loads(self, uniform_column, uniform_data):
+        """Older checkpoints carry the fanout of a B+-tree FI no longer builds."""
+        index = FullIndex(uniform_column)
+        index.query(Predicate(0, 100))
+        state = index.state_dict()
+        assert "fanout" not in state["family"]
+        state["family"]["fanout"] = 64
+        restored = FullIndex(uniform_column)
+        restored.load_state(state)
+        assert restored.converged
+        assert restored.query(Predicate(100, 20_000)).count == int(
+            ((uniform_data >= 100) & (uniform_data <= 20_000)).sum())

@@ -258,7 +258,7 @@ class TestSearchManyEntryPoints:
             index.query(Predicate(-0.25, 0.25))
             iterations += 1
         assert index.converged
-        assert np.array_equal(index._cascade.leaf_values, np.sort(data))
+        assert np.array_equal(index._leaf.values, np.sort(data))
 
 
 class TestSessionBatchAPI:

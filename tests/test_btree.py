@@ -1,131 +1,22 @@
-"""Tests for the B+-tree and the implicit cascade tree."""
+"""Tests for the sorted-array read structure."""
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.btree import BPlusTree, CascadeTree
+from repro.btree import CascadeTree
 from repro.core.query import Predicate
-
-
-class TestBPlusTreeBulkLoad:
-    def test_empty(self):
-        tree = BPlusTree.bulk_load(np.array([], dtype=np.int64))
-        assert len(tree) == 0
-        assert tree.range_query(0, 10).count == 0
-
-    def test_single_leaf(self):
-        tree = BPlusTree.bulk_load(np.arange(10), fanout=16)
-        assert tree.height == 1
-        assert tree.range_query(2, 5).count == 4
-
-    def test_multi_level(self):
-        values = np.arange(10_000)
-        tree = BPlusTree.bulk_load(values, fanout=16)
-        assert tree.height >= 3
-        assert tree.to_array().tolist() == values.tolist()
-
-    def test_leaf_chain_covers_all_values(self):
-        values = np.arange(1_000)
-        tree = BPlusTree.bulk_load(values, fanout=8)
-        seen = sum(leaf.size for leaf in tree.iter_leaves())
-        assert seen == 1_000
-
-    def test_range_query_sums(self):
-        values = np.arange(1_000)
-        tree = BPlusTree.bulk_load(values, fanout=32)
-        result = tree.range_query(100, 199)
-        assert result.count == 100
-        assert result.value_sum == sum(range(100, 200))
-
-    def test_range_query_with_duplicates(self):
-        values = np.sort(np.array([5] * 100 + list(range(200))))
-        tree = BPlusTree.bulk_load(values, fanout=8)
-        result = tree.point_query(5)
-        assert result.count == 101
-
-    def test_range_query_outside_domain(self):
-        tree = BPlusTree.bulk_load(np.arange(100), fanout=8)
-        assert tree.range_query(1_000, 2_000).count == 0
-        assert tree.range_query(-10, -1).count == 0
-        assert tree.range_query(50, 10).count == 0
-
-    def test_contains(self):
-        tree = BPlusTree.bulk_load(np.array([1, 5, 9]), fanout=4)
-        assert tree.contains(5)
-        assert not tree.contains(4)
-
-    def test_query_predicate_interface(self):
-        tree = BPlusTree.bulk_load(np.arange(50), fanout=8)
-        assert tree.query(Predicate(10, 19)).count == 10
-
-    def test_memory_footprint_positive(self):
-        tree = BPlusTree.bulk_load(np.arange(10_000), fanout=32)
-        assert tree.memory_footprint() > 10_000 * 8 * 0.9
-
-    def test_invalid_fanout(self):
-        with pytest.raises(ValueError):
-            BPlusTree(fanout=1)
-
-
-class TestBPlusTreeInsert:
-    def test_insert_into_empty(self):
-        tree = BPlusTree(fanout=4)
-        tree.insert(5)
-        assert len(tree) == 1
-        assert tree.contains(5)
-
-    def test_insert_many_with_splits(self):
-        rng = np.random.default_rng(0)
-        values = rng.integers(0, 1_000, size=500)
-        tree = BPlusTree(fanout=8)
-        for value in values:
-            tree.insert(int(value))
-        assert len(tree) == 500
-        assert tree.to_array().tolist() == sorted(values.tolist())
-
-    def test_insert_after_bulk_load(self):
-        tree = BPlusTree.bulk_load(np.arange(0, 100, 2), fanout=8)
-        tree.insert(51)
-        assert tree.contains(51)
-        assert len(tree) == 51
-
-    def test_range_query_after_inserts(self):
-        tree = BPlusTree(fanout=4)
-        for value in [9, 3, 7, 1, 5, 2, 8, 0, 6, 4]:
-            tree.insert(value)
-        result = tree.range_query(3, 6)
-        assert result.count == 4
-        assert result.value_sum == 3 + 4 + 5 + 6
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=300))
-    def test_property_inserts_keep_sorted_order(self, values):
-        tree = BPlusTree(fanout=6)
-        for value in values:
-            tree.insert(value)
-        assert tree.to_array().tolist() == sorted(values)
 
 
 class TestCascadeTree:
     def test_small_array_has_no_upper_levels(self):
-        tree = CascadeTree(np.arange(10), fanout=64)
-        assert tree.height == 1
+        tree = CascadeTree(np.arange(10))
+        assert not hasattr(tree, "levels") and not hasattr(tree, "height")
         assert tree.range_query(2, 4).count == 3
-
-    def test_levels_shrink_by_fanout(self):
-        values = np.arange(10_000)
-        tree = CascadeTree(values, fanout=16)
-        sizes = [level.size for level in tree.levels]
-        assert sizes[0] == int(np.ceil(10_000 / 16))
-        for bigger, smaller in zip(sizes, sizes[1:]):
-            assert smaller == int(np.ceil(bigger / 16))
+        assert tree.query(Predicate(2, 4)).count == 3
 
     def test_range_query_matches_reference(self):
         rng = np.random.default_rng(1)
         values = np.sort(rng.integers(0, 100_000, size=50_000))
-        tree = CascadeTree(values, fanout=64)
+        tree = CascadeTree(values)
         for _ in range(50):
             low = int(rng.integers(0, 90_000))
             high = low + int(rng.integers(0, 10_000))
@@ -136,24 +27,10 @@ class TestCascadeTree:
 
     def test_point_query_with_duplicates(self):
         values = np.sort(np.array([7] * 500 + list(range(2_000))))
-        tree = CascadeTree(values, fanout=8)
+        tree = CascadeTree(values)
         assert tree.point_query(7).count == 501
 
-    def test_copied_elements_formula(self):
-        assert CascadeTree.copied_elements(64, 64) == 0
-        assert CascadeTree.copied_elements(64 ** 2, 64) == 64
-        assert CascadeTree.copied_elements(64 ** 2 + 1, 64) == 65 + 2
-
     def test_query_outside_domain(self):
-        tree = CascadeTree(np.arange(1_000), fanout=16)
+        tree = CascadeTree(np.arange(1_000))
         assert tree.range_query(5_000, 6_000).count == 0
         assert tree.range_query(600, 100).count == 0
-
-    def test_invalid_fanout(self):
-        with pytest.raises(ValueError):
-            CascadeTree(np.arange(10), fanout=1)
-
-    def test_memory_footprint_counts_upper_levels_only(self):
-        values = np.arange(10_000)
-        tree = CascadeTree(values, fanout=16)
-        assert 0 < tree.memory_footprint() < values.nbytes

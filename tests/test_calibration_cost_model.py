@@ -106,12 +106,6 @@ class TestCostModel:
             model.bucket_write_time(n) + model.constants.scatter * n
         )
 
-    def test_btree_copy_count(self, model):
-        # 64^3 elements with fanout 64: levels of 64^2 and 64 and 1 elements.
-        assert model.btree_copy_count(64 ** 3, 64) == 64 ** 2 + 64 + 1
-        assert model.btree_copy_count(10, 64) == 0
-        assert model.btree_copy_count(0, 64) == 0
-
     def test_creation_phase_cost_composition(self, model):
         n = 512 * 100
         breakdown = model.creation_phase_cost(

@@ -376,6 +376,28 @@ def test_socket_service_end_to_end(tmp_path):
         server.stop()
 
 
+def test_writer_reattaches_right_after_bye(tmp_path, monkeypatch):
+    """The server frees the writer slot before it acks ``bye``: a client that
+    closes and re-attaches as the writer at once is never refused, however
+    late the old connection's thread gets to close its socket."""
+    from repro.serve.connection import ClientConnection
+
+    teardown = ClientConnection._teardown
+
+    def slow_teardown(self):
+        time.sleep(0.002)
+        teardown(self)
+
+    monkeypatch.setattr(ClientConnection, "_teardown", slow_teardown)
+    session = IndexingSession(Column(_base_data(), name="ra"))
+    server = QueryServer(session=session, address=str(tmp_path / "svc.sock")).start()
+    try:
+        for _ in range(50):
+            ServiceClient(server.endpoint, role="writer").close()
+    finally:
+        server.stop()
+
+
 def test_refused_writer_closes_its_socket(tmp_path, monkeypatch):
     """A hello refused with writer-busy leaves no socket open for GC."""
     import gc

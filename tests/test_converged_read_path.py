@@ -135,7 +135,7 @@ def test_integer_leaf_matches_model(info, data):
     low = data.draw(integer_bounds(info))
     high = data.draw(integer_bounds(info))
     want = model(rows, low, high)
-    tree = CascadeTree(leaf_values, fanout=4)
+    tree = CascadeTree(leaf_values)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # overflow must wrap silently, like ndarray.sum
         result = tree.range_query(low, high)
@@ -155,7 +155,7 @@ def test_integer_leaf_matches_model(info, data):
 @given(rows=float_rows(), low=float_bounds, high=float_bounds)
 def test_float_leaf_matches_model(rows, low, high):
     rows = sorted(rows)
-    tree = CascadeTree(np.array(rows, dtype=np.float64), fanout=4)
+    tree = CascadeTree(np.array(rows, dtype=np.float64))
     want = model(rows, low, high)
     result = tree.range_query(low, high)
     magnitude = sum(abs(v) for v in rows)
@@ -201,8 +201,8 @@ def test_batch_bounds_are_coerced_into_the_leaf_dtype():
 
 def test_the_level_descent_left_the_serving_path():
     assert not hasattr(CascadeTree, "_leaf_position")
-    tree = CascadeTree(np.arange(10_000), fanout=16)
-    assert tree.height > 1 and tree.range_query(10, 19).count == 10
+    tree = CascadeTree(np.arange(10_000))
+    assert not hasattr(tree, "levels") and tree.range_query(10, 19).count == 10
 
 
 # ----------------------------------------------------------------------
@@ -431,7 +431,7 @@ def test_prefix_sums_are_counted_and_replaced_by_a_fold():
         session.between("v", 0, 1 << 20)
         if index._leaf is not stale and not index.pending_delta_rows():
             break
-    assert index._leaf is not stale and index._cascade.leaf is index._leaf
+    assert index._leaf is not stale and index._final_array is index._leaf.values
     merged = np.concatenate([data, np.arange(1_000)])
     assert session.between("v", 0, 999).count == int((merged <= 999).sum())
     assert index._leaf.prefix_bytes() == (merged.size + 1) * 8

@@ -88,8 +88,7 @@ def test_algorithm_matches_full_scan_oracle(name, distribution, policy_name):
     column = Column(data, name="value")
     oracle = FullScan(Column(data, name="value"))
     # Every policy is generous enough to drive progressive indexes through
-    # all three phases (creation, refinement, consolidation) within the
-    # workload.
+    # every phase (creation, refinement, converged) within the workload.
     index = create_index(name, column, budget=POLICIES[policy_name]())
     converged_queries = 0
     for query_number, predicate in enumerate(seeded_workload(data, rng)):

@@ -121,3 +121,41 @@ def test_shard_table_over_a_paged_column_rejects_non_finite_floats(tmp_path):
     table = Table({"ra": Column.from_file(path, name="ra")})
     with pytest.raises(InvalidColumnError, match="'ra'"):
         shard_table(table, "ra", 4)
+
+
+def huge_unsigned(rows=1_000):
+    """uint64 data with one value past the int64 range."""
+    values = np.arange(rows, dtype=np.uint64)
+    values[rows // 3] = 2**63 + 5
+    return values
+
+
+def test_uint64_values_past_int64_are_rejected_not_wrapped(tmp_path):
+    with pytest.raises(InvalidColumnError, match="'ra'"):
+        Column(np.array([1, 2**63 + 5, 3], dtype=np.uint64), name="ra")
+    with pytest.raises(InvalidColumnError, match="'dec'"):
+        Table({"ra": np.arange(1_000), "dec": huge_unsigned()})
+    with pytest.raises(InvalidColumnError, match="'ra'"):
+        Database.create(str(tmp_path / "db"), {"ra": huge_unsigned()})
+
+
+def test_uint64_values_below_2_63_still_convert():
+    column = Column(np.array([0, 7, 2**63 - 1], dtype=np.uint64), name="ra")
+    assert column.dtype == np.int64 and column.data.tolist() == [0, 7, 2**63 - 1]
+
+
+def test_inserts_of_uint64_values_past_int64_are_rejected(tmp_path):
+    session = IndexingSession(Table({"ra": np.arange(1_000)}))
+    session.create_index("ra", method="PQ", budget_fraction=0.2)
+    with pytest.raises(InvalidColumnError, match="'ra'"):
+        session.insert(np.array([5, 2**63], dtype=np.uint64), column_name="ra")
+    session.insert(np.array([5, 2**63 - 1], dtype=np.uint64), column_name="ra")
+    assert session.between("ra", 2**62, 2**63 - 1).count == 1
+    table = Table({"ra": np.arange(1_000), "dec": np.arange(1_000)})
+    shard_table(table, "ra", 4)
+    with pytest.raises(InvalidColumnError, match="'ra'"):
+        table.column("ra").insert(np.array([1, 2**64 - 1], dtype=np.uint64))
+    with Database.create(str(tmp_path / "db"), {"ra": np.arange(1_000)}) as db:
+        with pytest.raises(InvalidColumnError, match="'ra'"):
+            db.insert({"ra": np.array([2**63 + 1], dtype=np.uint64)})
+        assert len(db.table.column("ra")) == 1_000

@@ -11,8 +11,8 @@ def test_phase_ordering_is_monotone():
         IndexPhase.INACTIVE,
         IndexPhase.CREATION,
         IndexPhase.REFINEMENT,
-        IndexPhase.CONSOLIDATION,
         IndexPhase.CONVERGED,
+        IndexPhase.MERGE,
     ]
     for earlier, later in zip(ordered, ordered[1:]):
         assert earlier < later
@@ -24,8 +24,8 @@ def test_indexing_work_flags():
     assert not IndexPhase.INACTIVE.does_indexing_work
     assert IndexPhase.CREATION.does_indexing_work
     assert IndexPhase.REFINEMENT.does_indexing_work
-    assert IndexPhase.CONSOLIDATION.does_indexing_work
     assert not IndexPhase.CONVERGED.does_indexing_work
+    assert IndexPhase.MERGE.does_indexing_work
 
 
 def test_comparison_with_other_types_is_rejected():
@@ -48,17 +48,15 @@ class TestIndexLifecycle:
     def test_advances_through_canonical_sequence(self):
         lifecycle = IndexLifecycle()
         for query_number, phase in enumerate(
-            [IndexPhase.CREATION, IndexPhase.REFINEMENT,
-             IndexPhase.CONSOLIDATION, IndexPhase.CONVERGED],
+            [IndexPhase.CREATION, IndexPhase.REFINEMENT, IndexPhase.CONVERGED],
             start=1,
         ):
             lifecycle.advance(phase, query_number)
         assert lifecycle.converged
         assert [phase for _, phase in lifecycle.transitions] == [
-            IndexPhase.CREATION, IndexPhase.REFINEMENT,
-            IndexPhase.CONSOLIDATION, IndexPhase.CONVERGED,
+            IndexPhase.CREATION, IndexPhase.REFINEMENT, IndexPhase.CONVERGED,
         ]
-        assert [number for number, _ in lifecycle.transitions] == [1, 2, 3, 4]
+        assert [number for number, _ in lifecycle.transitions] == [1, 2, 3]
 
     def test_phases_may_be_skipped_forward(self):
         lifecycle = IndexLifecycle()
@@ -101,3 +99,19 @@ class TestIndexLifecycle:
         snapshot = lifecycle.snapshot()
         assert list(snapshot) == ["creation", "converged"]
         assert snapshot["creation"] == {"queries": 1, "indexing_seconds": 0.5}
+
+    def test_a_checkpointed_consolidation_phase_loads_as_converged(self):
+        """Older checkpoints name the paper's consolidation phase; its index
+        was already sorted, so it reads as an entry into CONVERGED."""
+        lifecycle = IndexLifecycle()
+        lifecycle.load_state({
+            "phase": "consolidation",
+            "transitions": [[1, "creation"], [4, "refinement"], [9, "consolidation"], [13, "converged"]],
+            "queries": {"creation": 3, "refinement": 5, "consolidation": 4, "converged": 2},
+            "indexing_seconds": {"creation": 0.5, "consolidation": 0.25},
+        })
+        assert lifecycle.phase is IndexPhase.CONVERGED
+        assert lifecycle.transitions == [
+            (1, IndexPhase.CREATION), (4, IndexPhase.REFINEMENT), (9, IndexPhase.CONVERGED)]
+        assert lifecycle.queries_in(IndexPhase.CONVERGED) == 6
+        assert lifecycle.indexing_seconds_in(IndexPhase.CONVERGED) == 0.25

@@ -92,7 +92,7 @@ class TestSharedLifecycle:
             index.query(Predicate(low, low + 5_000))
             assert index.memory_footprint() > 0, index.phase
             seen.add(index.phase)
-        assert {IndexPhase.CREATION, IndexPhase.REFINEMENT, IndexPhase.CONSOLIDATION} <= seen
+        assert {IndexPhase.CREATION, IndexPhase.REFINEMENT, IndexPhase.CONVERGED} <= seen
         # Converged, the sorted array is held once more than the column.
         assert index.memory_footprint() >= uniform_data.nbytes
 

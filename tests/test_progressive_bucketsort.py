@@ -99,7 +99,7 @@ class TestBucketsortLifecycle:
             index.query(Predicate(0, 1_000))
             iterations += 1
         assert index.converged
-        assert np.array_equal(index._cascade.leaf_values, np.sort(skewed_data))
+        assert np.array_equal(index._leaf.values, np.sort(skewed_data))
 
 
 class TestBucketsortCorrectness:
@@ -160,3 +160,58 @@ def test_root_key_is_the_least_integer_routed_at_or_above_a_bound(bound):
     key of ``bounds[b - 1]``: the least integer whose float64 is ``>=`` it."""
     key = _least_integer_at(bound)
     assert float(key) >= bound > float(key - 1)
+
+
+def huge_split_columns():
+    """Float columns whose neighbouring sample values lie more than the
+    largest float64 apart: the difference of two sample bounds overflows."""
+    rng = np.random.default_rng(34)
+    nine = rng.permutation([-1e308] * 4 + [1e308] * 5)
+    wide = rng.permutation(np.concatenate([rng.uniform(-1.7e308, -1e308, 2_500),
+                                           rng.uniform(1e308, 1.7e308, 2_500)]))
+    return {"nine": nine, "wide": wide}
+
+
+@pytest.mark.parametrize("name", ["nine", "wide"])
+def test_bounds_of_a_split_wider_than_float64_stay_finite_and_exact(name, kernel_backend):
+    data = huge_split_columns()[name]
+    rng = np.random.default_rng(7)
+    index = ProgressiveBucketsort(Column(data.copy()), budget=FixedDelta(0.25), sort_threshold=64)
+    phases = set()
+    for number in range(200):
+        if number % 3 == 0:
+            low = high = float(data[rng.integers(0, data.size)])
+        else:
+            low, high = np.sort(rng.uniform(-1.0, 1.0, 2) * 1.79e308)
+        phases.add(index.phase)
+        with np.errstate(over="ignore", invalid="ignore"):  # sums of such values overflow
+            result = index.query(Predicate(low, high))
+            matched = data[(data >= low) & (data <= high)]
+            exact_sum = np.abs(matched).sum() < 1e308  # no partial sum overflows, in any order
+        assert result.count == matched.size, (number, low, high, index.phase)
+        if exact_sum:
+            assert float(result.value_sum) == pytest.approx(float(matched.sum()), rel=1e-9)
+        if number == 0:
+            bounds = index.bounds
+            assert np.isfinite(bounds).all() and (np.diff(bounds) >= 0).all()
+    assert {IndexPhase.CREATION, IndexPhase.REFINEMENT, IndexPhase.CONVERGED} <= phases | {index.phase}
+
+
+@pytest.mark.parametrize("damage", ["nan", "unordered"])
+@pytest.mark.parametrize("stage", ["construction", "converged"])
+def test_a_checkpoint_with_damaged_bounds_is_refused(damage, stage, uniform_column):
+    from repro.errors import IndexStateError
+
+    index = ProgressiveBucketsort(uniform_column, budget=FixedDelta(0.25 if stage == "construction" else 1.0))
+    while index.phase is IndexPhase.INACTIVE or (stage == "converged") != index.converged:
+        index.query(Predicate(0, 1_000))
+    state = index.state_dict()
+    key = "bounds" if stage == "construction" else "pb_bounds"
+    bounds = np.array(state["family"][key])
+    if damage == "nan":
+        bounds[len(bounds) // 2] = np.nan
+    else:
+        bounds[[0, -1]] = bounds[[-1, 0]]
+    state["family"][key] = bounds
+    with pytest.raises(IndexStateError):
+        ProgressiveBucketsort(uniform_column, budget=FixedDelta(0.25)).load_state(state)

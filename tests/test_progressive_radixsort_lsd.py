@@ -49,7 +49,7 @@ class TestRadixsortLSDLifecycle:
             index.query(Predicate(0, 100))
             iterations += 1
         assert index.converged
-        assert np.array_equal(index._cascade.leaf_values, np.sort(uniform_data))
+        assert np.array_equal(index._leaf.values, np.sort(uniform_data))
 
 
 class TestRadixsortLSDCorrectness:

@@ -193,7 +193,7 @@ def test_plsd_histograms_no_more_than_it_moves(monkeypatch):
         # that, only the next pass's digit over the values moved.
         assert sum(histogrammed) - sum(scattered) <= index.last_stats.elements_indexed
     assert {IndexPhase.CREATION, IndexPhase.REFINEMENT} <= phases
-    assert np.array_equal(index._cascade.leaf_values, np.sort(data))
+    assert np.array_equal(index._leaf.values, np.sort(data))
 
 
 # ----------------------------------------------------------------------
