@@ -276,8 +276,10 @@ def main(argv=None) -> int:
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    print("\nPASS: greedy variance below fixed variance, convergence within "
-          f"{args.max_slowdown}x for all algorithms")
+    # The PASS line states the checks this run made, no more: the smoke run
+    # does not check the convergence-time ratio.
+    checked = "every greedy run converged" + ("" if args.smoke else f" within {args.max_slowdown}x of fixed")
+    print(f"\nPASS: greedy variance at most fixed variance, {checked}, for all algorithms")
     return 0
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from repro.core.index import BaseIndex
 from repro.core.phase import IndexPhase
 from repro.core.query import Predicate, QueryResult, SortedLeaf
+from repro.errors import IndexStateError
 from repro.storage.delta import merge_sorted_with_delta
 
 
@@ -82,9 +83,10 @@ class FullIndex(BaseIndex):
         return state
 
     def _load_family_state(self, state: dict) -> None:
-        # Older checkpoints carry a B+-tree ``fanout``; nothing reads it.
-        if state.get("built"):
-            self._leaf = SortedLeaf(np.asarray(state["sorted_values"]))
+        if state.keys() != ({"built", "sorted_values"} if state["built"] else {"built"}):
+            raise IndexStateError(f"FI payload with keys {sorted(state)}")
+        if state["built"]:
+            self._leaf = SortedLeaf(self._checked_leaf(state["sorted_values"]))
 
     def _fold_delta(self, inserts_sorted, tombstones_sorted) -> bool:
         """Merge the buffered delta into the sorted array."""

@@ -599,8 +599,8 @@ class BaseIndex(DeltaOverlay, abc.ABC):
     # ------------------------------------------------------------------
     # Persistence (checkpointing)
     # ------------------------------------------------------------------
-    #: Version stamp of the ``state_dict`` layout.
-    STATE_FORMAT = 1
+    #: Version of the ``state_dict`` layout, the only one :meth:`load_state` reads.
+    STATE_FORMAT = 2
 
     def state_dict(self) -> dict:
         """Serializable snapshot of the index: phase, budget and structures.
@@ -633,28 +633,44 @@ class BaseIndex(DeltaOverlay, abc.ABC):
         the state was captured from; the pinned snapshot is re-taken at the
         checkpointed version, so structures and overlay watermarks agree
         even when the live column has newer (WAL-replayed) writes on top.
+        Only the current :attr:`STATE_FORMAT` loads.
         """
+        if state.get("format") != self.STATE_FORMAT:
+            raise IndexStateError(f"index state format {state.get('format')!r}, expected {self.STATE_FORMAT}")
         if state.get("algorithm") != self.name:
             raise IndexStateError(
                 f"checkpoint state belongs to algorithm {state.get('algorithm')!r}, "
                 f"cannot load into {self.name!r}"
             )
         overlay = state.get("overlay", {})
-        snapshot_version = int(overlay.get("snapshot_version", 0))
-        if self._live is not None and snapshot_version != self._column.version:
-            self._column = self._live.snapshot(snapshot_version)
-        self._queries_executed = int(state.get("queries_executed", 0))
-        self._lifecycle.load_state(state["lifecycle"])
-        self._controller = BudgetController(policy_from_state(state["policy"]))
-        scan_time = state.get("scan_time")
-        if scan_time is not None:
-            self._controller.register_scan_time(float(scan_time))
-        self._load_overlay_state(overlay)
+        self._column = self._pinned_column(state)
         try:
-            self._load_family_state(state.get("family", {}))
+            self._queries_executed = int(state["queries_executed"])
+            self._lifecycle.load_state(state["lifecycle"])
+            self._controller = BudgetController(policy_from_state(state["policy"]))
+            scan_time = state.get("scan_time")
+            if scan_time is not None:
+                self._controller.register_scan_time(float(scan_time))
+            self._load_overlay_state(overlay)
+            self._load_family_state(state["family"])
         except PAYLOAD_ERRORS as error:
             raise IndexStateError(f"damaged {self.name} payload: {error!r}") from error
         self.last_stats = QueryStats()
+
+    def _pinned_column(self, state: dict):
+        """The snapshot ``state``'s structures were built over."""
+        version = int(state.get("overlay", {}).get("snapshot_version", 0))
+        if self._live is not None and version != self._column.version:
+            return self._live.snapshot(version)
+        return self._column
+
+    def _checked_leaf(self, values: np.ndarray) -> np.ndarray:
+        """A checkpointed sorted leaf: of the column's dtype and, with no
+        write folded in since the pinned snapshot, of its length."""
+        if values.ndim != 1 or values.dtype != self._column.dtype or (
+                self._folded_seq == self._column.version and values.size != len(self._column)):
+            raise IndexStateError(f"the {self.name} sorted leaf does not match the column")
+        return values
 
     def _family_state(self) -> dict:
         """Family-specific structure payload; default has none (FullScan)."""

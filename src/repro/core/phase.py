@@ -14,8 +14,7 @@ algorithm moves through:
     The paper's consolidation phase, which builds a B+-tree over the sorted
     array, has no counterpart: every converged read is a binary search over
     the sorted array itself, so an index converges on the query that
-    finishes sorting.  Checkpoints taken in a ``consolidation`` phase load
-    as ``CONVERGED``.
+    finishes sorting.
 ``MERGE``
     The mutable-substrate extension of the paper's life cycle: writes have
     landed in the column's delta store after the index converged, and
@@ -76,12 +75,6 @@ _PHASE_ORDER = {
     IndexPhase.CONVERGED: 4,
     IndexPhase.MERGE: 5,
 }
-
-
-def _stored_phase(value: str) -> IndexPhase:
-    """The phase a checkpointed name stands for: older checkpoints name a
-    ``consolidation`` phase, whose index was already sorted."""
-    return IndexPhase.CONVERGED if value == "consolidation" else IndexPhase(value)
 
 
 class IndexLifecycle:
@@ -231,19 +224,14 @@ class IndexLifecycle:
         guards *transitions*, not restores: a recovered index legitimately
         wakes up mid-``REFINEMENT`` or mid-``MERGE``.
         """
-        self._phase = _stored_phase(state["phase"])
-        self.transitions = []
-        for q, value in state.get("transitions", []):
-            phase = _stored_phase(value)
-            # consolidation -> converged reads as one entry into CONVERGED.
-            if not self.transitions or self.transitions[-1][1] is not phase:
-                self.transitions.append((int(q), phase))
+        self._phase = IndexPhase(state["phase"])
+        self.transitions = [(int(q), IndexPhase(value)) for q, value in state["transitions"]]
         self._queries = {phase: 0 for phase in IndexPhase}
-        for value, count in state.get("queries", {}).items():
-            self._queries[_stored_phase(value)] += int(count)
+        for value, count in state["queries"].items():
+            self._queries[IndexPhase(value)] = int(count)
         self._indexing_seconds = {phase: 0.0 for phase in IndexPhase}
-        for value, seconds in state.get("indexing_seconds", {}).items():
-            self._indexing_seconds[_stored_phase(value)] += float(seconds)
+        for value, seconds in state["indexing_seconds"].items():
+            self._indexing_seconds[IndexPhase(value)] = float(seconds)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"IndexLifecycle(phase={self._phase.value!r}, transitions={len(self.transitions)})"

@@ -88,14 +88,8 @@ class AdaptiveAdaptiveIndexing(CrackingIndexBase):
     # First query: out-of-place radix partition of the entire column
     # ------------------------------------------------------------------
     def _on_first_query(self) -> None:
-        values = self._cracker.values
-        whole = Piece(
-            start=0,
-            end=values.size,
-            value_low=float(self._column.min()),
-            value_high=float(upper_exclusive(self._column.max(), values.dtype)),
-        )
-        self._radix_split(whole)
+        # Nothing is cracked yet: the piece of any value is the whole column.
+        self._radix_split(self._cracker.piece_for(self._column.min()))
 
     def _radix_split(self, piece: Piece) -> None:
         """Partition ``piece`` into ``fanout`` equal-width value ranges."""
@@ -104,18 +98,19 @@ class AdaptiveAdaptiveIndexing(CrackingIndexBase):
             return
         segment = self._cracker.values[piece.start : piece.end]
         width = span / self.fanout
-        # Using searchsorted against the very values that become the piece
-        # boundaries keeps the cracker-index invariant (elements before a
-        # boundary are strictly smaller than its key) exact even under
-        # floating-point rounding of the bucket width.
+        # Routing by the very keys that become the piece boundaries (the
+        # bounds as keys of the column's dtype; none past its largest value)
+        # keeps the cracker-index invariant (elements before a boundary are
+        # strictly smaller than its key) exact under any rounding.
         boundary_values = piece.value_low + width * np.arange(1, self.fanout)
-        bucket_ids = np.searchsorted(boundary_values, segment, side="right")
+        keys = [key for key in map(self._cracker.index.key, boundary_values.tolist()) if key is not None]
+        bucket_ids = np.searchsorted(np.array(keys, dtype=segment.dtype), segment, side="right")
         order = np.argsort(bucket_ids, kind="stable")
         self._cracker.values[piece.start : piece.end] = segment[order]
-        counts = np.bincount(bucket_ids, minlength=self.fanout)
+        counts = np.bincount(bucket_ids, minlength=len(keys) + 1)
         positions = piece.start + np.cumsum(counts)[:-1]
-        for bucket, position in enumerate(positions, start=1):
-            self._cracker.index.add(float(boundary_values[bucket - 1]), int(position))
+        for key, position in zip(keys, positions.tolist()):
+            self._cracker.index.add(key, position)
         self._cracker.swaps_performed += piece.size
 
     # ------------------------------------------------------------------

@@ -31,6 +31,7 @@ from repro.core.policy import BudgetPolicy
 from repro.core.query import Predicate, QueryResult
 from repro.cracking.cracker_column import CrackerColumn
 from repro.cracking.cracker_index import CrackerIndex
+from repro.errors import IndexStateError
 from repro.storage.column import Column
 from repro.storage.membudget import budget_of
 
@@ -107,16 +108,20 @@ class CrackingIndexBase(BaseIndex):
         return state
 
     def _load_family_state(self, state: dict) -> None:
-        rng_state = state.get("rng_state")
+        rng_state = state["rng_state"]
         if rng_state:
             self._rng.bit_generator.state = json.loads(rng_state)
-        if not state.get("materialized"):
+        if state["materialized"] is not (self.phase is not IndexPhase.INACTIVE):
+            raise IndexStateError(f"materialized {state['materialized']!r} in phase {self.phase.name}")
+        if not state["materialized"]:
             return
         cracker = CrackerColumn.__new__(CrackerColumn)
         cracker._column = self._column
-        cracker.values = np.asarray(state["values"])
-        cracker.index = CrackerIndex.from_state(state["cracker_index"])
-        cracker.swaps_performed = int(state.get("swaps", 0))
+        cracker.values = values = state["values"]
+        if values.dtype != self._column.dtype or values.shape != (len(self._column),):
+            raise IndexStateError("the cracker column does not match the column")
+        cracker.index = CrackerIndex.from_state(state["cracker_index"], values)
+        cracker.swaps_performed = int(state["swaps"])
         budget = budget_of(self._column)
         cracker._scratch = budget.scratch if budget is not None else None
         cracker._chunk_rows = (
@@ -157,10 +162,12 @@ class CrackingIndexBase(BaseIndex):
     # Helpers shared by the stochastic variants
     # ------------------------------------------------------------------
     def _random_pivot(self, value_low: float, value_high: float) -> float | None:
-        """A uniformly random pivot strictly inside ``(value_low, value_high)``."""
+        """A uniformly random pivot strictly inside ``(value_low, value_high)``,
+        as a key of the column's dtype."""
         if not value_high > value_low:
             return None
-        pivot = float(self._rng.uniform(value_low, value_high))
-        if pivot <= value_low or pivot >= value_high:
+        pivot = self._cracker.index.key(float(self._rng.uniform(value_low, value_high)))
+        if pivot is None or pivot <= value_low or pivot >= value_high:
             return None
         return pivot
+

@@ -38,7 +38,7 @@ def upper_exclusive(value, dtype: np.dtype):
     representable value.
     """
     if np.issubdtype(dtype, np.integer):
-        return int(value) + 1
+        return (int(value) if isinstance(value, (int, np.integer)) else math.floor(value)) + 1
     return float(np.nextafter(value, np.inf))
 
 
@@ -55,9 +55,9 @@ class CrackerColumn:
     def __init__(self, column: Column) -> None:
         self._column = column
         self.values = column.copy_data()
-        value_low = float(column.min())
+        value_low = np.asarray(column.min()).item()
         value_high = upper_exclusive(column.max(), column.dtype)
-        self.index = CrackerIndex(len(column), value_low, value_high)
+        self.index = CrackerIndex(len(column), value_low, value_high, self.values.dtype)
         self.swaps_performed = 0
         # Out-of-core: under a memory budget large cracks stream through a
         # spillable scratch buffer instead of allocating O(piece) masks.
@@ -199,10 +199,12 @@ class CrackerColumn:
         highs = np.asarray(highs)
         if lows.size == 0:
             return np.zeros(0, dtype=self.values.dtype), np.zeros(0, dtype=np.int64)
-        high_bounds = np.array(
-            [upper_exclusive(high, self.values.dtype) for high in highs.tolist()]
-        )
-        bounds = np.unique(np.concatenate([lows, high_bounds]))
+        # Every bound as a key of the column's dtype (None: past its largest
+        # value, so at the end of the column).
+        key = self.index.key
+        low_keys = [key(low) for low in lows.tolist()]
+        high_keys = [key(upper_exclusive(high, self.values.dtype)) for high in highs.tolist()]
+        bounds = np.array(sorted({k for k in low_keys + high_keys if k is not None}), dtype=self.values.dtype)
         positions = np.empty(bounds.size, dtype=np.int64)
 
         # Group the new bounds by the piece currently containing them.  A
@@ -240,9 +242,10 @@ class CrackerColumn:
             prefix = np.empty(self.values.size + 1, dtype=self.values.dtype)
         prefix[0] = 0
         np.cumsum(self.values, out=prefix[1:])
-        position_low = positions[np.searchsorted(bounds, lows)]
-        position_high = positions[np.searchsorted(bounds, high_bounds)]
-        position_high = np.maximum(position_low, position_high)
+        at = dict(zip(bounds.tolist(), positions.tolist()))
+        at[None] = self.values.size
+        position_low = np.array([at[k] for k in low_keys], dtype=np.int64)
+        position_high = np.maximum(position_low, [at[k] for k in high_keys])
         sums = prefix[position_high] - prefix[position_low]
         counts = (position_high - position_low).astype(np.int64)
         return sums, counts

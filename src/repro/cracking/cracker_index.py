@@ -17,6 +17,14 @@ For the entry counts cracking produces (one or two new boundaries per query)
 this is far faster than pointer-chasing a Python tree — the AVL-backed
 implementation the seed used is preserved as :class:`AVLCrackerIndex`, a
 behavioural reference that the flat index is differentially tested against.
+
+The keys are in the column's dtype, so every lookup and crack is exact on
+the whole value domain (int64 past 2**53 included).  A pivot or bound of
+another type becomes the key that splits the column the same way
+(:func:`repro.kernels.typed_pivot`: ``ceil(p)`` for an integer column, as
+``v < p`` iff ``v < ceil(p)`` for an integer ``v``); one above the dtype's
+largest value has every value below it, stores no key and sits at the end
+of the column.
 """
 
 from __future__ import annotations
@@ -26,7 +34,9 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.cracking.avl import AVLTree
+from repro.errors import IndexStateError
 
 #: Initial entry capacity of the flat arrays.
 _INITIAL_CAPACITY = 64
@@ -67,10 +77,13 @@ class CrackerIndex:
         Size of the cracker column.
     value_low, value_high:
         Domain bounds of the column (used for the edge pieces).
+    dtype:
+        The column's dtype, which the keys are stored in.
     """
 
-    def __init__(self, n_elements: int, value_low: float, value_high: float) -> None:
-        self._keys = np.empty(_INITIAL_CAPACITY, dtype=np.float64)
+    def __init__(self, n_elements: int, value_low: float, value_high: float, dtype=np.float64) -> None:
+        self._dtype = np.dtype(dtype)
+        self._keys = np.empty(_INITIAL_CAPACITY, dtype=self._dtype)
         self._positions = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
         self._count = 0
         self._n = int(n_elements)
@@ -81,10 +94,10 @@ class CrackerIndex:
     def __len__(self) -> int:
         return self._count
 
-    @property
-    def height(self) -> int:
-        """Depth of a boundary lookup (binary-search steps over the entries)."""
-        return int(np.ceil(np.log2(self._count + 1)))
+    def key(self, value):
+        """``value`` as a key: ``v < key`` iff ``v < value`` for every ``v``
+        of the dtype; ``None`` when every value is below it."""
+        return kernels.typed_pivot(self._dtype, value)
 
     @property
     def n_pieces(self) -> int:
@@ -93,18 +106,20 @@ class CrackerIndex:
 
     def boundaries(self) -> Iterator[Tuple[float, int]]:
         """Iterate over ``(pivot value, position)`` entries in value order."""
-        for entry in range(self._count):
-            yield float(self._keys[entry]), int(self._positions[entry])
+        return zip(self._keys[: self._count].tolist(), self._positions[: self._count].tolist())
 
     # ------------------------------------------------------------------
     def add(self, key: float, position: int) -> None:
         """Record that the column has been cracked at ``key`` / ``position``."""
+        key = self.key(key)
+        if key is None:
+            return
         slot = int(np.searchsorted(self._keys[: self._count], key))
         if slot < self._count and self._keys[slot] == key:
             self._positions[slot] = int(position)
             return
         if self._count == self._keys.size:
-            grown_keys = np.empty(self._keys.size * 2, dtype=np.float64)
+            grown_keys = np.empty(self._keys.size * 2, dtype=self._dtype)
             grown_positions = np.empty(self._positions.size * 2, dtype=np.int64)
             grown_keys[: self._count] = self._keys[: self._count]
             grown_positions[: self._count] = self._positions[: self._count]
@@ -118,6 +133,9 @@ class CrackerIndex:
 
     def position_of(self, key: float):
         """Boundary position of ``key`` if it has been cracked on, else ``None``."""
+        key = self.key(key)
+        if key is None:
+            return self._n
         slot = int(np.searchsorted(self._keys[: self._count], key))
         if slot < self._count and self._keys[slot] == key:
             return int(self._positions[slot])
@@ -130,36 +148,22 @@ class CrackerIndex:
         ``<= value`` to the boundary of the smallest cracked key ``> value``
         (column edges when no such keys exist).
         """
-        after = int(np.searchsorted(self._keys[: self._count], value, side="right"))
+        key = self.key(value)
+        keys = self._keys[: self._count]
+        after = self._count if key is None else int(np.searchsorted(keys, key, side="right"))
         if after > 0:
             start = int(self._positions[after - 1])
-            value_low = float(self._keys[after - 1])
+            value_low = keys[after - 1].item()
         else:
             start = 0
             value_low = self._value_low
         if after < self._count:
             end = int(self._positions[after])
-            value_high = float(self._keys[after])
+            value_high = keys[after].item()
         else:
             end = self._n
             value_high = self._value_high
         return Piece(start=start, end=end, value_low=value_low, value_high=value_high)
-
-    def largest_piece(self) -> Piece:
-        """The largest current piece (useful for idle refinement policies)."""
-        previous_pos = 0
-        previous_key = self._value_low
-        best = Piece(0, self._n, self._value_low, self._value_high)
-        best_size = -1
-        entries = list(self.boundaries()) + [(self._value_high, self._n)]
-        for key, position in entries:
-            size = position - previous_pos
-            if size > best_size:
-                best = Piece(previous_pos, position, previous_key, key)
-                best_size = size
-            previous_pos = position
-            previous_key = key
-        return best
 
     def piece_sizes(self) -> list:
         """Sizes of all pieces in column order."""
@@ -171,28 +175,34 @@ class CrackerIndex:
     # Persistence (checkpointing)
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Serializable snapshot of the boundary entries and domain bounds."""
+        """Serializable snapshot of the boundary entries (keys in the
+        column's dtype) and domain bounds."""
         return {
             "n": int(self._n),
-            "value_low": float(self._value_low),
-            "value_high": float(self._value_high),
+            "value_low": self._value_low,
+            "value_high": self._value_high,
             "keys": np.array(self._keys[: self._count]),
             "positions": np.array(self._positions[: self._count]),
         }
 
     @classmethod
-    def from_state(cls, state: dict) -> "CrackerIndex":
-        """Rebuild a cracker index from :meth:`state_dict` output."""
-        index = cls(int(state["n"]), float(state["value_low"]), float(state["value_high"]))
-        keys = np.asarray(state["keys"], dtype=np.float64)
-        positions = np.asarray(state["positions"], dtype=np.int64)
+    def from_state(cls, state: dict, values: np.ndarray) -> "CrackerIndex":
+        """Rebuild the index of the cracker column ``values`` from
+        :meth:`state_dict` output; keys of another dtype or out of order, or
+        entries that are not the boundaries of ``values``' pieces, raise
+        :class:`IndexStateError`."""
+        keys, positions = state["keys"], state["positions"]
+        index = cls(values.size, state["value_low"], state["value_high"], values.dtype)
+        edges = np.concatenate(([0], positions, [values.size]))
+        pieces = np.flatnonzero(edges[:-1] < edges[1:])  # the pieces holding values
+        after, before = pieces > 0, pieces < keys.size
+        if (int(state["n"]) != values.size or keys.dtype != values.dtype or positions.dtype != np.int64
+                or keys.shape != positions.shape or (keys[1:] <= keys[:-1]).any() or (edges[1:] < edges[:-1]).any()
+                or (np.minimum.reduceat(values, edges[pieces])[after] < keys[pieces[after] - 1]).any()
+                or (np.maximum.reduceat(values, edges[pieces])[before] >= keys[pieces[before]]).any()):
+            raise IndexStateError("the cracker index does not match the cracker column")
         if keys.size:
-            capacity = max(_INITIAL_CAPACITY, int(keys.size))
-            index._keys = np.empty(capacity, dtype=np.float64)
-            index._positions = np.empty(capacity, dtype=np.int64)
-            index._keys[: keys.size] = keys
-            index._positions[: keys.size] = positions
-            index._count = int(keys.size)
+            index._keys, index._positions, index._count = keys.copy(), positions.copy(), keys.size
         return index
 
 
@@ -214,11 +224,6 @@ class AVLCrackerIndex:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._tree)
-
-    @property
-    def height(self) -> int:
-        """Height of the underlying AVL tree."""
-        return self._tree.height
 
     @property
     def n_pieces(self) -> int:
@@ -247,22 +252,6 @@ class AVLCrackerIndex:
         end = higher[1] if higher is not None else self._n
         value_high = higher[0] if higher is not None else self._value_high
         return Piece(start=int(start), end=int(end), value_low=value_low, value_high=value_high)
-
-    def largest_piece(self) -> Piece:
-        """The largest current piece."""
-        previous_pos = 0
-        previous_key = self._value_low
-        best = Piece(0, self._n, self._value_low, self._value_high)
-        best_size = -1
-        entries = list(self._tree.items()) + [(self._value_high, self._n)]
-        for key, position in entries:
-            size = position - previous_pos
-            if size > best_size:
-                best = Piece(previous_pos, position, previous_key, key)
-                best_size = size
-            previous_pos = position
-            previous_key = key
-        return best
 
     def piece_sizes(self) -> list:
         """Sizes of all pieces in column order."""

@@ -125,7 +125,7 @@ def _limits(dtype):
     return limits
 
 
-def _typed_pivot(dtype, pivot):
+def typed_pivot(dtype, pivot):
     """``pivot`` such that ``v < pivot`` is exact in ``dtype``; ``None``
     when every value of an integer dtype is below it."""
     if dtype.kind == "f":
@@ -135,7 +135,7 @@ def _typed_pivot(dtype, pivot):
         return floor
     if pivot > ceiling:
         return None
-    return pivot if type(pivot) is int else math.ceil(pivot)
+    return int(pivot) if isinstance(pivot, (int, np.integer)) else math.ceil(pivot)
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +152,7 @@ def partition_chunk(src: np.ndarray, pivot, out: np.ndarray, low_fill: int, high
     n = src.size
     if src.dtype != out.dtype or low_fill < 0 or high_fill > out.size or high_fill - low_fill < n:
         raise ValueError("partition_chunk: chunk does not fit the free range of out")
-    pivot = _typed_pivot(src.dtype, pivot)
+    pivot = typed_pivot(src.dtype, pivot)
     if pivot is None:
         out[low_fill : low_fill + n] = src
         return n
@@ -187,7 +187,7 @@ def partition_swap(values: np.ndarray, pivot) -> int:
     Only misplaced values move: the k-th value ``>= pivot`` of the low side
     is swapped with the k-th value ``< pivot`` of the high side.
     """
-    pivot = _typed_pivot(values.dtype, pivot)
+    pivot = typed_pivot(values.dtype, pivot)
     if pivot is None:
         return int(values.size)
     return _run(_active.partition_swap, values, pivot)

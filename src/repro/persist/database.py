@@ -57,6 +57,7 @@ from repro.extensions.column_imprints import ProgressiveColumnImprints
 from repro.extensions.progressive_hash import ProgressiveHashIndex
 from repro.persist.checkpoint import CheckpointManager
 from repro.persist.pager import ColumnPager, fsync_directory
+from repro.persist.upgrade import upgrade
 from repro.persist.wal import WriteAheadLog
 from repro.storage.column import Column, require_finite
 from repro.storage.lazy import is_lazy
@@ -335,7 +336,7 @@ class Database:
         index = index_class(
             column, budget=policy_from_state(state["policy"]), constants=constants
         )
-        index.load_state(state)
+        index.load_state(upgrade(state, index))
         return index
 
     @staticmethod

@@ -27,10 +27,9 @@ all of it:
   :class:`~repro.progressive.pieces.PieceTable` — its lookup, answer, α walk
   and checkpoint codec (``_construction_state`` /
   ``_load_construction_state``: the creation buckets, the final array and
-  the table's arrays, a family's own fields through ``_load_fields``,
-  layout 1 payloads migrated through ``_migrate_v1``; a damaged payload
-  raises :class:`~repro.errors.IndexStateError`, as
-  :meth:`~repro.core.index.BaseIndex.load_state` makes every loader do).
+  the table's arrays, a family's own fields through ``_load_fields``; any
+  other payload raises :class:`~repro.errors.IndexStateError` — older ones
+  are upgraded first, by ``repro.persist.upgrade``).
 
 Each algorithm is reduced to its partition rule, as hooks:
 
@@ -46,7 +45,6 @@ Each algorithm is reduced to its partition rule, as hooks:
                           elements it spent
 ``_route``                the predicate as the piece table's keys
 ``_load_fields``          the family's own checkpoint fields
-``_migrate_v1``           a layout-1 checkpoint as piece-table rows
 ========================  ==================================================
 
 The bucket families (PMSD, PB, PLSD) name the buckets a query reads
@@ -229,6 +227,9 @@ class ProgressiveIndexBase(BaseIndex):
         """An empty ``n_buckets`` set, or the one ``state`` saved; an
         exact-offset set when the buckets' final ``sizes`` are known.  Either
         way its storage comes from the column's arena under a memory budget."""
+        if state is not None and [state["n_buckets"], state["block_size"], state["dtype"], len(state["buckets"])] != [
+                self.n_buckets, self.block_size, self._column.dtype.name, self.n_buckets]:
+            raise IndexStateError("a saved bucket set of another shape or dtype")
         arena = self._block_arena()
         if sizes is not None:
             buckets = ExactBucketSet(sizes, self.block_size, self._column.dtype, arena)
@@ -448,16 +449,21 @@ class ProgressiveIndexBase(BaseIndex):
     def _load_family_state(self, state: dict) -> None:
         # load_state may have re-pinned the snapshot the key space derives from.
         self.__dict__.pop("_keyspace", None)
-        # A consolidation stage (older checkpoints) holds the sorted array
-        # too; its cascade levels and any ``fanout`` key are not read.
-        if state.get("stage") in ("converged", "consolidation"):
-            self._sorted_leaf(np.asarray(state["leaf_values"]))
+        stage = state["stage"]
+        if stage == "converged" and state.keys() == {"stage", "leaf_values"}:
+            self._sorted_leaf(self._checked_leaf(state["leaf_values"]))
+        elif stage != "construction" or state.keys() - self._construction_keys:
+            raise IndexStateError(f"{self.name} payload of stage {stage!r} with keys {sorted(state)}")
         else:
-            self._ingested = int(state.get(self._ingested_key, 0))
+            self._ingested = int(state[self._ingested_key])
             self._load_construction_state(state)
 
     #: Routing bounds the piece table's roots span together.
     _outer_keys = (-math.inf, math.inf)
+
+    #: The keys a construction payload may hold.
+    _construction_keys = frozenset(("stage", "elements_bucketed", "layout", "initialized", "final_array",
+                                    "buckets", "pieces"))
 
     def _construction_state(self) -> dict:
         """Creation/refinement payload: the creation buckets, the final array
@@ -472,10 +478,7 @@ class ProgressiveIndexBase(BaseIndex):
         return state
 
     def _load_construction_state(self, state: dict) -> None:
-        """Restore :meth:`_construction_state` output; a layout-1 payload
-        (one tree per family) is migrated first."""
-        if "layout" not in state:
-            state = self._migrate_v1(state)
+        """Restore :meth:`_construction_state` output."""
         if state["layout"] != LAYOUT:
             raise IndexStateError(f"construction layout {state['layout']!r}, expected {LAYOUT}")
         self._load_fields(state)
@@ -501,7 +504,3 @@ class ProgressiveIndexBase(BaseIndex):
     def _child_set(self, table: PieceTable, piece: int, sizes) -> ExactBucketSet:
         """The exact-offset set holding ``piece``'s children (PMSD only)."""
         raise IndexStateError(f"{self.name} pieces hold no child arrays")
-
-    def _migrate_v1(self, state: dict) -> dict:
-        """The layout-2 payload of a layout-1 one (families that had one)."""
-        raise IndexStateError(f"{self.name}: construction payload without a layout")

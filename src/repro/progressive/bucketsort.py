@@ -47,9 +47,7 @@ from repro.core.policy import BudgetPolicy
 from repro.core.query import Predicate
 from repro.errors import IndexStateError
 from repro.progressive.base import ProgressiveIndexBase
-from repro.progressive.pieces import (
-    COPYING, DEFAULT_SORT_THRESHOLD, LAYOUT, PENDING, SORTED, V1_STATES, WAITING, PieceTable, attach_pivot_tree,
-)
+from repro.progressive.pieces import DEFAULT_SORT_THRESHOLD, PENDING, SORTED, WAITING, PieceTable
 from repro.storage.column import Column
 
 #: Default number of equi-height buckets (matches the radix variants).
@@ -87,6 +85,7 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
     name = "PB"
     description = "Progressive Bucketsort (Equi-Height)"
     _pq_rule = True
+    _construction_keys = ProgressiveIndexBase._construction_keys | {"bounds"}
 
     def __init__(
         self,
@@ -128,7 +127,7 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
     def _load_family_state(self, state: dict) -> None:
         if "pb_bounds" in state:
             self._bounds = self._checked_bounds(state["pb_bounds"])
-        super()._load_family_state(state)
+        super()._load_family_state({key: value for key, value in state.items() if key != "pb_bounds"})
 
     def _checked_bounds(self, values) -> np.ndarray:
         """Saved bucket bounds: ``n_buckets - 1`` of them, in order, no NaN."""
@@ -148,28 +147,6 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
     def _load_fields(self, state: dict) -> None:
         if state["initialized"]:
             self._bounds = self._checked_bounds(state["bounds"])
-
-    def _migrate_v1(self, state: dict) -> dict:
-        """A layout-1 payload (the creation buckets, then one merge state and
-        pivot tree per bucket) as layout 2: the buckets are the roots."""
-        migrated = {key: state[key] for key in ("initialized", "bounds", "buckets") if key in state}
-        migrated["layout"] = LAYOUT
-        if "merge" not in state:
-            return migrated
-        migrated["final_array"] = state["final_array"]
-        self._bounds = np.asarray(state["bounds"], dtype=np.float64)
-        table = PieceTable(np.asarray(state["final_array"]))
-        self._add_roots(table, [int(spec["size"]) for spec in state["merge"]])
-        for row, spec in enumerate(state["merge"]):  # one bucket at most is under way
-            if spec["state"] == "sorting":
-                attach_pivot_tree(table, row, spec["sorter"])
-                continue
-            table.state[row] = V1_STATES[spec["state"]]
-            if table.state[row] == COPYING:
-                table.progress[row] = int(spec["copied"])
-                table.enqueue(row)
-        migrated["pieces"] = table.state_dict()
-        return migrated
 
     # ------------------------------------------------------------------
     # Creation phase
@@ -220,17 +197,17 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
         order."""
         self._final_array = self._scratch_allocate(len(self._column), self._column.dtype)
         self._pieces = table = self._piece_table(self._buckets)
-        self._add_roots(table, self._buckets.sizes().tolist())
+        self._add_roots(table, self._buckets.sizes().tolist(), self._bounds)
 
-    def _add_roots(self, table: PieceTable, sizes: list) -> None:
-        """One root per bucket, waiting for its turn: keyed by the values
-        routed to it, its pivot the middle of its values' bounds (the
-        column's at the two ends)."""
-        bounds = self._bounds.tolist()
+    def _add_roots(self, table: PieceTable, sizes: list, bounds: np.ndarray) -> None:
+        """One root per bucket of ``bounds``, waiting for its turn: keyed by
+        the values routed to it, its pivot the middle of its values' bounds
+        (the column's at the two ends)."""
+        keys = bounds.tolist()
         if self._column.dtype.kind in "iu":
-            bounds = [_least_integer_at(bound) for bound in bounds]
-        keys = [-math.inf, *bounds, math.inf]
-        values = [float(self._column.min()), *self._bounds.tolist(), float(self._column.max())]
+            keys = [_least_integer_at(bound) for bound in keys]
+        keys = [-math.inf, *keys, math.inf]
+        values = [float(self._column.min()), *bounds.tolist(), float(self._column.max())]
         ends = np.cumsum(sizes).tolist()
         table.add(len(sizes), start=[end - size for end, size in zip(ends, sizes)], end=ends,
                   lo=keys[:-1], hi=keys[1:], vlo=values[:-1], vhi=values[1:],

@@ -39,7 +39,7 @@ keeps its split rule.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import OrderedDict, deque
+from collections import OrderedDict
 
 import numpy as np
 
@@ -400,7 +400,8 @@ class PieceTable:
         Whatever is inconsistent — a column of another type or length, a
         piece outside its parent or not meeting its sibling, a link one way
         only, a state never saved, values not where the state says, a sorted
-        piece that is not, an unsorted piece off the worklist but a waiting root —
+        piece that is not, a PQ-rule piece holding values outside its bounds, an
+        unsorted piece off the worklist but a waiting root —
         raises :class:`~repro.errors.IndexStateError` (a key missing or of
         another type one of :data:`~repro.errors.PAYLOAD_ERRORS`, which
         :meth:`~repro.core.index.BaseIndex.load_state` turns into one)."""
@@ -486,10 +487,13 @@ class PieceTable:
                 self._check_siblings(kids, piece)
                 self.open[piece] = sum(state[c] != SORTED for c in kids)
         ordered = self.final[1:] >= self.final[:-1] if n else None
-        for piece in range(rows):
-            if (state[piece] == SORTED and self._reachable(piece)
-                    and not ordered[start[piece]:max(start[piece], end[piece] - 1)].all()):
-                raise IndexStateError(f"piece {piece} is not sorted")
+        for piece in range(rows):  # under PQ's rule, values also lie within the routing bounds
+            values = self.final[start[piece]:end[piece]]
+            if state[piece] in (PENDING, SORTED) and values.size and self._reachable(piece) and (
+                    state[piece] == SORTED and not ordered[start[piece]:end[piece] - 1].all()
+                    or self.vlo[piece] is not None
+                    and not self.lo[piece] <= values.min().item() <= values.max().item() < self.hi[piece]):
+                raise IndexStateError(f"piece {piece} is not sorted or leaves its bounds")
 
     def _check_siblings(self, siblings, owner: int) -> None:
         start, end, lo, hi = self.start, self.end, self.lo, self.hi
@@ -524,37 +528,6 @@ class PieceTable:
 
 
 _SAVED_STATES = (WAITING, COPYING, SCATTERING, PENDING, SPLIT, SORTED)
-
-#: Node states of the layout-1 payloads, as piece states.
-V1_STATES = {
-    "pending": PENDING, "partitioning": PENDING, "partitioned": SPLIT, "sorted": SORTED,
-    "waiting": WAITING, "copying": COPYING, "expanded": SPLIT, "done": SORTED,
-}
-
-
-def attach_pivot_tree(table: PieceTable, row: int, tree: dict) -> None:
-    """One-way migration of a layout-1 pivot tree (PQ's refinement, or a PB
-    bucket's): its root is piece ``row``, its nodes become rows below it
-    (breadth first, so siblings are side by side), its worklist is queued."""
-    nodes, rows = tree["nodes"], {0: row}
-    queue = deque([0])
-    while queue:
-        number = queue.popleft()
-        spec, piece = nodes[number], rows[number]
-        table.state[piece], table.split[piece] = V1_STATES[spec["state"]], spec["pivot"]
-        table.vlo[piece], table.vhi[piece] = spec["value_low"], spec["value_high"]
-        first = len(table.start)
-        for child, lo, hi in ((spec["left"], table.lo[piece], spec["pivot"]),
-                              (spec["right"], spec["pivot"], table.hi[piece])):
-            if child is not None:
-                rows[child] = table.add(start=nodes[child]["start"], end=nodes[child]["end"], lo=lo, hi=hi,
-                                        parent=piece, depth=table.depth[piece] + 1)
-                queue.append(child)
-        table.first[piece], table.fanout[piece] = first, len(table.start) - first
-    table.height = max(table.height, int(tree["height"]))
-    for number in tree["worklist"]:
-        table.enqueue(rows[number])
-
 
 def _count(value, limit: int) -> int:
     """A non-negative int up to ``limit``, or a typed error."""

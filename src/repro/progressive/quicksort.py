@@ -39,7 +39,7 @@ from repro.core.calibration import CostConstants
 from repro.core.policy import BudgetPolicy
 from repro.core.query import Predicate, QueryResult
 from repro.progressive.base import ProgressiveIndexBase
-from repro.progressive.pieces import DEFAULT_SORT_THRESHOLD, LAYOUT, SORTED, PieceTable, attach_pivot_tree
+from repro.progressive.pieces import DEFAULT_SORT_THRESHOLD, SORTED
 from repro.storage.column import Column
 
 
@@ -62,6 +62,8 @@ class ProgressiveQuicksort(ProgressiveIndexBase):
     name = "PQ"
     description = "Progressive Quicksort"
     _ingested_key = "elements_copied"
+    _construction_keys = ProgressiveIndexBase._construction_keys - {"elements_bucketed"} | {
+        "elements_copied", "sort_threshold", "pivot", "low_fill", "high_fill"}
     _pq_rule = True
 
     def __init__(
@@ -98,28 +100,9 @@ class ProgressiveQuicksort(ProgressiveIndexBase):
         }
 
     def _load_fields(self, state: dict) -> None:
-        self.sort_threshold = int(state.get("sort_threshold", self.sort_threshold))
-        self._pivot = state.get("pivot")
+        self.sort_threshold = int(state["sort_threshold"])
+        self._pivot = state["pivot"]
         self._low_fill, self._high_fill = int(state["low_fill"]), int(state["high_fill"])
-
-    def _migrate_v1(self, state: dict) -> dict:
-        """A layout-1 payload (the index array, then a pivot tree) as layout 2."""
-        migrated = {
-            "layout": LAYOUT,
-            "initialized": "index_array" in state,
-            "sort_threshold": state["sort_threshold"],
-            "pivot": state["pivot"],
-            "low_fill": state.get("low_fill", 0),
-            "high_fill": state.get("high_fill", 0),
-        }
-        if "index_array" in state:
-            migrated["final_array"] = state["index_array"]
-        if "sorter" in state:
-            table = PieceTable(np.asarray(state["index_array"]))
-            root = table.add(start=0, end=len(self._column), lo=-math.inf, hi=math.inf)
-            attach_pivot_tree(table, root, state["sorter"])
-            migrated["pieces"] = table.state_dict()
-        return migrated
 
     # ------------------------------------------------------------------
     # Creation phase

@@ -74,6 +74,8 @@ class ProgressiveRadixsortLSD(ProgressiveIndexBase):
 
     name = "PLSD"
     description = "Progressive Radixsort (LSD)"
+    _construction_keys = frozenset(("stage", "elements_bucketed", "initialized", "current_pass", "current_set",
+                                    "next_set", "pass_bucket_cursor", "pass_offset_cursor", "pass_moved"))
 
     def __init__(
         self,
@@ -125,7 +127,6 @@ class ProgressiveRadixsortLSD(ProgressiveIndexBase):
         state = {
             "initialized": self.phase is not IndexPhase.INACTIVE,
             "current_pass": int(self._current_pass),
-            "stage": "passes",
         }
         if self._buckets is not None:
             state["current_set"] = self._buckets.state_dict()
@@ -136,16 +137,9 @@ class ProgressiveRadixsortLSD(ProgressiveIndexBase):
         return state
 
     def _load_construction_state(self, state: dict) -> None:
-        if not state.get("initialized"):
+        if not state["initialized"]:
             return
         self._current_pass = int(state["current_pass"])
-        if state["stage"] == "merge":
-            # Checkpoints of older versions may stop in a merge stage that
-            # drained the last generation into the index array.  That
-            # generation is sorted and complete: adopt it and converge.
-            self._final_array = np.concatenate(state["current_set"]["buckets"])
-            self._finish_refinement()
-            return
         self._buckets = self._bucket_set(state["current_set"])
         # The bucket/offset cursors are derived from the moved count.
         self._moved = int(state["pass_moved"])

@@ -33,8 +33,6 @@ Converged
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from repro.core.calibration import DEFAULT_BLOCK_SIZE, CostConstants
@@ -42,13 +40,8 @@ from repro.core.policy import BudgetPolicy
 from repro.core.query import Predicate
 from repro.progressive.base import ProgressiveIndexBase
 from repro.progressive.blocks import ExactBucketSet
-from repro.progressive.pieces import (
-    DEFAULT_SORT_THRESHOLD, LAYOUT, PENDING, SCATTERING, SORTED, V1_STATES, WAITING, PieceTable,
-)
+from repro.progressive.pieces import DEFAULT_SORT_THRESHOLD, PENDING, SCATTERING, SORTED, WAITING, PieceTable
 from repro.storage.column import Column
-
-#: Layout-1 node states whose values were on their way out of their source.
-MOVING_V1 = ("copying", "partitioning")
 
 #: Default number of radix buckets.  The paper uses 64 so that all bucket
 #: write positions fit the L1 cache lines / TLB entries of their machine.
@@ -109,58 +102,6 @@ class ProgressiveRadixsortMSD(ProgressiveIndexBase):
     def _piece_shift(self, table: PieceTable, piece: int) -> int:
         """Shift of the digit that splits ``piece`` (one digit per level)."""
         return max(0, self._shift - self.bits_per_level * (table.depth[piece] + 1))
-
-    # ------------------------------------------------------------------
-    # Persistence (checkpointing)
-    # ------------------------------------------------------------------
-    def _migrate_v1(self, state: dict) -> dict:
-        """A layout-1 payload (the creation buckets, then a radix node forest
-        whose unsplit nodes each held their values) as layout 2: the nodes
-        become rows, their values their creation bucket or their parent's
-        child array."""
-        migrated = {"layout": LAYOUT, "initialized": state["initialized"]}
-        if "buckets" in state:
-            migrated["buckets"] = state["buckets"]
-        if "nodes" not in state:
-            return migrated
-        migrated["final_array"] = state["final_array"]
-        nodes, empty = state["nodes"], np.empty(0, dtype=self._column.dtype)
-        table, rows, sets = PieceTable(np.asarray(state["final_array"])), {}, []
-
-        def add(number, span, parent=-1):
-            spec = nodes[number]
-            start, low, moving = int(spec["offset"]), int(spec["value_low"]), spec["state"] in MOVING_V1
-            kind = SCATTERING if spec["state"] == "partitioning" else V1_STATES[spec["state"]]
-            rows[number] = table.add(start=start, end=start + int(spec["size"]), lo=low, hi=low + span,
-                                     parent=parent, depth=0 if parent < 0 else table.depth[parent] + 1, state=kind,
-                                     progress=int(spec["moved"]) + int(spec["copied"]) if moving else 0)
-
-        for number in state["roots"]:
-            add(number, 1 << self._shift)
-        queue = deque(state["roots"])
-        while queue:
-            spec, row = nodes[queue[0]], rows[queue.popleft()]
-            if spec["state"] == "partitioning":
-                sets.append({"piece": row, "buckets": spec["child_set"]["buckets"]})
-            if spec["children"] is not None:
-                table.first[row], table.fanout[row] = len(table.start), len(spec["children"])
-                for child in spec["children"]:
-                    add(child, 1 << int(spec["shift"]), row)
-                    queue.append(child)
-                sets.append({"piece": row, "buckets": [nodes[child].get("source", empty)
-                                                       if nodes[child]["state"] in MOVING_V1 + ("waiting",)
-                                                       else empty for child in spec["children"]]})
-        for number in state["worklist"]:
-            table.enqueue(rows[number])
-        migrated["pieces"] = {**table.state_dict(), "child_sets": sorted(
-            (s for s in sets if any(len(b) for b in s["buckets"]) or table.state[s["piece"]] == SCATTERING),
-            key=lambda s: s["piece"])}
-        migrated["buckets"] = {
-            "n_buckets": self.n_buckets, "block_size": self.block_size, "dtype": self._column.dtype.name,
-            "buckets": [nodes[number].get("source", empty) if table.state[rows[number]] < PENDING else empty
-                        for number in state["roots"]],
-        }
-        return migrated
 
     # ------------------------------------------------------------------
     # Creation phase

@@ -6,6 +6,8 @@ import pytest
 from repro.baselines import FullIndex, FullScan
 from repro.core.phase import IndexPhase
 from repro.core.query import Predicate
+from repro.errors import IndexStateError
+from repro.persist.upgrade import upgrade
 
 from tests.conftest import assert_matches_brute_force, random_range_predicates
 
@@ -65,14 +67,17 @@ class TestFullIndex:
         assert index.memory_footprint() >= uniform_data.nbytes * 0.9
 
     def test_a_checkpoint_with_a_btree_fanout_still_loads(self, uniform_column, uniform_data):
-        """Older checkpoints carry the fanout of a B+-tree FI no longer builds."""
+        """Format-1 checkpoints carry the fanout of a B+-tree FI no longer
+        builds: the upgrade drops it; the loader refuses it."""
         index = FullIndex(uniform_column)
         index.query(Predicate(0, 100))
         state = index.state_dict()
         assert "fanout" not in state["family"]
-        state["family"]["fanout"] = 64
+        state["format"], state["family"]["fanout"] = 1, 64
+        with pytest.raises(IndexStateError):
+            FullIndex(uniform_column).load_state({**state, "format": 2})
         restored = FullIndex(uniform_column)
-        restored.load_state(state)
+        restored.load_state(upgrade(state, restored))
         assert restored.converged
         assert restored.query(Predicate(100, 20_000)).count == int(
             ((uniform_data >= 100) & (uniform_data <= 20_000)).sum())

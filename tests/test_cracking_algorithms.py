@@ -12,7 +12,9 @@ from repro.cracking import (
     StandardCracking,
     StochasticCracking,
 )
+from repro.engine.session import IndexingSession
 from repro.storage.column import Column
+from repro.storage.table import Table
 
 from tests.conftest import (
     assert_matches_brute_force,
@@ -178,3 +180,38 @@ class TestAdaptiveAdaptiveBehaviour:
     def test_rejects_invalid_fanout(self, uniform_column):
         with pytest.raises(ValueError):
             AdaptiveAdaptiveIndexing(uniform_column, fanout=1)
+
+
+# ----------------------------------------------------------------------
+# The whole int64 domain: keys past 2**53 and at the top of the dtype
+# ----------------------------------------------------------------------
+TOP = 2**63 - 1
+
+
+def value_domain_cases():
+    """``(data, predicates)``: dense values past 2**53 (float64 merges 256
+    neighbours there), values across 2**53, and the two ends of int64."""
+    rng = np.random.default_rng(53)
+    cases = []
+    for base in (2**60, 2**53 - 992):
+        data = base + rng.integers(0, 4_000, 20_000)
+        bounds = np.sort(rng.integers(0, 4_000, (300, 2)), axis=1)
+        cases.append((data, [(int(base + low), int(base + high)) for low, high in bounds]))
+    ends = np.array([TOP, TOP - 1, 5, -TOP - 1, 0, TOP, 7], dtype=np.int64)
+    cases.append((ends, [(TOP - 1, TOP), (-(2**63), -(2**63) + 1), (-(2**63), TOP), (TOP, TOP)]))
+    return cases
+
+
+@pytest.mark.parametrize("index_class", ALL_CRACKING)
+def test_answers_are_exact_on_the_whole_int64_domain(index_class):
+    """Keys in the column's dtype: no bound rounds onto its neighbour, and
+    the bound past the largest int64 holds every value below it — on the
+    sequential path and through ``execute_batch``."""
+    for data, bounds in value_domain_cases():
+        expected = [int(((data >= low) & (data <= high)).sum()) for low, high in bounds]
+        index = index_class(Column(data.copy()))
+        assert [index.query(Predicate(low, high)).count for low, high in bounds] == expected
+        session = IndexingSession(Table({"v": data.copy()}))
+        session.create_index("v", method=index_class.name)
+        results = session.execute_batch(bounds, column_name="v")
+        assert [result.count for result in results] == expected

@@ -40,13 +40,6 @@ class TestCrackerIndex:
         assert index.position_of(300) == 30
         assert index.position_of(299) is None
 
-    def test_largest_piece(self):
-        index = CrackerIndex(100, 0, 1_000)
-        index.add(100, 10)
-        index.add(900, 90)
-        largest = index.largest_piece()
-        assert (largest.start, largest.end) == (10, 90)
-
     def test_piece_sizes(self):
         index = CrackerIndex(100, 0, 1_000)
         index.add(500, 40)
@@ -93,10 +86,30 @@ class TestCrackerIndexMatchesAVLReference:
         assert flat.n_pieces == reference.n_pieces
         assert list(flat.boundaries()) == list(reference.boundaries())
         assert flat.piece_sizes() == reference.piece_sizes()
-        assert flat.largest_piece() == reference.largest_piece()
         for probe in probes:
             assert flat.position_of(probe) == reference.position_of(probe)
             assert flat.piece_for(probe) == reference.piece_for(probe)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        entries=st.lists(st.tuples(st.integers(-400, 400), st.integers(0, 1_000)), max_size=60),
+        probes=st.lists(st.integers(-410, 410), min_size=1, max_size=30),
+        base=st.sampled_from([0, 2**53 - 200, 2**60, 2**63 - 500, -(2**63) + 500]),
+    )
+    def test_int64_keys_past_2_53_match(self, entries, probes, base):
+        """Keys in the column's dtype: neighbours past 2**53, which float64
+        would merge, stay apart, up to the ends of int64."""
+        low, high = base - 450, base + 450
+        flat = CrackerIndex(1_000, low, high, np.int64)
+        reference = AVLCrackerIndex(1_000, low, high)
+        for key, position in entries:
+            flat.add(base + key, position)
+            reference.add(base + key, position)
+        assert list(flat.boundaries()) == list(reference.boundaries())
+        assert flat.piece_sizes() == reference.piece_sizes()
+        for probe in probes:
+            assert flat.position_of(base + probe) == reference.position_of(base + probe)
+            assert flat.piece_for(base + probe) == reference.piece_for(base + probe)
 
     def test_float_keys_including_nextafter_bounds(self, rng):
         flat = CrackerIndex(10_000, 0.0, 1.0)

@@ -1,9 +1,13 @@
 """Tests for the index life-cycle phases and the shared lifecycle driver."""
 
+import numpy as np
 import pytest
 
+from repro.baselines import FullScan
 from repro.core.phase import IndexLifecycle, IndexPhase
 from repro.errors import IndexStateError
+from repro.persist.upgrade import upgrade
+from repro.storage.column import Column
 
 
 def test_phase_ordering_is_monotone():
@@ -101,15 +105,21 @@ class TestIndexLifecycle:
         assert snapshot["creation"] == {"queries": 1, "indexing_seconds": 0.5}
 
     def test_a_checkpointed_consolidation_phase_loads_as_converged(self):
-        """Older checkpoints name the paper's consolidation phase; its index
-        was already sorted, so it reads as an entry into CONVERGED."""
-        lifecycle = IndexLifecycle()
-        lifecycle.load_state({
+        """Format-1 checkpoints name the paper's consolidation phase; its
+        index was already sorted, so the upgrade reads it as an entry into
+        CONVERGED.  The loader itself refuses the name."""
+        stored = {
             "phase": "consolidation",
             "transitions": [[1, "creation"], [4, "refinement"], [9, "consolidation"], [13, "converged"]],
             "queries": {"creation": 3, "refinement": 5, "consolidation": 4, "converged": 2},
             "indexing_seconds": {"creation": 0.5, "consolidation": 0.25},
-        })
+        }
+        with pytest.raises(ValueError):
+            IndexLifecycle().load_state(stored)
+        index = FullScan(Column(np.arange(10)))
+        state = {**index.state_dict(), "format": 1, "lifecycle": stored}
+        lifecycle = IndexLifecycle()
+        lifecycle.load_state(upgrade(state, index)["lifecycle"])
         assert lifecycle.phase is IndexPhase.CONVERGED
         assert lifecycle.transitions == [
             (1, IndexPhase.CREATION), (4, IndexPhase.REFINEMENT), (9, IndexPhase.CONVERGED)]

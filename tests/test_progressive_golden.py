@@ -8,20 +8,23 @@ and the predicted cost breakdown; and, for every phase entry, the encoded
 checkpoint (``pager.encode_state(index.state_dict())``) taken right after the
 query that entered it.
 
-The replay checks three things on the current code:
+The recorded checkpoints are index-state format 1; each goes through
+:func:`repro.persist.upgrade.upgrade` before it is compared or loaded.  The
+replay checks three things on the current code:
 
 * the whole trace, from a fresh index, query by query;
 * every checkpoint the current code takes at a phase entry, against the
-  recorded one, key for key and array for array;
-* every recorded checkpoint loads into a fresh index, and the rest of the
-  trace from there matches too.
+  upgraded recorded one, key for key and array for array (so a format-1
+  payload of the current layout upgrades to exactly what the code writes);
+* every upgraded recorded checkpoint loads into a fresh index, and the rest
+  of the trace from there matches too.
 
 The records were taken one seam call per piece; PQ, PMSD and PB now read a
 run of pieces with one call, so their float64 sums may differ from the
 recorded ones within ``REL_TOL`` (everything else, and PLSD entirely, is
 exact).  Their checkpoints are the piece table's (layout 2); the layout-1
 checkpoints the code before it took at the same queries live in
-``progressive_pieces_v1.json.xz`` and must migrate and resume to the
+``progressive_pieces_v1.json.xz`` and must upgrade and resume to the
 recorded continuation.
 
 Separately, PLSD checkpoints taken in the merge stage that PLSD had before
@@ -53,9 +56,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.phase import IndexPhase
 from repro.core.policy import FixedDelta
 from repro.core.query import Predicate
+from repro.errors import IndexStateError
 from repro.persist import pager
+from repro.persist.upgrade import upgrade
 from repro.progressive import (
     ProgressiveBucketsort,
     ProgressiveQuicksort,
@@ -156,7 +162,7 @@ def resume(case: dict, checkpoint: dict) -> list:
     """The records of the trace after ``checkpoint``, from a fresh index that
     loaded it."""
     index = build(case["family"], case["delta"], column_data(case["dtype"]))
-    index.load_state(pager.decode_state(base64.b64decode(checkpoint["state"])))
+    index.load_state(upgrade(pager.decode_state(base64.b64decode(checkpoint["state"])), index))
     assert index.phase.value == checkpoint["phase"]
     return [record(index, low, high) for low, high in case["trace"][checkpoint["after"]:]]
 
@@ -277,6 +283,8 @@ def test_trace_and_checkpoints_match_the_recording(case):
         if number in checkpoints:
             assert index.phase.value == checkpoints[number]["phase"]
             recorded = pager.decode_state(base64.b64decode(checkpoints[number]["state"]))
+            assert recorded["format"] == 1
+            recorded = upgrade(recorded, build(case["family"], case["delta"], data))
             current = pager.decode_state(pager.encode_state(index.state_dict()))
             assert_same_tree(current, recorded, f"checkpoint after query {number}")
     assert index.converged
@@ -333,10 +341,10 @@ def assert_same_continuation(actual, expected, where, family):
 @pytest.mark.usefixtures("zeroed")
 @pytest.mark.parametrize("case", [c for c in CASES if c["family"] != "PLSD"], ids=case_id)
 def test_layout_1_checkpoints_migrate_and_resume(case):
-    """Every layout-1 checkpoint loads through the one-way migration into
-    piece-table rows and resumes to the continuation recorded for it; one
-    taken in the consolidation phase loads as converged and answers the
-    rest of its trace exactly."""
+    """Every layout-1 checkpoint upgrades into piece-table rows and resumes to
+    the continuation recorded for it; one taken in the consolidation phase
+    upgrades to converged and answers the rest of its trace exactly.  The
+    loader refuses each one as it was written."""
     checkpoints = LAYOUT_1_CHECKPOINTS[(case["family"], case["dtype"], case["delta"])]
     assert {c["phase"] for c in checkpoints} >= {"creation", "refinement", "consolidation", "converged"}
     data = column_data(case["dtype"])
@@ -344,8 +352,10 @@ def test_layout_1_checkpoints_migrate_and_resume(case):
     for checkpoint in checkpoints:
         family = checkpoint["state"]["family"]
         assert "layout" not in family and "pieces" not in family
+        with pytest.raises(IndexStateError):
+            build(case["family"], case["delta"], data).load_state({**checkpoint["state"], "format": 2})
         index = build(case["family"], case["delta"], data)
-        index.load_state(checkpoint["state"])
+        index.load_state(upgrade(checkpoint["state"], index))
         start = checkpoint["after"]
         if checkpoint["phase"] in ("consolidation", "converged"):
             assert index.converged
@@ -361,16 +371,19 @@ def test_layout_1_checkpoints_migrate_and_resume(case):
 
 def test_mid_merge_plsd_checkpoints_still_restore():
     """The last generation such a checkpoint holds is sorted and complete: the
-    restore adopts it and converges, and the rest of the trace is exact."""
+    upgrade adopts it and converges, and the rest of the trace is exact."""
     checkpoints = json.loads(lzma.decompress(MID_MERGE.read_bytes()))["checkpoints"]
     assert {c["dtype"] for c in checkpoints} == set(DTYPES)
     for checkpoint in checkpoints:
         data = column_data(checkpoint["dtype"])
         state = pager.decode_state(base64.b64decode(checkpoint["state"]))
         assert state["family"]["stage"] == "merge" and 0 < state["family"]["merge_position"] < ROWS
+        with pytest.raises(IndexStateError):
+            build("PLSD", checkpoint["delta"], data).load_state({**state, "format": 2})
         index = build("PLSD", checkpoint["delta"], data)
-        index.load_state(state)
+        index.load_state(upgrade(state, index))
         assert index.converged
+        assert index.lifecycle.transitions[-1] == (state["queries_executed"], IndexPhase.CONVERGED)
         assert_scan_answers(index, data, query_trace(data, MAX_QUERIES)[checkpoint["after"]:])
 
 
