@@ -349,6 +349,7 @@ class BaseIndex(DeltaOverlay, abc.ABC):
             # read (pending == 0) decides on this one compare.
             if pending < self.ABSORB_THRESHOLD or not self._merge_due(pending):
                 return self._steady_query(leaf, predicate, pending)
+        predicate = predicate.in_python()
         hist = self._obs_query_seconds
         tracing = _TR.enabled
         t0 = 0.0

@@ -12,9 +12,9 @@ the order of floating-point fractional parts (the ROADMAP's long-standing
 * :class:`FloatKeyCodec` — the classic IEEE-754 monotone bit-pattern
   transform: the raw ``float64`` bits with the sign bit flipped for
   non-negative values and *all* bits flipped for negative values.  The
-  resulting ``uint64`` keys sort exactly like the floats they encode
-  (``-0.0`` and ``+0.0`` map to adjacent keys, which is a valid sorted
-  order for equal values);
+  resulting ``uint64`` keys sort exactly like the floats they encode, and
+  ``-0.0`` gets the key of ``+0.0`` (the two compare equal, so a predicate
+  on one matches both);
 * :class:`RadixKeySpace` — a codec anchored to a column's ``[min, max]``
   domain, exposing dtype-aware radix-digit extraction for both vectors and
   scalars.  All digits are taken from the *biased* key ``encode(v) -
@@ -76,7 +76,7 @@ class FloatKeyCodec:
 
     def encode_scalar(self, value) -> int:
         """Key of a single bound as a Python int (exact, no rounding)."""
-        bits = int(np.float64(value).view(np.uint64))
+        bits = int(np.float64(value + 0.0).view(np.uint64))
         if bits >> 63:
             return _KEY_MASK ^ bits
         return bits ^ _SIGN_BIT

@@ -47,6 +47,19 @@ class Predicate:
         """Whether this predicate selects a single value."""
         return self.low == self.high
 
+    def in_python(self) -> "Predicate":
+        """This predicate with NumPy scalar bounds as Python numbers.
+
+        Construction routes bounds against Python keys (pivots, piece
+        bounds): a NumPy integer is promoted to float64 there, which is
+        inexact past 2**53, while a Python int compares exactly.
+        """
+        low, high = self.low, self.high
+        if not (isinstance(low, np.generic) or isinstance(high, np.generic)):
+            return self
+        return Predicate(low.item() if isinstance(low, np.generic) else low,
+                         high.item() if isinstance(high, np.generic) else high)
+
     def width(self) -> float:
         """Width of the selected range (zero for point queries)."""
         return self.high - self.low

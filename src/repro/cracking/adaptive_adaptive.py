@@ -97,13 +97,18 @@ class AdaptiveAdaptiveIndexing(CrackingIndexBase):
         if span <= 0 or piece.size <= 1:
             return
         segment = self._cracker.values[piece.start : piece.end]
-        width = span / self.fanout
+        # The boundaries are computed in the column's dtype: float64 ones
+        # over an integer piece collide, and leave it, once their spacing
+        # drops below the float64 step between its values.
+        if segment.dtype.kind == "f":
+            boundary_values = (piece.value_low + span / self.fanout * np.arange(1, self.fanout)).tolist()
+        else:
+            boundary_values = [piece.value_low + span * i // self.fanout for i in range(1, self.fanout)]
         # Routing by the very keys that become the piece boundaries (the
         # bounds as keys of the column's dtype; none past its largest value)
         # keeps the cracker-index invariant (elements before a boundary are
         # strictly smaller than its key) exact under any rounding.
-        boundary_values = piece.value_low + width * np.arange(1, self.fanout)
-        keys = [key for key in map(self._cracker.index.key, boundary_values.tolist()) if key is not None]
+        keys = [key for key in map(self._cracker.index.key, boundary_values) if key is not None]
         bucket_ids = np.searchsorted(np.array(keys, dtype=segment.dtype), segment, side="right")
         order = np.argsort(bucket_ids, kind="stable")
         self._cracker.values[piece.start : piece.end] = segment[order]

@@ -4,13 +4,14 @@ Everything the construction phase does per element — partition around a
 pivot, predicated range aggregation, the bucket scatter and its routing, the
 radix histogram and the cursor scatter that fills buckets of known size, the
 sorted merge — goes through the functions of this module, and so do the
-block codec's frame-of-reference pack and unpack and the shard layout's
-routing and grouping.  Behind them sits
-either the compiled backend (``kernels.c``, built once with ``cc`` into a
-cache directory and loaded through ``ctypes``; see :mod:`repro.kernels._build`)
-or the NumPy backend (:mod:`repro.kernels._numpy`), which gives identical
-answers at the speed the engine had before and is what runs when there is no
-compiler.  The backend is resolved once, when this module is imported, so no
+block codec's frame-of-reference pack and unpack, the shard layout's
+routing and grouping, and a column version's one min/max pass.  Behind
+them sits either the compiled backend (``kernels.c``, built once with ``cc``
+into a cache directory and loaded through ``ctypes``; see
+:mod:`repro.kernels._build`) or the NumPy backend
+(:mod:`repro.kernels._numpy`), which gives identical answers at the speed
+the engine had before and is what runs when there is no compiler.  The
+backend is resolved once, when this module is imported, so no
 query ever pays a compile; tests switch with :func:`use_backend`.
 
 The seam owns what must not differ between backends: pivots and bounds are
@@ -209,6 +210,15 @@ def range_sum_count(values: np.ndarray, low, high) -> tuple:
     if bounds is None or not values.size:
         return dtype.type(0), 0
     return _run(_active.range_sum_count, values, *bounds)
+
+
+def minmax(values: np.ndarray) -> tuple:
+    """``(values.min(), values.max())`` in one pass, as scalars of the
+    array's dtype; a zero comes back as ``+0.0``.  Raises
+    :class:`ValueError` on an empty array."""
+    if not values.size:
+        raise ValueError("minmax: an empty array has no minimum")
+    return _run(_active.minmax, values)
 
 
 def scatter(values: np.ndarray, ids: np.ndarray, n_buckets: int, out: np.ndarray) -> tuple:

@@ -36,6 +36,7 @@ _SIGNATURES = {
     "route_cuts": ((_P, _I, _P, _I, _P), False),
     "route_bounds": ((_P, _I, _P, _I, _P, _I, _P), False),
     "merge": ((_P, _I, _P, _I, _P), False),
+    "minmax": ((_P, _I, _P), False),
 }
 #: Delta widths of ``pack_for_<width>`` / ``unpack_for_<width>``; both take
 #: (source, n, reference, target).  The payload is little-endian by format and
@@ -54,7 +55,7 @@ class CBackend:
             for kernel, (signature, counts) in _SIGNATURES.items():
                 function = getattr(library, f"{kernel}_{suffix}", None)
                 if function is None:
-                    continue  # float sums are NumPy's; no uint64 columns to key or route
+                    continue  # float sums are NumPy's; no uint64 columns to key, route or measure
                 function.argtypes = [scalar if kind is _T else kind for kind in signature]
                 function.restype = _I if counts else None
                 self._entry[kernel, dtype] = function
@@ -140,6 +141,14 @@ class CBackend:
         kernel(values.ctypes.data, values.size, bounds.ctypes.data, bounds.size,
                cells.ctypes.data, cells.size, ids.ctypes.data)
         return ids
+
+    def minmax(self, values):
+        kernel = self._kernel("minmax", values)
+        if kernel is None:
+            return _numpy.minmax(values)
+        out = np.empty(2, dtype=values.dtype)
+        kernel(values.ctypes.data, values.size, out.ctypes.data)
+        return out[0], out[1]
 
     def merge_sorted(self, a, b):
         kernel = self._kernel("merge", a, b)

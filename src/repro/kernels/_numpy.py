@@ -58,11 +58,19 @@ def scatter(values, ids, n_buckets: int, out):
     return counts, np.cumsum(counts)
 
 
+def minmax(values):
+    low, high = values.min(), values.max()
+    if values.dtype.kind == "f":
+        return low + 0.0, high + 0.0
+    return low, high
+
+
 def order_keys(values):
     """Order-preserving ``uint64`` keys of an int64 or float64 array: the
-    sign-bit bias, and the IEEE-754 monotone bit pattern (``core/keys.py``)."""
+    sign-bit bias, and the IEEE-754 monotone bit pattern (``core/keys.py``)
+    of the values plus zero, so that ``-0.0`` has the key of ``+0.0``."""
     if values.dtype.kind == "f":
-        bits = values.view(np.uint64)
+        bits = (values + 0.0).view(np.uint64)
         return np.where(bits >> np.uint64(63) == np.uint64(1), ~bits, bits ^ _SIGN_BIT)
     return values.astype(np.uint64) ^ _SIGN_BIT
 

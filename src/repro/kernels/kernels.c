@@ -2,7 +2,8 @@
  *
  * One source, macro-instantiated per element type: KERNELS (partitions, range
  * scans, the counting scatter, shard routing, the merge) for int64 (_i64),
- * uint64 (_u64) and float64 (_f64); INTEGER_SUMS for the two integer types;
+ * uint64 (_u64) and float64 (_f64); MINMAX for the two column dtypes;
+ * INTEGER_SUMS for the two integer types;
  * KEY_KERNELS (radix histogram, cursor scatter, equi-height routing) for the
  * two column dtypes; FOR_KERNELS (the block codec's pack/unpack) per delta width.  The
  * hot loops are branch-free in the data (the paper's
@@ -179,6 +180,51 @@ KERNELS(int64_t, i64)
 KERNELS(uint64_t, u64)
 KERNELS(double, f64)
 
+/* A column's statistics: min and max in one pass over n >= 1 values, as
+ * out[0] and out[1].  L independent running extremes per side: the compiler
+ * vectorises a float min only when no lane's result depends on the order of
+ * another's (integers need no help, L = 1).  `spread` sums v - v, which stays
+ * 0 unless a NaN or an infinity passed; only then is the array searched for a
+ * NaN, which wins as in ndarray.min/max.  Adding zero turns a -0.0 result
+ * into +0.0. */
+#define MINMAX(T, S, L)                                                        \
+                                                                               \
+    void minmax_##S(const T *a, int64_t n, T *out)                             \
+    {                                                                          \
+        T lo[L], hi[L], spread[L];                                             \
+        int64_t k = 0;                                                         \
+        for (int j = 0; j < L; j++)                                            \
+            lo[j] = hi[j] = a[0], spread[j] = 0;                               \
+        for (; k + L <= n; k += L)                                             \
+            for (int j = 0; j < L; j++) {                                      \
+                T v = a[k + j];                                                \
+                lo[j] = v < lo[j] ? v : lo[j];                                 \
+                hi[j] = v > hi[j] ? v : hi[j];                                 \
+                spread[j] += v - v;                                            \
+            }                                                                  \
+        for (; k < n; k++) {                                                   \
+            T v = a[k];                                                        \
+            lo[0] = v < lo[0] ? v : lo[0];                                     \
+            hi[0] = v > hi[0] ? v : hi[0];                                     \
+            spread[0] += v - v;                                                \
+        }                                                                      \
+        for (int j = 1; j < L; j++) {                                          \
+            lo[0] = lo[j] < lo[0] ? lo[j] : lo[0];                             \
+            hi[0] = hi[j] > hi[0] ? hi[j] : hi[0];                             \
+            spread[0] += spread[j];                                            \
+        }                                                                      \
+        for (k = 0; spread[0] != 0 && k < n; k++)                              \
+            if (a[k] != a[k]) {                                                \
+                lo[0] = hi[0] = a[k];                                          \
+                break;                                                         \
+            }                                                                  \
+        out[0] = lo[0] + (T)0;                                                 \
+        out[1] = hi[0] + (T)0;                                                 \
+    }
+
+MINMAX(int64_t, i64, 1)
+MINMAX(double, f64, 8)
+
 /* Integer sums wrap modulo 2**64 like ndarray.sum; float sums are left to
  * NumPy over the compacted matches, because its pairwise order is the
  * contract (a running C sum rounds differently). */
@@ -203,7 +249,7 @@ INTEGER_SUMS(uint64_t, u64)
 
 /* Order-preserving uint64 keys (core/keys.py): int64 biased by the sign bit;
  * float64 by the IEEE-754 trick (flip the sign bit of non-negatives, all bits
- * of negatives). */
+ * of negatives), after adding zero, which gives -0.0 the key of +0.0. */
 #define SIGN_BIT 0x8000000000000000ull
 
 static inline uint64_t order_key_i64(int64_t v) { return (uint64_t)v ^ SIGN_BIT; }
@@ -211,6 +257,7 @@ static inline uint64_t order_key_i64(int64_t v) { return (uint64_t)v ^ SIGN_BIT;
 static inline uint64_t order_key_f64(double v)
 {
     uint64_t bits;
+    v += 0.0;
     memcpy(&bits, &v, sizeof bits);
     return bits ^ ((0 - (bits >> 63)) | SIGN_BIT);
 }

@@ -244,12 +244,7 @@ class ProgressiveIndexBase(BaseIndex):
     def _keyspace(self) -> RadixKeySpace:
         """The column's radix key space, ``log2(n_buckets)`` bits a digit (a
         pure function of the pinned snapshot's bounds)."""
-        return RadixKeySpace(
-            self._column.min(),
-            self._column.max(),
-            self._column.dtype,
-            self.n_buckets.bit_length() - 1,
-        )
+        return RadixKeySpace(*self._column.value_range(), self._column.dtype, self.n_buckets.bit_length() - 1)
 
     def _relevant_buckets(self, predicate: Predicate) -> range:
         """The creation buckets that can hold values matching ``predicate``."""

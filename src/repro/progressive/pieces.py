@@ -38,6 +38,7 @@ keeps its split rule.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import OrderedDict
 
@@ -325,6 +326,8 @@ class PieceTable:
         if self.state[piece] == PENDING:
             vlo, vhi = self.vlo[piece], self.vhi[piece]
             flat = 0 if isinstance(vlo, float) or isinstance(vhi, float) else 1
+            if self.final.dtype.kind != "f":  # it holds the integers of [ceil(vlo), floor(vhi)]
+                vlo, vhi = math.ceil(vlo), math.floor(vhi)
             if size <= self.sort_threshold or self.depth[piece] >= self.max_depth or vhi - vlo <= flat:
                 self.final[start:end].sort()
                 self.mark_sorted(piece)

@@ -110,8 +110,7 @@ class ProgressiveQuicksort(ProgressiveIndexBase):
     def _initialize(self) -> None:
         """Allocate the index array and choose the pivot (first query only)."""
         n = len(self._column)
-        column_min = float(self._column.min())
-        column_max = float(self._column.max())
+        column_min, column_max = map(float, self._column.value_range())
         self._pivot = column_min + (column_max - column_min) / 2.0
         self._final_array = self._scratch_allocate(n, self._column.dtype)
         self._high_fill = n

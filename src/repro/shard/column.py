@@ -70,8 +70,6 @@ class ShardedColumn(_ReadableColumn):
         self._layout = layout
         self._shard_set = shard_set
         self._name = str(name)
-        self._min = None
-        self._max = None
         self._dropped = False
         # Delta-aware zone maps: the base extremes, widened by every insert
         # (deletes are conservatively ignored, so a pruned shard provably
@@ -79,8 +77,9 @@ class ShardedColumn(_ReadableColumn):
         # Python ints for an integer column: a float64 rounds an edge past
         # 2**53 and would prune the shard that holds the row.
         self._dtype = shards[0].base_data.dtype
-        self._mins = [s.base_data.min().item() for s in shards]
-        self._maxs = [s.base_data.max().item() for s in shards]
+        ranges = [shard.snapshot(0).value_range() for shard in shards]
+        self._mins = [low.item() for low, _ in ranges]
+        self._maxs = [high.item() for _, high in ranges]
         self._bounds: Optional[tuple] = None
         # Global insert rid k -> owning shard and shard-local rid.
         self._ins_shard = _GrowableArray(np.int64)
@@ -171,11 +170,9 @@ class ShardedColumn(_ReadableColumn):
         self._visible_cache = (key, view)
         return view
 
-    def min(self):
-        return min(shard.min() for shard in self._shards)
-
-    def max(self):
-        return max(shard.max() for shard in self._shards)
+    def value_range(self):
+        ranges = [shard.value_range() for shard in self._shards]
+        return min(low for low, _ in ranges), max(high for _, high in ranges)
 
     def __len__(self) -> int:
         return sum(len(shard) for shard in self._shards)
@@ -367,8 +364,6 @@ class ShardedColumn(_ReadableColumn):
 
     # ------------------------------------------------------------------
     def _invalidate(self) -> None:
-        self._min = None
-        self._max = None
         self._visible_cache = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

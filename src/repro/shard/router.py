@@ -60,8 +60,8 @@ class ShardRouter:
         self.queries_routed = 0
         self.shards_dispatched = 0
         if bin_bits:
-            low = float(min(s.base_data.min() for s in column.shards))
-            high = float(max(s.base_data.max() for s in column.shards))
+            low = float(min(s.snapshot(0).min() for s in column.shards))
+            high = float(max(s.snapshot(0).max() for s in column.shards))
             self._edges = zonemaps.bin_edges(low, high, n_bins)
             self._bitmaps = np.array(
                 [

@@ -20,14 +20,18 @@ merge work moves those writes into the structures under the same budget
 policies that pace construction.
 
 The live column's own read API (``data``, ``scan_range`` …) always reflects
-the *current* visible rows — base minus deleted plus inserted — caching the
-materialized array per version so read-heavy phases pay the compaction once
-per write burst.
+the *current* visible rows — base minus deleted plus inserted — through the
+current version's snapshot.  A version has one snapshot per process (an
+unwritten column's shares the base array), so its rows are materialized at
+most once and its ``min``/``max`` computed at most once, in one pass
+(:func:`repro.kernels.minmax`), for every index, shard and session that
+reads that version.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from typing import Iterator, Optional, Union
 
@@ -60,7 +64,7 @@ class _ReadableColumn:
     """Shared read API over a one-dimensional numeric array.
 
     Subclasses provide :meth:`_view` returning the array the reads should
-    target; min/max are cached by the subclass's invalidation policy.
+    target, and :meth:`value_range` the statistics of those rows.
     """
 
     _name: str
@@ -97,20 +101,16 @@ class _ReadableColumn:
     # Statistics
     # ------------------------------------------------------------------
     def min(self):
-        """Smallest visible value (cached until the next write)."""
-        if self._min is None:
-            self._min = self._view().min()
-        return self._min
+        """Smallest visible value."""
+        return self.value_range()[0]
 
     def max(self):
-        """Largest visible value (cached until the next write)."""
-        if self._max is None:
-            self._max = self._view().max()
-        return self._max
+        """Largest visible value."""
+        return self.value_range()[1]
 
     def value_range(self):
         """Return ``(min, max)`` of the visible values."""
-        return self.min(), self.max()
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Scan primitives
@@ -291,19 +291,18 @@ class Column(_ReadableColumn):
         self._base.setflags(write=False)
         self.memory_budget = MemoryBudget.coerce(memory_budget)
         self._name = str(name)
-        self._min = None
-        self._max = None
         self._delta: Optional[DeltaStore] = None
         self._dropped = False
-        # (version, array) cache of the materialized visible rows.
-        self._visible_cache: Optional[tuple] = None
-        # version -> ColumnSnapshot LRU (see SNAPSHOT_CACHE_SIZE).  Both
-        # caches are read from concurrent reader threads while the serving
-        # layer's writer advances the version, so get/insert/evict run under
-        # a lock; ``move_to_end`` on an entry another thread is evicting
-        # would otherwise corrupt the OrderedDict.
+        # version -> ColumnSnapshot LRU (see SNAPSHOT_CACHE_SIZE).  It is
+        # read from concurrent reader threads while the serving layer's
+        # writer advances the version, so get/insert/evict run under a lock;
+        # ``move_to_end`` on an entry another thread is evicting would
+        # otherwise corrupt the OrderedDict.
         self._snapshot_cache: "OrderedDict[int, ColumnSnapshot]" = OrderedDict()
         self._cache_lock = threading.RLock()
+        # The snapshot of the newest version asked for, read without the
+        # lock: the live column's own reads go through it.
+        self._latest: Optional[ColumnSnapshot] = None
 
     # ------------------------------------------------------------------
     # Versioning
@@ -343,20 +342,12 @@ class Column(_ReadableColumn):
         delta = self._delta
         if delta is None or delta.version == 0:
             return self._base
-        version = delta.version
-        cached = self._visible_cache
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        with self._cache_lock:
-            cached = self._visible_cache
-            if cached is not None and cached[0] == version:
-                return cached[1]
-            visible = self._visible_view(version)
-            if visible is not self._base and not is_lazy(visible):
-                visible = np.ascontiguousarray(visible)
-                visible.setflags(write=False)
-            self._visible_cache = (version, visible)
-        return visible
+        return self.snapshot()._data
+
+    def value_range(self):
+        """``(min, max)`` of the visible rows: the current version's
+        snapshot's, so a version is described once however it is read."""
+        return self.snapshot().value_range()
 
     def _visible_view(self, version: int):
         """The rows visible at ``version`` — without copying a paged base.
@@ -385,15 +376,23 @@ class Column(_ReadableColumn):
         With no writes this is zero-copy (the snapshot shares the base
         array, which may itself be a read-only ``np.memmap`` over a column
         file); after writes the visible rows are materialized once per
-        version and cached in a small LRU — repeated snapshots of a live
-        version share one array, while versions left behind by a long write
-        stream are evicted instead of retained forever (indexes pinning an
-        evicted snapshot keep it alive through their own reference).
+        version.  Every version's snapshot is cached in a small LRU, so
+        repeated snapshots of a version share one array and one statistics
+        pass, while versions left behind by a long write stream are evicted
+        instead of retained forever (indexes pinning an evicted snapshot
+        keep it alive through their own reference).
         """
         if version is None:
             version = self.version
-        if self._delta is None or version == 0:
-            return ColumnSnapshot(self._base, self._name, 0, self)
+        latest = self._latest
+        if latest is not None and latest.version == version:
+            return latest
+        snapshot = self._cached_snapshot(version)
+        if version == self.version:
+            self._latest = snapshot
+        return snapshot
+
+    def _cached_snapshot(self, version: int) -> "ColumnSnapshot":
         with self._cache_lock:
             cached = self._snapshot_cache.get(version)
             if cached is not None:
@@ -402,7 +401,7 @@ class Column(_ReadableColumn):
         # Materialize outside the lock: only cache bookkeeping must be
         # serialized, and materializing a large delta is the expensive part
         # concurrent readers should overlap.
-        array = self._visible_view(version)
+        array = self._base if version == 0 else self._visible_view(version)
         if array is self._base or is_lazy(array):
             snapshot = ColumnSnapshot(array, self._name, version, self)
         else:
@@ -439,25 +438,15 @@ class Column(_ReadableColumn):
                                      name=self._name)
         return self._delta
 
-    def _invalidate(self) -> None:
-        self._min = None
-        self._max = None
-
     def insert(self, values, handle=None) -> np.ndarray:
         """Append rows; returns the stable row ids of the new rows."""
         delta = self._writable_delta()
         coerced = _coerce(np.atleast_1d(np.asarray(values)), dtype=self.dtype, name=self._name)
-        rids = delta.insert(coerced, handle=handle)
-        self._invalidate()
-        return rids
+        return delta.insert(coerced, handle=handle)
 
     def delete_rows(self, rids, handle=None) -> int:
         """Delete the rows with the given stable row ids."""
-        delta = self._writable_delta()
-        deleted = delta.delete(rids, handle=handle)
-        if deleted:
-            self._invalidate()
-        return deleted
+        return self._writable_delta().delete(rids, handle=handle)
 
     def delete_where(self, low, high, handle=None) -> np.ndarray:
         """Delete all visible rows with values in ``[low, high]``.
@@ -566,8 +555,6 @@ class Column(_ReadableColumn):
         self._delta = DeltaStore.from_state(
             self._base, state, memory_budget=self.memory_budget
         )
-        self._invalidate()
-        self._visible_cache = None
 
     @property
     def is_mapped(self) -> bool:
@@ -636,15 +623,31 @@ class ColumnSnapshot(_ReadableColumn):
     ) -> None:
         self._data = array
         self._name = str(name)
-        self._min = None
-        self._max = None
+        self._range = None
         #: Version of the live column this snapshot froze.
         self.version = int(version)
-        #: The live column the snapshot was taken from (``None`` if detached).
-        self.source = source
+        # Weak: the column caches its snapshots, and a cycle would keep a
+        # dropped column's arrays until the cyclic collector runs.
+        self._source = None if source is None else weakref.ref(source)
+
+    @property
+    def source(self) -> Optional[Column]:
+        """The live column the snapshot was taken from (``None`` if
+        detached, or once that column is gone)."""
+        return None if self._source is None else self._source()
 
     def _view(self) -> np.ndarray:
         return self._data
+
+    def value_range(self):
+        """``(min, max)`` of the frozen rows, computed on first use in one
+        pass over the array this snapshot holds (a paged or chained array
+        answers from its own ``min``/``max``: block directory, parts)."""
+        stats = self._range
+        if stats is None:
+            data = self._data
+            stats = self._range = (data.min(), data.max()) if is_lazy(data) else kernels.minmax(data)
+        return stats
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

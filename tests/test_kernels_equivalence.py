@@ -9,8 +9,9 @@ Two layers of checks:
 * the compiled backend against the NumPy backend, kernel by kernel and chunk
   by chunk, with Hypothesis: int64, uint64 around ``2**63`` and float64 with
   NaN, ±inf and −0.0; empty, size-1 and all-duplicate pieces; the resumable
-  partition at every split point.  Arrays are compared on their bits, float
-  sums included — "close" is not the contract.
+  partition at every split point; the one-pass min/max.  Arrays are compared
+  on their bits, float sums and extremes included — "close" is not the
+  contract.
 
 Beyond the kernels: ``queries_to_converge`` under ``FixedDelta`` is the same
 on both backends (δ is in elements), a host without ``cc`` falls back with
@@ -221,6 +222,26 @@ class TestCompiledAgainstNumpy:
             matching = [v for v in values.tolist() if low <= v <= high]
             assert compiled[1] == len(matching)
             assert int(compiled[0][0]) == sum(matching) % 2**64
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays().filter(lambda values: values.size))
+    @example(np.array([-(2**63), 2**63 - 1, 0], dtype=np.int64))
+    @example(np.array([2**63 - 1], dtype=np.int64))
+    @example(np.array([-0.0, 0.0, -0.0] * 7))
+    @example(np.array([-0.0]))
+    def test_minmax(self, values):
+        def run():
+            low, high = kernels.minmax(values)
+            assert type(low) is type(high) is values.dtype.type
+            return [low, high]
+
+        compiled, reference = both(run)
+        if values.dtype == np.float64 and np.isnan(values).any():
+            assert np.isnan(compiled + reference).all()  # NaN wins, payload aside
+            return
+        assert bits(np.array(compiled)) == bits(np.array(reference))
+        assert compiled == [values.min(), values.max()]
+        assert not any(v == 0 and np.signbit(v) for v in compiled)  # a zero is +0.0
 
     @settings(max_examples=100, deadline=None)
     @given(arrays(), st.integers(1, 70), st.randoms(use_true_random=False))
