@@ -38,7 +38,6 @@ keeps its split rule.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from collections import OrderedDict
 
@@ -327,7 +326,7 @@ class PieceTable:
             vlo, vhi = self.vlo[piece], self.vhi[piece]
             flat = 0 if isinstance(vlo, float) or isinstance(vhi, float) else 1
             if self.final.dtype.kind != "f":  # it holds the integers of [ceil(vlo), floor(vhi)]
-                vlo, vhi = math.ceil(vlo), math.floor(vhi)
+                vlo, vhi = -(-vlo // 1), vhi // 1  # NaN and ±inf give NaN: not flat
             if size <= self.sort_threshold or self.depth[piece] >= self.max_depth or vhi - vlo <= flat:
                 self.final[start:end].sort()
                 self.mark_sorted(piece)

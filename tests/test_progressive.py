@@ -274,7 +274,8 @@ DAMAGE_KINDS = ["drop", "retype", "shift", "family drop", "family retype"]
 @settings(max_examples=500, deadline=None)
 # Shifts that once got through: progress on a waiting piece (PMSD, PB), a
 # pending piece saved as mid-partition (PQ), a large waiting root saved as
-# copying (PMSD).
+# copying (PMSD); a NaN value bound on an integer column (PB).
+@example(source=("PB", 1), damage=[("shift", 15, 0, -2, float("nan"))])
 @example(source=("PMSD", 4), damage=[("shift", 10, 3, 1, None)])
 @example(source=("PB", 1), damage=[("shift", 10, 2, 1, None)])
 @example(source=("PQ", 1), damage=[("shift", 15, 1, 1, None)])
