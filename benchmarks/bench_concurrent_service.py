@@ -29,8 +29,9 @@ client committing small bursts throughout (the mixed read/write stream).
   target τ (interactive 5 ms, batch 50 ms).
 
 ``--smoke`` shrinks the levels to N ∈ {1, 4}, shortens the measurement and
-relaxes the scaling gate to 1.5× for CI.  Results land in
-``BENCH_concurrent.json``.
+relaxes the scaling gate to 1.5× for CI.  A full run writes its results to
+``BENCH_concurrent.json``; a smoke run writes a file only when ``--output``
+names one.
 
 Usage::
 
@@ -213,7 +214,9 @@ def main(argv=None) -> int:
         default=None,
         help="required aggregate-qps ratio of the largest level vs one client",
     )
-    parser.add_argument("--output", default="BENCH_concurrent.json")
+    parser.add_argument("--output", type=Path, default=None,
+                        help="JSON output path (default: BENCH_concurrent.json "
+                             "on a full run; a smoke run writes none)")
     args = parser.parse_args(argv)
 
     levels = [1, 4] if args.smoke else [1, 4, 16]
@@ -272,8 +275,12 @@ def main(argv=None) -> int:
         "pass": not failures,
         "failures": failures,
     }
-    Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.output}")
+    output = args.output
+    if output is None and not args.smoke:
+        output = Path("BENCH_concurrent.json")
+    if output is not None:
+        output.write_text(json.dumps(report, indent=2) + "\n")
+        print(f"wrote {output}")
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)

@@ -183,7 +183,7 @@ class CostModel:
 
         The paper (Section 3.3) charges an extra ``log2(b)`` factor for the
         binary search locating each element's bucket.  This substrate routes
-        through :func:`repro.kernels.route_bounds` instead — a grid-proposed,
+        through :func:`repro.kernels.route_cuts` instead — a grid-proposed,
         verified gather, O(1) per element — so the measured routing cost is
         about one more scatter-scale pass over the data, not a ``log2(b)``
         blow-up:

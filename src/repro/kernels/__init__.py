@@ -139,6 +139,26 @@ def typed_pivot(dtype, pivot):
     return int(pivot) if isinstance(pivot, (int, np.integer)) else math.ceil(pivot)
 
 
+def typed_cuts(dtype, bounds) -> tuple:
+    """Sorted float64 ``bounds`` as ``(cuts, skip)`` in ``dtype``, so that
+    ``skip + route_cuts(v, cuts)`` counts the bounds ``<= v`` exactly.
+
+    A value reaches past bound ``b`` when it is above ``ceil(b) - 1`` in an
+    integer dtype, above ``nextafter(b, -inf)`` in a float one; the bounds
+    every value of the dtype reaches (``-inf``, or at most the integer
+    minimum) have no cut below the dtype and are counted in ``skip``.
+    """
+    bounds = np.asarray(bounds, dtype=np.float64)
+    if dtype.kind == "f":
+        skip = int(np.count_nonzero(bounds == -np.inf))
+        return np.nextafter(bounds[skip:], -np.inf).astype(dtype), skip
+    floor, ceiling = _limits(dtype)
+    listed = bounds.tolist()
+    skip = sum(bound <= floor for bound in listed)
+    cuts = [ceiling if bound > ceiling else math.ceil(bound) - 1 for bound in listed[skip:]]
+    return np.array(cuts, dtype=dtype), skip
+
+
 # ----------------------------------------------------------------------
 # The kernels
 # ----------------------------------------------------------------------
@@ -307,15 +327,12 @@ def route_cuts(values: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     ids — how many of the sorted ``cuts`` sort before each value.
 
     Compared in the arrays' own type when they share it, so an int64 value
-    past 2**53 routes exactly (:func:`route_bounds` compares in float64).
+    past 2**53 routes exactly.  A grid over the cuts' domain proposes each
+    id and the exact comparison verifies it, so a value costs a multiply and
+    a gather, not a branchy search (:func:`typed_cuts` turns float64 bounds
+    into cuts of an integer or float column).
     """
     return _run(_active.route_cuts, values, cuts)
-
-
-def route_bounds(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Equi-height routing: ``np.searchsorted(bounds, values, side="right")``
-    for sorted float64 ``bounds``, as int64 bucket ids."""
-    return _run(_active.route_bounds, values, np.ascontiguousarray(bounds, dtype=np.float64))
 
 
 def merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:

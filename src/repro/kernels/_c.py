@@ -1,9 +1,8 @@
 """The compiled backend: ``kernels.c`` called through ``ctypes``, zero-copy.
 
-Kernels exist for int64, uint64 and float64 (the radix and equi-height
-routing ones for the two column dtypes); any other dtype, and any array that
-is not C-contiguous, takes the NumPy backend for that one call.  Shapes, dtypes and
-fill cursors are checked by :mod:`repro.kernels` before a pointer is taken;
+Kernels exist for int64, uint64 and float64 (the radix ones for the two
+column dtypes); any other dtype, and any array that is not C-contiguous, takes
+the NumPy backend for that one call.  Shapes, dtypes and fill cursors are checked by :mod:`repro.kernels` before a pointer is taken;
 the arrays stay referenced by the caller's frame for the length of the call.
 """
 
@@ -33,8 +32,7 @@ _SIGNATURES = {
     "scatter": ((_P, _P, _I, _I, _P, _P, _P), True),
     "radix_histogram": ((_P, _I, _U, _I, _U, _P), False),
     "scatter_cursor": ((_P, _I, _U, _I, _U, _P, _P, _P, _I), True),
-    "route_cuts": ((_P, _I, _P, _I, _P), False),
-    "route_bounds": ((_P, _I, _P, _I, _P, _I, _P), False),
+    "route_cuts": ((_P, _I, _P, _I, _P, _I, _P, _P), False),
     "merge": ((_P, _I, _P, _I, _P), False),
     "minmax": ((_P, _I, _P), False),
 }
@@ -129,17 +127,10 @@ class CBackend:
         if kernel is None or cuts.dtype != values.dtype:
             return _numpy.route_cuts(values, cuts)
         ids = np.empty(values.size, dtype=np.int64)
-        kernel(values.ctypes.data, values.size, cuts.ctypes.data, cuts.size, ids.ctypes.data)
-        return ids
-
-    def route_bounds(self, values, bounds):
-        kernel = self._kernel("route_bounds", values, bounds)
-        if kernel is None:
-            return _numpy.route_bounds(values, bounds)
-        ids = np.empty(values.size, dtype=np.int64)
-        cells = np.empty(_numpy.GRID_CELLS_PER_BOUND * (bounds.size + 1), dtype=np.int64)
-        kernel(values.ctypes.data, values.size, bounds.ctypes.data, bounds.size,
-               cells.ctypes.data, cells.size, ids.ctypes.data)
+        cells = np.empty(_numpy.grid_cells(values.size, cuts.size), dtype=np.int64)
+        padded = np.empty(cuts.size + 2, dtype=cuts.dtype)
+        kernel(values.ctypes.data, values.size, cuts.ctypes.data, cuts.size,
+               cells.ctypes.data, cells.size, padded.ctypes.data, ids.ctypes.data)
         return ids
 
     def minmax(self, values):

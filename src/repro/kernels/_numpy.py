@@ -13,8 +13,8 @@ name = "numpy"
 
 _SIGN_BIT = np.uint64(1 << 63)
 
-#: Grid cells per bound of :func:`route_bounds`.
-GRID_CELLS_PER_BOUND = 16
+#: Grid cells per cut of :func:`route_cuts`.
+GRID_CELLS_PER_CUT = 16
 
 
 def partition_chunk(src, pivot, out, low_fill: int, high_fill: int) -> int:
@@ -102,30 +102,38 @@ def scatter_cursor(values, base: int, shift: int, mask: int, cursors, limits, ou
     return int(values.size - room.sum())
 
 
+def grid_cells(n_values: int, n_cuts: int) -> int:
+    """Cells of :func:`route_cuts`' grid; 0 (no grid) for fewer than two cuts
+    or fewer values than cells, where one binary search each is cheaper."""
+    cells = GRID_CELLS_PER_CUT * (n_cuts + 1)
+    return cells if n_cuts > 1 and n_values >= cells else 0
+
+
 def route_cuts(values, cuts):
-    return np.searchsorted(cuts, values, side="left").astype(np.int64, copy=False)
-
-
-def route_bounds(values, bounds):
     # On random data every probe of np.searchsorted is a mispredicted branch,
-    # so a uniform grid over the bounds' domain proposes each value's bucket
-    # with one multiply and one gather; the proposal is verified exactly
-    # against the neighbouring bounds, and only the values that fail — those
-    # in cells straddling a bound — take the binary search.
-    span = float(bounds[-1]) - float(bounds[0]) if bounds.size else 0.0  # inf - inf: NaN
-    if not 0 < span < np.inf:
-        return np.searchsorted(bounds, values, side="right")
-    n_cells = GRID_CELLS_PER_BOUND * (bounds.size + 1)
-    scale = n_cells / span
-    low = float(bounds[0])
-    cell_bucket = np.searchsorted(bounds, low + np.arange(n_cells) / scale, side="right")
-    padded = np.concatenate([[-np.inf], bounds, [np.inf]])
+    # so a uniform grid over the cuts' domain (its last cell takes every value
+    # above the last cut) proposes each value's id with one multiply and one
+    # gather, and the proposal is verified in the dtype against the
+    # neighbouring cuts, padded with the dtype's extremes.  The grid
+    # arithmetic rounds harmlessly; the values that fail (those in cells that
+    # hold a cut, a NaN, an extreme) take the binary search.
+    n_cells = grid_cells(values.size, cuts.size)
+    span = float(cuts[-1]) - float(cuts[0]) if n_cells and values.dtype == cuts.dtype else 0.0
+    if not 0 < span < np.inf or cuts.dtype.kind not in "iuf":  # NaN fails too
+        return np.searchsorted(cuts, values, side="left").astype(np.int64, copy=False)
+    grid, low = n_cells - 1, float(cuts[0])
+    scale = grid / span * (1 - 2.0**-40)  # the last cut lands below the last cell
+    cell_id = np.searchsorted(cuts.astype(np.float64), low + np.arange(n_cells) / scale, side="left")
+    cell_id[grid] = cuts.size
+    padded = np.empty(cuts.size + 2, dtype=cuts.dtype)
+    limits = np.iinfo(cuts.dtype) if cuts.dtype.kind in "iu" else None
+    padded[0], padded[1:-1], padded[-1] = (limits.min, cuts, limits.max) if limits else (-np.inf, cuts, np.inf)
     with np.errstate(invalid="ignore", over="ignore"):  # NaN/inf cells fail the verification
         cells = ((values - low) * scale).astype(np.int64)
-    ids = cell_bucket[np.clip(cells, 0, n_cells - 1, out=cells)]
-    misses = np.flatnonzero(~((padded[ids] <= values) & (values < padded[ids + 1])))
+    ids = cell_id[np.clip(cells, 0, grid, out=cells)]
+    misses = np.flatnonzero(~((padded[ids] < values) & (values <= padded[ids + 1])))
     if misses.size:
-        ids[misses] = np.searchsorted(bounds, values[misses], side="right")
+        ids[misses] = np.searchsorted(cuts, values[misses], side="left")
     return ids
 
 

@@ -1,27 +1,31 @@
 /* Predicated construction kernels of repro (see repro/kernels/__init__.py).
  *
  * One source, macro-instantiated per element type: KERNELS (partitions, range
- * scans, the counting scatter, shard routing, the merge) for int64 (_i64),
- * uint64 (_u64) and float64 (_f64); MINMAX for the two column dtypes;
- * INTEGER_SUMS for the two integer types;
- * KEY_KERNELS (radix histogram, cursor scatter, equi-height routing) for the
- * two column dtypes; FOR_KERNELS (the block codec's pack/unpack) per delta width.  The
- * hot loops are branch-free in the data (the paper's
- * predication): a comparison becomes an integer that advances a cursor or
- * selects a slot, not a jump.  Kernels write only into buffers the caller
- * allocated and never allocate, so the Python side's memory budget keeps
- * governing.
+ * scans, the counting scatter, range routing, the merge; LOWEST and HIGHEST
+ * bracket the type's values) for int64 (_i64), uint64 (_u64) and float64
+ * (_f64); MINMAX for the two column dtypes; INTEGER_SUMS for the two integer
+ * types; KEY_KERNELS (radix histogram, cursor scatter) for the two column
+ * dtypes; FOR_KERNELS (the block codec's pack/unpack) per delta width.  The hot loops are branch-free in the data
+ * (the paper's predication): a comparison becomes an integer that advances a
+ * cursor or selects a slot, not a jump.  Kernels write only into buffers the
+ * caller allocated and never allocate, so the Python side's memory budget
+ * keeps governing.
  *
  * Compiled by repro/kernels/_build.py with `cc -O3 -march=native -shared
  * -fPIC`, loaded through ctypes.  NaN compares false everywhere, so a NaN
  * is never below a pivot and never inside a range, exactly as in NumPy.
  */
+#include <float.h>
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
 #define BLOCK 256 /* offsets buffered per side by the in-place partition */
 
-#define KERNELS(T, S)                                                          \
+/* Whether cut c sorts before value v in NumPy's order (NaN after numbers). */
+#define BEFORE(c, v) ((int64_t)(((c) < (v)) | (((v) != (v)) & ((c) == (c)))))
+
+#define KERNELS(T, S, LOWEST, HIGHEST)                                         \
                                                                                \
     static int64_t count_below_##S(const T *src, int64_t n, T pivot)           \
     {                                                                          \
@@ -141,23 +145,66 @@
      * (NaN after every number; the NaN terms fold away for integers).  The    \
      * binary search takes the same steps for every value: the probe moves     \
      * the window's base, never the control flow. */                           \
-    void route_cuts_##S(const T *values, int64_t n, const T *cuts,             \
-                        int64_t n_cuts, int64_t *ids)                          \
+    static int64_t search_cuts_##S(const T *cuts, int64_t n_cuts, T v)         \
     {                                                                          \
+        int64_t base = 0, len = n_cuts;                                        \
+        while (len > 1) {                                                      \
+            int64_t half = len >> 1;                                           \
+            base += half & -BEFORE(cuts[base + half - 1], v);                  \
+            len -= half;                                                       \
+        }                                                                      \
+        if (len)                                                               \
+            base += BEFORE(cuts[base], v);                                     \
+        return base;                                                           \
+    }                                                                          \
+                                                                               \
+    /* On random data every probe of that search is a mispredicted branch,    \
+     * so a uniform grid over the cuts' domain (`cells`, n_cells slots of      \
+     * scratch filled here; the last takes every value above the last cut)    \
+     * proposes the id of the value's cell, and a walk over the neighbouring   \
+     * cuts corrects it: for the few values whose cell holds a cut, and for    \
+     * rounding in the grid arithmetic, which is in doubles.  The walk reads   \
+     * `padded` (n_cuts + 2 slots of scratch: the cuts between LOWEST and      \
+     * HIGHEST), so a value outside the cuts takes the same branches as one    \
+     * inside.  The grid needs finite cuts (a NaN value is counted after all   \
+     * of them); the search serves n_cells == 0 and a span that is empty, not  \
+     * finite or NaN. */                                                       \
+    void route_cuts_##S(const T *values, int64_t n, const T *cuts,             \
+                        int64_t n_cuts, int64_t *cells, int64_t n_cells,       \
+                        T *padded, int64_t *ids)                               \
+    {                                                                          \
+        double low = n_cuts ? (double)cuts[0] : 0.0;                           \
+        double span = n_cuts ? (double)cuts[n_cuts - 1] - low : 0.0;           \
+        if (!(n_cells > 1 && span > 0 && span <= DBL_MAX)) {                   \
+            for (int64_t k = 0; k < n; k++)                                    \
+                ids[k] = search_cuts_##S(cuts, n_cuts, values[k]);             \
+            return;                                                            \
+        }                                                                      \
+        /* A hair short of grid / span, so the last cut lands below the last   \
+         * slot. */                                                            \
+        int64_t grid = n_cells - 1, at = 0;                                    \
+        double scale = (double)grid / span * (1 - 0x1p-40), last = grid;       \
+        for (int64_t c = 0; c < grid; c++) {                                   \
+            double edge = low + (double)c / scale;                             \
+            while (at < n_cuts && (double)cuts[at] < edge)                     \
+                at++;                                                          \
+            cells[c] = at;                                                     \
+        }                                                                      \
+        cells[grid] = n_cuts;                                                  \
+        padded[0] = LOWEST;                                                    \
+        memcpy(padded + 1, cuts, (size_t)n_cuts * sizeof(T));                  \
+        padded[n_cuts + 1] = HIGHEST;                                          \
         for (int64_t k = 0; k < n; k++) {                                      \
             T v = values[k];                                                   \
-            int64_t base = 0, len = n_cuts;                                    \
-            while (len > 1) {                                                  \
-                int64_t half = len >> 1;                                       \
-                T c = cuts[base + half - 1];                                   \
-                base += half & -(int64_t)((c < v) | ((v != v) & (c == c)));    \
-                len -= half;                                                   \
-            }                                                                  \
-            if (len) {                                                         \
-                T c = cuts[base];                                              \
-                base += (c < v) | ((v != v) & (c == c));                       \
-            }                                                                  \
-            ids[k] = base;                                                     \
+            double cell = ((double)v - low) * scale;                           \
+            cell = cell > 0 ? cell : 0; /* NaN lands here too */               \
+            cell = cell < last ? cell : last;                                  \
+            int64_t id = cells[(int64_t)cell];                                 \
+            while ((id < n_cuts) & (padded[id + 1] < v))                       \
+                id++;                                                          \
+            while ((id > 0) & !(padded[id] < v))                               \
+                id--;                                                          \
+            ids[k] = v != v ? n_cuts : id;                                     \
         }                                                                      \
     }                                                                          \
                                                                                \
@@ -176,9 +223,9 @@
         memcpy(out + k + (na - i), b + j, (size_t)(nb - j) * sizeof(T));       \
     }
 
-KERNELS(int64_t, i64)
-KERNELS(uint64_t, u64)
-KERNELS(double, f64)
+KERNELS(int64_t, i64, INT64_MIN, INT64_MAX)
+KERNELS(uint64_t, u64, 0, UINT64_MAX)
+KERNELS(double, f64, -INFINITY, INFINITY)
 
 /* A column's statistics: min and max in one pass over n >= 1 values, as
  * out[0] and out[1].  L independent running extremes per side: the compiler
@@ -326,43 +373,6 @@ static inline uint64_t order_key_f64(double v)
             }                                                                  \
         }                                                                      \
         return lost;                                                           \
-    }                                                                          \
-                                                                               \
-    /* Equi-height routing: how many of the sorted bounds are <= each value    \
-     * (np.searchsorted side="right"; NaN sorts after every bound), values     \
-     * compared as doubles like NumPy.  A uniform grid over the bounds'        \
-     * domain proposes the bucket of the value's cell (`cells`, n_cells slots  \
-     * of scratch, filled here); the proposal is then corrected against the    \
-     * neighbouring bounds, which moves it for the few values whose cell       \
-     * straddles a bound and makes rounding in the grid arithmetic harmless. */\
-    void route_bounds_##S(const T *values, int64_t n, const double *bounds,    \
-                          int64_t n_bounds, int64_t *cells, int64_t n_cells,   \
-                          int64_t *ids)                                        \
-    {                                                                          \
-        double low = n_bounds ? bounds[0] : 0.0;                               \
-        double span = n_bounds ? bounds[n_bounds - 1] - low : 0.0;             \
-        double scale = span > 0 && span <= 1.7976931348623157e308              \
-                           ? (double)n_cells / span : 0.0;                     \
-        int64_t at = 0;                                                        \
-        for (int64_t c = 0; c < n_cells; c++) {                                \
-            double edge = scale > 0 ? low + (double)c / scale : low;           \
-            while (at < n_bounds && bounds[at] <= edge)                        \
-                at++;                                                          \
-            cells[c] = at;                                                     \
-        }                                                                      \
-        double last = (double)(n_cells - 1);                                   \
-        for (int64_t k = 0; k < n; k++) {                                      \
-            double x = (double)values[k];                                      \
-            double cell = (x - low) * scale;                                   \
-            cell = cell > 0 ? cell : 0; /* NaN lands here too */               \
-            cell = cell < last ? cell : last;                                  \
-            int64_t id = cells[(int64_t)cell];                                 \
-            while (id < n_bounds && bounds[id] <= x)                           \
-                id++;                                                          \
-            while (id > 0 && bounds[id - 1] > x)                               \
-                id--;                                                          \
-            ids[k] = x != x ? n_bounds : id;                                   \
-        }                                                                      \
     }
 
 KEY_KERNELS(int64_t, i64)

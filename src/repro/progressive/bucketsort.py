@@ -38,6 +38,7 @@ Converged
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -58,6 +59,12 @@ DEFAULT_BUCKET_COUNT = 64
 #: from existing statistics"; a fixed-size sample keeps the first-query
 #: overhead bounded while producing near-equal bucket sizes.
 DEFAULT_BOUNDS_SAMPLE = 65536
+
+
+def sorted_sample(data, size: int = DEFAULT_BOUNDS_SAMPLE) -> np.ndarray:
+    """Every ``len(data) // size``-th value of ``data`` (all of them when
+    there are at most ``size``), sorted, in the data's dtype."""
+    return np.sort(np.asarray(data[:: max(1, len(data) // size)] if len(data) > size else data))
 
 
 class ProgressiveBucketsort(ProgressiveIndexBase):
@@ -126,7 +133,7 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
 
     def _load_family_state(self, state: dict) -> None:
         if "pb_bounds" in state:
-            self._bounds = self._checked_bounds(state["pb_bounds"])
+            self._set_bounds(self._checked_bounds(state["pb_bounds"]))
         super()._load_family_state({key: value for key, value in state.items() if key != "pb_bounds"})
 
     def _checked_bounds(self, values) -> np.ndarray:
@@ -146,23 +153,16 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
 
     def _load_fields(self, state: dict) -> None:
         if state["initialized"]:
-            self._bounds = self._checked_bounds(state["bounds"])
+            self._set_bounds(self._checked_bounds(state["bounds"]))
 
     # ------------------------------------------------------------------
     # Creation phase
     # ------------------------------------------------------------------
     def _initialize(self) -> None:
-        n = len(self._column)
-        data = self._column.data
-        if n > self.bounds_sample:
-            step = max(1, n // self.bounds_sample)
-            sample = data[::step]
-        else:
-            sample = data
         # np.quantile's linear rule, off one sort of the sample instead of a
         # selection per bound; any fixed rule does — the bounds only route,
         # and they are persisted with the index.
-        ordered = np.sort(np.asarray(sample)).astype(np.float64, copy=False)
+        ordered = sorted_sample(self._column.data, self.bounds_sample).astype(np.float64, copy=False)
         position = np.linspace(0.0, 1.0, self.n_buckets + 1)[1:-1] * (ordered.size - 1)
         lower = position.astype(np.int64)
         upper = np.minimum(lower + 1, ordered.size - 1)
@@ -173,21 +173,27 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
             # mean of the two, which cannot overflow and stays between them.
             spill = ~np.isfinite(high - low)
             bounds[spill] = (1.0 - fraction[spill]) * low[spill] + fraction[spill] * high[spill]
-        self._bounds = bounds
+        self._set_bounds(bounds)
         self._buckets = self._bucket_set()
 
+    def _set_bounds(self, bounds: np.ndarray) -> None:
+        """The bounds, and as exact cuts in the column's dtype for the scatter."""
+        self._bounds = bounds
+        self._cuts, self._skip = kernels.typed_cuts(self._column.dtype, bounds)
+
     def _ingest(self, chunk: np.ndarray) -> None:
-        # The binary search over the bounds is the log2(b) term of the cost
-        # model; the kernel answers it from a verified grid.
-        self._buckets.scatter(chunk, kernels.route_bounds(chunk, self._bounds))
+        # The search over the bounds is the log2(b) term of the cost model;
+        # the kernel answers it from a verified grid, in the chunk's dtype.
+        ids = kernels.route_cuts(chunk, self._cuts)
+        ids += self._skip  # bounds below every value of the dtype
+        self._buckets.scatter(chunk, ids)
 
     def _creation_work_time(self) -> float:
         return self._cost_model.equiheight_bucket_write_time(len(self._column), self.n_buckets)
 
     def _relevant_buckets(self, predicate: Predicate) -> range:
-        low_id = int(np.searchsorted(self._bounds, predicate.low, side="right"))
-        high_id = int(np.searchsorted(self._bounds, predicate.high, side="right"))
-        return range(low_id, high_id + 1)
+        bounds = self._bounds.tolist()  # exact, as the scatter: no float64 rounding
+        return range(bisect_right(bounds, predicate.low), bisect_right(bounds, predicate.high) + 1)
 
     # ------------------------------------------------------------------
     # Refinement phase
@@ -205,7 +211,7 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
         (the column's at the two ends)."""
         keys = bounds.tolist()
         if self._column.dtype.kind in "iu":
-            keys = [_least_integer_at(bound) for bound in keys]
+            keys = [math.ceil(bound) for bound in keys]
         keys = [-math.inf, *keys, math.inf]
         values = [float(self._column.min()), *bounds.tolist(), float(self._column.max())]
         ends = np.cumsum(sizes).tolist()
@@ -235,12 +241,3 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
 
     def _refinement_work_time(self) -> float:
         return self._cost_model.swap_time(len(self._column))
-
-
-def _least_integer_at(bound: float) -> int:
-    """The least integer whose float64 is ``>= bound``."""
-    low, high = math.ceil(bound) - 2 * max(1, int(math.ulp(bound))), math.ceil(bound)
-    while high - low > 1:  # float(low) < bound <= float(high)
-        middle = (low + high) // 2
-        low, high = (low, middle) if float(middle) >= bound else (middle, high)
-    return high

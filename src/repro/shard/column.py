@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.errors import DroppedColumnError, InvalidColumnError
-from repro.shard.partition import ShardLayout, build_layout, rebalance_empty_shards, split_rows
+from repro.shard.partition import ShardLayout, build_layout, group_column, split_rows
 from repro.storage.column import Column, _coerce, _ReadableColumn
 from repro.storage.delta import _GrowableArray
 
@@ -421,9 +421,10 @@ def shard_column(
     n_shards: int,
     kind: str = "range",
     shard_set: Optional[ShardSet] = None,
-    source_rows: Optional[List[np.ndarray]] = None,
+    shard_ids: Optional[np.ndarray] = None,
 ) -> ShardedColumn:
-    """Partition one column, either standalone or following a shard set."""
+    """Partition one column, either standalone or following a shard set
+    (whose rows ``shard_ids`` assigns)."""
     if column.version:
         raise InvalidColumnError(
             f"column {column.name!r} has delta-store writes; shard the table "
@@ -431,21 +432,16 @@ def shard_column(
         )
     data = column.base_data
     if shard_set is None:
-        layout, source_rows, _ = build_layout(
-            data, n_shards, kind=kind, driving_column=column.name
-        )
-        source_rows = rebalance_empty_shards(layout, source_rows)
+        layout, shard_ids = build_layout(data, n_shards, kind=kind, driving_column=column.name)
         shard_set = ShardSet(layout)
-    else:
-        layout = shard_set.layout
-        if source_rows is None:
-            raise InvalidColumnError(
-                "sharding a sibling column requires the driving column's "
-                "source_rows gather order"
-            )
+    elif shard_ids is None:
+        raise InvalidColumnError(
+            "sharding a sibling column requires the driving column's shard ids"
+        )
+    layout = shard_set.layout
     shards = [
-        Column(np.ascontiguousarray(data[rows]), name=column.name)
-        for rows in source_rows
+        Column(values, name=column.name)
+        for values in group_column(data, shard_ids, layout.n_shards)
     ]
     sharded = ShardedColumn(shards, layout, shard_set, name=column.name)
     shard_set.column_names.append(column.name)
@@ -469,14 +465,12 @@ def shard_table(table, driving_column: str, n_shards: int, kind: str = "range"):
                 f"column {name!r} has delta-store writes; shard the table "
                 "before writing to it"
             )
-    layout, source_rows, _ = build_layout(
+    layout, shard_ids = build_layout(
         driving.base_data, n_shards, kind=kind, driving_column=driving_column
     )
-    source_rows = rebalance_empty_shards(layout, source_rows)
     shard_set = ShardSet(layout)
     for name in table.column_names:
-        column = table.column(name)
         table._columns[name] = shard_column(
-            column, n_shards, kind=kind, shard_set=shard_set, source_rows=source_rows
+            table.column(name), n_shards, kind=kind, shard_set=shard_set, shard_ids=shard_ids
         )
     return shard_set

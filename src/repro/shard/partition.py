@@ -9,9 +9,10 @@ aligned for multi-column conjunctions.
 Two partitioning schemes are supported:
 
 * **range** — the driving column's value domain is cut at K-1 boundaries
-  (quantiles of the base data, so the base rows split evenly even under
-  skew).  Clustered predicates then touch few shards and the router's zone
-  maps prune the rest — the scheme to pick for range-query workloads.
+  (quantiles of a sample of the base data, so the base rows split evenly
+  even under skew).  Clustered predicates then touch few shards and the
+  router's zone maps prune the rest — the scheme to pick for range-query
+  workloads.
 * **hash** — rows are spread by a 64-bit multiplicative hash of the driving
   value.  Shard sizes stay balanced no matter how the workload writes, but
   every range query touches all shards; pick it when the goal is parallel
@@ -23,17 +24,20 @@ rid answers concatenate in shard order into a globally sorted rid array
 without any re-sorting; inserted rows continue from ``total_base_rows``
 in table insertion order (see :mod:`repro.shard.column`).
 
-Cost of a layout over ``n`` rows: **one sort, one routing pass, one
-scatter**.  A range layout sorts a copy of the driving column once and
-takes its cuts at ``sorted[ceil(q * (n - 1))]`` for ``q = s / K`` — exactly
-what ``np.quantile(values, q, method="higher")`` returns, without its
-partition.  Every row's shard id then comes from
-:meth:`ShardLayout.route_values`, the same routing inserts take
-(:func:`repro.kernels.route_cuts`, compared in the column's own dtype; the
-hash of a hash layout).  Last, one stable counting scatter of the row
-numbers by shard id (:func:`repro.kernels.scatter`, through
-:func:`group_rows`) yields ``source_rows`` and the offset map at once; the
-per-shard write loops group their rows with the same call.
+Cost of a layout over ``n`` rows: **one sample sort, one routing pass, one
+scatter per column**.  A range layout takes its cuts as Progressive
+Bucketsort takes its bounds (:func:`repro.progressive.bucketsort.sorted_sample`:
+every ``n // 65536``-th row of a longer column, sorted):
+``sample[ceil(q * (m - 1))]`` for ``q = s / K`` over the ``m`` sampled
+values, in the column's dtype — what ``np.quantile(sample, q,
+method="higher")`` returns.  Every row's shard id
+then comes from :meth:`ShardLayout.route_values`, the same routing inserts
+take (:func:`repro.kernels.route_cuts`, compared in the column's own dtype;
+the hash of a hash layout).  The one id array groups every column of the
+table: one stable counting scatter of the column's values by shard id
+(:func:`repro.kernels.scatter`, through :func:`group_column`), whose output
+the shards share; the per-shard write loops group their rows the same way
+(:func:`split_rows`).
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ import numpy as np
 
 from repro import kernels
 from repro.errors import InvalidColumnError
+from repro.progressive.bucketsort import sorted_sample
 from repro.storage.column import require_finite
 
 #: Knuth's multiplicative constant for the 64-bit value hash.
@@ -127,17 +132,18 @@ def build_layout(
     n_shards: int,
     kind: str = "range",
     driving_column: str = "value",
-) -> Tuple[ShardLayout, List[np.ndarray], np.ndarray]:
-    """Partition ``values`` into ``n_shards`` and return the shared layout.
+) -> Tuple[ShardLayout, np.ndarray]:
+    """Partition ``values`` into ``n_shards``: ``(layout, shard_ids)``.
 
-    Returns ``(layout, source_rows, shard_ids)`` where ``source_rows[s]``
-    holds the original row numbers assigned to shard ``s`` (in their
-    original order, so the partition is stable) and ``shard_ids`` is the
-    per-row assignment.  Every column of the table is then gathered with
-    the same ``source_rows``, keeping rows aligned across shards.
-
-    Range boundaries are value quantiles of the data, so the base rows
-    split near-evenly even when the value distribution is skewed.
+    ``shard_ids`` is the per-row assignment; every column of the table is
+    grouped by it (:func:`group_column`), keeping rows aligned across
+    shards.  Range cuts are quantiles of a sample of the data, so the base
+    rows split near-evenly even when the value distribution is skewed.
+    Duplicate-heavy data can leave a shard empty (one value repeated across
+    cuts); a :class:`~repro.storage.column.Column` cannot be empty, so one
+    row of the largest shard moves into each empty one
+    (:func:`rebalance_empty_shards`) — routing stays exact, since the router
+    prunes by *observed* per-shard bounds, not by the cuts.
     """
     values = np.asarray(values)
     if values.ndim != 1 or values.size == 0:
@@ -156,10 +162,11 @@ def build_layout(
 
     boundaries = np.empty(0, dtype=values.dtype)
     if kind == "range" and n_shards > 1:
-        # np.quantile(values, q, method="higher") is sorted[ceil((n - 1) * q)],
+        # np.quantile(sample, q, method="higher") is sample[ceil((m - 1) * q)],
         # in NumPy's own float arithmetic for the index.
+        sample = sorted_sample(values)
         quantiles = np.arange(1, n_shards) / n_shards
-        boundaries = np.sort(values)[np.ceil((values.size - 1) * quantiles).astype(np.intp)]
+        boundaries = sample[np.ceil((sample.size - 1) * quantiles).astype(np.intp)]
     layout = ShardLayout(
         kind=kind,
         n_shards=n_shards,
@@ -167,55 +174,40 @@ def build_layout(
         boundaries=boundaries,
     )
     shard_ids = layout.route_values(values)
-    rows, layout.offsets = group_rows(shard_ids, n_shards)
-    source_rows = [rows[start:stop] for start, stop in zip(layout.offsets, layout.offsets[1:])]
-    # Duplicate-heavy data can starve shards: a quantile boundary repeated
-    # across cuts leaves some shards empty.  Empty shards are legal (their
-    # zone maps prune them everywhere) but a fully empty shard cannot host
-    # a Column, so guard by collapsing to fewer effective shards is NOT
-    # done here — callers see the honest layout and the sharded column
-    # backfills single-row floors instead.
-    return layout, source_rows, shard_ids
+    layout.offsets = np.zeros(n_shards + 1, dtype=np.int64)
+    np.cumsum(np.bincount(shard_ids, minlength=n_shards), out=layout.offsets[1:])
+    rebalance_empty_shards(layout, shard_ids)
+    return layout, shard_ids
 
 
-def group_rows(shard_ids: np.ndarray, n_shards: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Row positions grouped by shard, stably: ``(rows, offsets)``.
-
-    Shard ``s`` owns ``rows[offsets[s]:offsets[s + 1]]``, ascending (input
-    order) — one counting scatter of the positions by id.  Raises
-    :class:`IndexError` on an id outside ``[0, n_shards)``.
-    """
-    shard_ids = np.ascontiguousarray(shard_ids, dtype=np.int64)
-    rows = np.empty(shard_ids.size, dtype=np.int64)
-    _, ends = kernels.scatter(
-        np.arange(shard_ids.size, dtype=np.int64), shard_ids, n_shards, rows
-    )
-    offsets = np.zeros(n_shards + 1, dtype=np.int64)
-    offsets[1:] = ends
-    return rows, offsets
+def group_column(values: np.ndarray, shard_ids: np.ndarray, n_shards: int) -> List[np.ndarray]:
+    """``values`` grouped by shard, stably: one view per shard into one
+    scattered array, in input order within each shard."""
+    values = np.asarray(values)
+    grouped = np.empty_like(values)
+    _, ends = kernels.scatter(values, shard_ids, n_shards, grouped)
+    return np.split(grouped, ends[:-1])
 
 
 def split_rows(shard_ids: np.ndarray, n_shards: int) -> Iterator[Tuple[int, np.ndarray]]:
     """``(shard, positions)`` for every shard that owns rows, in shard order;
-    the positions ascend (:func:`group_rows`)."""
-    rows, offsets = group_rows(shard_ids, n_shards)
-    for shard in np.flatnonzero(offsets[1:] > offsets[:-1]).tolist():
-        yield shard, rows[offsets[shard] : offsets[shard + 1]]
+    the positions ascend.  Raises :class:`IndexError` on an id outside
+    ``[0, n_shards)``."""
+    shard_ids = np.ascontiguousarray(shard_ids, dtype=np.int64)
+    rows = np.empty(shard_ids.size, dtype=np.int64)
+    counts, ends = kernels.scatter(np.arange(shard_ids.size, dtype=np.int64), shard_ids, n_shards, rows)
+    for shard in np.flatnonzero(counts).tolist():
+        yield shard, rows[ends[shard] - counts[shard] : ends[shard]]
 
 
-def rebalance_empty_shards(
-    layout: ShardLayout, source_rows: List[np.ndarray]
-) -> List[np.ndarray]:
-    """Give every empty shard one row from the largest shard.
+def rebalance_empty_shards(layout: ShardLayout, shard_ids: np.ndarray) -> None:
+    """Give every empty shard one row from the largest shard, in place.
 
-    :class:`~repro.storage.column.Column` rejects empty data, so a layout
-    whose quantile cuts starved a shard (duplicate-heavy columns) moves
-    single rows from the biggest shard into the starved ones and rebuilds
-    the offset map in place.  Range-routing correctness is unaffected —
-    the router prunes by *observed* per-shard bounds, not by boundary
-    arithmetic.
+    The donor gives its last row; ``shard_ids`` and the layout's offset map
+    are updated.  Raises :class:`InvalidColumnError` when there are not
+    enough rows.
     """
-    sizes = np.array([rows.size for rows in source_rows], dtype=np.int64)
+    sizes = layout.shard_sizes()
     while (sizes == 0).any():
         donor = int(sizes.argmax())
         if sizes[donor] <= 1:
@@ -223,11 +215,7 @@ def rebalance_empty_shards(
                 "cannot populate every shard: not enough rows"
             )
         taker = int(np.flatnonzero(sizes == 0)[0])
-        source_rows[taker] = source_rows[donor][-1:]
-        source_rows[donor] = source_rows[donor][:-1]
+        shard_ids[np.flatnonzero(shard_ids == donor)[-1]] = taker
         sizes[donor] -= 1
         sizes[taker] += 1
-    offsets = np.zeros(layout.n_shards + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    layout.offsets = offsets
-    return source_rows
+    np.cumsum(sizes, out=layout.offsets[1:])

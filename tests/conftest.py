@@ -27,6 +27,15 @@ def pytest_configure(config):
         kernels.use_backend(config.getoption("--kernels"))
 
 
+def pytest_ignore_collect(collection_path, config):
+    """Collect the NumPy-backend copies of the oracle suites only in an
+    unpinned run: under ``--kernels`` every test already runs on one backend,
+    so the copies would repeat the ``numpy`` run or leave the ``c`` one."""
+    if collection_path.name == "test_oracles_numpy_backend.py" and config.getoption("--kernels"):
+        return True
+    return None
+
+
 def pytest_report_header(config):
     return f"repro.kernels: {kernels.info()}"
 

@@ -98,7 +98,7 @@ class TestCostModel:
         assert model.bucket_write_time(n) == pytest.approx(expected)
 
     def test_equiheight_write_adds_one_routing_pass(self, model):
-        # kernels.route_bounds' verified grid makes equi-height routing O(1) per element:
+        # kernels.route_cuts' verified grid makes equi-height routing O(1) per element:
         # the model prices it as one extra scatter-scale pass, not the
         # paper's log2(b) binary-search factor.
         n = 100_000

@@ -133,6 +133,34 @@ def arrays(draw, max_size=120, count=1):
 
 scalars = st.one_of(st.sampled_from(SCALARS), st.integers(-12, 12), st.floats(-12, 12))
 
+#: Values the range routing must order exactly: the int64 ends, both sides of
+#: 2**53, both zeros and both infinities.
+ROUTED_EDGES = {
+    np.int64: [-(2**63), -(2**63) + 1, 2**53 - 1, 2**53, 2**53 + 1, 2**63 - 2, 2**63 - 1],
+    np.float64: [float("-inf"), -0.0, 0.0, float("inf"), 2.0**53 - 1, 2.0**53, 2.0**53 + 2],
+}
+
+
+@st.composite
+def routed(draw):
+    """``(values, sorted cuts)`` of one column dtype: 0, 1, 7, 63 or 255 cuts
+    with duplicates, and at least as many values as the grid has cells."""
+    dtype = draw(st.sampled_from([np.int64, np.float64]))
+    if dtype is np.int64:
+        wild = st.integers(-(2**63), 2**63 - 1)
+    else:
+        wild = st.floats(allow_nan=False, width=64)
+    band = st.integers(-1_000, 1_000).map(dtype)  # cells that hold one cut, and several
+    pool = st.one_of(st.sampled_from(ROUTED_EDGES[dtype]), band, wild)
+    n_cuts = draw(st.sampled_from([0, 1, 7, 63, 255]))
+    distinct = draw(st.lists(pool, min_size=min(n_cuts, 1), max_size=max(n_cuts, 1)))
+    cuts = np.sort(np.array(draw(st.lists(st.sampled_from(distinct), min_size=n_cuts, max_size=n_cuts))
+                            if distinct else [], dtype=dtype))
+    values = draw(st.lists(st.one_of(pool, st.sampled_from(distinct or [0])), min_size=1, max_size=80))
+    values = np.array(values, dtype=dtype)
+    return np.resize(values, max(values.size, 16 * (n_cuts + 1) + draw(st.integers(0, 40)))), cuts
+
+
 
 def bits(array) -> list:
     """An array as raw 64-bit patterns: NaN payloads and the sign of zero count."""
@@ -280,24 +308,18 @@ class TestCompiledAgainstNumpy:
         by_key = [v for _, v in sorted(zip(keys, values.tolist()), key=lambda p: p[0]) if v == v]
         assert all(a <= b for a, b in zip(by_key, by_key[1:]))
 
-    @settings(max_examples=150, deadline=None)
-    @given(arrays(), arrays(max_size=70))
-    @example(np.full(9, 5), np.array([5.0, 5.0, 5.0]))
-    @example(np.array([np.nan, -np.inf, np.inf, 0.5]), np.array([-1.0, 0.0, 1.0]))
-    @example(np.array([1.0, 2.0]), np.array([-np.inf, np.inf]))
-    @example(np.arange(5), np.empty(0))
-    # PB's routing cases: a span too wide for the grid, bounds clustered at the low end.
-    @example(np.array([-1.7976931348623157e308, -2.0, -0.5, 0.5, 2.0, 1.7976931348623157e308]),
-             np.array([-1.0, 0.0, 1.0]))
-    @example(np.array([0, 3, 5, 5, 99, 100, 7_000, 999_999]), np.array([1.0, 5.0, 5.0, 60.0, 5e5]))
-    def test_route_bounds(self, values, bounds):
-        if values.dtype == np.uint64:
-            values = values.view(np.int64)
-        bounds = np.sort(bounds.astype(np.float64))
-        bounds = bounds[bounds == bounds]
-        compiled, reference = both(lambda: kernels.route_bounds(values, bounds).tolist())
+    @settings(max_examples=120, deadline=None)
+    @given(routed())
+    @example((np.array([5] * 9 + [6], dtype=np.int64), np.array([5, 5, 5, 5, 5, 5, 5], dtype=np.int64)))
+    @example((np.array([-1.7976931348623157e308, -2.0, -0.5, 0.5, 2.0, 1.7976931348623157e308]),
+              np.array([-1.0, -0.0, 0.0, 1.0, 1.0, 3.0, 9.0])))
+    def test_route_cuts_through_the_grid(self, case):
+        """The grid's proposal, its one step and its verification: rows enough
+        for the grid (16 cells a cut), compared in the dtype."""
+        values, cuts = case
+        compiled, reference = both(lambda: kernels.route_cuts(values, cuts).tolist())
         assert compiled == reference
-        assert compiled == np.searchsorted(bounds, values, side="right").tolist()
+        assert compiled == np.searchsorted(cuts, values, side="left").tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(arrays(count=2))

@@ -1,5 +1,7 @@
 """Tests for Progressive Bucketsort (Equi-Height)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -9,18 +11,21 @@ from repro import kernels
 from repro.core.policy import FixedDelta, TimeAdaptive
 from repro.core.phase import IndexPhase
 from repro.core.query import Predicate
-from repro.progressive.bucketsort import ProgressiveBucketsort, _least_integer_at
+from repro.progressive.bucketsort import ProgressiveBucketsort
 from repro.storage.column import Column
 
 from tests.conftest import assert_matches_brute_force, random_range_predicates
 
 
 class TestBoundsRouter:
-    """PB routes a chunk with ``kernels.route_bounds`` over its bounds: the
-    grid-accelerated search must be bit-identical to the binary search."""
+    """PB routes a chunk with ``kernels.route_cuts`` over its bounds as cuts
+    in the column's dtype: the grid-accelerated routing must count the bounds
+    at or below each value exactly as the binary search does."""
 
     def route(self, bounds, values):
-        return kernels.route_bounds(values, np.asarray(bounds, dtype=np.float64))
+        values = np.asarray(values)
+        cuts, skip = kernels.typed_cuts(values.dtype, np.asarray(bounds, dtype=np.float64))
+        return skip + kernels.route_cuts(values, cuts)
 
     def reference(self, bounds, values):
         return np.searchsorted(bounds, values, side="right")
@@ -155,11 +160,17 @@ class TestBucketsortCorrectness:
 @example(-(2.0**60))
 @example(2.0**60 + 256)
 @example(2.5)
-def test_root_key_is_the_least_integer_routed_at_or_above_a_bound(bound):
-    """An integer reaches bucket ``b`` exactly when it is at least the root
-    key of ``bounds[b - 1]``: the least integer whose float64 is ``>=`` it."""
-    key = _least_integer_at(bound)
-    assert float(key) >= bound > float(key - 1)
+@example(-(2.0**63))
+@example(2.0**63)
+def test_an_integer_passes_a_bound_exactly_when_it_reaches_the_root_key(bound):
+    """An integer reaches bucket ``b`` exactly when it is at least
+    ``bounds[b - 1]``, compared exactly (not as a float64), which is when it
+    is at least that bound's root key ``ceil(bound)``."""
+    cuts, skip = kernels.typed_cuts(np.dtype(np.int64), [bound])
+    key = math.ceil(bound)
+    probes = [v for v in (key - 1, key, key + 1) if -(2**63) <= v < 2**63]
+    routed = (skip + kernels.route_cuts(np.array(probes, dtype=np.int64), cuts)).tolist()
+    assert routed == [int(v >= bound) for v in probes] == [int(v >= key) for v in probes]
 
 
 def huge_split_columns():

@@ -1,13 +1,15 @@
-"""``build_layout`` against the algorithm it replaced, on both kernel backends.
+"""``build_layout`` against a plain reimplementation, on both kernel backends.
 
-The layout is built from one sort (the cuts), one routing pass and one
-counting scatter.  The reference below is the previous construction, kept
-verbatim: ``np.quantile(method="higher")`` for the cuts, ``np.searchsorted``
-for the shard ids, a stable ``argsort`` to group the rows.  The two must
-agree exactly — cut points by value (``-0.0`` and ``0.0`` are one cut),
-offsets, per-row shard ids and every shard's ``source_rows`` to the element —
-because the shards, their zone maps and every index and checkpoint built on
-them depend on that grouping.
+The layout is built from one sort of a strided sample (the cuts), one
+routing pass and one counting scatter per column.  The reference below
+spells out the same rule the obvious way: ``np.quantile(method="higher")``
+over Progressive Bucketsort's strided sample (every ``n // 65536``-th row)
+for the cuts, ``np.searchsorted`` for the shard ids, the old row-list
+rebalancing of starved shards, and a stable ``argsort`` to group each
+column.  The two must agree exactly — cut points by value (``-0.0`` and
+``0.0`` are one cut), offsets, per-row shard ids and every shard's values to
+the element — because the shards, their zone maps and every index and
+checkpoint built on them depend on that grouping.
 """
 
 from __future__ import annotations
@@ -15,22 +17,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.shard.partition import (
-    _hash_shards,
-    build_layout,
-    group_rows,
-    rebalance_empty_shards,
-    split_rows,
-)
+from repro.progressive.bucketsort import DEFAULT_BOUNDS_SAMPLE
+from repro.shard.partition import _hash_shards, build_layout, group_column, split_rows
 
 SHARD_COUNTS = [1, 2, 3, 7, 8, 17]
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 def reference_layout(values: np.ndarray, n_shards: int, kind: str):
-    """``(boundaries, offsets, shard_ids, source_rows)`` the previous way."""
+    """``(boundaries, offsets, shard_ids)`` the plain way."""
     if kind == "range" and n_shards > 1:
-        quantiles = np.quantile(values, np.arange(1, n_shards) / n_shards, method="higher")
+        step = max(1, values.size // DEFAULT_BOUNDS_SAMPLE)
+        sample = values[::step] if values.size > DEFAULT_BOUNDS_SAMPLE else values
+        quantiles = np.quantile(sample, np.arange(1, n_shards) / n_shards, method="higher")
         boundaries = np.asarray(quantiles, dtype=values.dtype)
         shard_ids = np.searchsorted(boundaries, values, side="left").astype(np.int64)
     elif kind == "hash" and n_shards > 1:
@@ -39,12 +38,17 @@ def reference_layout(values: np.ndarray, n_shards: int, kind: str):
     else:
         boundaries = np.empty(0, dtype=values.dtype)
         shard_ids = np.zeros(values.size, dtype=np.int64)
-    order = np.argsort(shard_ids, kind="stable")
-    counts = np.bincount(shard_ids, minlength=n_shards)
+    # Starved shards (duplicate-heavy columns): each empty shard, in order,
+    # takes the last row of the then largest shard.
+    rows = [np.flatnonzero(shard_ids == s) for s in range(n_shards)]
+    while any(r.size == 0 for r in rows):
+        donor = max(range(n_shards), key=lambda s: (rows[s].size, -s))
+        taker = next(s for s in range(n_shards) if rows[s].size == 0)
+        rows[taker], rows[donor] = rows[donor][-1:], rows[donor][:-1]
+        shard_ids[rows[taker]] = taker
     offsets = np.zeros(n_shards + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    source_rows = [order[offsets[s] : offsets[s + 1]].astype(np.int64) for s in range(n_shards)]
-    return boundaries, offsets, shard_ids, source_rows
+    np.cumsum([r.size for r in rows], out=offsets[1:])
+    return boundaries, offsets, shard_ids
 
 
 def columns():
@@ -70,21 +74,18 @@ COLUMNS = columns()
 
 
 def assert_same_layout(values, n_shards, kind):
-    layout, source_rows, shard_ids = build_layout(values, n_shards, kind=kind)
-    boundaries, offsets, ids, rows = reference_layout(values, n_shards, kind)
+    layout, shard_ids = build_layout(values, n_shards, kind=kind)
+    boundaries, offsets, ids = reference_layout(values, n_shards, kind)
     assert layout.boundaries.dtype == boundaries.dtype
     assert layout.boundaries.tolist() == boundaries.tolist()  # by value: -0.0 == 0.0
     assert layout.offsets.dtype == np.int64 and layout.offsets.tolist() == offsets.tolist()
     assert shard_ids.dtype == np.int64 and np.array_equal(shard_ids, ids)
-    assert len(source_rows) == n_shards
-    for mine, theirs in zip(source_rows, rows):
-        assert mine.dtype == np.int64 and np.array_equal(mine, theirs)
-    # The duplicate-heavy columns starve shards; the rebalanced layouts agree too.
-    reference = type(layout)(layout.kind, n_shards, layout.driving_column, boundaries, offsets.copy())
-    balanced = rebalance_empty_shards(layout, list(source_rows))
-    expected = rebalance_empty_shards(reference, list(rows))
-    assert layout.offsets.tolist() == reference.offsets.tolist()
-    assert all(np.array_equal(a, b) for a, b in zip(balanced, expected))
+    grouped = values[np.argsort(ids, kind="stable")]
+    shards = group_column(values, shard_ids, n_shards)
+    assert len(shards) == n_shards
+    for shard, start, stop in zip(shards, offsets, offsets[1:]):
+        assert shard.dtype == values.dtype and shard.size > 0
+        assert shard.view(np.uint64).tolist() == grouped[start:stop].view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("kind", ["range", "hash"])
@@ -106,7 +107,7 @@ def test_range_routes_inserts_like_the_build(kernel_backend):
     """One routing definition: ``route_values`` reproduces the build's ids, in
     the column's dtype, where a float64 comparison would merge 2**53 and 2**53 + 1."""
     values = np.array([2**53 + 1, 2**53, 2**53 + 2, 2**53 + 1, 2**53] * 40, dtype=np.int64)
-    layout, _, shard_ids = build_layout(values, 3)
+    layout, shard_ids = build_layout(values, 3)
     assert np.array_equal(layout.route_values(values), shard_ids)
     assert layout.boundaries.tolist() == [2**53, 2**53 + 1]
     assert layout.route_values(np.array([2**53 + 1], dtype=np.int64)).tolist() == [1]
@@ -114,9 +115,20 @@ def test_range_routes_inserts_like_the_build(kernel_backend):
 
 def test_grouping_is_stable_and_rejects_foreign_ids(kernel_backend):
     ids = np.array([2, 0, 2, 1, 0, 2], dtype=np.int64)
-    rows, offsets = group_rows(ids, 4)
-    assert rows.tolist() == [1, 4, 3, 0, 2, 5] and offsets.tolist() == [0, 2, 3, 6, 6]
+    values = np.array([10, 11, 12, 13, 14, 15], dtype=np.int64)
+    grouped = [shard.tolist() for shard in group_column(values, ids, 4)]
+    assert grouped == [[11, 14], [13], [10, 12, 15], []]
     split = [(shard, positions.tolist()) for shard, positions in split_rows(ids, 4)]
     assert split == [(0, [1, 4]), (1, [3]), (2, [0, 2, 5])]  # shard 3 owns nothing
     with pytest.raises(IndexError):
-        group_rows(np.array([0, 4]), 4)
+        group_column(np.arange(2), np.array([0, 4]), 4)
+    with pytest.raises(IndexError):
+        list(split_rows(np.array([0, 4]), 4))
+
+
+@pytest.mark.parametrize("kind", ["range", "hash"])
+def test_cuts_come_from_the_strided_sample(kernel_backend, kind):
+    """Past 65 536 rows the cuts are quantiles of every ``n // 65536``-th row."""
+    values = np.random.default_rng(3).integers(-(10**12), 10**12, 3 * DEFAULT_BOUNDS_SAMPLE + 17)
+    assert_same_layout(values, 8, kind)
+    assert_same_layout(np.sort(values) * 0.25, 8, kind)

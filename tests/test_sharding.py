@@ -25,34 +25,38 @@ from repro.storage.table import Table
 # ----------------------------------------------------------------------
 class TestLayout:
     def test_range_layout_splits_evenly(self, uniform_data):
-        layout, source_rows, shard_ids = build_layout(uniform_data, 4, kind="range")
+        layout, shard_ids = build_layout(uniform_data, 4, kind="range")
         sizes = layout.shard_sizes()
         assert sizes.sum() == uniform_data.size
         assert sizes.min() >= 0.8 * uniform_data.size / 4
         # every row assigned exactly once
-        assert np.sort(np.concatenate(source_rows)).tolist() == list(
-            range(uniform_data.size)
-        )
+        assert np.bincount(shard_ids, minlength=4).tolist() == sizes.tolist()
+
+    def test_sample_cuts_keep_the_largest_shard_within_a_tenth_of_the_mean(self, rng):
+        # 500 000 rows: the cuts come from a strided sample of 71 429 of them.
+        for data in (rng.integers(0, 10**12, 500_000), rng.uniform(-1.0, 1.0, 500_000)):
+            layout, _ = build_layout(data, 8)
+            assert layout.shard_sizes().max() <= 1.1 * data.size / 8
 
     def test_range_layout_even_under_skew(self, skewed_data):
-        layout, _, _ = build_layout(skewed_data, 8, kind="range")
+        layout, _ = build_layout(skewed_data, 8, kind="range")
         sizes = layout.shard_sizes()
         # quantile cuts keep shards near-even despite 90% value concentration
         assert sizes.min() >= 0.5 * skewed_data.size / 8
 
     def test_hash_layout_balanced(self, uniform_data):
-        layout, _, _ = build_layout(uniform_data, 4, kind="hash")
+        layout, _ = build_layout(uniform_data, 4, kind="hash")
         sizes = layout.shard_sizes()
         assert sizes.min() >= 0.5 * uniform_data.size / 4
 
     def test_route_values_matches_build_assignment(self, uniform_data):
         for kind in ("range", "hash"):
-            layout, _, shard_ids = build_layout(uniform_data, 4, kind=kind)
+            layout, shard_ids = build_layout(uniform_data, 4, kind=kind)
             again = layout.route_values(uniform_data)
             assert np.array_equal(again, shard_ids), kind
 
     def test_shard_of_base_rid_inverts_offsets(self, uniform_data):
-        layout, _, _ = build_layout(uniform_data, 4)
+        layout, _ = build_layout(uniform_data, 4)
         rids = np.arange(layout.total_base_rows)
         owners = layout.shard_of_base_rid(rids)
         for shard in range(4):
@@ -62,10 +66,45 @@ class TestLayout:
 
     def test_rebalance_fills_empty_shards(self):
         data = np.array([5] * 99 + [7], dtype=np.int64)
-        layout, source_rows, _ = build_layout(data, 4)
-        source_rows = rebalance_empty_shards(layout, source_rows)
-        assert all(rows.size > 0 for rows in source_rows)
+        layout, shard_ids = build_layout(data, 4)
+        assert (layout.shard_sizes() > 0).all()
         assert layout.shard_sizes().sum() == 100
+        assert np.bincount(shard_ids, minlength=4).tolist() == layout.shard_sizes().tolist()
+        rebalance_empty_shards(layout, shard_ids)  # nothing left to fill
+        assert np.bincount(shard_ids, minlength=4).tolist() == layout.shard_sizes().tolist()
+
+    @pytest.mark.parametrize("data", [
+        np.array([5] * 9_990 + list(range(10)), dtype=np.int64),
+        np.full(1_000, 42, dtype=np.int64),
+        np.array([-0.0, 0.0] * 500),
+        np.array([0.0] * 600 + [-0.0] * 600 + [1.5] * 3),
+    ], ids=["duplicate-heavy", "one-valued", "both-zeros", "zeros-then-one-value"])
+    def test_degenerate_columns_populate_every_shard(self, data):
+        table = Table({"v": data, "row": np.arange(data.size)})
+        shard_set = shard_table(table, "v", 8)
+        column, rows = table.column("v"), table.column("row")
+        assert all(len(shard) > 0 for shard in column.shards)
+        assert shard_set.layout.shard_sizes().tolist() == [len(shard) for shard in column.shards]
+        # the row numbers travel with the values
+        assert np.array_equal(np.asarray(column.data), data[np.asarray(rows.data)])
+
+    def test_every_column_is_grouped_by_one_id_array(self, rng):
+        n = 30_000
+        table = Table({
+            "a": rng.integers(0, 1_000, n),
+            "b": rng.normal(size=n),
+            "c": rng.integers(-(2**62), 2**62, n),
+        })
+        data = {name: np.asarray(table.column(name).data).copy() for name in table.column_names}
+        shard_set = shard_table(table, "a", 5)
+        ids = shard_set.layout.route_values(data["a"])
+        order = np.argsort(ids, kind="stable")
+        offsets = shard_set.layout.offsets
+        for name, values in data.items():
+            shards = table.column(name).shards
+            for shard, start, stop in zip(shards, offsets, offsets[1:]):
+                expected = values[order][start:stop]
+                assert np.array_equal(shard.base_data, expected), name
 
     def test_invalid_layouts_rejected(self):
         with pytest.raises(InvalidColumnError):

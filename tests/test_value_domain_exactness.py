@@ -4,6 +4,7 @@ Each case is checked against a scan on both kernel backends:
 
 * PQ with NumPy-integer bounds near the ends of int64 (its routing keys
   are Python floats, against which a NumPy integer turns into a float64);
+* PB's bounds near the ends of int64, as exact cuts in the column's dtype;
 * both zeros of float64 in PMSD and PLSD, whose keys gave ``-0.0`` a key
   below ``+0.0`` while predicates compare them equal (PQ and PB too);
 * AA's equal-width boundaries over integer pieces near 2**63 and 2**62;
@@ -53,6 +54,19 @@ def test_pq_is_exact_with_numpy_integer_bounds(base):
     bounds = [sorted(rng.choice(data, 2)) for _ in range(120)]  # np.int64 bounds
     index = create_index("PQ", Column(data), budget=FixedDelta(0.1))
     assert wrong_answers(index, data, bounds) == 0
+
+
+@pytest.mark.parametrize("base", [INT64_MAX, -(2**63), 2**60])
+def test_pb_routes_exactly_near_the_ends_of_int64(base):
+    """PB's float64 bounds there round to the band's ends (``-2**63`` itself
+    below it: a bound every int64 reaches); the scatter compares in int64."""
+    data = near(base)
+    rng = default_rng(4)
+    bounds = [[int(v) for v in sorted(rng.choice(data, 2))] for _ in range(60)]
+    bounds += [sorted(rng.choice(data, 2)) for _ in range(60)]  # np.int64 bounds
+    index = create_index("PB", Column(data), budget=FixedDelta(0.1))
+    assert wrong_answers(index, data, bounds) == 0
+    assert index.phase is not IndexPhase.CREATION
 
 
 @pytest.mark.parametrize("name", ["PMSD", "PLSD", "PQ", "PB"])
