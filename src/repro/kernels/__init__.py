@@ -144,14 +144,17 @@ def typed_cuts(dtype, bounds) -> tuple:
     ``skip + route_cuts(v, cuts)`` counts the bounds ``<= v`` exactly.
 
     A value reaches past bound ``b`` when it is above ``ceil(b) - 1`` in an
-    integer dtype, above ``nextafter(b, -inf)`` in a float one; the bounds
-    every value of the dtype reaches (``-inf``, or at most the integer
-    minimum) have no cut below the dtype and are counted in ``skip``.
+    integer dtype, above the largest value of a float dtype below ``b``
+    (``nextafter(b, -inf)`` in float64); the bounds every value of the dtype
+    reaches (``-inf``, or at most the integer minimum) have no cut below the
+    dtype and are counted in ``skip``.
     """
     bounds = np.asarray(bounds, dtype=np.float64)
     if dtype.kind == "f":
         skip = int(np.count_nonzero(bounds == -np.inf))
-        return np.nextafter(bounds[skip:], -np.inf).astype(dtype), skip
+        with np.errstate(over="ignore"):
+            cuts = bounds[skip:].astype(dtype)  # the nearest: at most one step above the cut
+        return np.where(cuts < bounds[skip:], cuts, np.nextafter(cuts, dtype.type(-np.inf))), skip
     floor, ceiling = _limits(dtype)
     listed = bounds.tolist()
     skip = sum(bound <= floor for bound in listed)

@@ -2,8 +2,9 @@
 
 Kernels exist for int64, uint64 and float64 (the radix ones for the two
 column dtypes); any other dtype, and any array that is not C-contiguous, takes
-the NumPy backend for that one call.  Shapes, dtypes and fill cursors are checked by :mod:`repro.kernels` before a pointer is taken;
-the arrays stay referenced by the caller's frame for the length of the call.
+the NumPy backend for that one call.  Shapes, dtypes and fill cursors are
+checked by :mod:`repro.kernels` before a pointer is taken; the arrays stay
+referenced by the caller's frame for the length of the call.
 """
 
 from __future__ import annotations

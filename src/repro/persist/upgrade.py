@@ -18,7 +18,10 @@ Format 1 -> 2:
   forest, PB's per-bucket merge states) becomes piece-table rows;
 * cracking keys move from float64 into the column's dtype (``ceil`` on an
   integer column); integer keys at or past 2**53 were rounded, and answered
-  wrong already, so such an index restarts unmaterialised.
+  wrong already, so such an index restarts unmaterialised;
+* PB's buckets were routed in float64, so a PB merge over an integer column
+  past 2**53, whose root keys no longer match the rounded routing, restarts
+  inactive (its creation buckets alone are routed again on load).
 
 An upgrade reads the index's parameters and the snapshot the state was built
 over, and never changes the index; damage raises ``IndexStateError``.
@@ -97,6 +100,9 @@ def _progressive(state: dict, index: ProgressiveIndexBase) -> None:
         state["family"] = {"stage": "converged", "leaf_values": np.concatenate(family["current_set"]["buckets"])}
         state["lifecycle"]["phase"] = "converged"
         state["lifecycle"]["transitions"].append([state["queries_executed"], "converged"])
+    elif "merge" in family and isinstance(index, ProgressiveBucketsort) and index._routed_in_float64():
+        state["family"] = {"stage": "construction", index._ingested_key: 0, "layout": LAYOUT, "initialized": False}
+        state["lifecycle"] = {"phase": "inactive", "transitions": [], "queries": {}, "indexing_seconds": {}}
     elif family["stage"] == "construction" and "layout" not in family and type(index) in _LAYOUT_1:
         state["family"] = {"stage": "construction", index._ingested_key: family[index._ingested_key],
                            "layout": LAYOUT, **_LAYOUT_1[type(index)](family, index)}

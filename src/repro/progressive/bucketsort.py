@@ -12,10 +12,10 @@ Creation
     Every query moves ``delta * N`` elements of the base column into the
     equi-height buckets via the shared grouped scatter of
     :meth:`~repro.progressive.blocks.BucketSet.scatter` (bucket ids come
-    from a vectorised binary search over the boundaries — value-based
-    routing is order-exact for any dtype, so Bucketsort needs no key
-    codec); queries scan the buckets overlapping the predicate plus the
-    not-yet-bucketed column tail.
+    from ``kernels.route_cuts`` over the boundaries as exact cuts in the
+    column's dtype — value-based routing is order-exact for any dtype, so
+    Bucketsort needs no key codec); queries scan the buckets overlapping
+    the predicate plus the not-yet-bucketed column tail.
 
 Refinement
     The buckets are the roots of a :class:`~repro.progressive.pieces.PieceTable`,
@@ -25,9 +25,9 @@ Refinement
     the individual buckets into the final sorted list using Progressive
     Quicksort", which avoids a latency spike when a large bucket is merged.
     A root's keys are the values the scatter routed to it: the bounds for a
-    float column, for an integer one the least integers whose float64 is at
-    least each bound (the scatter compares as float64), so one exact rule
-    routes a predicate through the roots and the pivots below them.
+    float column, their ceilings for an integer one (the scatter compares
+    exactly, not as float64), so one exact rule routes a predicate through
+    the roots and the pivots below them.
 
 Converged
     The query that finishes sorting converges the index: the final array is
@@ -155,6 +155,20 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
         if state["initialized"]:
             self._set_bounds(self._checked_bounds(state["bounds"]))
 
+    def _load_construction_state(self, state: dict) -> None:
+        super()._load_construction_state(state)
+        if self._pieces is None and self._buckets is not None and self._routed_in_float64():
+            # Older scatters compared as float64, which rounds these integers:
+            # route the saved buckets as the scans and the next chunks do.
+            saved, self._buckets = self._buckets, self._bucket_set()
+            self._ingest(np.concatenate(saved.state_dict()["buckets"]))
+
+    def _routed_in_float64(self) -> bool:
+        """Whether float64 routing could put a value in another bucket: an
+        integer column past 2**53, which float64 rounds."""
+        column = self._column
+        return column.dtype.kind in "iu" and len(column) > 0 and max(-int(column.min()), int(column.max())) >= 2**53
+
     # ------------------------------------------------------------------
     # Creation phase
     # ------------------------------------------------------------------
@@ -209,9 +223,7 @@ class ProgressiveBucketsort(ProgressiveIndexBase):
         """One root per bucket of ``bounds``, waiting for its turn: keyed by
         the values routed to it, its pivot the middle of its values' bounds
         (the column's at the two ends)."""
-        keys = bounds.tolist()
-        if self._column.dtype.kind in "iu":
-            keys = [math.ceil(bound) for bound in keys]
+        keys = [math.ceil(bound) for bound in bounds.tolist()] if self._column.dtype.kind in "iu" else bounds.tolist()
         keys = [-math.inf, *keys, math.inf]
         values = [float(self._column.min()), *bounds.tolist(), float(self._column.max())]
         ends = np.cumsum(sizes).tolist()

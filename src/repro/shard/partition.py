@@ -59,10 +59,7 @@ _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 def _hash_shards(values: np.ndarray, n_shards: int) -> np.ndarray:
     """Deterministic shard assignment by 64-bit multiplicative hashing."""
     values = np.asarray(values)
-    if values.dtype.kind == "f":
-        bits = values.astype(np.float64, copy=False).view(np.uint64)
-    else:
-        bits = values.astype(np.int64, copy=False).view(np.uint64)
+    bits = values.astype(np.float64 if values.dtype.kind == "f" else np.int64, copy=False).view(np.uint64)
     mixed = bits * _HASH_MULTIPLIER
     mixed ^= mixed >> np.uint64(29)
     return (mixed % np.uint64(n_shards)).astype(np.int64)
@@ -152,9 +149,7 @@ def build_layout(
     if n_shards < 1:
         raise InvalidColumnError(f"n_shards must be >= 1, got {n_shards}")
     if n_shards > values.size:
-        raise InvalidColumnError(
-            f"cannot split {values.size} rows into {n_shards} shards"
-        )
+        raise InvalidColumnError(f"cannot split {values.size} rows into {n_shards} shards")
     kind = str(kind).lower()
     if kind not in ("range", "hash"):
         raise InvalidColumnError(f"unknown shard layout kind {kind!r}")
@@ -167,12 +162,7 @@ def build_layout(
         sample = sorted_sample(values)
         quantiles = np.arange(1, n_shards) / n_shards
         boundaries = sample[np.ceil((sample.size - 1) * quantiles).astype(np.intp)]
-    layout = ShardLayout(
-        kind=kind,
-        n_shards=n_shards,
-        driving_column=str(driving_column),
-        boundaries=boundaries,
-    )
+    layout = ShardLayout(kind=kind, n_shards=n_shards, driving_column=str(driving_column), boundaries=boundaries)
     shard_ids = layout.route_values(values)
     layout.offsets = np.zeros(n_shards + 1, dtype=np.int64)
     np.cumsum(np.bincount(shard_ids, minlength=n_shards), out=layout.offsets[1:])
@@ -211,9 +201,7 @@ def rebalance_empty_shards(layout: ShardLayout, shard_ids: np.ndarray) -> None:
     while (sizes == 0).any():
         donor = int(sizes.argmax())
         if sizes[donor] <= 1:
-            raise InvalidColumnError(
-                "cannot populate every shard: not enough rows"
-            )
+            raise InvalidColumnError("cannot populate every shard: not enough rows")
         taker = int(np.flatnonzero(sizes == 0)[0])
         shard_ids[np.flatnonzero(shard_ids == donor)[-1]] = taker
         sizes[donor] -= 1

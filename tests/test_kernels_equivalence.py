@@ -134,10 +134,10 @@ def arrays(draw, max_size=120, count=1):
 scalars = st.one_of(st.sampled_from(SCALARS), st.integers(-12, 12), st.floats(-12, 12))
 
 #: Values the range routing must order exactly: the int64 ends, both sides of
-#: 2**53, both zeros and both infinities.
+#: 2**53, both zeros and both infinities; a NaN routes past every cut.
 ROUTED_EDGES = {
     np.int64: [-(2**63), -(2**63) + 1, 2**53 - 1, 2**53, 2**53 + 1, 2**63 - 2, 2**63 - 1],
-    np.float64: [float("-inf"), -0.0, 0.0, float("inf"), 2.0**53 - 1, 2.0**53, 2.0**53 + 2],
+    np.float64: [float("-inf"), -0.0, 0.0, float("inf"), 2.0**53 - 1, 2.0**53, 2.0**53 + 2, float("nan")],
 }
 
 
@@ -149,7 +149,7 @@ def routed(draw):
     if dtype is np.int64:
         wild = st.integers(-(2**63), 2**63 - 1)
     else:
-        wild = st.floats(allow_nan=False, width=64)
+        wild = st.floats(width=64)
     band = st.integers(-1_000, 1_000).map(dtype)  # cells that hold one cut, and several
     pool = st.one_of(st.sampled_from(ROUTED_EDGES[dtype]), band, wild)
     n_cuts = draw(st.sampled_from([0, 1, 7, 63, 255]))
@@ -313,6 +313,10 @@ class TestCompiledAgainstNumpy:
     @example((np.array([5] * 9 + [6], dtype=np.int64), np.array([5, 5, 5, 5, 5, 5, 5], dtype=np.int64)))
     @example((np.array([-1.7976931348623157e308, -2.0, -0.5, 0.5, 2.0, 1.7976931348623157e308]),
               np.array([-1.0, -0.0, 0.0, 1.0, 1.0, 3.0, 9.0])))
+    # NaN values through the grid (64 cells for 3 cuts), and a NaN cut, which
+    # no grid spans.
+    @example((np.resize([np.nan, -np.inf, np.inf, 0.5, -0.0, 0.0, -1.0, 2.0], 200), np.array([-1.0, 0.0, 1.0])))
+    @example((np.resize([np.nan, -np.inf, np.inf, 0.5, -0.0, 0.0, -1.0, 2.0], 200), np.array([-1.0, 0.0, np.nan])))
     def test_route_cuts_through_the_grid(self, case):
         """The grid's proposal, its one step and its verification: rows enough
         for the grid (16 cells a cut), compared in the dtype."""

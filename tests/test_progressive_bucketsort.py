@@ -54,6 +54,14 @@ class TestBoundsRouter:
         values = np.full(100, 5)
         assert np.array_equal(self.route(bounds, values), self.reference(bounds, values))
 
+    def test_float32_values_against_float64_bounds(self, rng):
+        """Bounds between float32 values and on them: the cut is the largest
+        float32 below each bound."""
+        data = rng.normal(0.0, 1.0, size=20_000).astype(np.float32)
+        bounds = np.sort(np.concatenate([data[:7].astype(np.float64), rng.normal(0.0, 1.0, 8), [1e300]]))
+        probes = np.concatenate([data, bounds[:-1].astype(np.float32), np.float32([np.inf, -np.inf])])
+        assert np.array_equal(self.route(bounds, probes), self.reference(bounds, probes.astype(np.float64)))
+
     def test_non_finite_span_falls_back(self):
         huge = np.finfo(np.float64).max
         bounds = np.array([-1.0, 0.0, 1.0])
@@ -162,10 +170,10 @@ class TestBucketsortCorrectness:
 @example(2.5)
 @example(-(2.0**63))
 @example(2.0**63)
-def test_an_integer_passes_a_bound_exactly_when_it_reaches_the_root_key(bound):
-    """An integer reaches bucket ``b`` exactly when it is at least
-    ``bounds[b - 1]``, compared exactly (not as a float64), which is when it
-    is at least that bound's root key ``ceil(bound)``."""
+def test_root_key_is_the_least_integer_routed_at_or_above_a_bound(bound):
+    """An integer reaches bucket ``b`` exactly when it is at least the root
+    key of ``bounds[b - 1]``, ``ceil(bound)``: the scatter compares with the
+    bound exactly (not as a float64)."""
     cuts, skip = kernels.typed_cuts(np.dtype(np.int64), [bound])
     key = math.ceil(bound)
     probes = [v for v in (key - 1, key, key + 1) if -(2**63) <= v < 2**63]

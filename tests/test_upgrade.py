@@ -185,6 +185,19 @@ def test_cracking_keys_past_2_53_restart_unmaterialised():
     assert upgraded["lifecycle"]["phase"] == "inactive"
 
 
+def test_pb_merge_past_2_53_restarts_inactive():
+    """A format-1 PB merge's buckets were routed in float64, which its root
+    keys no longer follow past 2**53: the index starts over, fresh (over a
+    column past 2**53 here, as the upgrade reads only its values)."""
+    _, _, state = SOURCES["PB-int64-0.1-37"]
+    index = build("PB", 0.1, PAST_2_53.copy())
+    upgraded = upgrade(copy.deepcopy(state), index)
+    assert upgraded["family"] == {"stage": "construction", "elements_bucketed": 0, "layout": 2, "initialized": False}
+    assert upgraded["lifecycle"]["phase"] == "inactive"
+    index.load_state(upgraded)
+    answers_like_a_scan(index, PAST_2_53)
+
+
 def test_a_consolidation_checkpoint_upgrades_to_converged():
     make, _, state = SOURCES["PB-consolidation"]
     upgraded = upgrade(state, make())

@@ -4,7 +4,8 @@ Each case is checked against a scan on both kernel backends:
 
 * PQ with NumPy-integer bounds near the ends of int64 (its routing keys
   are Python floats, against which a NumPy integer turns into a float64);
-* PB's bounds near the ends of int64, as exact cuts in the column's dtype;
+* PB's bounds near the ends of int64, as exact cuts in the column's dtype,
+  and a checkpoint whose buckets were routed as float64 before that;
 * both zeros of float64 in PMSD and PLSD, whose keys gave ``-0.0`` a key
   below ``+0.0`` while predicates compare them equal (PQ and PB too);
 * AA's equal-width boundaries over integer pieces near 2**63 and 2**62;
@@ -67,6 +68,39 @@ def test_pb_routes_exactly_near_the_ends_of_int64(base):
     index = create_index("PB", Column(data), budget=FixedDelta(0.1))
     assert wrong_answers(index, data, bounds) == 0
     assert index.phase is not IndexPhase.CREATION
+
+
+def float64_routed(state: dict) -> dict:
+    """``state`` with its creation buckets routed as float64 values against
+    the float64 bounds, as PB's scatter did before it compared in the dtype."""
+    family = state["family"]
+    values = np.concatenate(family["buckets"]["buckets"])
+    ids = np.searchsorted(family["bounds"], values.astype(np.float64), side="right")
+    buckets = [values[ids == bucket] for bucket in range(family["buckets"]["n_buckets"])]
+    return {**state, "family": {**family, "buckets": {**family["buckets"], "buckets": buckets}}}
+
+
+def test_pb_routes_float64_routed_checkpoint_buckets_again():
+    """Such a mid-creation checkpoint of values near 2**53 restores with its
+    buckets routed exactly, so the bucket scans, the next chunks and the
+    root keys agree with them."""
+    data = 2**53 + default_rng(5).integers(-2_000, 2_000, 20_000)
+    index = create_index("PB", Column(data), budget=FixedDelta(0.1))
+    for _ in range(3):
+        index.query(Predicate(0, 0))
+    exact = index.state_dict()
+    state = float64_routed(exact)
+    assert index.phase is IndexPhase.CREATION
+    moved = sorted({value for routed, kept in zip(state["family"]["buckets"]["buckets"],
+                                                  exact["family"]["buckets"]["buckets"])
+                    for value in np.setxor1d(routed, kept).tolist()})
+    assert moved  # the rounding put some values past a bound they are below
+    restored = create_index("PB", Column(data), budget=FixedDelta(0.1))
+    restored.load_state(state)
+    rng = default_rng(6)
+    bounds = [(value, value) for value in moved * 2] + [sorted(rng.choice(data, 2)) for _ in range(60)]
+    assert wrong_answers(restored, data, bounds) == 0
+    assert restored.phase is not IndexPhase.CREATION
 
 
 @pytest.mark.parametrize("name", ["PMSD", "PLSD", "PQ", "PB"])
