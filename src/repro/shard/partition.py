@@ -24,16 +24,19 @@ rid answers concatenate in shard order into a globally sorted rid array
 without any re-sorting; inserted rows continue from ``total_base_rows``
 in table insertion order (see :mod:`repro.shard.column`).
 
-Cost of a layout over ``n`` rows: **one sample sort, one routing pass, one
-scatter per column**.  A range layout takes its cuts as Progressive
-Bucketsort takes its bounds (:func:`repro.progressive.bucketsort.sorted_sample`:
-every ``n // 65536``-th row of a longer column, sorted):
-``sample[ceil(q * (m - 1))]`` for ``q = s / K`` over the ``m`` sampled
-values, in the column's dtype — what ``np.quantile(sample, q,
-method="higher")`` returns.  Every row's shard id
-then comes from :meth:`ShardLayout.route_values`, the same routing inserts
-take (:func:`repro.kernels.route_cuts`, compared in the column's own dtype;
-the hash of a hash layout).  The one id array groups every column of the
+Cost of a layout over ``n`` rows: **one sample sort, two routing passes,
+one scatter per column and one more for the cuts**.  A range layout's cuts
+are the exact quantiles ``np.quantile(values, s / K, method="higher")`` in
+the column's dtype, found without sorting every row (:func:`range_cuts`):
+Progressive Bucketsort's sorted strided sample
+(:func:`repro.progressive.bucketsort.sorted_sample`) brackets each one, and
+a routing pass and a scatter over the brackets gather the few rows inside
+them.  Exact cuts put the shards where the data's quantiles are; a
+sample's own quantiles would move each by about ``n / (2 sqrt(65536))``
+rows, and a range read near a shard's edge onto its neighbour.  Every
+row's shard id then comes from :meth:`ShardLayout.route_values`, the same
+routing inserts take (:func:`repro.kernels.route_cuts`, compared in the
+column's own dtype; the hash of a hash layout).  The one id array groups every column of the
 table: one stable counting scatter of the column's values by shard id
 (:func:`repro.kernels.scatter`, through :func:`group_column`), whose output
 the shards share; the per-shard write loops group their rows the same way
@@ -124,18 +127,14 @@ class ShardLayout:
         }
 
 
-def build_layout(
-    values: np.ndarray,
-    n_shards: int,
-    kind: str = "range",
-    driving_column: str = "value",
-) -> Tuple[ShardLayout, np.ndarray]:
+def build_layout(values: np.ndarray, n_shards: int, kind: str = "range",
+                 driving_column: str = "value") -> Tuple[ShardLayout, np.ndarray]:
     """Partition ``values`` into ``n_shards``: ``(layout, shard_ids)``.
 
     ``shard_ids`` is the per-row assignment; every column of the table is
     grouped by it (:func:`group_column`), keeping rows aligned across
-    shards.  Range cuts are quantiles of a sample of the data, so the base
-    rows split near-evenly even when the value distribution is skewed.
+    shards.  Range cuts are the data's quantiles (:func:`range_cuts`), so
+    the base rows split evenly even when the value distribution is skewed.
     Duplicate-heavy data can leave a shard empty (one value repeated across
     cuts); a :class:`~repro.storage.column.Column` cannot be empty, so one
     row of the largest shard moves into each empty one
@@ -155,19 +154,45 @@ def build_layout(
         raise InvalidColumnError(f"unknown shard layout kind {kind!r}")
     require_finite(values, driving_column)
 
-    boundaries = np.empty(0, dtype=values.dtype)
+    layout = ShardLayout(kind, n_shards, str(driving_column), np.empty(0, dtype=values.dtype))
     if kind == "range" and n_shards > 1:
-        # np.quantile(sample, q, method="higher") is sample[ceil((m - 1) * q)],
-        # in NumPy's own float arithmetic for the index.
-        sample = sorted_sample(values)
-        quantiles = np.arange(1, n_shards) / n_shards
-        boundaries = sample[np.ceil((sample.size - 1) * quantiles).astype(np.intp)]
-    layout = ShardLayout(kind=kind, n_shards=n_shards, driving_column=str(driving_column), boundaries=boundaries)
+        layout.boundaries, at_or_below = range_cuts(values, n_shards)
     shard_ids = layout.route_values(values)
     layout.offsets = np.zeros(n_shards + 1, dtype=np.int64)
-    np.cumsum(np.bincount(shard_ids, minlength=n_shards), out=layout.offsets[1:])
+    if layout.boundaries.size:
+        layout.offsets[1:] = [*at_or_below, values.size]
+    else:
+        np.cumsum(np.bincount(shard_ids, minlength=n_shards), out=layout.offsets[1:])
     rebalance_empty_shards(layout, shard_ids)
     return layout, shard_ids
+
+
+def range_cuts(values: np.ndarray, n_shards: int) -> Tuple[np.ndarray, List[int]]:
+    """``np.quantile(values, s / n_shards, method="higher")`` for every inner
+    ``s``, in the values' dtype, and the count of values at or below each.
+
+    A quantile lies (but for a chance near 1e-9) in a bracket of the sorted
+    sample six standard errors wide; brackets that touch (few distinct
+    values) or miss (a sample in step with the data) sort every value."""
+    quantiles = np.arange(1, n_shards) / n_shards
+    ranks = np.ceil((values.size - 1) * quantiles).astype(np.intp)  # np.quantile's "higher" rule
+    sample = sorted_sample(values)
+    if sample.size < values.size:
+        centre, spread = ranks * (sample.size / values.size), 6 * np.sqrt(sample.size * quantiles * (1 - quantiles))
+        ends = np.clip(np.stack([np.floor(centre - spread) - 1, np.ceil(centre + spread) + 1], axis=1).ravel(),
+                       0, sample.size - 1)
+        brackets = sample[ends.astype(np.intp)]
+        if (brackets[1:] > brackets[:-1]).all():
+            grouped = np.empty_like(values)
+            _, stops = kernels.scatter(values, kernels.route_cuts(values, brackets), brackets.size + 1, grouped)
+            below, inside = stops[0:-1:2].tolist(), stops[1::2].tolist()
+            if all(low <= rank < high for low, rank, high in zip(below, ranks.tolist(), inside)):
+                bands = [np.partition(grouped[low:high], rank - low) for low, rank, high in zip(below, ranks, inside)]
+                cuts = np.array([band[rank - low] for band, low, rank in zip(bands, below, ranks)], dtype=values.dtype)
+                return cuts, [low + int(np.count_nonzero(band <= cut)) for band, low, cut in zip(bands, below, cuts)]
+    ordered = sample if sample.size == values.size else np.sort(values)
+    cuts = ordered[ranks]
+    return cuts, np.searchsorted(ordered, cuts, side="right").tolist()
 
 
 def group_column(values: np.ndarray, shard_ids: np.ndarray, n_shards: int) -> List[np.ndarray]:

@@ -1,12 +1,11 @@
 """``build_layout`` against a plain reimplementation, on both kernel backends.
 
-The layout is built from one sort of a strided sample (the cuts), one
-routing pass and one counting scatter per column.  The reference below
-spells out the same rule the obvious way: ``np.quantile(method="higher")``
-over Progressive Bucketsort's strided sample (every ``n // 65536``-th row)
-for the cuts, ``np.searchsorted`` for the shard ids, the old row-list
-rebalancing of starved shards, and a stable ``argsort`` to group each
-column.  The two must agree exactly — cut points by value (``-0.0`` and
+The layout's cuts are found inside brackets of a sorted strided sample,
+then every row is routed once and each column scattered once.  The
+reference below spells out the same rule the obvious way:
+``np.quantile(method="higher")`` over all rows for the cuts,
+``np.searchsorted`` for the shard ids, the old row-list rebalancing of
+starved shards, and a stable ``argsort`` to group each column.  The two must agree exactly — cut points by value (``-0.0`` and
 ``0.0`` are one cut), offsets, per-row shard ids and every shard's values to
 the element — because the shards, their zone maps and every index and
 checkpoint built on them depend on that grouping.
@@ -27,9 +26,7 @@ INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 def reference_layout(values: np.ndarray, n_shards: int, kind: str):
     """``(boundaries, offsets, shard_ids)`` the plain way."""
     if kind == "range" and n_shards > 1:
-        step = max(1, values.size // DEFAULT_BOUNDS_SAMPLE)
-        sample = values[::step] if values.size > DEFAULT_BOUNDS_SAMPLE else values
-        quantiles = np.quantile(sample, np.arange(1, n_shards) / n_shards, method="higher")
+        quantiles = np.quantile(values, np.arange(1, n_shards) / n_shards, method="higher")
         boundaries = np.asarray(quantiles, dtype=values.dtype)
         shard_ids = np.searchsorted(boundaries, values, side="left").astype(np.int64)
     elif kind == "hash" and n_shards > 1:
@@ -127,8 +124,15 @@ def test_grouping_is_stable_and_rejects_foreign_ids(kernel_backend):
 
 
 @pytest.mark.parametrize("kind", ["range", "hash"])
-def test_cuts_come_from_the_strided_sample(kernel_backend, kind):
-    """Past 65 536 rows the cuts are quantiles of every ``n // 65536``-th row."""
-    values = np.random.default_rng(3).integers(-(10**12), 10**12, 3 * DEFAULT_BOUNDS_SAMPLE + 17)
-    assert_same_layout(values, 8, kind)
-    assert_same_layout(np.sort(values) * 0.25, 8, kind)
+def test_cuts_are_exact_past_the_sample(kernel_backend, kind):
+    """Past 65 536 rows the cuts are still the quantiles of every row: found
+    inside the sample's brackets, or, where the sample is in step with the
+    data (every third row small) or the brackets touch (few distinct
+    values), by the sort of every row."""
+    rng = np.random.default_rng(3)
+    n = 3 * DEFAULT_BOUNDS_SAMPLE + 17
+    values = rng.integers(-(10**12), 10**12, n)
+    in_step = np.where(np.arange(n) % 3 == 0, rng.integers(0, 10**6, n), rng.integers(10**9, 10**10, n))
+    for data in (values, np.sort(values) * 0.25, in_step, rng.integers(0, 5, n), rng.choice([-0.0, 0.0, 1.0], n)):
+        for n_shards in (2, 8, 17):
+            assert_same_layout(data, n_shards, kind)

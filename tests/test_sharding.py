@@ -32,8 +32,8 @@ class TestLayout:
         # every row assigned exactly once
         assert np.bincount(shard_ids, minlength=4).tolist() == sizes.tolist()
 
-    def test_sample_cuts_keep_the_largest_shard_within_a_tenth_of_the_mean(self, rng):
-        # 500 000 rows: the cuts come from a strided sample of 71 429 of them.
+    def test_range_cuts_keep_the_largest_shard_within_a_tenth_of_the_mean(self, rng):
+        # 500 000 rows: the cuts are bracketed by a strided sample of 71 429 of them.
         for data in (rng.integers(0, 10**12, 500_000), rng.uniform(-1.0, 1.0, 500_000)):
             layout, _ = build_layout(data, 8)
             assert layout.shard_sizes().max() <= 1.1 * data.size / 8
