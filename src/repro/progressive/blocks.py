@@ -184,6 +184,12 @@ class BlockList:
         self._pieces = []
         self._size = 0
 
+    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+        return (
+            f"BlockList(size={self._size}, blocks={self.n_blocks}, "
+            f"block_size={self.block_size})"
+        )
+
 
 class BucketSet:
     """A fixed number of :class:`BlockList` buckets addressed by bucket id,
@@ -221,7 +227,10 @@ class BucketSet:
         memory budget — and every non-empty bucket receives its slice of it:
         ``O(n)`` regardless of the fan-out, within-bucket input order kept.
         """
-        values, bucket_ids = np.asarray(values, dtype=self.dtype), np.asarray(bucket_ids, dtype=np.int64)
+        values = np.asarray(values, dtype=self.dtype)
+        bucket_ids = np.asarray(bucket_ids)
+        if bucket_ids.dtype != np.int64:
+            bucket_ids = bucket_ids.astype(np.int64)
         if values.size:
             grouped = self._grouped_buffer(values.size)
             self._distribute(grouped, *kernels.scatter(values, bucket_ids, self.n_buckets, grouped))

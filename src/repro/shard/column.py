@@ -435,7 +435,9 @@ def shard_column(
         layout, shard_ids = build_layout(data, n_shards, kind=kind, driving_column=column.name)
         shard_set = ShardSet(layout)
     elif shard_ids is None:
-        raise InvalidColumnError("sharding a sibling column requires the driving column's shard ids")
+        raise InvalidColumnError(
+            "sharding a sibling column requires the driving column's shard ids"
+        )
     layout = shard_set.layout
     shards = [
         Column(values, name=column.name)

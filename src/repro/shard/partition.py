@@ -62,7 +62,10 @@ _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 def _hash_shards(values: np.ndarray, n_shards: int) -> np.ndarray:
     """Deterministic shard assignment by 64-bit multiplicative hashing."""
     values = np.asarray(values)
-    bits = values.astype(np.float64 if values.dtype.kind == "f" else np.int64, copy=False).view(np.uint64)
+    if values.dtype.kind == "f":
+        bits = values.astype(np.float64, copy=False).view(np.uint64)
+    else:
+        bits = values.astype(np.int64, copy=False).view(np.uint64)
     mixed = bits * _HASH_MULTIPLIER
     mixed ^= mixed >> np.uint64(29)
     return (mixed % np.uint64(n_shards)).astype(np.int64)
@@ -127,8 +130,12 @@ class ShardLayout:
         }
 
 
-def build_layout(values: np.ndarray, n_shards: int, kind: str = "range",
-                 driving_column: str = "value") -> Tuple[ShardLayout, np.ndarray]:
+def build_layout(
+    values: np.ndarray,
+    n_shards: int,
+    kind: str = "range",
+    driving_column: str = "value",
+) -> Tuple[ShardLayout, np.ndarray]:
     """Partition ``values`` into ``n_shards``: ``(layout, shard_ids)``.
 
     ``shard_ids`` is the per-row assignment; every column of the table is
@@ -148,7 +155,9 @@ def build_layout(values: np.ndarray, n_shards: int, kind: str = "range",
     if n_shards < 1:
         raise InvalidColumnError(f"n_shards must be >= 1, got {n_shards}")
     if n_shards > values.size:
-        raise InvalidColumnError(f"cannot split {values.size} rows into {n_shards} shards")
+        raise InvalidColumnError(
+            f"cannot split {values.size} rows into {n_shards} shards"
+        )
     kind = str(kind).lower()
     if kind not in ("range", "hash"):
         raise InvalidColumnError(f"unknown shard layout kind {kind!r}")
@@ -226,7 +235,9 @@ def rebalance_empty_shards(layout: ShardLayout, shard_ids: np.ndarray) -> None:
     while (sizes == 0).any():
         donor = int(sizes.argmax())
         if sizes[donor] <= 1:
-            raise InvalidColumnError("cannot populate every shard: not enough rows")
+            raise InvalidColumnError(
+                "cannot populate every shard: not enough rows"
+            )
         taker = int(np.flatnonzero(sizes == 0)[0])
         shard_ids[np.flatnonzero(shard_ids == donor)[-1]] = taker
         sizes[donor] -= 1
